@@ -81,7 +81,8 @@ type batchEntry struct {
 //
 // Pipeline: resolve and digest every entry up front; deduplicate
 // entries whose cache keys collide within the batch (counted in
-// Stats().Batch.Deduped); serve verdict-cache hits; group the
+// Stats().Batch.Deduped); serve verdict-cache hits; offer the misses
+// to the cluster fill hook in one call (WithPeerFillBatch); group the
 // remaining non-exhaustive verify entries by (width, property) and
 // compute each group ≥ 2 through one shared eval.RunMany pass on the
 // compute pool (one test-stream enumeration and one transpose per
@@ -136,6 +137,9 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request) ([]*Verdict, erro
 		}
 		pending = append(pending, e)
 	}
+
+	// Phase 2b: one cluster-fill consultation for every miss.
+	pending = s.fillBatch(ctx, pending, verdicts)
 
 	// Phase 3: partition the misses. Non-exhaustive verify entries of
 	// one (width, property) form a group; groups of ≥ 2 take the
@@ -274,16 +278,50 @@ func (s *Session) resolveEntry(e *batchEntry) error {
 	return nil
 }
 
+// fillBatch is DoBatch's cluster-fill phase: ONE hook call carries
+// every pending entry, on the caller's goroutine under the caller's
+// context (never on a pool worker, never inside coalescing). Adopted
+// entries are cached, answered with Source "miss" and counted as the
+// misses they are, with no compute; the unanswered rest is returned
+// for grouping and fallback, which never offer it to the hook again.
+// Stream overrides skip fill (see withPeerFill).
+func (s *Session) fillBatch(ctx context.Context, pending []*batchEntry, verdicts []*Verdict) []*batchEntry {
+	if s.fill == nil || s.stream != nil || len(pending) == 0 {
+		return pending
+	}
+	probes := make([]Request, len(pending))
+	for i, e := range pending {
+		probes[i] = fillRequest(e.req, e.op)
+	}
+	answers := s.fill(ctx, probes)
+	rest := pending[:0]
+	for i, e := range pending {
+		v := adopt(answers, i, e.op, e.digest)
+		if v == nil {
+			rest = append(rest, e)
+			continue
+		}
+		e.ctrs.misses.Add(1)
+		if s.results != nil {
+			s.results.Add(e.key, v)
+		}
+		verdicts[e.idx] = withSource(v, "miss")
+		stampID(verdicts[e.idx], e.req.ID)
+	}
+	return rest
+}
+
 // doResolved routes one already-resolved entry through the
-// per-request pipeline — Do minus the parsing.
+// per-request pipeline — Do minus the parsing, and minus the fill
+// hook, which fillBatch already consulted for the whole batch.
 func (s *Session) doResolved(ctx context.Context, e *batchEntry) (*Verdict, error) {
 	switch e.op {
 	case OpVerify:
-		return s.doVerifyResolved(ctx, e.ctrs, e.req, e.w, e.digest, e.p, e.req.Exhaustive)
+		return s.doVerifyResolved(ctx, e.ctrs, nil, e.w, e.digest, e.p, e.req.Exhaustive)
 	case OpFaults:
-		return s.doFaultsResolved(ctx, e.ctrs, e.req, e.w, e.digest, e.p, e.mode)
+		return s.doFaultsResolved(ctx, e.ctrs, nil, e.w, e.digest, e.p, e.mode)
 	default:
-		return s.doMinsetResolved(ctx, e.ctrs, e.req, e.w, e.digest, e.p, e.mode, e.req.Exact)
+		return s.doMinsetResolved(ctx, e.ctrs, nil, e.w, e.digest, e.p, e.mode, e.req.Exact)
 	}
 }
 
@@ -308,51 +346,26 @@ func (s *Session) computeGroup(ctx context.Context, members []*batchEntry, verdi
 	// are deterministic — and distinct batches rarely align anyway).
 	key := "!group|" + strconv.FormatInt(s.uncached.Add(1), 10)
 	_, _, err := s.startPool().do(ctx, key, func(cctx context.Context) (*Verdict, error) {
-		group = make([]*Verdict, len(members))
-		// Cluster fill: a member whose verdict a sibling shard already
-		// caches is adopted from the peer and drops out of the engine
-		// pass — same validation and cache fill as the per-request
-		// pipeline's hook (stream overrides skip it, see withPeerFill).
-		rest := make([]int, 0, len(members))
-		for i, m := range members {
+		for _, m := range members {
 			m.ctrs.misses.Add(1)
-			if s.fill != nil && s.stream == nil {
-				if v, ok := s.peerProbe(cctx, m.req, OpVerify, m.digest); ok {
-					group[i] = v
-					if s.results != nil && m.key != "" {
-						s.results.Add(m.key, v)
-					}
-					continue
-				}
-			}
-			rest = append(rest, i)
-		}
-		if len(rest) == 0 {
-			return nil, nil
-		}
-		for _, i := range rest {
-			members[i].ctrs.computes.Add(1)
+			m.ctrs.computes.Add(1)
 		}
 		s.stats.batch.groups.Add(1)
-		s.stats.batch.grouped.Add(int64(len(rest)))
+		s.stats.batch.grouped.Add(int64(len(members)))
 		if s.computeHook != nil {
 			s.computeHook()
 		}
-		restProgs := make([]*eval.Program, len(rest))
-		for k, i := range rest {
-			restProgs[k] = progs[i]
-		}
-		evs, err := eval.RunManyCtx(cctx, restProgs, s.binaryTests(p), verify.JudgeFor(p))
+		evs, err := eval.RunManyCtx(cctx, progs, s.binaryTests(p), verify.JudgeFor(p))
 		if err != nil {
 			return nil, err
 		}
-		for k, i := range rest {
-			m := members[i]
+		group = make([]*Verdict, len(members))
+		for i, m := range members {
 			group[i] = checkVerdict(m.digest, p.Name(), false, Result{
-				Holds:          evs[k].Holds,
-				TestsRun:       evs[k].TestsRun,
-				Counterexample: evs[k].In,
-				Output:         evs[k].Out,
+				Holds:          evs[i].Holds,
+				TestsRun:       evs[i].TestsRun,
+				Counterexample: evs[i].In,
+				Output:         evs[i].Out,
 			})
 			if s.results != nil && m.key != "" {
 				s.results.Add(m.key, group[i])

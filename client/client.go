@@ -133,18 +133,6 @@ func retryAfter(resp *http.Response) time.Duration {
 // counter can attribute load to failover/retry traffic.
 const retryHeader = "X-Sortnetd-Retry"
 
-// Cluster peer-fill protocol headers. A request carrying FillHeader
-// is a fill-only probe: the receiving sortnetd answers from its
-// verdict cache or says 404 — it never computes and never probes its
-// own peers, which is what makes fill loops structurally impossible.
-// PeerHeader carries the probing shard's -shard-id as a hop marker;
-// a server that sees its OWN id refuses the probe (a misconfigured
-// peer list pointing a shard at itself).
-const (
-	FillHeader = "X-Sortnetd-Fill"
-	PeerHeader = "X-Sortnetd-Peer"
-)
-
 // Client implements sortnets.Doer.
 var _ sortnets.Doer = (*Client)(nil)
 
@@ -211,53 +199,6 @@ func (c *Client) doAttempt(ctx context.Context, req sortnets.Request, attempt in
 	}
 	v.Source = resp.Header.Get("X-Sortnetd-Cache")
 	return &v, nil
-}
-
-// Fill sends a fill-only cache probe for req: the peer answers from
-// its verdict cache (ok=true) or reports a miss (ok=false, err=nil —
-// a miss is a normal outcome, not a failure). from is the probing
-// shard's id, carried as the loop-prevention hop marker. The peer
-// never computes, so a probe's cost is bounded by one cache lookup
-// plus the wire.
-func (c *Client) Fill(ctx context.Context, req sortnets.Request, from string) (*sortnets.Verdict, bool, error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, false, err
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/do", bytes.NewReader(payload))
-	if err != nil {
-		return nil, false, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	httpReq.Header.Set(FillHeader, "1")
-	if from != "" {
-		httpReq.Header.Set(PeerHeader, from)
-	}
-	resp, err := c.hc.Do(httpReq)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, false, ctxErr
-		}
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
-	if err != nil {
-		return nil, false, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var v sortnets.Verdict
-		if err := json.Unmarshal(body, &v); err != nil {
-			return nil, false, fmt.Errorf("sortnetd: undecodable fill verdict: %w", err)
-		}
-		v.Source = resp.Header.Get("X-Sortnetd-Cache")
-		return &v, true, nil
-	case http.StatusNotFound:
-		return nil, false, nil
-	default:
-		return nil, false, fmt.Errorf("sortnetd: fill status %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
 }
 
 // DoBatch posts the whole batch to /do as one NDJSON round trip (one

@@ -20,6 +20,8 @@ import (
 //	POST /verify   sortnets.Request → sortnets.Verdict (op forced to verify)
 //	POST /faults   sortnets.Request → sortnets.Verdict (op forced to faults)
 //	POST /minset   sortnets.Request → sortnets.Verdict (op forced to minset)
+//	POST /do       with X-Sortnetd-Fill: a sibling shard's NDJSON fill probe,
+//	               answered per line from the verdict cache (peer.go)
 //	GET  /healthz  → readiness: 200 {"status":"ok"}, or 503
 //	               {"status":"draining"|"overloaded"} when the server
 //	               should receive no new traffic
@@ -100,8 +102,8 @@ func (s *Service) endpoint(op string, w http.ResponseWriter, r *http.Request) {
 		s.retriesSeen.Add(1)
 	}
 	if r.Header.Get(fillHeader) != "" {
-		// A sibling shard's fill-only cache probe (peer.go): answered
-		// from the cache or 404, never computed, never gated.
+		// A sibling shard's fill-only cache probe (peer.go): each line
+		// answered from the cache or 404, never computed, never gated.
 		s.serveFill(op, w, r)
 		return
 	}

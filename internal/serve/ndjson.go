@@ -127,6 +127,15 @@ func ndjsonContentType(r *http.Request) bool {
 
 // serveNDJSON streams batch verdicts for one NDJSON connection.
 func (s *Service) serveNDJSON(w http.ResponseWriter, r *http.Request) {
+	s.streamLines(w, r, s.writeChunk)
+}
+
+// streamLines runs the NDJSON line protocol on one connection: read an
+// adaptive chunk of request lines, let answer write the chunk's
+// response lines in order (false = the connection is dead), flush,
+// repeat to the end of the body. Batches on /do and peer fill probes
+// (peer.go) share it.
+func (s *Service) streamLines(w http.ResponseWriter, r *http.Request, answer func(*http.Request, io.Writer, *connScratch) bool) {
 	// Full duplex lets us write response lines while the client is
 	// still streaming request lines (HTTP/1.1 pipelining). Best
 	// effort: on transports that don't support it, the handler still
@@ -139,8 +148,8 @@ func (s *Service) serveNDJSON(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch(r.Body)
 	defer putScratch(sc)
 	for {
-		done := s.readChunk(sc)
-		if len(sc.chunk) > 0 && !s.writeChunk(r, w, sc) {
+		done := readChunk(sc)
+		if len(sc.chunk) > 0 && !answer(r, w, sc) {
 			return
 		}
 		if len(sc.chunk) > 0 {
@@ -152,7 +161,7 @@ func (s *Service) serveNDJSON(w http.ResponseWriter, r *http.Request) {
 		// A draining server finishes the chunk in flight, then ends
 		// the stream: the client sees a short response, and its Pool
 		// re-sends the unanswered remainder to a backend whose
-		// readiness probe still passes.
+		// readiness probe still passes (a fill prober computes it).
 		if s.draining.Load() {
 			return
 		}
@@ -166,10 +175,6 @@ type chunkLine struct {
 	err *sortnets.RequestError // decode failure: answered without a Session trip
 }
 
-// readChunk reads one adaptive chunk into sc.chunk: it blocks for the
-// first line, then keeps sweeping lines while the reader has buffered
-// bytes, up to maxChunkLines. done reports end of body (EOF or a read
-// error — either way the connection has no more requests).
 // lineTooLongErr is the fixed per-line 400 for oversized lines. The
 // message never varies, so one shared error serves every rejection
 // instead of formatting (and allocating) it per line — the line-length
@@ -179,7 +184,11 @@ var lineTooLongErr = &sortnets.RequestError{
 	Msg:    fmt.Sprintf("request line exceeds %d bytes", maxLineBytes),
 }
 
-func (s *Service) readChunk(sc *connScratch) (done bool) {
+// readChunk reads one adaptive chunk into sc.chunk: it blocks for the
+// first line, then keeps sweeping lines while the reader has buffered
+// bytes, up to maxChunkLines. done reports end of body (EOF or a read
+// error — either way the connection has no more requests).
+func readChunk(sc *connScratch) (done bool) {
 	sc.chunk = sc.chunk[:0]
 	for len(sc.chunk) < maxChunkLines {
 		if len(sc.chunk) > 0 && sc.br.Buffered() == 0 {
@@ -189,13 +198,12 @@ func (s *Service) readChunk(sc *connScratch) (done bool) {
 		var err error
 		sc.line, tooLong, err = readLine(sc.br, sc.line[:0], maxLineBytes)
 		if tooLong {
-			s.rejected("")
 			sc.chunk = append(sc.chunk, chunkLine{err: lineTooLongErr})
 			continue
 		}
 		if len(bytes.TrimSpace(sc.line)) > 0 {
 			sc.chunk = append(sc.chunk, chunkLine{})
-			s.decodeLine(sc.line, &sc.chunk[len(sc.chunk)-1])
+			decodeLine(sc.line, &sc.chunk[len(sc.chunk)-1])
 		}
 		if err != nil {
 			return true
@@ -207,10 +215,9 @@ func (s *Service) readChunk(sc *connScratch) (done bool) {
 // decodeLine decodes one request line into cl, mapping failures to
 // the per-line error form. The target is reused scratch; the decoder
 // fully resets it.
-func (s *Service) decodeLine(line []byte, cl *chunkLine) {
+func decodeLine(line []byte, cl *chunkLine) {
 	cl.err = nil
 	if err := sortnets.UnmarshalRequestLine(line, &cl.req); err != nil {
-		s.rejected("")
 		cl.err = &sortnets.RequestError{
 			Status: http.StatusBadRequest,
 			Msg:    fmt.Sprintf("bad request line: %v", err),
@@ -220,13 +227,16 @@ func (s *Service) decodeLine(line []byte, cl *chunkLine) {
 
 // writeChunk runs the chunk's decodable lines through one DoBatch,
 // encodes every line's response in request order into the scratch
-// buffer, and writes it with one Write. It returns false when the
+// buffer, and writes it with one Write. Undecodable lines count as
+// requests rejected before the Session. It returns false when the
 // connection is dead (context cancelled or a write failed).
 func (s *Service) writeChunk(r *http.Request, w io.Writer, sc *connScratch) bool {
 	sc.reqs = sc.reqs[:0]
 	for i := range sc.chunk {
 		if sc.chunk[i].err == nil {
 			sc.reqs = append(sc.reqs, sc.chunk[i].req)
+		} else {
+			s.rejected("")
 		}
 	}
 	if cap(sc.entryErrs) < len(sc.reqs) {

@@ -1,9 +1,9 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -17,37 +17,46 @@ import (
 
 // The peer cache-fill plane of cluster mode.
 //
-// Outgoing: when sortnetd runs with -peers, the Session's verdict-
-// cache misses consult the sibling shards through peerFill (installed
-// as sortnets.WithPeerFill) before paying the compute. The whole
-// consultation shares ONE short budget (Config.PeerTimeout) — peer
-// fill is an optimization, never a stall — and single-flight comes
-// from the Session's coalescing: concurrent identical misses cost one
-// probe round. Under digest routing a fill hit is the common case the
-// moment traffic arrives off-owner (a failover, a hedge, a
-// round-robin client): the owner computed it already.
+// Outgoing: when sortnetd runs with -peers, the Session offers its
+// verdict-cache misses to the sibling shards through peerFill
+// (installed as sortnets.WithPeerFillBatch) before paying the
+// compute. A DoBatch makes ONE consultation for all of its misses,
+// before its compute-pool work, and each peer gets ONE NDJSON probe
+// carrying every entry no earlier peer answered; a single-shot Do
+// consults with a one-line probe from inside its coalesced call, so
+// concurrent identical misses share it. The whole consultation shares
+// ONE short budget (Config.PeerTimeout) — peer fill is an
+// optimization, never a stall. Under digest routing a fill hit is the
+// common case the moment traffic arrives off-owner (a failover, a
+// hedge, a round-robin client): the owner computed it already.
 //
-// Incoming: a probe is a normal POST /do carrying the X-Sortnetd-Fill
-// header (the wire constants mirror sortnets/client, which this
-// package cannot import — client's tests import serve). serveFill
-// answers it from Session.Lookup — the cache-only read path — or
-// 404s. It NEVER computes and NEVER probes further, so fill traffic
-// is structurally loop-free no matter how the peer graph is
-// (mis)configured; as a belt-and-braces check, a probe whose
-// X-Sortnetd-Peer hop marker names THIS shard is refused outright (a
-// peer list pointing a shard at itself). Fill probes skip the
-// admission gate: a saturated shard can still answer cache reads,
-// which is exactly when its siblings need them.
+// Incoming: a probe is an NDJSON POST /do carrying the X-Sortnetd-Fill
+// header — one sortnets.Request per line up, one sortnets.BatchVerdict
+// per line back in order. serveFill answers each line from
+// Session.Lookup, the cache-only read path: the cached verdict with
+// source "hit", or a per-line 404 "fill miss"; a malformed line gets a
+// per-line 400 and its neighbours are still answered. It NEVER
+// computes and NEVER probes further, so fill traffic is structurally
+// loop-free no matter how the peer graph is (mis)configured; as a
+// belt-and-braces check, a probe whose X-Sortnetd-Peer hop marker
+// names THIS shard is refused outright with 508 (a peer list pointing
+// a shard at itself). Fill probes skip the admission gate: a saturated
+// shard can still answer cache reads, which is exactly when its
+// siblings need them.
+//
+// Every peer counter on both sides counts entries (probe lines), not
+// round trips.
 
 const (
-	fillHeader = "X-Sortnetd-Fill" // = client.FillHeader
-	peerHeader = "X-Sortnetd-Peer" // = client.PeerHeader
+	fillHeader = "X-Sortnetd-Fill"
+	peerHeader = "X-Sortnetd-Peer"
 )
 
-// defaultPeerTimeout bounds one miss's whole peer consultation when
-// Config.PeerTimeout is unset. Local-network round trips for a cache
-// read are sub-millisecond; 100ms absorbs a GC pause or SYN retry
-// without ever making fill the slow path next to a real compute.
+// defaultPeerTimeout bounds one consultation — every peer, every
+// entry of the batch — when Config.PeerTimeout is unset. Local-network
+// round trips for a cache read are sub-millisecond; 100ms absorbs a
+// GC pause or SYN retry without ever making fill the slow path next
+// to a real compute.
 const defaultPeerTimeout = 100 * time.Millisecond
 
 // peerTransport bounds the phases of a probe that can hang on a dead
@@ -66,12 +75,12 @@ type peerPlane struct {
 	hc      *http.Client
 	timeout time.Duration
 
-	hits   atomic.Int64 // outgoing probes answered with a verdict
-	misses atomic.Int64 // outgoing probes answered 404
-	errors atomic.Int64 // outgoing probes that failed (dead peer, timeout)
+	hits   atomic.Int64 // outgoing probe entries answered with a verdict
+	misses atomic.Int64 // outgoing probe entries answered 404
+	errors atomic.Int64 // outgoing probe entries not answered (dead peer, timeout, bad line)
 
-	fillServed atomic.Int64 // incoming probes answered from the cache
-	fillMisses atomic.Int64 // incoming probes answered 404
+	fillServed atomic.Int64 // incoming probe entries answered from the cache
+	fillMisses atomic.Int64 // incoming probe entries answered 404
 	fillLoops  atomic.Int64 // incoming probes refused by the hop marker
 }
 
@@ -94,73 +103,99 @@ func (s *Service) initPeers() {
 }
 
 // peerFill is the Session's cluster fill hook: probe each peer in
-// configured order under one shared budget, adopt the first verdict.
-// ctx is the Session's compute context (detached from any one caller
-// — it outlives an individual disconnect while waiters remain), so
-// the timeout here is the only thing bounding the consultation.
-func (s *Service) peerFill(ctx context.Context, req sortnets.Request) (*sortnets.Verdict, bool) {
+// configured order under one shared budget, each with one NDJSON probe
+// carrying the entries no earlier peer answered. The answer is
+// index-aligned with reqs, nil where no peer had the verdict. ctx is
+// the batch caller's, or a single-shot miss's compute context; the
+// timeout here bounds the whole consultation either way.
+func (s *Service) peerFill(ctx context.Context, reqs []sortnets.Request) []*sortnets.Verdict {
 	pctx, cancel := context.WithTimeout(ctx, s.peer.timeout)
 	defer cancel()
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, false
+	out := make([]*sortnets.Verdict, len(reqs))
+	open := make([]int, len(reqs)) // indices into reqs still unanswered
+	for i := range open {
+		open[i] = i
 	}
+	var body []byte
 	for _, u := range s.peer.urls {
-		v, ok, err := s.fillProbe(pctx, u, payload)
-		switch {
-		case err != nil:
-			s.peer.errors.Add(1)
-			if pctx.Err() != nil {
-				return nil, false // budget spent; compute locally
+		body = body[:0]
+		for _, i := range open {
+			body = sortnets.AppendRequest(body, &reqs[i])
+			body = append(body, '\n')
+		}
+		heard := s.fillProbe(pctx, u, body, open, out)
+		s.peer.errors.Add(int64(len(open) - heard))
+		rest := open[:0]
+		for _, i := range open {
+			if out[i] == nil {
+				rest = append(rest, i)
 			}
-		case ok:
-			s.peer.hits.Add(1)
-			return v, true
-		default:
-			s.peer.misses.Add(1)
+		}
+		if open = rest; len(open) == 0 || pctx.Err() != nil {
+			break // all answered, or the budget is spent: compute the rest locally
 		}
 	}
-	return nil, false
+	return out
 }
 
-// fillProbe sends one fill-only probe. ok=false with a nil error is a
-// peer cache miss — a normal outcome, not a failure.
-func (s *Service) fillProbe(ctx context.Context, baseURL string, payload []byte) (*sortnets.Verdict, bool, error) {
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/do", bytes.NewReader(payload))
+// fillProbe sends one NDJSON fill probe — body holds one request line
+// per index in open, in order — and stores each verdict answered for
+// line k at out[open[k]]. It counts every line it hears (a verdict is
+// a hit, a per-line 404 a miss, anything else an error) and returns
+// how many it heard; the caller counts the lines a failed, refused or
+// short response never answered. The body is read to its end so the
+// connection can be reused.
+func (s *Service) fillProbe(ctx context.Context, baseURL string, body []byte, open []int, out []*sortnets.Verdict) (heard int) {
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/do", bytes.NewReader(body))
 	if err != nil {
-		return nil, false, err
+		return 0
 	}
-	httpReq.Header.Set("Content-Type", "application/json")
+	httpReq.Header.Set("Content-Type", "application/x-ndjson")
 	httpReq.Header.Set(fillHeader, "1")
 	if s.cfg.ShardID != "" {
 		httpReq.Header.Set(peerHeader, s.cfg.ShardID)
 	}
 	resp, err := s.peer.hc.Do(httpReq)
 	if err != nil {
-		return nil, false, err
+		return 0
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes*8))
-	if err != nil {
-		return nil, false, err
+	if resp.StatusCode != http.StatusOK {
+		return 0
 	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var v sortnets.Verdict
-		if err := json.Unmarshal(body, &v); err != nil {
-			return nil, false, fmt.Errorf("undecodable fill verdict from %s: %w", baseURL, err)
+	br := bufio.NewReader(resp.Body)
+	var line []byte
+	for {
+		var tooLong bool
+		line, tooLong, err = readLine(br, line[:0], maxLineBytes)
+		if heard < len(open) && (tooLong || len(bytes.TrimSpace(line)) > 0) {
+			var bv sortnets.BatchVerdict
+			switch {
+			case tooLong || sortnets.UnmarshalBatchVerdictLine(line, &bv) != nil:
+				s.peer.errors.Add(1)
+			case bv.Verdict != nil:
+				out[open[heard]] = bv.Verdict
+				s.peer.hits.Add(1)
+			case bv.Error != nil && bv.Error.Status == http.StatusNotFound:
+				s.peer.misses.Add(1)
+			default:
+				s.peer.errors.Add(1)
+			}
+			heard++
 		}
-		return &v, true, nil
-	case http.StatusNotFound:
-		return nil, false, nil
-	default:
-		return nil, false, fmt.Errorf("fill probe to %s: status %d", baseURL, resp.StatusCode)
+		if err != nil {
+			return heard
+		}
 	}
 }
 
-// serveFill answers an incoming fill-only probe from the verdict
-// cache. Reached from endpoint() before the admission gate and before
-// the NDJSON switch — probes are always single-shot JSON.
+// fillMiss answers a probe line whose verdict this shard does not
+// cache.
+var fillMiss = &sortnets.RequestError{Status: http.StatusNotFound, Msg: "fill miss"}
+
+// serveFill answers an incoming fill probe from the verdict cache.
+// Reached from endpoint() before the admission gate; the lines stream
+// through the same reader as NDJSON /do, bounded by maxLineBytes.
 func (s *Service) serveFill(op string, w http.ResponseWriter, r *http.Request) {
 	if from := r.Header.Get(peerHeader); from != "" && s.cfg.ShardID != "" && from == s.cfg.ShardID {
 		s.peer.fillLoops.Add(1)
@@ -168,38 +203,43 @@ func (s *Service) serveFill(op string, w http.ResponseWriter, r *http.Request) {
 			"peer fill loop: probe carries this shard's id %q (a peer list points a shard at itself)", from))
 		return
 	}
-	var req sortnets.Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad fill probe body: %v", err))
+	if op != "" || !ndjsonContentType(r) {
+		writeError(w, http.StatusUnsupportedMediaType, "fill probes are NDJSON: POST /do with Content-Type application/x-ndjson")
 		return
 	}
-	if op != "" {
-		req.Op = op
+	s.streamLines(w, r, s.writeFillChunk)
+}
+
+// writeFillChunk answers one chunk of probe lines from the verdict
+// cache, in order, with one Write. It never computes. Probes carry no
+// IDs (the Session strips them), so none are echoed.
+func (s *Service) writeFillChunk(_ *http.Request, w io.Writer, sc *connScratch) bool {
+	sc.out = sc.out[:0]
+	for i := range sc.chunk {
+		cl := &sc.chunk[i]
+		line := sortnets.BatchVerdict{Error: cl.err}
+		if cl.err == nil {
+			if v, ok := s.sess.Lookup(cl.req); ok {
+				s.peer.fillServed.Add(1)
+				line = sortnets.BatchVerdict{Verdict: v, Source: v.Source}
+			} else {
+				s.peer.fillMisses.Add(1)
+				line.Error = fillMiss
+			}
+		}
+		sc.out = sortnets.AppendBatchVerdict(sc.out, &line)
+		sc.out = append(sc.out, '\n')
 	}
-	v, ok := s.sess.Lookup(req)
-	if !ok {
-		s.peer.fillMisses.Add(1)
-		writeError(w, http.StatusNotFound, "fill miss")
-		return
-	}
-	s.peer.fillServed.Add(1)
-	body, err := sortnets.MarshalVerdict(v)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Sortnetd-Cache", v.Source)
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	_, err := w.Write(sc.out)
+	return err == nil
 }
 
 // PeerSnapshot is the /stats "peer" section: the cluster fill plane
-// from both sides — outgoing probes this shard sent on its own misses
-// (peer_hits / peer_misses / peer_errors) and incoming probes it
-// answered for siblings (fill_served / fill_misses / fill_loops).
+// from both sides — outgoing probe entries this shard sent on its own
+// misses (peer_hits / peer_misses / peer_errors) and incoming probe
+// entries it answered for siblings (fill_served / fill_misses); every
+// one counts entries, not round trips. fill_loops counts whole probes
+// refused by the hop marker.
 type PeerSnapshot struct {
 	ShardID    string   `json:"shard_id,omitempty"`
 	Peers      []string `json:"peers,omitempty"`

@@ -3,27 +3,33 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sortnets"
 )
 
+// requestLine renders req as one NDJSON request line, the way the
+// probing shard encodes it.
+func requestLine(req sortnets.Request) string {
+	return string(sortnets.AppendRequest(nil, &req))
+}
+
 // fillPost sends a fill-only cache probe the way a sibling shard
-// would: POST /do + the fill header, with from as the hop marker.
-func fillPost(t *testing.T, url string, req sortnets.Request, from string) (*http.Response, []byte) {
+// would: an NDJSON POST /do carrying the fill header, with from as the
+// hop marker. It returns the response and its body split into lines.
+func fillPost(t *testing.T, url, from string, lines ...string) (*http.Response, []string) {
 	t.Helper()
-	body, err := json.Marshal(req)
+	httpReq, err := http.NewRequest(http.MethodPost, url+"/do", strings.NewReader(strings.Join(lines, "\n")+"\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	httpReq, err := http.NewRequest(http.MethodPost, url+"/do", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
+	httpReq.Header.Set("Content-Type", "application/x-ndjson")
 	httpReq.Header.Set(fillHeader, "1")
 	if from != "" {
 		httpReq.Header.Set(peerHeader, from)
@@ -33,24 +39,29 @@ func fillPost(t *testing.T, url string, req sortnets.Request, from string) (*htt
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out bytes.Buffer
-	if _, err := out.ReadFrom(resp.Body); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return resp, out.Bytes()
+	return resp, strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
 }
 
-// TestFillEndpointMissHitIdentity: a fill probe for an uncached
-// network answers 404 without computing; once the verdict is cached a
-// probe answers 200 with a body byte-identical to the original — the
-// property that makes adopting a peer's verdict always safe.
+// fillMissLine is the per-line answer to a probe the cache cannot
+// serve.
+const fillMissLine = `{"error":{"status":404,"error":"fill miss"}}`
+
+// TestFillEndpointMissHitIdentity: a fill probe line for an uncached
+// network answers a per-line 404 without computing; once the verdict
+// is cached the line answers with a verdict byte-identical to the
+// original /do body, sourced "hit" — the property that makes adopting
+// a peer's verdict always safe.
 func TestFillEndpointMissHitIdentity(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, ShardID: "s0"})
 
 	req := sortnets.Request{Network: sorter4}
-	resp, body := fillPost(t, ts.URL, req, "s1")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("cold fill probe: status %d (%s), want 404 — a probe must never compute", resp.StatusCode, body)
+	resp, lines := fillPost(t, ts.URL, "s1", requestLine(req))
+	if resp.StatusCode != http.StatusOK || len(lines) != 1 || lines[0] != fillMissLine {
+		t.Fatalf("cold fill probe: status %d, lines %q, want one %s line — a probe must never compute", resp.StatusCode, lines, fillMissLine)
 	}
 	if ep := s.Stats().Endpoints["verify"]; ep.Computes != 0 {
 		t.Fatalf("fill probe triggered %d computes, want 0", ep.Computes)
@@ -62,16 +73,13 @@ func TestFillEndpointMissHitIdentity(t *testing.T) {
 		t.Fatalf("real request: status %d: %s", resp.StatusCode, want)
 	}
 
-	// ...and the probe now replays it byte-identically.
-	resp, got := fillPost(t, ts.URL, req, "s1")
-	if resp.StatusCode != 200 {
-		t.Fatalf("warm fill probe: status %d (%s), want 200", resp.StatusCode, got)
+	// ...and the probe now replays it byte-identically, sourced hit.
+	resp, lines = fillPost(t, ts.URL, "s1", requestLine(req))
+	if resp.StatusCode != 200 || len(lines) != 1 {
+		t.Fatalf("warm fill probe: status %d, lines %q, want one line", resp.StatusCode, lines)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("fill body diverged from the original verdict:\n fill: %s\n real: %s", got, want)
-	}
-	if resp.Header.Get("X-Sortnetd-Cache") != "hit" {
-		t.Errorf("fill response cache header %q, want hit", resp.Header.Get("X-Sortnetd-Cache"))
+	if wantLine := `{"verdict":` + string(want) + `,"source":"hit"}`; lines[0] != wantLine {
+		t.Fatalf("fill line diverged from the original verdict:\n fill: %s\n want: %s", lines[0], wantLine)
 	}
 	ps := s.peerSnapshot()
 	if ps.FillMisses != 1 || ps.FillServed != 1 {
@@ -87,23 +95,150 @@ func TestFillEndpointCanonicalSharing(t *testing.T) {
 	if resp, body := post(t, ts.URL+"/do", sortnets.Request{Network: sorter4}); resp.StatusCode != 200 {
 		t.Fatalf("warm-up: status %d: %s", resp.StatusCode, body)
 	}
-	resp, body := fillPost(t, ts.URL, sortnets.Request{Network: sorter4Reordered}, "s1")
-	if resp.StatusCode != 200 {
-		t.Fatalf("probe for the reordered circuit: status %d (%s), want a canonical hit", resp.StatusCode, body)
+	resp, lines := fillPost(t, ts.URL, "s1", requestLine(sortnets.Request{Network: sorter4Reordered}))
+	if resp.StatusCode != 200 || len(lines) != 1 || !strings.HasPrefix(lines[0], `{"verdict":`) {
+		t.Fatalf("probe for the reordered circuit: status %d, lines %q, want a canonical hit", resp.StatusCode, lines)
 	}
 }
 
 // TestFillEndpointRefusesOwnHopMarker: a probe carrying THIS shard's
-// id means a peer list points a shard at itself; it is refused with
-// 508 instead of answered.
+// id means a peer list points a shard at itself; the whole probe is
+// refused with 508 instead of answered.
 func TestFillEndpointRefusesOwnHopMarker(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, ShardID: "s0"})
-	resp, body := fillPost(t, ts.URL, sortnets.Request{Network: sorter4}, "s0")
+	resp, lines := fillPost(t, ts.URL, "s0", requestLine(sortnets.Request{Network: sorter4}))
 	if resp.StatusCode != http.StatusLoopDetected {
-		t.Fatalf("self-probe: status %d (%s), want 508", resp.StatusCode, body)
+		t.Fatalf("self-probe: status %d (%q), want 508", resp.StatusCode, lines)
 	}
-	if ps := s.peerSnapshot(); ps.FillLoops != 1 {
-		t.Errorf("fill_loops = %d, want 1", ps.FillLoops)
+	if ps := s.peerSnapshot(); ps.FillLoops != 1 || ps.FillMisses != 0 {
+		t.Errorf("fill counters %+v, want one loop and no line answered", ps)
+	}
+}
+
+// TestFillEndpointMalformedLine: a malformed probe line gets a
+// per-line 400 in place while the lines around it are answered; a
+// probe that is not NDJSON is refused whole.
+func TestFillEndpointMalformedLine(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, ShardID: "s0"})
+	if resp, body := post(t, ts.URL+"/do", sortnets.Request{Network: sorter4}); resp.StatusCode != 200 {
+		t.Fatalf("warm-up: status %d: %s", resp.StatusCode, body)
+	}
+	resp, lines := fillPost(t, ts.URL, "s1",
+		requestLine(sortnets.Request{Network: "n=4: [1,2]"}),
+		`{bad`,
+		requestLine(sortnets.Request{Network: sorter4}))
+	if resp.StatusCode != 200 || len(lines) != 3 {
+		t.Fatalf("status %d, lines %q, want 3 lines", resp.StatusCode, lines)
+	}
+	if lines[0] != fillMissLine {
+		t.Errorf("line 0: %s, want %s", lines[0], fillMissLine)
+	}
+	if !strings.HasPrefix(lines[1], `{"error":{"status":400,`) {
+		t.Errorf("line 1: %s, want a per-line 400", lines[1])
+	}
+	if !strings.HasPrefix(lines[2], `{"verdict":`) || !strings.HasSuffix(lines[2], `"source":"hit"}`) {
+		t.Errorf("line 2: %s, want the cached verdict", lines[2])
+	}
+	if ps := s.peerSnapshot(); ps.FillMisses != 1 || ps.FillServed != 1 {
+		t.Errorf("fill counters %+v, want 1 miss + 1 served", ps)
+	}
+
+	httpReq, err := http.NewRequest(http.MethodPost, ts.URL+"/do", strings.NewReader(requestLine(sortnets.Request{Network: sorter4})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpReq.Header.Set("Content-Type", "application/json")
+	httpReq.Header.Set(fillHeader, "1")
+	jsonResp, err := http.DefaultClient.Do(httpReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonResp.Body.Close()
+	if jsonResp.StatusCode != http.StatusUnsupportedMediaType {
+		t.Errorf("JSON fill probe: status %d, want 415", jsonResp.StatusCode)
+	}
+	if ep := s.Stats().Endpoints["verify"]; ep.Computes != 1 {
+		t.Errorf("verify computes = %d, want 1 (the warm-up only)", ep.Computes)
+	}
+}
+
+// countingTransport counts the requests sent through it.
+type countingTransport struct {
+	n atomic.Int64
+}
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// postNDJSON posts an NDJSON batch body to /do and returns the raw
+// response body.
+func postNDJSON(t *testing.T, url, body string) []byte {
+	t.Helper()
+	resp, err := http.Post(url+"/do", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != 200 {
+		t.Fatalf("NDJSON batch: status %d, %v: %s", resp.StatusCode, err, out)
+	}
+	return out
+}
+
+// TestPeerFillOneProbePerPeerPerBatch: a 32-entry NDJSON batch to A,
+// of which sibling B caches 16, costs A exactly ONE fill round trip —
+// all 32 misses in one probe — then A computes only the 16 B lacks.
+// The counters count entries on both sides, and A's response is
+// byte-identical to a single node computing everything.
+func TestPeerFillOneProbePerPeerPerBatch(t *testing.T) {
+	// 32 distinct 6-line circuits: the comparator subsets of five
+	// fixed comparators, each closed by [1,6].
+	comps := []string{"[1,2]", "[3,4]", "[5,6]", "[2,3]", "[4,5]"}
+	var all, held []string
+	for i := 0; i < 32; i++ {
+		net := "n=6: "
+		for b, c := range comps {
+			if i&(1<<b) != 0 {
+				net += c
+			}
+		}
+		line := requestLine(sortnets.Request{Network: net + "[1,6]"})
+		all = append(all, line)
+		if i%2 == 0 {
+			held = append(held, line)
+		}
+	}
+	body := strings.Join(all, "\n") + "\n"
+
+	sB, tsB := newTestServer(t, Config{Workers: 1, ShardID: "sB"})
+	postNDJSON(t, tsB.URL, strings.Join(held, "\n")+"\n")
+
+	probes := &countingTransport{}
+	sA, tsA := newTestServer(t, Config{
+		Workers: 1, ShardID: "sA", Peers: []string{tsB.URL}, PeerTimeout: 5 * time.Second,
+		PeerHTTPClient: &http.Client{Transport: probes},
+	})
+	got := postNDJSON(t, tsA.URL, body)
+
+	if n := probes.n.Load(); n != 1 {
+		t.Errorf("A sent %d fill probes for one batch, want exactly 1", n)
+	}
+	if c := sA.Stats().Endpoints["verify"].Computes; c != 16 {
+		t.Errorf("A computed %d, want 16 (the entries B lacks)", c)
+	}
+	if ps := sA.peerSnapshot(); ps.Hits != 16 || ps.Misses != 16 || ps.Errors != 0 {
+		t.Errorf("A peer counters %+v, want 16 hits + 16 misses, counted per entry", ps)
+	}
+	if ps := sB.peerSnapshot(); ps.FillServed != 16 || ps.FillMisses != 16 {
+		t.Errorf("B fill counters %+v, want 16 served + 16 misses, counted per entry", ps)
+	}
+
+	_, tsRef := newTestServer(t, Config{Workers: 1})
+	if want := postNDJSON(t, tsRef.URL, body); !bytes.Equal(got, want) {
+		t.Fatalf("A's batch response diverged from a single node's:\n A: %s\nref: %s", got, want)
 	}
 }
 

@@ -58,15 +58,17 @@ type Config struct {
 	// worker immediately before each underlying computation.
 	OnCompute func()
 	// ShardID names this node in a cluster. It is stamped on outgoing
-	// peer probes as the loop-prevention hop marker (client.PeerHeader)
+	// peer probes as the loop-prevention hop marker (X-Sortnetd-Peer)
 	// and echoed on /stats. Optional — but set it whenever Peers is.
 	ShardID string
 	// Peers are sibling shard base URLs consulted fill-only (in this
-	// order) on every verdict-cache miss before computing locally.
-	// Empty disables the peer plane. See peer.go for the protocol.
+	// order) on verdict-cache misses before computing locally: one
+	// NDJSON probe per peer per batch. Empty disables the peer plane.
+	// See peer.go for the protocol.
 	Peers []string
-	// PeerTimeout bounds ONE miss's whole peer consultation (all peers
-	// together); ≤ 0 means 100ms.
+	// PeerTimeout bounds ONE consultation — a whole batch's misses, or
+	// a single-shot request's, across all peers together; ≤ 0 means
+	// 100ms.
 	PeerTimeout time.Duration
 	// PeerHTTPClient substitutes the probes' *http.Client (tests).
 	PeerHTTPClient *http.Client
@@ -131,7 +133,7 @@ func NewService(cfg Config) *Service {
 	// is built (the hook is only ever invoked by Session computes).
 	s.initPeers()
 	if len(s.peer.urls) > 0 {
-		opts = append(opts, sortnets.WithPeerFill(s.peerFill))
+		opts = append(opts, sortnets.WithPeerFillBatch(s.peerFill))
 	}
 	s.sess = sortnets.NewSession(opts...)
 	if cfg.MaxInflight <= 0 {

@@ -64,7 +64,7 @@ type Session struct {
 	stream        func(Property) VecIterator
 	tables        *streamtab.Dir
 	computeHook   func()
-	fill          func(ctx context.Context, req Request) (*Verdict, bool)
+	fill          func(ctx context.Context, reqs []Request) []*Verdict
 
 	results  *lru[any]           // verdict cache: key → *Verdict or typed result
 	progs    *lru[*eval.Program] // digest → compiled healthy program
@@ -138,23 +138,47 @@ func WithStreamTables(d *streamtab.Dir) Option {
 // instrumentation/test seam (hold it open to observe coalescing).
 func WithComputeHook(fn func()) Option { return func(s *Session) { s.computeHook = fn } }
 
-// WithPeerFill installs the cluster's cache-fill hook: on a verdict-
-// cache miss for a wire Request, fill is consulted BEFORE computing
-// locally. Returning (v, true) adopts v as the verdict — it is cached
+// WithPeerFillBatch installs the cluster's cache-fill hook: verdict-
+// cache misses for wire Requests are offered to fill BEFORE computing
+// locally. The answer is index-aligned with reqs; a non-nil verdict
+// is adopted if it is for the probed op and canonical digest — cached
 // and replayed exactly as a computed one (verdicts are deterministic,
-// so a peer's bytes and a local compute's bytes are the same bytes).
-// Returning false falls through to the local compute.
+// so a peer's bytes and a local compute's bytes are the same bytes),
+// counted as a miss with no compute. nil falls through to the local
+// compute. Probes carry no ID and always name their op.
 //
-// The hook runs inside the coalescing pool's registered call, so
-// concurrent identical misses trigger at most ONE fill consultation
-// (single-flight comes from the same inflight table that already
-// guarantees one compute). The context it receives is the compute
-// context — detached from any one caller, cancelled only when every
-// waiter is gone — so the hook must bound its own network budget.
-// Typed conveniences and explicit stream overrides never consult the
-// hook; internal/serve installs it when sortnetd runs with -peers.
-func WithPeerFill(fill func(ctx context.Context, req Request) (*Verdict, bool)) Option {
+// DoBatch calls the hook once per batch with every pending entry (no
+// cache hits, no intra-batch duplicates), on the caller's goroutine
+// under the caller's context — before the compute pool and outside
+// coalescing, so a worker never waits on the network; entries it
+// leaves unanswered are never offered again. A single-shot Do calls
+// it with one request from inside the coalescing pool's registered
+// call, so concurrent identical misses trigger at most ONE
+// consultation; that context is the compute context, detached from
+// any one caller. Either way the hook must bound its own network
+// budget. Typed conveniences and explicit stream overrides never
+// consult the hook; internal/serve installs it when sortnetd runs
+// with -peers.
+func WithPeerFillBatch(fill func(ctx context.Context, reqs []Request) []*Verdict) Option {
 	return func(s *Session) { s.fill = fill }
+}
+
+// WithPeerFill is WithPeerFillBatch for a hook that answers one
+// request at a time: the batch hook it installs asks fill about each
+// request in turn. Returning (v, true) offers v for adoption; false is
+// a miss. As there, a DoBatch consults it before the compute pool and
+// outside coalescing, while a single-shot Do consults it inside its
+// single-flight call; adoption and counting are the same.
+func WithPeerFill(fill func(ctx context.Context, req Request) (*Verdict, bool)) Option {
+	return WithPeerFillBatch(func(ctx context.Context, reqs []Request) []*Verdict {
+		out := make([]*Verdict, len(reqs))
+		for i := range reqs {
+			if v, ok := fill(ctx, reqs[i]); ok {
+				out[i] = v
+			}
+		}
+		return out
+	})
 }
 
 // NewSession builds a Session. The zero configuration — automatic
@@ -510,8 +534,8 @@ func (s *Session) doVerify(ctx context.Context, req *Request, ctrs *opCounters) 
 // doVerifyResolved is doVerify past resolution — the entry point
 // DoBatch uses for verify entries it has already canonicalized (and
 // decided not to group), so a batch never parses a network twice.
-// req is the original wire request (for the cluster fill hook); nil
-// on surfaces with no wire form.
+// req is the wire request to offer the cluster fill hook; nil skips
+// fill (DoBatch has already consulted it for the whole batch).
 func (s *Session) doVerifyResolved(ctx context.Context, ctrs *opCounters, req *Request, w *network.Network, digest string, p verify.Property, exhaustive bool) (*Verdict, error) {
 	key := s.verifyKey(digest, p.Name(), exhaustive)
 	return s.cached(ctx, ctrs, key, s.withPeerFill(ctrs, req, OpVerify, digest, func(cctx context.Context) (*Verdict, error) {
@@ -719,16 +743,16 @@ func (s *Session) doMinsetResolved(ctx context.Context, ctrs *opCounters, req *R
 	}))
 }
 
-// withPeerFill wraps a compute closure with the cluster fill hook:
-// probe the peers first, adopt a valid answer, else compute locally.
-// The compute counter and hook live HERE, on the local branch, so an
-// adopted verdict is a miss that cost no compute — the property the
-// cluster's "sum of per-shard computes == distinct work" accounting
-// rests on. Fill is skipped without a hook, without a wire request to
-// forward, or under a stream override (an overridden stream's
-// verdicts are not the peers' verdicts). Runs inside the pooled call,
-// so the cache re-check, the cache fill, and single-flight all apply
-// unchanged.
+// withPeerFill wraps a single-shot compute closure with the cluster
+// fill hook: offer the one request to the peers first, adopt a valid
+// answer, else compute locally. The compute counter and hook live
+// HERE, on the local branch, so an adopted verdict is a miss that
+// cost no compute — the property the cluster's "sum of per-shard
+// computes == distinct work" accounting rests on. Fill is skipped
+// without a hook, without a wire request to forward, or under a
+// stream override (an overridden stream's verdicts are not the peers'
+// verdicts). Runs inside the pooled call, so the cache re-check, the
+// cache fill, and single-flight all apply unchanged.
 func (s *Session) withPeerFill(ctrs *opCounters, req *Request, op, digest string, compute func(context.Context) (*Verdict, error)) func(context.Context) (*Verdict, error) {
 	counted := func(cctx context.Context) (*Verdict, error) {
 		ctrs.computes.Add(1)
@@ -741,33 +765,39 @@ func (s *Session) withPeerFill(ctrs *opCounters, req *Request, op, digest string
 		return counted
 	}
 	return func(cctx context.Context) (*Verdict, error) {
-		if v, ok := s.peerProbe(cctx, req, op, digest); ok {
+		if v := adopt(s.fill(cctx, []Request{fillRequest(req, op)}), 0, op, digest); v != nil {
 			return v, nil
 		}
 		return counted(cctx)
 	}
 }
 
-// peerProbe runs one fill consultation and validates the answer: a
-// peer's verdict is adopted only if it is for the same operation and
-// the same canonical digest (a confused or stale peer must never
-// poison the cache). The adopted copy is stripped of correlation and
-// provenance — it enters the cache exactly as a computed verdict
-// would.
-func (s *Session) peerProbe(cctx context.Context, req *Request, op, digest string) (*Verdict, bool) {
-	if s.fill == nil || req == nil {
-		return nil, false
-	}
+// fillRequest is the probe form of a wire request: no correlation ID,
+// the op always explicit.
+func fillRequest(req *Request, op string) Request {
 	probe := *req
 	probe.ID = ""
 	probe.Op = op
-	v, ok := s.fill(cctx, probe)
-	if !ok || v == nil || v.Op != op || v.Digest != digest {
-		return nil, false
+	return probe
+}
+
+// adopt validates the fill hook's answer at index i: a peer's verdict
+// is adopted only if it is for the same operation and the same
+// canonical digest (a confused or stale peer must never poison the
+// cache). The adopted copy is stripped of correlation and provenance
+// — it enters the cache exactly as a computed verdict would. nil
+// means not adopted, including a hook that answered short.
+func adopt(answers []*Verdict, i int, op, digest string) *Verdict {
+	if i >= len(answers) {
+		return nil
+	}
+	v := answers[i]
+	if v == nil || v.Op != op || v.Digest != digest {
+		return nil
 	}
 	cp := *v
 	cp.ID, cp.Source = "", ""
-	return &cp, true
+	return &cp
 }
 
 // Lookup is the fill-only read path of the cluster: it reports the
