@@ -15,7 +15,7 @@ import (
 // Batch-first verdicts. Chung & Ravikumar's fixed minimal test sets
 // make fleet verdicts embarrassingly batchable: the expensive part of
 // a verify — enumerating the exponential test stream and transposing
-// it into 64-lane words — depends only on the property and the width,
+// it into the word layout — depends only on the property and the width,
 // not the network, so it is identical for every same-shaped entry in
 // a batch. DoBatch exploits exactly that: it canonicalizes every
 // entry up front, deduplicates identical entries within the batch,
@@ -86,7 +86,7 @@ type batchEntry struct {
 // remaining non-exhaustive verify entries by (width, property) and
 // compute each group ≥ 2 through one shared eval.RunMany pass on the
 // compute pool (one test-stream enumeration and one transpose per
-// 64-lane block for the whole group); run everything else through
+// block for the whole group); run everything else through
 // the same per-request pipeline as Do.
 func (s *Session) DoBatch(ctx context.Context, reqs []Request) ([]*Verdict, error) {
 	s.stats.batch.batches.Add(1)
@@ -150,7 +150,7 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request) ([]*Verdict, erro
 	var order []groupKey // deterministic group order
 	var single []*batchEntry
 	for _, e := range pending {
-		if e.op == OpVerify && !e.req.Exhaustive && e.w.N <= network.LanesPerBatch {
+		if e.op == OpVerify && !e.req.Exhaustive && e.w.N <= network.LanesPerWord {
 			gk := groupKey{n: e.w.N, prop: e.p.Name()}
 			if _, ok := groups[gk]; !ok {
 				order = append(order, gk)
@@ -327,8 +327,8 @@ func (s *Session) doResolved(ctx context.Context, e *batchEntry) (*Verdict, erro
 
 // computeGroup runs one same-width same-property group of verify
 // entries through a shared eval.RunMany pass on the compute pool: the
-// test stream is enumerated and transposed once per 64-lane block for
-// the whole fleet, and each distinct program compiles once. Verdicts
+// test stream is enumerated and transposed once per block for the
+// whole fleet, and each distinct program compiles once. Verdicts
 // are byte-identical to sequential Do — RunMany's block schedule is
 // exactly the sequential single-worker one — and fill the verdict
 // cache under each member's own key. The pool hop bounds concurrent

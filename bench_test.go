@@ -284,8 +284,9 @@ func BenchmarkE15WideSelector(b *testing.B) {
 // --- Ablations (DESIGN.md §5) ------------------------------------------------------
 
 // BenchmarkAblationScalarSweep sweeps all 2²⁰ inputs through the
-// scalar one-vector-at-a-time evaluator: the baseline the 64-lane
-// batch engine (BenchmarkE13GrowthExhaustive) is measured against.
+// scalar one-vector-at-a-time evaluator: the baseline the
+// word-parallel block engine (BenchmarkE13GrowthExhaustive) is
+// measured against.
 func BenchmarkAblationScalarSweep(b *testing.B) {
 	const n = 20
 	w := gen.Sorter(n)
@@ -341,7 +342,7 @@ func BenchmarkAblationScalarVerdict(b *testing.B) {
 }
 
 // BenchmarkAblationBatchVerdict runs the same test set through the
-// compiled 64-lane engine (what every verdict now uses).
+// compiled block engine (what every verdict now uses).
 func BenchmarkAblationBatchVerdict(b *testing.B) {
 	const n = 16
 	w := gen.Sorter(n)

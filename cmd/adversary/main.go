@@ -58,9 +58,7 @@
 // Alongside req/s, load mode reports the CLIENT process's allocation
 // cost from runtime.ReadMemStats deltas — allocs per request, bytes
 // per request, GC cycles and total GC pause — so a zero-alloc serve
-// path can be verified end to end from the consuming side. -width
-// pins this process's evaluation kernel width (the server pins its
-// own with sortnetd -lanes).
+// path can be verified end to end from the consuming side.
 package main
 
 import (
@@ -84,7 +82,6 @@ import (
 	"sortnets/internal/bitvec"
 	"sortnets/internal/chaos"
 	"sortnets/internal/core"
-	"sortnets/internal/eval"
 	"sortnets/internal/network"
 )
 
@@ -103,15 +100,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "load mode: overall deadline (0 = none); expiring aborts in-flight requests")
 	chaosSpec := flag.String("chaos", "", "load mode: fault plan proxied in front of every backend, e.g. 'latency=5ms@0.5,reset@0.02,partial@0.2'")
 	chaosSeed := flag.Int64("chaos-seed", 1, "load mode: seed for the -chaos fault schedule")
-	width := flag.Int("width", 0, "evaluation kernel width in lanes for THIS process (64, 256, 512; 0 = default); the server pins its own with sortnetd -lanes")
 	flag.Parse()
-
-	if *width != 0 {
-		if err := eval.SetKernelLanes(*width); err != nil {
-			fmt.Fprintln(os.Stderr, "adversary:", err)
-			os.Exit(2)
-		}
-	}
 
 	ctx := context.Background()
 	if *timeout > 0 {

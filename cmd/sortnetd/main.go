@@ -49,7 +49,6 @@ import (
 	"syscall"
 	"time"
 
-	"sortnets/internal/eval"
 	"sortnets/internal/serve"
 	"sortnets/internal/streamtab"
 )
@@ -60,7 +59,6 @@ func main() {
 	cacheSize := flag.Int("cache-size", 4096, "verdict cache capacity in entries")
 	maxLines := flag.Int("max-lines", 20, "largest line count accepted by /verify")
 	maxFaultLines := flag.Int("max-fault-lines", 12, "largest line count accepted by /faults and /minset")
-	lanes := flag.Int("lanes", 0, "evaluation kernel width in lanes: 64, 256 or 512; 0 keeps the process default (SORTNETS_LANES or 256)")
 	streamTabDir := flag.String("streamtab-dir", "", "directory of persisted test-stream tables (see cmd/streamtab); empty disables")
 	maxInflight := flag.Int("max-inflight", 0, "admission gate: requests allowed past the HTTP layer at once; 0 = max(64, 8×workers)")
 	queueWait := flag.Duration("queue-wait", 100*time.Millisecond, "admission gate: longest a request may wait for a slot before a 429 shed")
@@ -72,12 +70,6 @@ func main() {
 	peerTimeout := flag.Duration("peer-timeout", 100*time.Millisecond, "budget for one miss's whole peer consultation (all peers together)")
 	flag.Parse()
 
-	if *lanes != 0 {
-		if err := eval.SetKernelLanes(*lanes); err != nil {
-			fmt.Fprintln(os.Stderr, "sortnetd:", err)
-			os.Exit(2)
-		}
-	}
 	cfg := serve.Config{
 		Workers:        *workers,
 		CacheSize:      *cacheSize,
@@ -135,8 +127,8 @@ type drainOptions struct {
 func run(ln net.Listener, cfg serve.Config, opts drainOptions, drain <-chan struct{}, logf func(string, ...any)) error {
 	svc := serve.NewService(cfg)
 	defer svc.Close()
-	logf("sortnetd: listening on %s (workers=%d, cache=%d entries, max-lines=%d, lanes=%d)",
-		ln.Addr(), svc.Stats().Workers, cfg.CacheSize, cfg.MaxLines, eval.KernelLanes())
+	logf("sortnetd: listening on %s (workers=%d, cache=%d entries, max-lines=%d)",
+		ln.Addr(), svc.Stats().Workers, cfg.CacheSize, cfg.MaxLines)
 	if len(cfg.Peers) > 0 {
 		logf("sortnetd: cluster shard %q, peer fill from %v (budget %v per miss)",
 			cfg.ShardID, cfg.Peers, cfg.PeerTimeout)

@@ -53,7 +53,7 @@ func (s *Session) Check(ctx context.Context, w *Network, p Property) (Result, er
 // CheckMany decides ONE property for a whole fleet of networks in a
 // single shared engine pass — the library face of the batch-first
 // model. The property's minimal test set is enumerated and transposed
-// once per 64-lane block for every still-undecided program
+// once per block for every still-undecided program
 // (eval.RunMany), instead of once per network; cache hits and
 // canonical duplicates within the fleet skip the pass entirely. Each
 // Result is identical to what Check would return for that network.

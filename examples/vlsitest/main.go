@@ -46,7 +46,7 @@ func main() {
 
 	// Burn-in: run the minimal test set against each chip. Each die —
 	// healthy or faulty — compiles once to an eval.Program and streams
-	// the tests through the 64-lane engine.
+	// the tests through the word-parallel block engine.
 	tests := func() bitvec.Iterator { return core.SorterBinaryTests(n) }
 	goldenProg := eval.Compile(golden)
 	pass, fail := 0, 0

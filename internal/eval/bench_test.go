@@ -11,7 +11,7 @@ import (
 )
 
 // The acceptance bar for the compiled engine: the layered compiled
-// path must at least match the legacy 64-lane batch path on ≤ 64
+// path must at least match the network's reference batch path on ≤ 64
 // lines, and beat per-call pair re-extraction on wide networks.
 
 // --- raw comparator throughput: network vs compiled ---------------------
@@ -44,61 +44,11 @@ func randomBatch(n int) *network.Batch {
 	return network.LoadVecs(n, vs)
 }
 
-// --- minimal-set verdict: legacy SetLane loading vs the engine ----------
+// --- minimal-set verdict: the pooled engine ----------------------------
 
-// BenchmarkVerdictLegacyBatchLoop replicates the pre-eval verify
-// batch engine: per-lane SetLane transposition into a reloaded batch,
-// then ApplyBatch on the raw network — the old batch path the
-// compiled engine must not regress against.
-func BenchmarkVerdictLegacyBatchLoop(b *testing.B) {
-	const n = 16
-	w := gen.OddEvenMergeSort(n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := notSorted(n)
-		out := network.NewBatch(n)
-		for {
-			var lanes []bitvec.Vec
-			for len(lanes) < network.LanesPerBatch {
-				v, ok := it.Next()
-				if !ok {
-					break
-				}
-				lanes = append(lanes, v)
-			}
-			if len(lanes) == 0 {
-				break
-			}
-			for j := range out.Lines {
-				out.Lines[j] = 0
-			}
-			out.Lanes = 0
-			for j, v := range lanes {
-				out.SetLane(j, v)
-			}
-			w.ApplyBatch(out)
-			if out.UnsortedLanes() != 0 {
-				b.Fatal("sorter rejected")
-			}
-		}
-	}
-}
-
-// BenchmarkVerdictEngine is the same sweep on the compiled engine
-// (transpose loading, layered program), sequential.
-func BenchmarkVerdictEngine(b *testing.B) {
-	const n = 16
-	p := Compile(gen.OddEvenMergeSort(n))
-	e := New(p, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !e.Run(notSorted(n), SortedJudge()).Holds {
-			b.Fatal("sorter rejected")
-		}
-	}
-}
-
-// BenchmarkVerdictEnginePooled is the engine with its worker pool.
+// BenchmarkVerdictEnginePooled streams the 16-line minimal sorter test
+// set through the engine with its worker pool (the sequential pass is
+// BenchmarkKernelMinimalStream).
 func BenchmarkVerdictEnginePooled(b *testing.B) {
 	const n = 16
 	p := Compile(gen.OddEvenMergeSort(n))
@@ -212,7 +162,7 @@ func BenchmarkFaultDetectableScalar(b *testing.B) {
 }
 
 // BenchmarkFaultDetectableBatch is the same check on the compiled
-// variant's 64-lane universe sweep.
+// variant's block universe sweep.
 func BenchmarkFaultDetectableBatch(b *testing.B) {
 	w := gen.Sorter(10)
 	ops := make([]Op, len(w.Comps))
@@ -229,6 +179,40 @@ func BenchmarkFaultDetectableBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if e.RunUniverse(SortedJudge()).Holds {
 			b.Fatal("fault not detectable")
+		}
+	}
+}
+
+// --- block engine throughput ----------------------------------------------
+
+// Two shapes of the same 16-line merge sorter:
+//
+//   - Universe: the exhaustive 2^16 sweep on the wholesale-loading
+//     path — pure kernel + judge throughput, no enumeration cost, no
+//     early exit (the property holds).
+//   - MinimalStream: the full 2^16−17-vector minimal sorter test set
+//     through a holding network — kernel plus live Gosper/filter
+//     enumeration, the serve path's per-verdict profile.
+//
+// ns/op is per full verification pass; divide by 65536 or 65519
+// (tests) for per-vector cost.
+
+func BenchmarkKernelUniverse(b *testing.B) {
+	e := New(Compile(gen.OddEvenMergeSort(16)), 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !e.RunUniverse(SortedJudge()).Holds {
+			b.Fatal("sorter failed its universe sweep")
+		}
+	}
+}
+
+func BenchmarkKernelMinimalStream(b *testing.B) {
+	e := New(Compile(gen.OddEvenMergeSort(16)), 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !e.Run(notSorted(16), SortedJudge()).Holds {
+			b.Fatal("sorter failed its minimal test set")
 		}
 	}
 }

@@ -34,7 +34,7 @@ func TestTranspose64MatchesSetLane(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(64)
 		var words [64]uint64
-		ref := network.NewBatch(n)
+		ref := network.NewBatch(n, 1)
 		mask := ^uint64(0)
 		if n < 64 {
 			mask = uint64(1)<<uint(n) - 1
@@ -103,6 +103,9 @@ func TestCompiledApplyIntsMatchesNetwork(t *testing.T) {
 	}
 }
 
+// TestCompiledBatchMatchesNetworkBatch: the compiled kernels at every
+// block word count (one-word, generic and four-word unrolled) must
+// match the network's reference batch evaluation word for word.
 func TestCompiledBatchMatchesNetworkBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 60; trial++ {
@@ -111,16 +114,16 @@ func TestCompiledBatchMatchesNetworkBatch(t *testing.T) {
 		p := Compile(w)
 		mask := uint64(1)<<uint(n) - 1
 		var vs []bitvec.Vec
-		for i := 0; i < 64; i++ {
+		for i := 0; i < 64*(1+trial%maxWords); i++ {
 			vs = append(vs, bitvec.New(n, rng.Uint64()&mask))
 		}
 		a := network.LoadVecs(n, vs)
 		b := network.LoadVecs(n, vs)
 		w.ApplyBatch(a)
 		p.ApplyBatch(b)
-		for i := 0; i < n; i++ {
+		for i := range a.Lines {
 			if a.Lines[i] != b.Lines[i] {
-				t.Fatalf("batch line %d diverges", i)
+				t.Fatalf("W=%d batch word %d diverges", a.W, i)
 			}
 		}
 	}
@@ -128,7 +131,7 @@ func TestCompiledBatchMatchesNetworkBatch(t *testing.T) {
 
 func TestImpureOpsScalarAgainstBatch(t *testing.T) {
 	// Every opcode: the scalar interpreter and the word-parallel
-	// interpreter must agree lane for lane.
+	// interpreter must agree lane for lane, at every block word count.
 	rng := rand.New(rand.NewSource(6))
 	kinds := []OpKind{OpCmp, OpNop, OpSwap, OpRevCmp, OpClamp0, OpClamp1, OpShortOR, OpShortAND}
 	for trial := 0; trial < 200; trial++ {
@@ -143,7 +146,7 @@ func TestImpureOpsScalarAgainstBatch(t *testing.T) {
 		p := NewProgram(n, ops)
 		var vs []bitvec.Vec
 		mask := uint64(1)<<uint(n) - 1
-		for i := 0; i < 64; i++ {
+		for i := 0; i < 64*(1+trial%maxWords); i++ {
 			vs = append(vs, bitvec.New(n, rng.Uint64()&mask))
 		}
 		b := network.LoadVecs(n, vs)

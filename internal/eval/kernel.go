@@ -2,109 +2,62 @@ package eval
 
 import (
 	"fmt"
-	"os"
-	"strconv"
-	"sync/atomic"
 
 	"sortnets/internal/network"
 )
 
-// Kernel width selection. The block engine streams test vectors in
-// word-parallel blocks; the kernel width is how many lanes one block
-// carries — 64 (the classic single-word SWAR path), 256 or 512
-// (unrolled multi-word kernels, 4 or 8 words per line). Wider kernels
-// amortize the per-block transpose, the stream handoff and the judge
-// over 4–8× more vectors per loop iteration; verdicts are
-// byte-identical at every width (the block schedule is the sequential
-// stream order regardless of W).
-//
-// The width is selected at process start from the SORTNETS_LANES
-// environment variable (64, 256 or 512) and defaults to 256; it can
-// be changed at runtime with SetKernelLanes (sortnetd -lanes,
-// adversary -width) and pinned per engine with NewLanes, which the
-// differential width tests use.
-
-// Supported kernel widths, in lanes.
+// Block sizing. The engine evaluates a stream in blocks of at most
+// maxLanes vectors, and a block of k vectors carries ⌈k/64⌉ words per
+// line: a short stream, a ramp block or a ragged tail transposes and
+// evaluates only the words it fills, while long streams run at the
+// cap, where the per-block costs (stream handoff, judge call, context
+// check) are spread over 256 vectors. The block schedule is the
+// sequential stream order whatever the block sizes, so they never
+// change a verdict.
 const (
-	Lanes64  = 64
-	Lanes256 = 256
-	Lanes512 = 512
+	maxWords = 4
+	maxLanes = maxWords * network.LanesPerWord
 )
 
-// DefaultKernelLanes is the width used when SORTNETS_LANES is unset.
-const DefaultKernelLanes = Lanes256
+// KernelLanes returns the lane capacity of one engine block: 256
+// lanes, four words per line.
+func KernelLanes() int { return maxLanes }
 
-// kernelWords is the active words-per-line (lanes/64): 1, 4 or 8.
-var kernelWords atomic.Int32
-
-func init() {
-	kernelWords.Store(DefaultKernelLanes / 64)
-	if env := os.Getenv("SORTNETS_LANES"); env != "" {
-		if lanes, err := strconv.Atoi(env); err == nil {
-			_ = SetKernelLanes(lanes) // a bad value keeps the default
-		}
-	}
-}
-
-// SetKernelLanes sets the process-wide kernel width for engines that
-// do not pin one. Only 64, 256 and 512 are supported.
-func SetKernelLanes(lanes int) error {
-	switch lanes {
-	case Lanes64, Lanes256, Lanes512:
-		kernelWords.Store(int32(lanes / 64))
-		return nil
-	}
-	return fmt.Errorf("eval: unsupported kernel width %d lanes (want 64, 256 or 512)", lanes)
-}
-
-// KernelLanes returns the active process-wide kernel width in lanes.
-func KernelLanes() int { return int(kernelWords.Load()) * 64 }
-
-// wordsFor resolves the words-per-line this engine runs a judge at:
-// the engine's pinned width (or the process default), dropped to the
-// single-word path for judges that carry no word-vector form.
-func (e *Engine) wordsFor(judge Judge) int {
-	return wordsForLanes(e.lanes, judge)
-}
-
-// wordsForLanes is wordsFor for a raw lane count (0 = process
-// default) — RunMany uses it directly, having no engine.
-func wordsForLanes(lanes int, judge Judge) int {
-	w := lanes / 64
-	if w == 0 {
-		w = int(kernelWords.Load())
-	}
-	if w > 1 && !judge.sorted && judge.RejectsWide == nil {
-		return 1
-	}
-	return w
-}
-
-// ApplyWideBatch advances all 64·W lanes of a wide batch through the
-// program in place. The two production widths get fully unrolled
-// kernels — for a pure program the inner loop is W ANDs and W ORs
-// over two fixed-size arrays, which the compiler schedules without
-// bounds checks — and every fault opcode has the same word-vector
-// form it has on the single-word path.
-func (p *Program) ApplyWideBatch(b *network.WideBatch) {
+// ApplyBatch advances all 64·W lanes of a batch through the program in
+// place. Pure programs skip opcode dispatch entirely — one AND and one
+// OR per comparator and word, layer by layer, with the one-word and
+// four-word cases unrolled so the compiler schedules them without
+// bounds checks — and every fault opcode has a word-parallel form, so
+// fault-injected programs evaluate 64 test vectors per word and step
+// exactly like healthy ones.
+func (p *Program) ApplyBatch(b *network.Batch) {
 	if b.N != p.n {
 		panic(fmt.Sprintf("eval: batch has %d lines, program wants %d", b.N, p.n))
 	}
-	if p.pure {
-		switch b.W {
-		case 4:
-			applyPure4(p.comps, b.Lines)
-		case 8:
-			applyPure8(p.comps, b.Lines)
-		default:
-			applyPureW(p.comps, b.Lines, b.W)
-		}
+	if !p.pure {
+		applyOps(p.ops, b.Lines, b.W)
 		return
 	}
-	applyOpsW(p.ops, b.Lines, b.W)
+	switch b.W {
+	case 1:
+		applyPure1(p.comps, b.Lines)
+	case 4:
+		applyPure4(p.comps, b.Lines)
+	default:
+		applyPureW(p.comps, b.Lines, b.W)
+	}
 }
 
-// applyPure4 is the 256-lane pure kernel: 4 words per line, unrolled.
+// applyPure1 is the one-word pure kernel.
+func applyPure1(comps []network.Comparator, lines []uint64) {
+	for _, c := range comps {
+		x, y := lines[c.A], lines[c.B]
+		lines[c.A] = x & y
+		lines[c.B] = x | y
+	}
+}
+
+// applyPure4 is the four-word (full block) pure kernel, unrolled.
 func applyPure4(comps []network.Comparator, lines []uint64) {
 	for _, c := range comps {
 		a := (*[4]uint64)(lines[c.A*4:])
@@ -120,36 +73,12 @@ func applyPure4(comps []network.Comparator, lines []uint64) {
 	}
 }
 
-// applyPure8 is the 512-lane pure kernel: 8 words per line, unrolled.
-func applyPure8(comps []network.Comparator, lines []uint64) {
-	for _, c := range comps {
-		a := (*[8]uint64)(lines[c.A*8:])
-		b := (*[8]uint64)(lines[c.B*8:])
-		x0, y0 := a[0], b[0]
-		x1, y1 := a[1], b[1]
-		x2, y2 := a[2], b[2]
-		x3, y3 := a[3], b[3]
-		a[0], b[0] = x0&y0, x0|y0
-		a[1], b[1] = x1&y1, x1|y1
-		a[2], b[2] = x2&y2, x2|y2
-		a[3], b[3] = x3&y3, x3|y3
-		x4, y4 := a[4], b[4]
-		x5, y5 := a[5], b[5]
-		x6, y6 := a[6], b[6]
-		x7, y7 := a[7], b[7]
-		a[4], b[4] = x4&y4, x4|y4
-		a[5], b[5] = x5&y5, x5|y5
-		a[6], b[6] = x6&y6, x6|y6
-		a[7], b[7] = x7&y7, x7|y7
-	}
-}
-
-// applyPureW is the generic pure kernel for any word count.
+// applyPureW is the pure kernel for any word count.
 func applyPureW(comps []network.Comparator, lines []uint64, W int) {
 	for _, c := range comps {
 		la := lines[c.A*W : c.A*W+W]
 		lb := lines[c.B*W : c.B*W+W]
-		for g := 0; g < W; g++ {
+		for g := range la {
 			x, y := la[g], lb[g]
 			la[g] = x & y
 			lb[g] = x | y
@@ -157,9 +86,9 @@ func applyPureW(comps []network.Comparator, lines []uint64, W int) {
 	}
 }
 
-// applyOpsW evaluates an op sequence (fault-injected programs
+// applyOps evaluates an op sequence (fault-injected programs
 // included) at W words per line.
-func applyOpsW(ops []Op, lines []uint64, W int) {
+func applyOps(ops []Op, lines []uint64, W int) {
 	for _, op := range ops {
 		la := lines[op.A*W : op.A*W+W]
 		var lb []uint64
@@ -168,37 +97,37 @@ func applyOpsW(ops []Op, lines []uint64, W int) {
 		}
 		switch op.Kind {
 		case OpCmp:
-			for g := 0; g < W; g++ {
+			for g := range la {
 				x, y := la[g], lb[g]
 				la[g] = x & y
 				lb[g] = x | y
 			}
 		case OpNop:
 		case OpSwap:
-			for g := 0; g < W; g++ {
+			for g := range la {
 				la[g], lb[g] = lb[g], la[g]
 			}
 		case OpRevCmp:
-			for g := 0; g < W; g++ {
+			for g := range la {
 				x, y := la[g], lb[g]
 				la[g] = x | y
 				lb[g] = x & y
 			}
 		case OpClamp0:
-			for g := 0; g < W; g++ {
+			for g := range la {
 				la[g] = 0
 			}
 		case OpClamp1:
-			for g := 0; g < W; g++ {
+			for g := range la {
 				la[g] = ^uint64(0)
 			}
 		case OpShortOR:
-			for g := 0; g < W; g++ {
+			for g := range la {
 				s := la[g] | lb[g]
 				la[g], lb[g] = s, s
 			}
 		case OpShortAND:
-			for g := 0; g < W; g++ {
+			for g := range la {
 				s := la[g] & lb[g]
 				la[g], lb[g] = s, s
 			}

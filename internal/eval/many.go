@@ -3,28 +3,26 @@ package eval
 import (
 	"context"
 	"fmt"
-	"math/bits"
 
 	"sortnets/internal/bitvec"
-	"sortnets/internal/network"
 )
 
 // The multi-program pass of the batch-first request model: when many
 // candidate networks of one width are checked against one property,
 // the expensive shared work — enumerating the minimal test stream and
-// transposing it into the 64-lane word layout — is identical for
-// every program. RunMany does that work ONCE per 64-lane block and
-// feeds the block to every still-undecided program, so a fleet of k
-// networks pays one enumeration + one transpose instead of k.
+// transposing it into the word layout — is identical for every
+// program. RunMany does that work ONCE per block and feeds the block
+// to every still-undecided program, so a fleet of k networks pays one
+// enumeration + one transpose instead of k.
 
 // RunMany streams the iterator's vectors once through every program,
-// judging each 64-lane block against all programs that have not yet
-// failed. All programs must share one width n ≤ 64 (the judge is per
+// judging each block against all programs that have not yet failed.
+// All programs must share one width n ≤ 64 (the judge is per
 // property, which fixes n). The returned slice is indexed like progs;
 // each verdict is byte-identical to what New(progs[i], 1).Run(it,
 // judge) would report over a fresh iterator — the first failure in
 // stream order with the same TestsRun, or Holds with the full stream
-// count — because the block schedule is exactly the sequential one.
+// count — because the block schedule is the sequential stream order.
 func RunMany(progs []*Program, it bitvec.Iterator, judge Judge) []Verdict {
 	vs, _ := RunManyCtx(context.Background(), progs, it, judge)
 	return vs
@@ -33,30 +31,19 @@ func RunMany(progs []*Program, it bitvec.Iterator, judge Judge) []Verdict {
 // RunManyCtx is RunMany under a context, checked once per block
 // (never per vector or per program). On cancellation it returns
 // nil and ctx.Err(): partial verdicts are withheld, exactly like the
-// single-program RunCtx. The block width is the process kernel width
-// (KernelLanes); use RunManyCtxLanes to pin one.
+// single-program RunCtx.
 func RunManyCtx(ctx context.Context, progs []*Program, it bitvec.Iterator, judge Judge) ([]Verdict, error) {
-	return RunManyCtxLanes(ctx, progs, it, judge, 0)
-}
-
-// RunManyCtxLanes is RunManyCtx at a pinned kernel width (64, 256 or
-// 512 lanes; ≤ 0 selects the process default). Verdicts are
-// byte-identical at every width.
-func RunManyCtxLanes(ctx context.Context, progs []*Program, it bitvec.Iterator, judge Judge, lanes int) ([]Verdict, error) {
 	if len(progs) == 0 {
 		return nil, nil
 	}
 	n := progs[0].n
-	if n > network.LanesPerBatch {
+	if n > bitvec.MaxN {
 		panic(fmt.Sprintf("eval: RunMany needs n ≤ 64, program has %d lines", n))
 	}
 	for i, p := range progs {
 		if p.n != n {
 			panic(fmt.Sprintf("eval: RunMany needs one width, program %d has %d lines, program 0 has %d", i, p.n, n))
 		}
-	}
-	if W := wordsForLanes(lanes, judge); W > 1 {
-		return runManyWide(ctx, progs, it, judge, W)
 	}
 
 	verdicts := make([]Verdict, len(progs))
@@ -67,156 +54,26 @@ func RunManyCtxLanes(ctx context.Context, progs []*Program, it bitvec.Iterator, 
 	for i := range active {
 		active[i] = i
 	}
-	outs := make([]*network.Batch, len(progs))
-	for i := range outs {
-		outs[i] = network.NewBatch(n)
-	}
-	in := network.NewBatch(n)
-
-	var laneVecs [network.LanesPerBatch]bitvec.Vec
-	var words [network.LanesPerBatch]uint64
+	b := getBlock(n)
+	defer blockPool.Put(b)
 	tests := 0
 	for len(active) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		k := 0
-		for k < network.LanesPerBatch {
-			v, ok := it.Next()
-			if !ok {
-				break
-			}
-			laneVecs[k] = v
-			k++
-		}
+		k := b.fill(it, maxLanes)
 		if k == 0 {
 			break
 		}
-		// Shared per-block work: load + transpose once for all programs.
-		for i := 0; i < k; i++ {
-			words[i] = laneVecs[i].Bits
-		}
-		for i := k; i < network.LanesPerBatch; i++ {
-			words[i] = 0
-		}
-		transpose64(&words)
-		if judge.NeedsInput {
-			copy(in.Lines, words[:n])
-			in.Lanes = k
-		}
-		occupied := ^uint64(0)
-		if k < network.LanesPerBatch {
-			occupied = uint64(1)<<uint(k) - 1
-		}
-		// Per-program work: evaluate and judge this block.
+		// Shared per-block work: load + transpose once for all
+		// programs. in keeps the block's inputs; each program
+		// evaluates a fresh copy of them in out.
+		b.load(b.vecs[:k], true)
 		keep := active[:0]
 		for _, pi := range active {
-			out := outs[pi]
-			copy(out.Lines, words[:n])
-			out.Lanes = k
-			progs[pi].ApplyBatch(out)
-			if bad := judge.rejects(in, out) & occupied; bad != 0 {
-				lane := bits.TrailingZeros64(bad)
-				verdicts[pi] = Verdict{
-					Holds:    false,
-					TestsRun: tests + lane + 1,
-					In:       laneVecs[lane],
-					Out:      out.Lane(lane),
-				}
-				continue
-			}
-			keep = append(keep, pi)
-		}
-		active = keep
-		tests += k
-	}
-	for _, pi := range active {
-		verdicts[pi] = Verdict{Holds: true, TestsRun: tests}
-	}
-	return verdicts, nil
-}
-
-// runManyWide is the multi-word RunMany body: one load + W transposes
-// per 64·W-lane block, shared by every still-active program. The
-// block schedule is the sequential stream order, so verdicts match
-// the 64-lane path byte for byte.
-func runManyWide(ctx context.Context, progs []*Program, it bitvec.Iterator, judge Judge, W int) ([]Verdict, error) {
-	n := progs[0].n
-	blockLanes := 64 * W
-
-	verdicts := make([]Verdict, len(progs))
-	active := make([]int, len(progs))
-	for i := range active {
-		active[i] = i
-	}
-	outs := make([]*network.WideBatch, len(progs))
-	for i := range outs {
-		outs[i] = network.NewWideBatch(n, W)
-	}
-	in := network.NewWideBatch(n, W)
-	// master holds this block's transposed lines in the line-major
-	// wide layout; each program's out batch starts as a copy of it.
-	master := make([]uint64, n*W)
-	lanes := make([]bitvec.Vec, blockLanes)
-	words := make([]uint64, blockLanes)
-	bad := make([]uint64, W)
-
-	tests := 0
-	for len(active) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		k := 0
-		for k < blockLanes {
-			v, ok := it.Next()
-			if !ok {
-				break
-			}
-			lanes[k] = v
-			k++
-		}
-		if k == 0 {
-			break
-		}
-		// Shared per-block work: load + transpose once for all programs.
-		for i := 0; i < k; i++ {
-			words[i] = lanes[i].Bits
-		}
-		for i := k; i < blockLanes; i++ {
-			words[i] = 0
-		}
-		for g := 0; g < W; g++ {
-			transpose64((*[64]uint64)(words[g*64:]))
-		}
-		for i := 0; i < n; i++ {
-			row := master[i*W : i*W+W]
-			for g := 0; g < W; g++ {
-				row[g] = words[g*64+i]
-			}
-		}
-		if judge.NeedsInput {
-			copy(in.Lines, master)
-			in.Lanes = k
-		}
-		// Per-program work: evaluate and judge this block.
-		keep := active[:0]
-		for _, pi := range active {
-			out := outs[pi]
-			copy(out.Lines, master)
-			out.Lanes = k
-			progs[pi].ApplyWideBatch(out)
-			judge.rejectsWide(in, out, bad)
-			if k < blockLanes {
-				network.MaskLanes(bad, k)
-			}
-			if anyLane(bad) {
-				lane := firstLane(bad)
-				verdicts[pi] = Verdict{
-					Holds:    false,
-					TestsRun: tests + lane + 1,
-					In:       lanes[lane],
-					Out:      out.Lane(lane),
-				}
+			copy(b.out.Lines, b.in.Lines)
+			if lane := b.judge(progs[pi], &judge); lane >= 0 {
+				verdicts[pi] = b.verdict(b.vecs[:k], lane, tests)
 				continue
 			}
 			keep = append(keep, pi)

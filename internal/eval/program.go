@@ -2,10 +2,11 @@
 // verification path in the repository. A *network.Network is compiled
 // ONCE into an immutable Program — comparator pairs pre-extracted,
 // topologically packed into data-independent layers, and specialized
-// per width regime (n ≤ 64: word-parallel 64-lane batches; n > 64:
-// widevec) — and an Engine streams test vectors through it with an
-// engine-owned worker pool (sequential under a work threshold,
-// NumCPU workers above it).
+// per width regime (n ≤ 64: word-parallel blocks of up to 256 lanes,
+// each carrying only the words its vectors fill; n > 64: widevec) —
+// and an Engine streams test vectors through it with an engine-owned
+// worker pool (sequential under a work threshold, NumCPU workers
+// above it).
 //
 // Programs are op sequences rather than comparator sequences so that
 // the fault models of package faults compile to program *variants*
@@ -251,52 +252,6 @@ func (p *Program) ApplyInts(v []int) {
 	}
 }
 
-// ApplyBatch advances all 64 lanes of a batch through the program in
-// place. Every opcode has a word-parallel form, so fault-injected
-// programs evaluate 64 test vectors per step exactly like healthy
-// ones — the batch trick the scalar fault simulator used to forgo.
-func (p *Program) ApplyBatch(b *network.Batch) {
-	if b.N != p.n {
-		panic(fmt.Sprintf("eval: batch has %d lines, program wants %d", b.N, p.n))
-	}
-	lines := b.Lines
-	if p.pure {
-		// Pure programs skip opcode dispatch entirely: one AND and
-		// one OR per comparator, layer by layer.
-		for _, c := range p.comps {
-			x, y := lines[c.A], lines[c.B]
-			lines[c.A] = x & y
-			lines[c.B] = x | y
-		}
-		return
-	}
-	for _, op := range p.ops {
-		switch op.Kind {
-		case OpCmp:
-			x, y := lines[op.A], lines[op.B]
-			lines[op.A] = x & y
-			lines[op.B] = x | y
-		case OpNop:
-		case OpSwap:
-			lines[op.A], lines[op.B] = lines[op.B], lines[op.A]
-		case OpRevCmp:
-			x, y := lines[op.A], lines[op.B]
-			lines[op.A] = x | y
-			lines[op.B] = x & y
-		case OpClamp0:
-			lines[op.A] = 0
-		case OpClamp1:
-			lines[op.A] = ^uint64(0)
-		case OpShortOR:
-			s := lines[op.A] | lines[op.B]
-			lines[op.A], lines[op.B] = s, s
-		case OpShortAND:
-			s := lines[op.A] & lines[op.B]
-			lines[op.A], lines[op.B] = s, s
-		}
-	}
-}
-
 // ApplyWide routes a wide binary vector (n > 64 regime) through a
 // pure program using the pre-extracted pair slice — no per-call pair
 // re-extraction.
@@ -308,8 +263,8 @@ func (p *Program) ApplyWide(v widevec.Vec) widevec.Vec {
 }
 
 // SortsAll reports whether a pure program sorts every one of the 2ⁿ
-// binary inputs, sweeping the universe 64 word-parallel lanes at a
-// time (n ≤ 30 or so in practice).
+// binary inputs, sweeping the universe in word-parallel blocks of up
+// to 256 lanes (n ≤ 30 or so in practice).
 func (p *Program) SortsAll() bool {
 	e := New(p, 1)
 	return e.RunUniverse(SortedJudge()).Holds

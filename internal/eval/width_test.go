@@ -6,78 +6,168 @@ import (
 	"testing"
 
 	"sortnets/internal/bitvec"
+	"sortnets/internal/gen"
+	"sortnets/internal/network"
 )
 
-// kernelWidths are every supported kernel width, for differential
-// sweeps.
-var kernelWidths = []int{Lanes64, Lanes256, Lanes512}
+// streamLengths are chosen so the final block of every path lands on
+// each word count 1–4: Run ramps 64 → 128 → 256 lanes (final blocks
+// of 1,1,1,2,1,2,3,4,1,4 words here), Sweep and RunMany run 256-lane
+// blocks from the start (1,1,2,3,4,1,2,3,4,3 words). 5000 spans more
+// than one pool chunk.
+var streamLengths = []int{1, 64, 65, 192, 193, 300, 342, 400, 449, 5000}
+
+// scalarRun is the reference the block engine must match: one vector
+// at a time through the scalar Program.Apply, judged by the scalar
+// acceptance predicate, stopping at the first failure in stream order.
+func scalarRun(p *Program, tests []bitvec.Vec, accepts func(in, out bitvec.Vec) bool) Verdict {
+	for i, v := range tests {
+		if out := p.Apply(v); !accepts(v, out) {
+			return Verdict{Holds: false, TestsRun: i + 1, In: v, Out: out}
+		}
+	}
+	return Verdict{Holds: true, TestsRun: len(tests)}
+}
+
+func sortedAccepts(_, out bitvec.Vec) bool { return out.IsSorted() }
+
+// randomStream returns length random n-bit vectors.
+func randomStream(n, length int, rng *rand.Rand) []bitvec.Vec {
+	mask := uint64(1)<<uint(n) - 1
+	vs := make([]bitvec.Vec, length)
+	for i := range vs {
+		vs[i] = bitvec.New(n, rng.Uint64()&mask)
+	}
+	return vs
+}
+
+// nearSorter is a sorter with one comparator dropped: it fails on a
+// few inputs only, so its first failure lands anywhere in a stream.
+func nearSorter(n int, rng *rand.Rand) *network.Network {
+	w := gen.OddEvenMergeSort(n)
+	drop := rng.Intn(w.Size() + 1) // == Size keeps the sorter whole
+	out := network.New(n)
+	for i, c := range w.Comps {
+		if i != drop {
+			out.AddPair(c.A, c.B)
+		}
+	}
+	return out
+}
+
+// judgeCase pairs a judge with its scalar acceptance predicate: the
+// devirtualized sorted judge, a per-lane judge (the selector path), or
+// a per-lane judge that rejects only one input value, so the first
+// failure can sit in any word of any block.
+func judgeCase(n, trial int, rng *rand.Rand) (Judge, func(in, out bitvec.Vec) bool) {
+	var accepts func(in, out bitvec.Vec) bool
+	switch trial % 3 {
+	case 0:
+		return SortedJudge(), sortedAccepts
+	case 1:
+		k := 1 + rng.Intn(n)
+		accepts = func(in, out bitvec.Vec) bool {
+			mask := uint64(1)<<uint(k) - 1
+			return out.Bits&mask == in.Sorted().Bits&mask
+		}
+	default:
+		needle := uint64(rng.Intn(bitvec.Universe(n)))
+		accepts = func(in, _ bitvec.Vec) bool { return in.Bits != needle }
+	}
+	return PerLaneJudge(accepts), accepts
+}
 
 // TestVerdictsByteIdenticalAcrossWidths: the whole Verdict struct —
-// Holds, TestsRun, counterexample in/out — must be identical at 64,
-// 256 and 512 lanes, on Run (sorted and per-lane judge shapes),
-// RunUniverse and RunMany, over random networks. The 64-lane verdict
-// is the reference; the stream lengths exercise ragged final blocks
-// at every width.
+// Holds, TestsRun, counterexample in/out — of the sequential Run and
+// of RunUniverse must equal the scalar per-vector reference, whatever
+// words the blocks carry; the pooled Run must agree on Holds and
+// report a genuine counterexample; Sweep must report exactly the
+// scalar failures, once per 64-lane word.
 func TestVerdictsByteIdenticalAcrossWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 80; trial++ {
+	for trial := 0; trial < 60; trial++ {
 		n := 2 + rng.Intn(11)
-		prog := Compile(randomNet(n, rng.Intn(5*n), rng))
-		tests := nonSorted(n)
-		judge := SortedJudge()
-		if trial%3 == 1 { // per-lane judge shape (the selector path)
-			k := 1 + rng.Intn(n)
-			judge = PerLaneJudge(func(in, out bitvec.Vec) bool {
-				mask := uint64(1)<<uint(k) - 1
-				return out.Bits&mask == in.Sorted().Bits&mask
-			})
+		w := randomNet(n, rng.Intn(5*n), rng)
+		if trial%2 == 0 {
+			w = nearSorter(n, rng)
 		}
+		prog := Compile(w)
+		judge, accepts := judgeCase(n, trial, rng)
 
-		ref := NewLanes(prog, 1, Lanes64).Run(bitvec.Slice(tests), judge)
-		for _, lanes := range kernelWidths[1:] {
-			got := NewLanes(prog, 1, lanes).Run(bitvec.Slice(tests), judge)
-			if got != ref {
-				t.Fatalf("trial %d n=%d: Run at %d lanes %+v, at 64 lanes %+v", trial, n, lanes, got, ref)
+		for _, length := range streamLengths {
+			tests := randomStream(n, length, rng)
+			want := scalarRun(prog, tests, accepts)
+			if got := New(prog, 1).Run(bitvec.Slice(tests), judge); got != want {
+				t.Fatalf("trial %d n=%d len=%d: Run %+v, scalar %+v", trial, n, length, got, want)
 			}
+			got := New(prog, 2).Run(bitvec.Slice(tests), judge)
+			if got.Holds != want.Holds || (got.Holds && got.TestsRun != length) ||
+				(!got.Holds && (got.Out != prog.Apply(got.In) || accepts(got.In, got.Out))) {
+				t.Fatalf("trial %d n=%d len=%d: pooled Run %+v, scalar %+v", trial, n, length, got, want)
+			}
+			checkSweep(t, prog, tests, judge, accepts)
 		}
 
-		uref := NewLanes(prog, 1, Lanes64).RunUniverse(judge)
-		for _, lanes := range kernelWidths[1:] {
-			got := NewLanes(prog, 1, lanes).RunUniverse(judge)
-			if got != uref {
-				t.Fatalf("trial %d n=%d: RunUniverse at %d lanes %+v, at 64 lanes %+v", trial, n, lanes, got, uref)
+		wantU := scalarRun(prog, bitvec.Collect(bitvec.All(n)), accepts)
+		for _, workers := range []int{1, 2} {
+			if got := New(prog, workers).RunUniverse(judge); got != wantU {
+				t.Fatalf("trial %d n=%d workers=%d: RunUniverse %+v, scalar %+v", trial, n, workers, got, wantU)
 			}
 		}
 	}
 }
 
-// TestRunManyByteIdenticalAcrossWidths: the fleet pass must produce
-// the same verdict slice at every kernel width.
+// checkSweep: Sweep visits every 64-lane word once, in order, with
+// exactly the lanes the scalar reference rejects.
+func checkSweep(t *testing.T, p *Program, tests []bitvec.Vec, judge Judge, accepts func(in, out bitvec.Vec) bool) {
+	t.Helper()
+	next := 0
+	swept := New(p, 1).Sweep(bitvec.Slice(tests), judge, func(off int, rejected uint64) {
+		if off != next {
+			t.Fatalf("Sweep visited offset %d, want %d", off, next)
+		}
+		var want uint64
+		for lane := 0; lane < 64 && off+lane < len(tests); lane++ {
+			if v := tests[off+lane]; !accepts(v, p.Apply(v)) {
+				want |= 1 << uint(lane)
+			}
+		}
+		if rejected != want {
+			t.Fatalf("Sweep offset %d: rejected %016x, scalar %016x", off, rejected, want)
+		}
+		next += 64
+	})
+	if swept != len(tests) || next < len(tests) {
+		t.Fatalf("Sweep swept %d of %d vectors, visited up to %d", swept, len(tests), next)
+	}
+}
+
+// TestRunManyByteIdenticalAcrossWidths: every verdict of the fleet
+// pass must equal the scalar per-vector reference for that program,
+// at every final-block word count.
 func TestRunManyByteIdenticalAcrossWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(9)
-		fleet := 1 + rng.Intn(7)
-		progs := make([]*Program, fleet)
+		progs := make([]*Program, 1+rng.Intn(7))
 		for i := range progs {
-			progs[i] = Compile(randomNet(n, rng.Intn(4*n), rng))
+			if rng.Intn(2) == 0 {
+				progs[i] = Compile(nearSorter(n, rng))
+			} else {
+				progs[i] = Compile(randomNet(n, rng.Intn(4*n), rng))
+			}
 		}
-		tests := nonSorted(n)
-		judge := SortedJudge()
-
-		ref, err := RunManyCtxLanes(context.Background(), progs, bitvec.Slice(tests), judge, Lanes64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, lanes := range kernelWidths[1:] {
-			got, err := RunManyCtxLanes(context.Background(), progs, bitvec.Slice(tests), judge, lanes)
+		judge, accepts := judgeCase(n, trial, rng)
+		for _, length := range streamLengths {
+			tests := randomStream(n, length, rng)
+			got, err := RunManyCtx(context.Background(), progs, bitvec.Slice(tests), judge)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("trial %d n=%d fleet=%d program %d: %d lanes %+v, 64 lanes %+v",
-						trial, n, fleet, i, lanes, got[i], ref[i])
+			for i, p := range progs {
+				if want := scalarRun(p, tests, accepts); got[i] != want {
+					t.Fatalf("trial %d n=%d len=%d program %d: RunMany %+v, scalar %+v",
+						trial, n, length, i, got[i], want)
 				}
 			}
 		}
@@ -105,58 +195,114 @@ func (c *cancellingIter) Next() (bitvec.Vec, bool) {
 }
 
 // TestWideCancelMidBlock: cancellation raised while a block is being
-// staged must surface as ctx.Err() with a zero verdict, at every
-// width, on both the sequential and pooled paths.
+// staged must surface as ctx.Err() with a zero verdict, inside a
+// block of each ramp size, on both the sequential and pooled paths.
 func TestWideCancelMidBlock(t *testing.T) {
 	n := 8
 	prog := Compile(randomNet(n, 3*n, rand.New(rand.NewSource(5))))
 	accept := PerLaneJudge(func(in, out bitvec.Vec) bool { return true })
-	for _, lanes := range kernelWidths {
+	for _, after := range []int{32, 96, 320, 5000} {
 		for _, workers := range []int{1, 2} {
 			ctx, cancel := context.WithCancel(context.Background())
-			it := &cancellingIter{n: n, after: lanes + lanes/2, cancel: cancel}
-			v, err := NewLanes(prog, workers, lanes).RunCtx(ctx, it, accept)
+			it := &cancellingIter{n: n, after: after, cancel: cancel}
+			v, err := New(prog, workers).RunCtx(ctx, it, accept)
 			cancel()
 			if err != context.Canceled {
-				t.Fatalf("%d lanes, %d workers: want context.Canceled, got %v (verdict %+v)", lanes, workers, err, v)
+				t.Fatalf("after %d, %d workers: want context.Canceled, got %v (verdict %+v)", after, workers, err, v)
 			}
 			if v != (Verdict{}) {
-				t.Fatalf("%d lanes, %d workers: want zero verdict on cancellation, got %+v", lanes, workers, v)
+				t.Fatalf("after %d, %d workers: want zero verdict on cancellation, got %+v", after, workers, v)
 			}
 		}
 	}
 }
 
-// TestSetKernelLanes: the process-default selector accepts exactly
-// the supported widths and steers engines that did not pin one.
-func TestSetKernelLanes(t *testing.T) {
-	orig := KernelLanes()
-	defer SetKernelLanes(orig)
-	for _, lanes := range kernelWidths {
-		if err := SetKernelLanes(lanes); err != nil {
-			t.Fatalf("SetKernelLanes(%d): %v", lanes, err)
-		}
-		if got := KernelLanes(); got != lanes {
-			t.Fatalf("KernelLanes() = %d after SetKernelLanes(%d)", got, lanes)
-		}
-	}
-	for _, bad := range []int{0, 1, 63, 128, 1024} {
-		if err := SetKernelLanes(bad); err == nil {
-			t.Fatalf("SetKernelLanes(%d) accepted", bad)
-		}
-	}
+// blockShape is one judged block as a recording judge sees it.
+type blockShape struct{ W, Lanes int }
+
+// recordingJudge accepts every lane and appends each block's shape.
+func recordingJudge(shapes *[]blockShape) Judge {
+	return Judge{Rejects: func(_, out *network.Batch, bad []uint64) {
+		*shapes = append(*shapes, blockShape{out.W, out.Lanes})
+		clear(bad)
+	}}
 }
 
-// TestWordsForDropsLegacyJudges: a hand-built Judge with no wide form
-// must run on the single-word path regardless of the engine width.
-func TestWordsForDropsLegacyJudges(t *testing.T) {
-	prog := Compile(randomNet(4, 5, rand.New(rand.NewSource(3))))
-	j := Judge{Rejects: SortedJudge().Rejects} // no RejectsWide, not sorted-flagged
-	e := NewLanes(prog, 1, Lanes512)
-	if w := e.wordsFor(j); w != 1 {
-		t.Fatalf("legacy judge at 512 lanes: wordsFor = %d, want 1", w)
+// repeat returns count copies of s.
+func repeat(s blockShape, count int) []blockShape {
+	out := make([]blockShape, count)
+	for i := range out {
+		out[i] = s
 	}
-	if w := e.wordsFor(SortedJudge()); w != 8 {
-		t.Fatalf("sorted judge at 512 lanes: wordsFor = %d, want 8", w)
+	return out
+}
+
+func shapes(parts ...[]blockShape) []blockShape {
+	var out []blockShape
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// TestBlockWidthPolicy pins how blocks size themselves from the
+// stream: Run and RunUniverse ramp 64 → 128 → 256 lanes (1, 2, 4, 4, …
+// words), Sweep and RunMany start at 256, and every last block carries
+// ⌈tail/64⌉ words. 247 and 4083 are the minimal sorter test sets for
+// n = 8 and n = 12.
+func TestBlockWidthPolicy(t *testing.T) {
+	ramp := []blockShape{{1, 64}, {2, 128}}
+	runCases := []struct {
+		length int
+		want   []blockShape
+	}{
+		{1, []blockShape{{1, 1}}},
+		{64, []blockShape{{1, 64}}},
+		{65, []blockShape{{1, 64}, {1, 1}}},
+		{247, []blockShape{{1, 64}, {2, 128}, {1, 55}}},
+		{4083, shapes(ramp, repeat(blockShape{4, 256}, 15), []blockShape{{1, 51}})},
+	}
+	prog := Compile(gen.OddEvenMergeSort(12))
+	tests := nonSorted(12)
+	for _, c := range runCases {
+		var got []blockShape
+		if v := New(prog, 1).Run(bitvec.Slice(tests[:c.length]), recordingJudge(&got)); !v.Holds {
+			t.Fatalf("Run over %d vectors failed: %+v", c.length, v)
+		}
+		checkShapes(t, "Run", c.length, got, c.want)
+	}
+
+	universeCases := []struct {
+		n    int
+		want []blockShape
+	}{
+		{4, []blockShape{{1, 16}}},
+		{8, shapes(ramp, []blockShape{{1, 64}})},
+		{12, shapes(ramp, repeat(blockShape{4, 256}, 15), []blockShape{{1, 64}})},
+	}
+	for _, c := range universeCases {
+		var got []blockShape
+		New(Compile(network.New(c.n)), 1).RunUniverse(recordingJudge(&got))
+		checkShapes(t, "RunUniverse n", c.n, got, c.want)
+	}
+
+	full := []blockShape{{4, 247}}
+	var got []blockShape
+	New(prog, 1).Sweep(bitvec.Slice(tests[:247]), recordingJudge(&got), func(int, uint64) {})
+	checkShapes(t, "Sweep", 247, got, full)
+	got = nil
+	RunMany([]*Program{prog}, bitvec.Slice(tests[:247]), recordingJudge(&got))
+	checkShapes(t, "RunMany", 247, got, full)
+}
+
+func checkShapes(t *testing.T, path string, size int, got, want []blockShape) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s %d: %d blocks %v, want %d %v", path, size, len(got), got, len(want), want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s %d: block %d is %+v, want %+v (all %v)", path, size, i, got[i], want[i], got)
+		}
 	}
 }

@@ -37,13 +37,13 @@ func (m DetectMode) String() string {
 // Detector is the compiled form of one (circuit, fault, mode)
 // triple: the faulty program, the golden program when the mode needs
 // it, and the detection judge — built once, then run over any number
-// of test streams on the 64-lane batch engine. A Detector is not
-// safe for concurrent use (it owns scratch batches); build one per
-// goroutine.
+// of test streams on the word-parallel block engine. A Detector is
+// not safe for concurrent use (it owns a scratch batch); build one
+// per goroutine.
 type Detector struct {
 	prog    *eval.Program
 	judge   eval.Judge
-	scratch *network.Batch // ByGolden: golden outputs, recomputed per block
+	scratch network.Batch // ByGolden: golden outputs, recomputed per block
 }
 
 // NewDetector compiles the faulty circuit and its detection judge.
@@ -53,18 +53,19 @@ type Detector struct {
 func NewDetector(w *network.Network, golden *eval.Program, f Fault, mode DetectMode) *Detector {
 	d := &Detector{prog: Compile(w, f)}
 	if mode == ByGolden {
-		d.scratch = network.NewBatch(w.N)
 		d.judge = eval.Judge{
 			NeedsInput: true,
-			Rejects: func(in, out *network.Batch) uint64 {
-				copy(d.scratch.Lines, in.Lines)
-				d.scratch.Lanes = in.Lanes
-				golden.ApplyBatch(d.scratch)
-				var diff uint64
-				for i := range d.scratch.Lines {
-					diff |= d.scratch.Lines[i] ^ out.Lines[i]
+			Rejects: func(in, out *network.Batch, bad []uint64) {
+				s := &d.scratch
+				s.N, s.W, s.Lanes = in.N, in.W, in.Lanes
+				s.Lines = append(s.Lines[:0], in.Lines...)
+				golden.ApplyBatch(s)
+				clear(bad)
+				for i := 0; i < len(s.Lines); i += s.W {
+					for g := range bad {
+						bad[g] |= s.Lines[i+g] ^ out.Lines[i+g]
+					}
 				}
-				return diff
 			},
 		}
 	} else {
@@ -79,7 +80,7 @@ func (d *Detector) Detects(tau bitvec.Vec) bool {
 }
 
 // DetectedBy reports whether any vector of the stream detects the
-// fault, 64 word-parallel lanes at a time.
+// fault, in word-parallel blocks.
 func (d *Detector) DetectedBy(it bitvec.Iterator) bool {
 	return !eval.New(d.prog, 1).Run(it, d.judge).Holds
 }
@@ -168,7 +169,7 @@ func MeasureWith(w *network.Network, golden *eval.Program, fs []Fault, tests fun
 
 // MeasureCtx is MeasureWith under a context: the fault sweep stops
 // claiming new faults once the context is cancelled, each per-fault
-// engine pass checks it per 64-lane block, and a cancelled run
+// engine pass checks it per block, and a cancelled run
 // returns the context's error with a zero report.
 func MeasureCtx(ctx context.Context, w *network.Network, golden *eval.Program, fs []Fault, tests func() bitvec.Iterator, mode DetectMode) (Report, error) {
 	type outcome struct{ detectable, detected bool }

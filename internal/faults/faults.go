@@ -25,7 +25,7 @@
 // each fault COMPILES, via Ops, to an eval.Program variant of the
 // healthy circuit (a bypassed comparator is a no-op, a stuck line a
 // clamp op, a bridge a short op), so fault simulation inherits the
-// 64-lane word-parallel batch engine for free.
+// word-parallel block engine for free.
 package faults
 
 import (
@@ -49,7 +49,7 @@ type Fault interface {
 }
 
 // Compile builds the compiled program of the faulty circuit. The
-// program evaluates on all of eval's paths — scalar, 64-lane batch —
+// program evaluates on all of eval's paths — scalar and block —
 // exactly like a healthy network's program.
 func Compile(w *network.Network, f Fault) *eval.Program {
 	return eval.NewProgram(w.N, f.Ops(w))

@@ -48,7 +48,7 @@ func DetectionMatrixWith(w *network.Network, golden *eval.Program, fs []Fault, t
 }
 
 // DetectionMatrixCtx is DetectionMatrixWith under a context: the
-// per-fault sweeps check it per 64-lane block and a cancelled run
+// per-fault sweeps check it per block and a cancelled run
 // returns the context's error with a nil matrix.
 func DetectionMatrixCtx(ctx context.Context, w *network.Network, golden *eval.Program, fs []Fault, tests func() bitvec.Iterator, mode DetectMode) (*Matrix, error) {
 	vecs := bitvec.Collect(tests())

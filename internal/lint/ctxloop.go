@@ -7,7 +7,7 @@ import (
 )
 
 // CtxLoop enforces the engine's cancellation contract (PR 4): every
-// engine loop observes context cancellation per 64-lane block, and
+// engine loop observes context cancellation per block, and
 // context-carrying code never drops into a non-ctx engine entry point
 // when a *Ctx variant exists.
 //

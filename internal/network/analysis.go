@@ -25,16 +25,17 @@ func Equivalent(a, b *Network) bool {
 		return true
 	}
 	total := uint64(bitvec.Universe(n))
-	ba, bb := NewBatch(n), NewBatch(n)
-	for base := uint64(0); base < total; base += LanesPerBatch {
-		loadConsecutive(ba, base)
-		loadConsecutive(bb, base)
+	ba, bb := NewBatch(n, 1), NewBatch(n, 1)
+	for base := uint64(0); base < total; base += LanesPerWord {
+		k := min(int(total-base), LanesPerWord)
+		ba.LoadConsecutive(base, k)
+		bb.LoadConsecutive(base, k)
 		a.ApplyBatch(ba)
 		b.ApplyBatch(bb)
 		for i := 0; i < n; i++ {
 			mask := ^uint64(0)
-			if total-base < LanesPerBatch {
-				mask = uint64(1)<<uint(total-base) - 1
+			if k < LanesPerWord {
+				mask = uint64(1)<<uint(k) - 1
 			}
 			if (ba.Lines[i]^bb.Lines[i])&mask != 0 {
 				return false
@@ -55,12 +56,13 @@ func (w *Network) ExerciseCounts() []int {
 		return counts
 	}
 	total := uint64(bitvec.Universe(n))
-	b := NewBatch(n)
-	for base := uint64(0); base < total; base += LanesPerBatch {
-		loadConsecutive(b, base)
+	b := NewBatch(n, 1)
+	for base := uint64(0); base < total; base += LanesPerWord {
+		k := min(int(total-base), LanesPerWord)
+		b.LoadConsecutive(base, k)
 		laneMask := ^uint64(0)
-		if total-base < LanesPerBatch {
-			laneMask = uint64(1)<<uint(total-base) - 1
+		if k < LanesPerWord {
+			laneMask = uint64(1)<<uint(k) - 1
 		}
 		for i, c := range w.Comps {
 			x, y := b.Lines[c.A], b.Lines[c.B]

@@ -89,55 +89,6 @@ func TestApplyMatchesApplyVec(t *testing.T) {
 	}
 }
 
-func TestApplyBatchMatchesApplyVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.Intn(10)
-		w := Random(n, rng.Intn(30), rng)
-		var vs []bitvec.Vec
-		for lane := 0; lane < 64; lane++ {
-			vs = append(vs, bitvec.New(n, rng.Uint64()&(uint64(1)<<uint(n)-1)))
-		}
-		b := LoadVecs(n, vs)
-		w.ApplyBatch(b)
-		for lane, v := range vs {
-			want := w.ApplyVec(v)
-			if got := b.Lane(lane); got != want {
-				t.Fatalf("lane %d: batch %s vs vec %s", lane, got, want)
-			}
-		}
-	}
-}
-
-func TestUnsortedLanes(t *testing.T) {
-	vs := []bitvec.Vec{
-		bitvec.MustFromString("0011"), // sorted
-		bitvec.MustFromString("0110"), // not
-		bitvec.MustFromString("1111"), // sorted
-		bitvec.MustFromString("1000"), // not
-	}
-	b := LoadVecs(4, vs)
-	if got := b.UnsortedLanes(); got != 0b1010 {
-		t.Errorf("UnsortedLanes = %b, want 1010", got)
-	}
-}
-
-func TestBatchLaneRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	b := NewBatch(9)
-	var want []bitvec.Vec
-	for lane := 0; lane < 64; lane++ {
-		v := bitvec.New(9, rng.Uint64()&0x1FF)
-		b.SetLane(lane, v)
-		want = append(want, v)
-	}
-	for lane, v := range want {
-		if got := b.Lane(lane); got != v {
-			t.Fatalf("lane %d: %s != %s", lane, got, v)
-		}
-	}
-}
-
 func TestSortsAllBinarySmallCases(t *testing.T) {
 	// The empty 1-line network sorts trivially.
 	if !New(1).SortsAllBinary() {

@@ -13,7 +13,7 @@ import (
 // Context-aware verdicts. Every engine path in this package has a
 // *Ctx twin that accepts a context.Context and propagates
 // cancellation into the engine loops, where it is checked once per
-// 64-lane block (never per vector). A cancelled run returns the
+// block (never per vector). A cancelled run returns the
 // context's error and a zero result; the legacy entry points are
 // wrappers over context.Background().
 
@@ -81,7 +81,7 @@ func VerdictPermsCtx(ctx context.Context, w *network.Network, p Property) (PermR
 	if w.N != p.Lines() {
 		panic(fmt.Sprintf("verify: network has %d lines, property wants %d", w.N, p.Lines()))
 	}
-	if w.N-1 <= network.LanesPerBatch && w.N > 1 {
+	if w.N-1 <= network.LanesPerWord && w.N > 1 {
 		switch p.(type) {
 		case Sorter, Selector, Merger:
 			return verdictPermsBatch(ctx, w, p)

@@ -8,10 +8,10 @@ import (
 )
 
 // Property-to-judge lowering: each built-in property compiles to a
-// word-parallel eval.Judge so the whole 64-lane block is judged with
-// a handful of word ops; unknown properties fall back to the per-lane
-// adapter (the network evaluation — the expensive part — stays
-// word-parallel either way).
+// word-parallel eval.Judge so a whole block is judged with a handful
+// of word ops per 64 lanes; unknown properties fall back to the
+// per-lane adapter (the network evaluation — the expensive part —
+// stays word-parallel either way).
 
 // JudgeFor exposes the lowering for callers that stream custom test
 // families through an engine themselves (the Session's test-stream
@@ -37,37 +37,13 @@ func judgeFor(p Property) eval.Judge {
 // mergerJudge rejects in-contract lanes (both input halves sorted)
 // whose outputs are not sorted; out-of-contract lanes are accepted
 // vacuously. The common all-lanes-sorted case needs one word-parallel
-// pass and no per-lane work at all, at any kernel width.
+// pass and no per-lane work at all.
 func mergerJudge(n int) eval.Judge {
 	h := n / 2
 	return eval.Judge{
 		NeedsInput: true,
-		Rejects: func(in, out *network.Batch) uint64 {
-			unsorted := out.UnsortedLanes()
-			if unsorted == 0 {
-				return 0
-			}
-			var inContract uint64
-			for lane := 0; lane < out.Lanes; lane++ {
-				v := in.Lane(lane)
-				if v.Slice(0, h).IsSorted() && v.Slice(h, n).IsSorted() {
-					inContract |= 1 << uint(lane)
-				}
-			}
-			return unsorted & inContract
-		},
-		RejectsWide: func(in, out *network.WideBatch, bad []uint64) {
+		Rejects: func(in, out *network.Batch, bad []uint64) {
 			out.UnsortedLanes(bad)
-			any := false
-			for _, w := range bad {
-				if w != 0 {
-					any = true
-					break
-				}
-			}
-			if !any {
-				return
-			}
 			// Per-lane contract check only on the rare unsorted lanes.
 			for g, w := range bad {
 				for w != 0 {

@@ -73,8 +73,9 @@ func verdictPermsBatch(ctx context.Context, w *network.Network, p Property) (Per
 	}
 	prog := eval.Compile(w)
 	judge := judgeFor(p)
-	in := network.NewBatch(n)
-	out := network.NewBatch(n)
+	in := network.NewBatch(n, 1)
+	out := network.NewBatch(n, 1)
+	var bad [1]uint64
 
 	// Threshold t (1..n−1) of a permutation has bit i set iff
 	// p[i] > n−t; packed perm-major with lane j = threshold j+1, line
@@ -82,7 +83,7 @@ func verdictPermsBatch(ctx context.Context, w *network.Network, p Property) (Per
 	// permutations share a batch (lane granularity stays per-perm so
 	// no permutation straddles a flush).
 	spread := n - 1
-	perBatch := network.LanesPerBatch / spread
+	perBatch := network.LanesPerWord / spread
 	ones := ^uint64(0) >> uint(64-spread)
 	flush := func(lanes int) bool {
 		out.Lanes = lanes
@@ -91,14 +92,10 @@ func verdictPermsBatch(ctx context.Context, w *network.Network, p Property) (Per
 			in.Lanes = lanes
 		}
 		prog.ApplyBatch(out)
-		bad := judge.Rejects(in, out)
-		if lanes < 64 {
-			bad &= uint64(1)<<uint(lanes) - 1
-		}
-		for i := range out.Lines {
-			out.Lines[i] = 0
-		}
-		return bad == 0
+		judge.Rejects(in, out, bad[:])
+		network.MaskLanes(bad[:], lanes)
+		clear(out.Lines)
+		return bad[0] == 0
 	}
 	filled := 0
 	for pi := 0; pi < len(judged); {

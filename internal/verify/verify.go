@@ -11,9 +11,9 @@
 //
 // All evaluation is delegated to the compiled engine of package eval:
 // the network is compiled once into a layered Program, test vectors
-// stream through 64 word-parallel lanes (or the widevec path beyond
-// 64 lines), and the engine owns the worker pool. This package only
-// maps properties to judges and shapes results.
+// stream through word-parallel blocks of up to 256 lanes (or the
+// widevec path beyond 64 lines), and the engine owns the worker pool.
+// This package only maps properties to judges and shapes results.
 package verify
 
 import (
@@ -240,11 +240,11 @@ func GroundTruthProgram(prog *eval.Program, p Property) Result {
 }
 
 // VerdictBatch runs a property's minimal test set through the
-// compiled 64-lane engine. It is retained for API compatibility:
+// compiled block engine. It is retained for API compatibility:
 // Verdict now uses the same engine, so the two are identical.
 func VerdictBatch(w *network.Network, p Property) Result { return Verdict(w, p) }
 
-// GroundTruthBatch is the 64-lane exhaustive sweep (same engine as
+// GroundTruthBatch is the block-engine exhaustive sweep (same engine as
 // GroundTruth; retained for API compatibility).
 func GroundTruthBatch(w *network.Network, p Property) Result { return GroundTruth(w, p) }
 

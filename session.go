@@ -33,7 +33,7 @@ import (
 //
 // Cancellation: every entry point takes a context.Context that is
 // propagated into the engine loops, where it is checked once per
-// 64-lane block — deadlines and client disconnects actually stop
+// block — deadlines and client disconnects actually stop
 // work, on the minimal-test, exhaustive-universe, wide, closure-BFS
 // and hitting-set-solver paths alike.
 //

@@ -179,17 +179,18 @@ func MinimalityCertificate(n int) Certificate { return core.MinimalityCertificat
 
 // Program is the immutable compiled form of a network: comparator
 // pairs pre-extracted, packed into data-independent layers, and
-// specialized per width regime (n ≤ 64 word-parallel batches, n > 64
-// widevec). Every verdict in this package runs on compiled programs;
-// compile once when evaluating the same network many times.
+// specialized per width regime (n ≤ 64 word-parallel blocks of up to
+// 256 lanes, n > 64 widevec). Every verdict in this package runs on
+// compiled programs; compile once when evaluating the same network
+// many times.
 type Program = eval.Program
 
 // Engine streams test vectors through a compiled program with an
 // engine-owned worker pool.
 type Engine = eval.Engine
 
-// Judge decides, word-parallel, which lanes of an evaluated 64-lane
-// block violate the property under test.
+// Judge decides, word-parallel, which lanes of an evaluated block
+// violate the property under test.
 type Judge = eval.Judge
 
 // SortedJudge rejects outputs that are not sorted (the sorting
