@@ -390,8 +390,3 @@ func (s *Session) computeGroup(ctx context.Context, members []*batchEntry, verdi
 	}
 	return nil
 }
-
-// DoBatch routes a batch through the default Session.
-func DoBatch(ctx context.Context, reqs []Request) ([]*Verdict, error) {
-	return DefaultSession().DoBatch(ctx, reqs)
-}

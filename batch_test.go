@@ -309,40 +309,3 @@ func TestCheckManyMatchesCheck(t *testing.T) {
 		}
 	}
 }
-
-// TestAdaptDoer: the compatibility adapter upgrades a single-shot
-// implementation to the batched interface with matching semantics.
-func TestAdaptDoer(t *testing.T) {
-	sess := NewSession()
-	defer sess.Close()
-	var d Doer = AdaptDoer(singleOnly{sess})
-	ctx := context.Background()
-	reqs := []Request{
-		{ID: "x", Network: sessSorter4},
-		{Network: "n=4: [zap"},
-		{ID: "y", Network: sessSorter4},
-	}
-	vs, err := d.DoBatch(ctx, reqs)
-	var be *BatchError
-	if !errors.As(err, &be) || be.Errs[1] == nil || be.Errs[0] != nil {
-		t.Fatalf("adapter errors: %v", err)
-	}
-	if vs[0] == nil || vs[0].ID != "x" || vs[2] == nil || vs[2].ID != "y" || vs[1] != nil {
-		t.Fatalf("adapter verdicts: %+v", vs)
-	}
-	direct, err := sess.Do(ctx, reqs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, _ := MarshalVerdict(direct)
-	ab, _ := MarshalVerdict(vs[0])
-	if string(db) != string(ab) {
-		t.Fatalf("adapter verdict differs from Do:\n%s\n%s", db, ab)
-	}
-}
-
-// singleOnly hides Session's own DoBatch so the adapter is what the
-// test exercises.
-type singleOnly struct{ s *Session }
-
-func (s singleOnly) Do(ctx context.Context, req Request) (*Verdict, error) { return s.s.Do(ctx, req) }

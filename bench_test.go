@@ -7,6 +7,7 @@
 package sortnets
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -263,7 +264,7 @@ func BenchmarkE15WideMerger(b *testing.B) {
 	w := gen.HalfMerger(256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !verify.VerdictMergerWide(w).Holds {
+		if !wideVerdict(w, verify.Merger{N: 256}, 1).Holds {
 			b.Fatal("merger rejected")
 		}
 	}
@@ -275,10 +276,17 @@ func BenchmarkE15WideSelector(b *testing.B) {
 	w := gen.Selection(192, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !verify.VerdictSelectorWide(w, 2).Holds {
+		if !wideVerdict(w, verify.Selector{N: 192, K: 2}, 1).Holds {
 			b.Fatal("selector rejected")
 		}
 	}
+}
+
+// wideVerdict compiles w and certifies p on it with the polynomial
+// wide test set, as one timed unit.
+func wideVerdict(w *network.Network, p verify.Property, workers int) verify.WideResult {
+	r, _ := verify.VerdictWideProgramCtx(context.Background(), eval.Compile(w), p, workers)
+	return r
 }
 
 // --- Ablations (DESIGN.md §5) ------------------------------------------------------
@@ -305,15 +313,16 @@ func BenchmarkAblationScalarSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelSweep is the goroutine-pooled scalar sweep,
-// isolating what parallelism adds on top of streaming.
+// BenchmarkAblationParallelSweep is the 2¹⁶-input universe sweep on
+// the block engine's automatic worker pool, isolating what
+// parallelism adds on top of word-parallel evaluation.
 func BenchmarkAblationParallelSweep(b *testing.B) {
 	const n = 16
 	w := gen.Sorter(n)
 	p := verify.Sorter{N: n}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !verify.GroundTruthParallel(w, p, 0).Holds {
+		if r, _ := verify.GroundTruthCtx(context.Background(), w, p, 0); !r.Holds {
 			b.Fatal("sorter rejected")
 		}
 	}
@@ -349,7 +358,7 @@ func BenchmarkAblationBatchVerdict(b *testing.B) {
 	p := verify.Sorter{N: n}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !verify.VerdictBatch(w, p).Holds {
+		if !verify.Verdict(w, p).Holds {
 			b.Fatal("sorter rejected")
 		}
 	}
@@ -360,7 +369,7 @@ func BenchmarkAblationBatchVerdict(b *testing.B) {
 // program and engine are built once outside the loop.
 func BenchmarkAblationCompiledVerdictPrecompiled(b *testing.B) {
 	const n = 16
-	eng := NewEngine(Compile(gen.Sorter(n)), 1)
+	eng := eval.New(eval.Compile(gen.Sorter(n)), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !eng.Run(core.SorterBinaryTests(n), eval.SortedJudge()).Holds {
@@ -377,7 +386,7 @@ func BenchmarkAblationEnginePooledVerdict(b *testing.B) {
 	p := verify.Sorter{N: n}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !verify.VerdictParallel(w, p, 0).Holds {
+		if r, _ := verify.VerdictCtx(context.Background(), w, p, 0); !r.Holds {
 			b.Fatal("sorter rejected")
 		}
 	}
@@ -389,7 +398,7 @@ func BenchmarkE15WideMergerPooled(b *testing.B) {
 	w := gen.HalfMerger(256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !verify.VerdictMergerWideParallel(w, 0).Holds {
+		if !wideVerdict(w, verify.Merger{N: 256}, 0).Holds {
 			b.Fatal("merger rejected")
 		}
 	}

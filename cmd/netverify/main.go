@@ -106,7 +106,8 @@ func run(out io.Writer, netFile, prop string, k int, inputs string, workers int,
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	sess := sortnets.DefaultSession()
+	sess := sortnets.NewSession()
+	defer sess.Close()
 
 	switch inputs {
 	case "perm":

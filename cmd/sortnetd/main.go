@@ -6,20 +6,23 @@
 //
 //	sortnetd -addr :8357 -workers 0 -cache-size 4096
 //
-// Endpoints (POST JSON unless noted):
+// Endpoints:
 //
-//	/do       any op (from the body; default verify) — with Content-Type
-//	          application/x-ndjson, a streaming batch: one Request per
-//	          line in, one BatchVerdict per line out as chunks complete
-//	/verify   property verdict (sorter | selector | merger)
-//	/faults   fault coverage of the property's minimal test set
-//	/minset   minimal detecting subset of that test set
-//	/healthz  GET liveness probe
-//	/stats    GET per-endpoint counters + batch pipeline + cache occupancy
+//	POST /do      one Request in, one Verdict out; the op comes from the
+//	              body: "verify" (the default; sorter | selector | merger
+//	              verdict), "faults" (fault coverage of the property's
+//	              minimal test set) or "minset" (minimal detecting subset
+//	              of that test set). With Content-Type
+//	              application/x-ndjson, a streaming batch: one Request per
+//	              line in, one BatchVerdict per line out as chunks complete
+//	GET  /healthz readiness probe (503 while draining or saturated)
+//	GET  /livez   liveness probe
+//	GET  /stats   per-op counters + batch pipeline + cache occupancy
 //
 // Examples:
 //
-//	curl -s localhost:8357/verify -d '{"network":"n=4: [1,2][3,4][1,3][2,4][2,3]"}'
+//	curl -s localhost:8357/do -d '{"network":"n=4: [1,2][3,4][1,3][2,4][2,3]"}'
+//	curl -s localhost:8357/do -d '{"op":"faults","network":"n=4: [1,2][3,4][1,3][2,4][2,3]"}'
 //	printf '%s\n%s\n' '{"id":"a","network":"n=4: [1,2][3,4][1,3][2,4][2,3]"}' \
 //	                  '{"id":"b","network":"n=4: [1,2][3,4]"}' |
 //	  curl -s localhost:8357/do -H 'Content-Type: application/x-ndjson' --data-binary @-
@@ -57,8 +60,8 @@ func main() {
 	addr := flag.String("addr", ":8357", "listen address")
 	workers := flag.Int("workers", 0, "concurrent verdict computations: 0 = automatic (all cores), k = exactly k")
 	cacheSize := flag.Int("cache-size", 4096, "verdict cache capacity in entries")
-	maxLines := flag.Int("max-lines", 20, "largest line count accepted by /verify")
-	maxFaultLines := flag.Int("max-fault-lines", 12, "largest line count accepted by /faults and /minset")
+	maxLines := flag.Int("max-lines", 20, "largest line count accepted for verify requests")
+	maxFaultLines := flag.Int("max-fault-lines", 12, "largest line count accepted for faults and minset requests")
 	streamTabDir := flag.String("streamtab-dir", "", "directory of persisted test-stream tables (see cmd/streamtab); empty disables")
 	maxInflight := flag.Int("max-inflight", 0, "admission gate: requests allowed past the HTTP layer at once; 0 = max(64, 8×workers)")
 	queueWait := flag.Duration("queue-wait", 100*time.Millisecond, "admission gate: longest a request may wait for a slot before a 429 shed")

@@ -62,7 +62,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	var verdicts [][]byte
 	var headers []string
 	for i := 0; i < 2; i++ {
-		resp, err := http.Post(url+"/verify", "application/json", strings.NewReader(body))
+		resp, err := http.Post(url+"/do", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ import (
 // the HTTP path uses, and programs under the same digests — but
 // compute on the caller's goroutine (no pool hop, no coalescing) and
 // enforce no line caps: this is a trusted surface, so a mismatched
-// property still panics exactly like the historical facade.
+// property is a programmer error and panics.
 //
 // Determinism and caching: Check, GroundTruth, CheckPerms,
 // FaultCoverage and MinSet run deterministic single-worker engines
@@ -196,19 +196,7 @@ func (s *Session) CheckPerms(ctx context.Context, w *Network, p Property) (PermR
 // families); workers follows the one rule (0 = automatic).
 func (s *Session) Wide(ctx context.Context, w *Network, p Property, workers int) (WideResult, error) {
 	_, _, prog := s.resolveNetwork(w)
-	switch q := p.(type) {
-	case verify.Merger:
-		if w.N != q.N {
-			panic(fmt.Sprintf("sortnets: network has %d lines, property wants %d", w.N, q.N))
-		}
-		return verify.VerdictMergerWideProgramCtx(ctx, prog, workers)
-	case verify.Selector:
-		if w.N != q.N {
-			panic(fmt.Sprintf("sortnets: network has %d lines, property wants %d", w.N, q.N))
-		}
-		return verify.VerdictSelectorWideProgramCtx(ctx, prog, q.K, workers)
-	}
-	panic(fmt.Sprintf("sortnets: Wide needs a merger or selector property, got %s", p.Name()))
+	return verify.VerdictWideProgramCtx(ctx, prog, p, workers)
 }
 
 // FaultCoverage measures how many detectable faults the sorter's

@@ -1,6 +1,7 @@
 package sortnets_test
 
 import (
+	"context"
 	"fmt"
 
 	"sortnets"
@@ -9,8 +10,14 @@ import (
 // The worked example of the paper's Fig. 1: a four-line network that
 // looks plausible but fails to sort.
 func Example() {
+	sess := sortnets.NewSession()
+	defer sess.Close()
 	w := sortnets.MustParseNetwork("n=4: [1,3][2,4][1,2][3,4]")
-	fmt.Println(sortnets.CheckSorter(w))
+	r, err := sess.Check(context.Background(), w, sortnets.SorterProp{N: 4})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(r)
 	// Output:
 	// fails on 1010 -> 0101 (after 5 tests)
 }
@@ -18,9 +25,15 @@ func Example() {
 // Certifying Batcher's 8-line sorter with the minimal test set of
 // Theorem 2.2(i): 247 vectors instead of the 256 of a full sweep —
 // and provably none can be dropped.
-func ExampleCheckSorter() {
+func ExampleSession_Check() {
+	sess := sortnets.NewSession()
+	defer sess.Close()
 	w := sortnets.BatcherSorter(8)
-	fmt.Println(sortnets.CheckSorter(w))
+	r, err := sess.Check(context.Background(), w, sortnets.SorterProp{N: 8})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(r)
 	// Output:
 	// holds (247 tests)
 }
@@ -33,15 +46,21 @@ func ExampleAlmostSorter() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(sortnets.CheckSorter(h))
+	sess := sortnets.NewSession()
+	defer sess.Close()
+	r, err := sess.Check(context.Background(), h, sortnets.SorterProp{N: 4})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(r)
 	// Output:
 	// fails on 0110 -> 0101 (after 6 tests)
 }
 
-// Theorem 2.5's linear permutation test set: eight permutations
-// certify a 16-line merge unit.
-func ExampleMergerPermTests() {
-	for _, p := range sortnets.MergerPermTests(8) {
+// Theorem 2.5's linear permutation test set: four permutations
+// certify an 8-line merge unit.
+func ExampleMergerProp_PermTests() {
+	for _, p := range (sortnets.MergerProp{N: 8}).PermTests() {
 		fmt.Println(p)
 	}
 	// Output:
@@ -53,9 +72,15 @@ func ExampleMergerPermTests() {
 
 // Wide-width certification: at 128 lines a zero-one sweep would need
 // 2¹²⁸ inputs; the merger property needs 4096.
-func ExampleCheckMergerWide() {
+func ExampleSession_Wide() {
+	sess := sortnets.NewSession()
+	defer sess.Close()
 	m := sortnets.BatcherMerger(128)
-	fmt.Println(sortnets.CheckMergerWide(m))
+	r, err := sess.Wide(context.Background(), m, sortnets.MergerProp{N: 128}, 1)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(r)
 	// Output:
 	// holds (4096 tests)
 }

@@ -9,27 +9,39 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"sortnets"
 	"sortnets/internal/core"
 	"sortnets/internal/network"
-	"sortnets/internal/verify"
 )
 
 func main() {
 	const n = 16
+	ctx := context.Background()
+	sess := sortnets.NewSession()
+	defer sess.Close()
 	merger := sortnets.BatcherMerger(n)
-	prop := verify.Merger{N: n}
+	prop := sortnets.MergerProp{N: n}
 
 	fmt.Printf("Merge unit: Batcher odd-even (%d,%d)-merger, %d comparators, depth %d.\n",
 		n/2, n/2, merger.Size(), merger.Depth())
 	fmt.Printf("Certification cost (Theorem 2.5): %s binary tests or %d permutation tests\n",
-		sortnets.MergerTestSetSize(n), len(sortnets.MergerPermTests(n)))
+		sortnets.MergerTestSetSize(n), len(prop.PermTests()))
 	fmt.Printf("(a naive sweep would use %d inputs)\n\n", 1<<n)
 
-	fmt.Printf("binary audit:      %s\n", sortnets.CheckMerger(merger))
-	fmt.Printf("permutation audit: %s\n", sortnets.CheckPerms(merger, prop))
+	bin, err := sess.Check(ctx, merger, prop)
+	if err != nil {
+		log.Fatal(err)
+	}
+	perm, err := sess.CheckPerms(ctx, merger, prop)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("binary audit:      %s\n", bin)
+	fmt.Printf("permutation audit: %s\n", perm)
 
 	// Mutation audit: delete each comparator in turn. Redundant
 	// comparators exist in no optimal merger, so every deletion must
@@ -43,7 +55,10 @@ func main() {
 				mutant.AddPair(c.A, c.B)
 			}
 		}
-		r := sortnets.CheckMerger(mutant)
+		r, err := sess.Check(ctx, mutant, prop)
+		if err != nil {
+			log.Fatal(err)
+		}
 		switch {
 		case !r.Holds:
 			caught++

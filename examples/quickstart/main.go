@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,10 @@ import (
 
 func main() {
 	const n = 8
+	ctx := context.Background()
+	sess := sortnets.NewSession()
+	defer sess.Close()
+	prop := sortnets.SorterProp{N: n}
 
 	// Build Batcher's odd-even mergesort network for 8 lines.
 	w := sortnets.BatcherSorter(n)
@@ -22,13 +27,20 @@ func main() {
 	// Decide sorter-ness with the minimal test set: 2⁸−8−1 = 247
 	// inputs instead of the 256 of the exhaustive sweep — and the
 	// paper proves 247 is exactly optimal: no test set is smaller.
-	res := sortnets.CheckSorter(w)
+	res, err := sess.Check(ctx, w, prop)
+	if err != nil {
+		log.Fatal(err)
+	}
+	gt, err := sess.GroundTruth(ctx, w, prop)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("minimal test set verdict: %s\n", res)
-	fmt.Printf("exhaustive ground truth:  %s\n", sortnets.GroundTruth(w, sortnets.SorterProp{N: n}))
+	fmt.Printf("exhaustive ground truth:  %s\n", gt)
 
 	// Permutation tests are cheaper still (Yao's observation):
 	// C(8,4)−1 = 69 permutations suffice.
-	perms := sortnets.SorterPermTests(n)
+	perms := prop.PermTests()
 	fmt.Printf("permutation test set size: %d (binary: %s)\n",
 		len(perms), sortnets.SorterTestSetSize(n))
 
@@ -40,7 +52,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r := sortnets.CheckSorter(h)
+	r, err := sess.Check(ctx, h, prop)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nadversary H_σ for σ=%s (%d comparators):\n", sigma, h.Size())
 	fmt.Printf("  full test set verdict: %s\n", r)
 	fmt.Printf("  → only σ itself exposes it; every other of the %s tests passes.\n",

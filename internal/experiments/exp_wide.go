@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"strings"
@@ -31,7 +32,7 @@ func E15WideCertification() Report {
 	for _, n := range []int{64, 128, 256, 512} {
 		merger := gen.HalfMerger(n)
 		start := time.Now()
-		r := verify.VerdictMergerWideParallel(merger, 0)
+		r := wideVerdict(merger, verify.Merger{N: n}, 0)
 		dur := time.Since(start)
 		checkf(&ok, r.Holds, &sb, "n=%d: Batcher merger rejected: %s", n, r)
 		want := comb.MergerBinaryTestSetSize(n)
@@ -47,7 +48,7 @@ func E15WideCertification() Report {
 					mutant.AddPair(c.A, c.B)
 				}
 			}
-			mr := verify.VerdictMergerWide(mutant)
+			mr := wideVerdict(mutant, verify.Merger{N: n}, 1)
 			if !mr.Holds {
 				caught++
 				broken++
@@ -66,7 +67,7 @@ func E15WideCertification() Report {
 	for _, tc := range []struct{ n, k int }{{96, 1}, {96, 2}, {128, 2}, {192, 2}, {128, 3}} {
 		sel := gen.Selection(tc.n, tc.k)
 		start := time.Now()
-		r := verify.VerdictSelectorWide(sel, tc.k)
+		r := wideVerdict(sel, verify.Selector{N: tc.n, K: tc.k}, 1)
 		dur := time.Since(start)
 		checkf(&ok, r.Holds, &sb, "n=%d k=%d: selector rejected: %s", tc.n, tc.k, r)
 		want := comb.SelectorBinaryTestSetSize(tc.n, tc.k)
@@ -76,10 +77,17 @@ func E15WideCertification() Report {
 	}
 	tb2.Render(&sb)
 	sb.WriteString("An under-provisioned selector (k-1 passes) at n=128 is caught: ")
-	bad := verify.VerdictSelectorWide(gen.Selection(128, 1), 2)
+	bad := wideVerdict(gen.Selection(128, 1), verify.Selector{N: 128, K: 2}, 1)
 	checkf(&ok, !bad.Holds, &sb, "under-provisioned selector accepted")
 	fmt.Fprintf(&sb, "%v\n", !bad.Holds)
 	return Report{ID: "E15", Title: "wide-width certification (n up to 512)", OK: ok, Body: sb.String()}
+}
+
+// wideVerdict certifies p on w with its polynomial wide test set,
+// compiling w inside the timed call.
+func wideVerdict(w *network.Network, p verify.Property, workers int) verify.WideResult {
+	r, _ := verify.VerdictWideProgramCtx(context.Background(), eval.Compile(w), p, workers)
+	return r
 }
 
 // wideMergerGroundTruth sweeps all (n/2+1)² sorted-half combinations —

@@ -154,23 +154,18 @@ func (r Report) String() string {
 // safe for concurrent calls (all the package core test-set factories
 // are: each call returns a fresh iterator).
 func Measure(w *network.Network, fs []Fault, tests func() bitvec.Iterator, mode DetectMode) Report {
-	return MeasureWith(w, eval.Compile(w), fs, tests, mode)
-}
-
-// MeasureWith is Measure with a caller-supplied compiled healthy
-// program — the cache-aware entry point: a caller holding w's program
-// already (the serving layer keeps one per canonical digest) skips
-// the recompilation. golden must be eval.Compile(w) (programs are
-// immutable, so sharing one across calls and goroutines is safe).
-func MeasureWith(w *network.Network, golden *eval.Program, fs []Fault, tests func() bitvec.Iterator, mode DetectMode) Report {
-	rep, _ := MeasureCtx(context.Background(), w, golden, fs, tests, mode)
+	rep, _ := MeasureCtx(context.Background(), w, eval.Compile(w), fs, tests, mode)
 	return rep
 }
 
-// MeasureCtx is MeasureWith under a context: the fault sweep stops
-// claiming new faults once the context is cancelled, each per-fault
-// engine pass checks it per block, and a cancelled run
-// returns the context's error with a zero report.
+// MeasureCtx is Measure under a context, with a caller-supplied
+// compiled healthy program — the cache-aware entry point: a caller
+// holding w's program already (the Session keeps one per canonical
+// digest) skips the recompilation. golden must be eval.Compile(w)
+// (programs are immutable, so sharing one across calls and goroutines
+// is safe). The fault sweep stops claiming new faults once the context
+// is cancelled, each per-fault engine pass checks it per block, and a
+// cancelled run returns the context's error with a zero report.
 func MeasureCtx(ctx context.Context, w *network.Network, golden *eval.Program, fs []Fault, tests func() bitvec.Iterator, mode DetectMode) (Report, error) {
 	type outcome struct{ detectable, detected bool }
 	outcomes := make([]outcome, len(fs))

@@ -36,19 +36,13 @@ type Matrix struct {
 // collected vectors are replayed per fault — so it need not be safe
 // for concurrent calls.
 func DetectionMatrix(w *network.Network, fs []Fault, tests func() bitvec.Iterator, mode DetectMode) *Matrix {
-	return DetectionMatrixWith(w, eval.Compile(w), fs, tests, mode)
-}
-
-// DetectionMatrixWith is DetectionMatrix with a caller-supplied
-// compiled healthy program (see MeasureWith): the cache-aware entry
-// point for callers that already hold w's program.
-func DetectionMatrixWith(w *network.Network, golden *eval.Program, fs []Fault, tests func() bitvec.Iterator, mode DetectMode) *Matrix {
-	m, _ := DetectionMatrixCtx(context.Background(), w, golden, fs, tests, mode)
+	m, _ := DetectionMatrixCtx(context.Background(), w, eval.Compile(w), fs, tests, mode)
 	return m
 }
 
-// DetectionMatrixCtx is DetectionMatrixWith under a context: the
-// per-fault sweeps check it per block and a cancelled run
+// DetectionMatrixCtx is DetectionMatrix under a context, with a
+// caller-supplied compiled healthy program (see MeasureCtx): the
+// per-fault sweeps check the context per block and a cancelled run
 // returns the context's error with a nil matrix.
 func DetectionMatrixCtx(ctx context.Context, w *network.Network, golden *eval.Program, fs []Fault, tests func() bitvec.Iterator, mode DetectMode) (*Matrix, error) {
 	vecs := bitvec.Collect(tests())
@@ -146,25 +140,18 @@ func (m *Matrix) MinimalDetectingSet() []int {
 	return picks
 }
 
-// ExactMinimalDetectingSet computes an exact minimum subset of the
+// ExactMinimalDetectingSetCtx computes an exact minimum subset of the
 // tests that still detects every fault the full stream detects, by
 // handing the transposed matrix (per detected fault, the set of tests
 // exposing it) to the search package's hitting-set branch and bound.
 // nodeBudget caps the solve (≤ 0 = unlimited); if it is exhausted
-// before the search closes, ExactMinimalDetectingSet returns
-// (nil, false) and callers should fall back to the greedy
-// MinimalDetectingSet. workers ≤ 0 means GOMAXPROCS; the minimum
-// cardinality is worker-count-independent, but the identity of an
-// equal-size witness is only deterministic with workers == 1.
-// The returned indices (into Tests) are sorted ascending.
-func (m *Matrix) ExactMinimalDetectingSet(nodeBudget, workers int) ([]int, bool) {
-	picks, exact, _ := m.ExactMinimalDetectingSetCtx(context.Background(), nodeBudget, workers)
-	return picks, exact
-}
-
-// ExactMinimalDetectingSetCtx is ExactMinimalDetectingSet under a
-// context: the hitting-set branch and bound observes cancellation and
-// a cancelled run returns the context's error.
+// before the search closes, it returns (nil, false, nil) and callers
+// should fall back to the greedy MinimalDetectingSet. workers ≤ 0
+// means GOMAXPROCS; the minimum cardinality is worker-count-
+// independent, but the identity of an equal-size witness is only
+// deterministic with workers == 1. The branch and bound observes
+// cancellation and a cancelled run returns the context's error. The
+// returned indices (into Tests) are sorted ascending.
 func (m *Matrix) ExactMinimalDetectingSetCtx(ctx context.Context, nodeBudget, workers int) ([]int, bool, error) {
 	detected := m.Detected()
 	fams := make([]*bitset.Set, 0, detected.Count())

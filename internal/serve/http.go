@@ -17,9 +17,6 @@ import (
 //	POST /do       sortnets.Request → sortnets.Verdict (op from the body; default verify)
 //	               with Content-Type application/x-ndjson: one Request per line in,
 //	               one sortnets.BatchVerdict per line out, streamed as chunks complete
-//	POST /verify   sortnets.Request → sortnets.Verdict (op forced to verify)
-//	POST /faults   sortnets.Request → sortnets.Verdict (op forced to faults)
-//	POST /minset   sortnets.Request → sortnets.Verdict (op forced to minset)
 //	POST /do       with X-Sortnetd-Fill: a sibling shard's NDJSON fill probe,
 //	               answered per line from the verdict cache (peer.go)
 //	GET  /healthz  → readiness: 200 {"status":"ok"}, or 503
@@ -49,10 +46,7 @@ const maxBodyBytes = 1 << 20
 // Handler returns the service's HTTP mux.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/do", func(w http.ResponseWriter, r *http.Request) { s.endpoint("", w, r) })
-	mux.HandleFunc("/verify", func(w http.ResponseWriter, r *http.Request) { s.endpoint(sortnets.OpVerify, w, r) })
-	mux.HandleFunc("/faults", func(w http.ResponseWriter, r *http.Request) { s.endpoint(sortnets.OpFaults, w, r) })
-	mux.HandleFunc("/minset", func(w http.ResponseWriter, r *http.Request) { s.endpoint(sortnets.OpMinset, w, r) })
+	mux.HandleFunc("/do", s.endpoint)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			writeError(w, http.StatusMethodNotAllowed, "healthz is GET-only")
@@ -78,23 +72,16 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// rejected counts a request that never reached the Session, against
-// the endpoint's op (or the body's op on /do when one was decoded).
-func (s *Service) rejected(op string) {
-	if c, ok := s.httpRejected[op]; ok {
-		c.Add(1)
-	} else {
-		s.httpRejected[sortnets.OpVerify].Add(1)
-	}
-}
-
-// endpoint decodes one POST body into the shared Request, forces the
-// path's op, and relays the Session's verdict — the entire service
-// layer in one screen. On /do an application/x-ndjson body switches
-// to the streaming batch protocol (ndjson.go) instead.
-func (s *Service) endpoint(op string, w http.ResponseWriter, r *http.Request) {
+// endpoint decodes one POST /do body into the shared Request and
+// relays the Session's verdict — the entire service layer in one
+// screen. An application/x-ndjson body switches to the streaming
+// batch protocol (ndjson.go) instead; both transports decode requests
+// with sortnets.UnmarshalRequestLine. Requests that never reach the
+// Session (wrong method, malformed body) count as rejected verify
+// requests, verify being the op a body defaults to.
+func (s *Service) endpoint(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.rejected(op)
+		s.httpRejected.Add(1)
 		writeError(w, http.StatusMethodNotAllowed, "use POST with a JSON body")
 		return
 	}
@@ -104,29 +91,22 @@ func (s *Service) endpoint(op string, w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get(fillHeader) != "" {
 		// A sibling shard's fill-only cache probe (peer.go): each line
 		// answered from the cache or 404, never computed, never gated.
-		s.serveFill(op, w, r)
+		s.serveFill(w, r)
 		return
 	}
-	if op == "" && ndjsonContentType(r) {
+	if ndjsonContentType(r) {
 		s.serveNDJSON(w, r)
 		return
 	}
 	var req sortnets.Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.rejected(op)
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = sortnets.UnmarshalRequestLine(data, &req)
+	}
+	if err != nil {
+		s.httpRejected.Add(1)
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
-	}
-	if op != "" {
-		if req.Op != "" && req.Op != op {
-			s.rejected(op)
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("body op %q disagrees with the %s endpoint", req.Op, op))
-			return
-		}
-		req.Op = op
 	}
 	v, err := s.do(r.Context(), req)
 	if err != nil {

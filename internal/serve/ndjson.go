@@ -236,7 +236,7 @@ func (s *Service) writeChunk(r *http.Request, w io.Writer, sc *connScratch) bool
 		if sc.chunk[i].err == nil {
 			sc.reqs = append(sc.reqs, sc.chunk[i].req)
 		} else {
-			s.rejected("")
+			s.httpRejected.Add(1)
 		}
 	}
 	if cap(sc.entryErrs) < len(sc.reqs) {

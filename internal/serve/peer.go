@@ -196,14 +196,14 @@ var fillMiss = &sortnets.RequestError{Status: http.StatusNotFound, Msg: "fill mi
 // serveFill answers an incoming fill probe from the verdict cache.
 // Reached from endpoint() before the admission gate; the lines stream
 // through the same reader as NDJSON /do, bounded by maxLineBytes.
-func (s *Service) serveFill(op string, w http.ResponseWriter, r *http.Request) {
+func (s *Service) serveFill(w http.ResponseWriter, r *http.Request) {
 	if from := r.Header.Get(peerHeader); from != "" && s.cfg.ShardID != "" && from == s.cfg.ShardID {
 		s.peer.fillLoops.Add(1)
 		writeError(w, http.StatusLoopDetected, fmt.Sprintf(
 			"peer fill loop: probe carries this shard's id %q (a peer list points a shard at itself)", from))
 		return
 	}
-	if op != "" || !ndjsonContentType(r) {
+	if !ndjsonContentType(r) {
 		writeError(w, http.StatusUnsupportedMediaType, "fill probes are NDJSON: POST /do with Content-Type application/x-ndjson")
 		return
 	}

@@ -54,7 +54,7 @@ func TestShedUnderOverload(t *testing.T) {
 	for i := 0; i < total; i++ {
 		go func(i int) {
 			body, _ := json.Marshal(sortnets.Request{Network: distinctNet(i)})
-			resp, err := http.Post(ts.URL+"/verify", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(ts.URL+"/do", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Error(err)
 				results <- result{}
@@ -121,7 +121,7 @@ func TestShedUnderOverload(t *testing.T) {
 func TestRetriesSeenCounter(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	body, _ := json.Marshal(sortnets.Request{Network: sorter4})
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/verify", bytes.NewReader(body))
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/do", bytes.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("X-Sortnetd-Retry", "2")
 	resp, err := http.DefaultClient.Do(req)
@@ -159,7 +159,7 @@ func TestNDJSONShedPerLine(t *testing.T) {
 	go func() {
 		defer close(hold)
 		body, _ := json.Marshal(sortnets.Request{Network: sorter4})
-		resp, err := http.Post(ts.URL+"/verify", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/do", "application/json", bytes.NewReader(body))
 		if err == nil {
 			resp.Body.Close()
 		}
@@ -208,7 +208,7 @@ func TestPanicRecovered(t *testing.T) {
 		}
 	}})
 
-	resp, body := post(t, ts.URL+"/verify", sortnets.Request{Network: sorter4})
+	resp, body := post(t, ts.URL+"/do", sortnets.Request{Network: sorter4})
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("poisoned request: status %d (%s), want 500", resp.StatusCode, body)
 	}
@@ -217,7 +217,7 @@ func TestPanicRecovered(t *testing.T) {
 	}
 
 	// The process survived: the same daemon answers the next request.
-	resp, body = post(t, ts.URL+"/verify", sortnets.Request{Network: sorter4})
+	resp, body = post(t, ts.URL+"/do", sortnets.Request{Network: sorter4})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("request after a panic: status %d (%s), want 200", resp.StatusCode, body)
 	}
@@ -234,7 +234,7 @@ func TestComputeTimeout504(t *testing.T) {
 		ComputeTimeout: 20 * time.Millisecond,
 		OnCompute:      func() { time.Sleep(150 * time.Millisecond) },
 	})
-	resp, body := post(t, ts.URL+"/verify", sortnets.Request{Network: sorter4})
+	resp, body := post(t, ts.URL+"/do", sortnets.Request{Network: sorter4})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d (%s), want 504", resp.StatusCode, body)
 	}

@@ -53,7 +53,7 @@ func post(t *testing.T, url string, req any) (*http.Response, []byte) {
 
 func TestVerifySorterHolds(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, body := post(t, ts.URL+"/verify", sortnets.Request{Network: sorter4})
+	resp, body := post(t, ts.URL+"/do", sortnets.Request{Network: sorter4})
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -72,37 +72,49 @@ func TestVerifySorterHolds(t *testing.T) {
 	}
 }
 
-// TestDoEndpoint: the unified endpoint takes the op from the body and
-// produces the same verdict bytes as the per-op path.
+// TestDoEndpoint: POST /do takes the op from the body (default
+// verify) and answers, for every op, exactly the bytes the in-process
+// Session.Do + MarshalVerdict produce.
 func TestDoEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	_, viaVerify := post(t, ts.URL+"/verify", sortnets.Request{Network: sorter4})
-	resp, viaDo := post(t, ts.URL+"/do", sortnets.Request{Op: sortnets.OpVerify, Network: sorter4})
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d: %s", resp.StatusCode, viaDo)
+	sess := sortnets.NewSession()
+	defer sess.Close()
+	for _, op := range []string{"", sortnets.OpVerify, sortnets.OpFaults, sortnets.OpMinset} {
+		req := sortnets.Request{Op: op, Network: sorter4}
+		resp, got := post(t, ts.URL+"/do", req)
+		if resp.StatusCode != 200 {
+			t.Fatalf("op %q: status %d: %s", op, resp.StatusCode, got)
+		}
+		v, err := sess.Do(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := sortnets.MarshalVerdict(v)
+		if !bytes.Equal(got, want) {
+			t.Errorf("op %q: /do differs from Session.Do:\n%s\n%s", op, got, want)
+		}
+		if h := resp.Header.Get("X-Sortnetd-Cache"); h != v.Source {
+			t.Errorf("op %q: cache header %q, Session source %q", op, h, v.Source)
+		}
 	}
-	if !bytes.Equal(viaVerify, viaDo) {
-		t.Errorf("/do and /verify verdicts differ:\n%s\n%s", viaVerify, viaDo)
-	}
-	if got := resp.Header.Get("X-Sortnetd-Cache"); got != "hit" {
-		t.Errorf("/do after /verify: cache header %q, want hit (shared cache)", got)
-	}
-	// Empty op defaults to verify.
-	_, viaDefault := post(t, ts.URL+"/do", sortnets.Request{Network: sorter4})
-	if !bytes.Equal(viaVerify, viaDefault) {
-		t.Errorf("/do default op differs from verify")
-	}
-	// A body op that disagrees with a per-op endpoint is rejected.
-	resp, body := post(t, ts.URL+"/verify", sortnets.Request{Op: sortnets.OpFaults, Network: sorter4})
-	if resp.StatusCode != 400 {
-		t.Errorf("op mismatch: status %d (%s), want 400", resp.StatusCode, body)
+}
+
+// TestPerOpRoutesGone: /do is the one verdict route; the per-op paths
+// are not served.
+func TestPerOpRoutesGone(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, path := range []string{"/verify", "/faults", "/minset"} {
+		resp, body := post(t, ts.URL+path, sortnets.Request{Network: sorter4})
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: status %d (%s), want 404", path, resp.StatusCode, body)
+		}
 	}
 }
 
 func TestVerifyFailureHasCounterexample(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := sortnets.Request{Network: "n=4: [1,2][3,4]"}
-	resp, body := post(t, ts.URL+"/verify", req)
+	resp, body := post(t, ts.URL+"/do", req)
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -115,7 +127,7 @@ func TestVerifyFailureHasCounterexample(t *testing.T) {
 	}
 	// The exhaustive sweep must agree with the minimal test set.
 	req.Exhaustive = true
-	_, body2 := post(t, ts.URL+"/verify", req)
+	_, body2 := post(t, ts.URL+"/do", req)
 	var g sortnets.Verdict
 	if err := json.Unmarshal(body2, &g); err != nil {
 		t.Fatal(err)
@@ -128,8 +140,8 @@ func TestVerifyFailureHasCounterexample(t *testing.T) {
 func TestCacheHitIsByteIdentical(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	req := sortnets.Request{Network: sorter4}
-	_, first := post(t, ts.URL+"/verify", req)
-	resp, second := post(t, ts.URL+"/verify", req)
+	_, first := post(t, ts.URL+"/do", req)
+	resp, second := post(t, ts.URL+"/do", req)
 	if got := resp.Header.Get("X-Sortnetd-Cache"); got != "hit" {
 		t.Fatalf("second request cache header %q, want hit", got)
 	}
@@ -148,9 +160,9 @@ func TestCacheHitIsByteIdentical(t *testing.T) {
 // share one digest and one cache entry.
 func TestCanonicalSharing(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	_, first := post(t, ts.URL+"/verify", sortnets.Request{Network: sorter4})
+	_, first := post(t, ts.URL+"/do", sortnets.Request{Network: sorter4})
 
-	resp, body := post(t, ts.URL+"/verify", sortnets.Request{Network: sorter4Reordered})
+	resp, body := post(t, ts.URL+"/do", sortnets.Request{Network: sorter4Reordered})
 	if got := resp.Header.Get("X-Sortnetd-Cache"); got != "hit" {
 		t.Errorf("reordered writing: cache header %q, want hit", got)
 	}
@@ -158,7 +170,7 @@ func TestCanonicalSharing(t *testing.T) {
 		t.Errorf("reordered writing not byte-identical")
 	}
 
-	resp, body = post(t, ts.URL+"/verify", sortnets.Request{
+	resp, body = post(t, ts.URL+"/do", sortnets.Request{
 		Lines:       4,
 		Comparators: [][2]int{{3, 4}, {1, 2}, {1, 3}, {2, 4}, {2, 3}},
 	})
@@ -174,7 +186,7 @@ func TestCanonicalSharing(t *testing.T) {
 }
 
 // TestCoalescing is the acceptance contract: two concurrent identical
-// /verify requests produce ONE underlying engine run, observable via
+// verify requests produce ONE underlying engine run, observable via
 // /stats, and both callers get byte-identical verdicts.
 func TestCoalescing(t *testing.T) {
 	gate := make(chan struct{})
@@ -191,7 +203,7 @@ func TestCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, body := post(t, ts.URL+"/verify", req)
+			resp, body := post(t, ts.URL+"/do", req)
 			results <- outcome{resp.Header.Get("X-Sortnetd-Cache"), body}
 		}()
 	}
@@ -243,7 +255,7 @@ func TestAbortedRequestReleasesSlot(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	body, _ := json.Marshal(sortnets.Request{Network: sorter4})
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/verify", bytes.NewReader(body))
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/do", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +290,7 @@ func TestAbortedRequestReleasesSlot(t *testing.T) {
 	close(gate) // the parked worker resumes, sees the dead context, frees the slot
 
 	// The single-shard pool must now serve a fresh request promptly.
-	resp, verdict := post(t, ts.URL+"/verify", sortnets.Request{Network: "n=4: [1,2][3,4]"})
+	resp, verdict := post(t, ts.URL+"/do", sortnets.Request{Network: "n=4: [1,2][3,4]"})
 	if resp.StatusCode != 200 {
 		t.Fatalf("post-abort request: status %d: %s", resp.StatusCode, verdict)
 	}
@@ -293,7 +305,7 @@ func TestAbortedRequestReleasesSlot(t *testing.T) {
 
 func TestTangledNetworkRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, body := post(t, ts.URL+"/verify", sortnets.Request{
+	resp, body := post(t, ts.URL+"/do", sortnets.Request{
 		Lines:       2,
 		Comparators: [][2]int{{2, 1}}, // max-on-top: no standard equivalent
 	})
@@ -307,32 +319,32 @@ func TestTangledNetworkRejected(t *testing.T) {
 
 func TestRequestValidation(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxLines: 8})
+	faults := sortnets.OpFaults
 	cases := []struct {
 		name   string
-		path   string
-		req    any
+		req    sortnets.Request
 		status int
 	}{
-		{"missing network", "/verify", sortnets.Request{}, 400},
-		{"both forms", "/verify", sortnets.Request{Network: sorter4, Comparators: [][2]int{{1, 2}}, Lines: 4}, 400},
-		{"text form plus stray lines", "/verify", sortnets.Request{Network: sorter4, Lines: 8}, 400},
-		{"zero-based pair", "/verify", sortnets.Request{Lines: 2, Comparators: [][2]int{{0, 1}}}, 400},
-		{"parse error", "/verify", sortnets.Request{Network: "n=4: [zap"}, 400},
-		{"over line limit", "/verify", sortnets.Request{Network: "n=9:"}, 400},
+		{"missing network", sortnets.Request{}, 400},
+		{"both forms", sortnets.Request{Network: sorter4, Comparators: [][2]int{{1, 2}}, Lines: 4}, 400},
+		{"text form plus stray lines", sortnets.Request{Network: sorter4, Lines: 8}, 400},
+		{"zero-based pair", sortnets.Request{Lines: 2, Comparators: [][2]int{{0, 1}}}, 400},
+		{"parse error", sortnets.Request{Network: "n=4: [zap"}, 400},
+		{"over line limit", sortnets.Request{Network: "n=9:"}, 400},
 		// The limit must reject BEFORE any O(lines) allocation: these
 		// would OOM the daemon if canonicalization ran first.
-		{"absurd n text form", "/verify", sortnets.Request{Network: "n=2000000000:"}, 400},
-		{"absurd lines pair form", "/verify", sortnets.Request{Lines: 2000000000, Comparators: [][2]int{{1, 2}}}, 400},
-		{"absurd lines faults", "/faults", sortnets.Request{Lines: 2000000000, Comparators: [][2]int{{1, 2}}}, 400},
-		{"unknown property", "/verify", sortnets.Request{Network: sorter4, Property: "widget"}, 400},
-		{"selector bad k", "/verify", sortnets.Request{Network: sorter4, Property: "selector", K: 9}, 400},
-		{"merger odd lines", "/verify", sortnets.Request{Network: "n=3: [1,2]", Property: "merger"}, 400},
-		{"faults bad mode", "/faults", sortnets.Request{Network: sorter4, Mode: "psychic"}, 400},
-		{"faults by-property non-sorter", "/faults", sortnets.Request{Network: sorter4, Property: "selector", K: 1}, 400},
-		{"unknown op", "/do", sortnets.Request{Op: "conjure", Network: sorter4}, 400},
+		{"absurd n text form", sortnets.Request{Network: "n=2000000000:"}, 400},
+		{"absurd lines pair form", sortnets.Request{Lines: 2000000000, Comparators: [][2]int{{1, 2}}}, 400},
+		{"absurd lines faults", sortnets.Request{Op: faults, Lines: 2000000000, Comparators: [][2]int{{1, 2}}}, 400},
+		{"unknown property", sortnets.Request{Network: sorter4, Property: "widget"}, 400},
+		{"selector bad k", sortnets.Request{Network: sorter4, Property: "selector", K: 9}, 400},
+		{"merger odd lines", sortnets.Request{Network: "n=3: [1,2]", Property: "merger"}, 400},
+		{"faults bad mode", sortnets.Request{Op: faults, Network: sorter4, Mode: "psychic"}, 400},
+		{"faults by-property non-sorter", sortnets.Request{Op: faults, Network: sorter4, Property: "selector", K: 1}, 400},
+		{"unknown op", sortnets.Request{Op: "conjure", Network: sorter4}, 400},
 	}
 	for _, c := range cases {
-		resp, body := post(t, ts.URL+c.path, c.req)
+		resp, body := post(t, ts.URL+"/do", c.req)
 		if resp.StatusCode != c.status {
 			t.Errorf("%s: status %d (%s), want %d", c.name, resp.StatusCode, body, c.status)
 		}
@@ -344,15 +356,15 @@ func TestRequestValidation(t *testing.T) {
 
 func TestMethodAndBodyErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/verify")
+	resp, err := http.Get(ts.URL + "/do")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != 405 {
-		t.Errorf("GET /verify: status %d, want 405", resp.StatusCode)
+		t.Errorf("GET /do: status %d, want 405", resp.StatusCode)
 	}
-	r2, err := http.Post(ts.URL+"/verify", "application/json", strings.NewReader("{not json"))
+	r2, err := http.Post(ts.URL+"/do", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +377,7 @@ func TestMethodAndBodyErrors(t *testing.T) {
 func TestFaultsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, mode := range []string{"by-property", "by-golden"} {
-		resp, body := post(t, ts.URL+"/faults", sortnets.Request{Network: sorter4, Mode: mode})
+		resp, body := post(t, ts.URL+"/do", sortnets.Request{Op: sortnets.OpFaults, Network: sorter4, Mode: mode})
 		if resp.StatusCode != 200 {
 			t.Fatalf("%s: status %d: %s", mode, resp.StatusCode, body)
 		}
@@ -396,7 +408,7 @@ func TestFaultsEndpoint(t *testing.T) {
 
 func TestMinsetEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, body := post(t, ts.URL+"/minset", sortnets.Request{Network: sorter4})
+	resp, body := post(t, ts.URL+"/do", sortnets.Request{Op: sortnets.OpMinset, Network: sorter4})
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -409,7 +421,7 @@ func TestMinsetEndpoint(t *testing.T) {
 		t.Errorf("degenerate minset: %+v", m)
 	}
 
-	resp, body = post(t, ts.URL+"/minset", sortnets.Request{Network: sorter4, Exact: true})
+	resp, body = post(t, ts.URL+"/do", sortnets.Request{Op: sortnets.OpMinset, Network: sorter4, Exact: true})
 	if resp.StatusCode != 200 {
 		t.Fatalf("exact: status %d: %s", resp.StatusCode, body)
 	}
@@ -460,8 +472,8 @@ func TestHealthzAndStats(t *testing.T) {
 
 func TestDifferentPropertiesDifferentEntries(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	_, _ = post(t, ts.URL+"/verify", sortnets.Request{Network: sorter4})
-	resp, _ := post(t, ts.URL+"/verify", sortnets.Request{Network: sorter4, Property: "selector", K: 1})
+	_, _ = post(t, ts.URL+"/do", sortnets.Request{Network: sorter4})
+	resp, _ := post(t, ts.URL+"/do", sortnets.Request{Network: sorter4, Property: "selector", K: 1})
 	if got := resp.Header.Get("X-Sortnetd-Cache"); got != "miss" {
 		t.Errorf("different property served from cache: %q", got)
 	}
@@ -471,7 +483,7 @@ func TestDifferentPropertiesDifferentEntries(t *testing.T) {
 }
 
 // TestConcurrentMixedLoad shakes the whole pipeline under -race:
-// many goroutines, a handful of distinct circuits, all endpoints.
+// many goroutines, a handful of distinct circuits, all ops.
 func TestConcurrentMixedLoad(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 4, CacheSize: 8})
 	nets := []string{
@@ -486,17 +498,9 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 12; i++ {
-				req := sortnets.Request{Network: nets[(g+i)%len(nets)]}
-				var path string
-				switch i % 3 {
-				case 0:
-					path = "/verify"
-				case 1:
-					path = "/faults"
-				default:
-					path = "/minset"
-				}
-				resp, _ := post(t, ts.URL+path, req)
+				ops := []string{sortnets.OpVerify, sortnets.OpFaults, sortnets.OpMinset}
+				req := sortnets.Request{Op: ops[i%3], Network: nets[(g+i)%len(nets)]}
+				resp, _ := post(t, ts.URL+"/do", req)
 				resp.Body.Close()
 			}
 		}(g)
@@ -513,5 +517,32 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	}
 	if errors != 0 {
 		t.Errorf("%d errors under mixed load: %s", errors, fmt.Sprint(st.Endpoints))
+	}
+}
+
+// TestSingleShotTrailingDataRejected: a single-shot JSON body is
+// exactly one Request. Anything after the first object is a 400,
+// counted as a rejected verify request, exactly as the NDJSON decoder
+// rejects the same line; no verdict is answered for the first object.
+func TestSingleShotTrailingDataRejected(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	first := `{"network":"` + sorter4 + `"}`
+	for i, body := range []string{
+		first + `{"op":"bogus","network":"zap"}`,
+		first + ` trailing garbage`,
+	} {
+		resp, err := http.Post(ts.URL+"/do", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Errorf("body %d: status %d (%s), want 400", i, resp.StatusCode, buf.String())
+		}
+		if ep := s.Stats().Endpoints["verify"]; ep.Requests != int64(i+1) || ep.Errors != int64(i+1) || ep.Computes != 0 {
+			t.Errorf("body %d: verify stats %+v, want %d rejected requests and no compute", i, ep, i+1)
+		}
 	}
 }

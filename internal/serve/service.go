@@ -8,8 +8,8 @@
 // Session, so the semantics are identical in-process and over the
 // wire.
 //
-// The HTTP surface (http.go) exposes /do, /verify, /faults, /minset,
-// /healthz and /stats.
+// The HTTP surface (http.go) is POST /do — every op, single-shot JSON
+// or NDJSON batches — plus GET /healthz, /livez and /stats.
 package serve
 
 import (
@@ -75,15 +75,16 @@ type Config struct {
 }
 
 // Service adapts HTTP to a sortnets.Session. Beyond decoding and
-// encoding, it only keeps the per-endpoint count of requests that
-// never reached the Session (wrong method, malformed body).
+// encoding, it only keeps the count of requests that never reached
+// the Session (wrong method, malformed body or line).
 type Service struct {
 	cfg    Config
 	sess   *sortnets.Session
 	tables *streamtab.Dir // non-nil iff cfg.StreamTabDir was set
 
-	// httpRejected[op] counts requests rejected before Session.Do.
-	httpRejected map[string]*atomic.Int64
+	// httpRejected counts requests rejected before Session.Do; /stats
+	// reports them as verify requests, the op a body defaults to.
+	httpRejected atomic.Int64
 
 	// Resilience plane (admission.go): the in-flight gate, drain
 	// state, and the counters behind /stats "resilience".
@@ -120,15 +121,7 @@ func NewService(cfg Config) *Service {
 		tables = streamtab.OpenDir(cfg.StreamTabDir)
 		opts = append(opts, sortnets.WithStreamTables(tables))
 	}
-	s := &Service{
-		cfg:    cfg,
-		tables: tables,
-		httpRejected: map[string]*atomic.Int64{
-			sortnets.OpVerify: new(atomic.Int64),
-			sortnets.OpFaults: new(atomic.Int64),
-			sortnets.OpMinset: new(atomic.Int64),
-		},
-	}
+	s := &Service{cfg: cfg, tables: tables}
 	// The fill hook closes over s, so peers wire up before the Session
 	// is built (the hook is only ever invoked by Session computes).
 	s.initPeers()
@@ -164,7 +157,8 @@ func (s *Service) Close() {
 	}
 }
 
-// EndpointSnapshot is the per-endpoint slice of the /stats body.
+// EndpointSnapshot is one op's counters in the /stats "endpoints"
+// map, which is keyed by the op named in the request body.
 type EndpointSnapshot struct {
 	Requests  int64 `json:"requests"`
 	Hits      int64 `json:"hits"`
@@ -221,16 +215,17 @@ type StatsSnapshot struct {
 	Peer        PeerSnapshot                `json:"peer"`
 }
 
-// Stats returns a point-in-time snapshot: the Session's counters
-// with the HTTP layer's pre-dispatch rejections folded into each
-// endpoint's Requests and Errors.
+// Stats returns a point-in-time snapshot: the Session's per-op
+// counters, keyed by the op named in the request body, with the HTTP
+// layer's pre-dispatch rejections folded into verify's Requests and
+// Errors.
 func (s *Service) Stats() StatsSnapshot {
 	ss := s.sess.Stats()
 	eps := make(map[string]EndpointSnapshot, len(ss.Ops))
 	for op, st := range ss.Ops {
 		var rejected int64
-		if c, ok := s.httpRejected[op]; ok {
-			rejected = c.Load()
+		if op == sortnets.OpVerify {
+			rejected = s.httpRejected.Load()
 		}
 		eps[op] = EndpointSnapshot{
 			Requests:  st.Requests + rejected,

@@ -25,7 +25,7 @@ func TestStreamTabDirServesIdenticalVerdicts(t *testing.T) {
 	serve := func(cfg Config) string {
 		svc := NewService(cfg)
 		defer svc.Close()
-		req := httptest.NewRequest("POST", "/verify", strings.NewReader(body))
+		req := httptest.NewRequest("POST", "/do", strings.NewReader(body))
 		rec := httptest.NewRecorder()
 		svc.Handler().ServeHTTP(rec, req)
 		if rec.Code != 200 {

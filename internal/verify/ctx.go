@@ -10,12 +10,13 @@ import (
 	"sortnets/internal/widevec"
 )
 
-// Context-aware verdicts. Every engine path in this package has a
-// *Ctx twin that accepts a context.Context and propagates
-// cancellation into the engine loops, where it is checked once per
-// block (never per vector). A cancelled run returns the
-// context's error and a zero result; the legacy entry points are
-// wrappers over context.Background().
+// Context-aware verdicts. Every engine path in this package is written
+// once, as a *Ctx function that accepts a context.Context and
+// propagates cancellation into the engine loops, where it is checked
+// once per block (never per vector). A cancelled run returns the
+// context's error and a zero result; Verdict, GroundTruth and
+// VerdictPerms are calls of their *Ctx forms under
+// context.Background().
 
 // VerdictCtx is Verdict under a context, with an explicit worker
 // count (0 = automatic, 1 = sequential stream-order, k > 1 = k
@@ -31,7 +32,12 @@ func VerdictCtx(ctx context.Context, w *network.Network, p Property, workers int
 	return fromVerdict(v), nil
 }
 
-// VerdictProgramCtx is VerdictProgram under a context.
+// VerdictProgramCtx is VerdictCtx for an already-compiled program on
+// one worker — the cache-aware entry point: a caller that verifies
+// many properties of one circuit (or the same circuit across many
+// requests, like the Session) compiles once and reuses the program.
+// Tests run in stream order, so the counterexample is stable
+// call-to-call.
 func VerdictProgramCtx(ctx context.Context, prog *eval.Program, p Property) (Result, error) {
 	if prog.N() != p.Lines() {
 		panic(fmt.Sprintf("verify: program has %d lines, property wants %d", prog.N(), p.Lines()))
@@ -52,7 +58,8 @@ func GroundTruthCtx(ctx context.Context, w *network.Network, p Property, workers
 	return groundTruthEngineCtx(ctx, engineFor(w, p, workers), w.N, p)
 }
 
-// GroundTruthProgramCtx is GroundTruthProgram under a context.
+// GroundTruthProgramCtx is GroundTruthCtx for an already-compiled
+// program on one worker (see VerdictProgramCtx).
 func GroundTruthProgramCtx(ctx context.Context, prog *eval.Program, p Property) (Result, error) {
 	if prog.N() != p.Lines() {
 		panic(fmt.Sprintf("verify: program has %d lines, property wants %d", prog.N(), p.Lines()))
@@ -90,29 +97,33 @@ func VerdictPermsCtx(ctx context.Context, w *network.Network, p Property) (PermR
 	return verdictPermsScalar(ctx, w, p)
 }
 
-// VerdictMergerWideProgramCtx certifies the (n/2,n/2)-merger property
-// on an already-compiled program under a context (the Session's
-// cache-aware wide path). workers: 0 = automatic, 1 = sequential.
-func VerdictMergerWideProgramCtx(ctx context.Context, prog *eval.Program, workers int) (WideResult, error) {
+// VerdictWideProgramCtx certifies a merger or selector property on an
+// already-compiled program of any width with the paper's polynomial
+// test set (n²/4 vectors for the merger, Σᵢ₌₀..k C(n,i) − k − 1 for the
+// (k,n)-selector) — the regime beyond 64 lines where a zero-one sweep
+// is physically impossible. workers: 0 = automatic, 1 = sequential,
+// k > 1 = k engine workers. Any other property panics: only these two
+// have polynomial families.
+func VerdictWideProgramCtx(ctx context.Context, prog *eval.Program, p Property, workers int) (WideResult, error) {
+	if prog.N() != p.Lines() {
+		panic(fmt.Sprintf("verify: program has %d lines, property wants %d", prog.N(), p.Lines()))
+	}
+	var tests eval.WideIterator
+	var accepts func(in, out widevec.Vec) bool
+	switch q := p.(type) {
+	case Merger:
+		tests = core.MergerWideTests(q.N)
+		accepts = func(in, out widevec.Vec) bool { return out.IsSorted() }
+	case Selector:
+		tests = core.SelectorWideTests(q.N, q.K)
+		accepts = func(in, out widevec.Vec) bool { return selectsWide(in, out, q.K) }
+	default:
+		panic(fmt.Sprintf("verify: wide certification needs a merger or selector property, got %s", p.Name()))
+	}
 	if workers < 0 {
 		workers = 0
 	}
-	v, err := eval.New(prog, workers).RunWideCtx(ctx, core.MergerWideTests(prog.N()),
-		func(in, out widevec.Vec) bool { return out.IsSorted() })
-	if err != nil {
-		return WideResult{}, err
-	}
-	return fromWideVerdict(v), nil
-}
-
-// VerdictSelectorWideProgramCtx certifies the (k,n)-selector property
-// on an already-compiled program under a context.
-func VerdictSelectorWideProgramCtx(ctx context.Context, prog *eval.Program, k, workers int) (WideResult, error) {
-	if workers < 0 {
-		workers = 0
-	}
-	v, err := eval.New(prog, workers).RunWideCtx(ctx, core.SelectorWideTests(prog.N(), k),
-		func(in, out widevec.Vec) bool { return selectsWide(in, out, k) })
+	v, err := eval.New(prog, workers).RunWideCtx(ctx, tests, accepts)
 	if err != nil {
 		return WideResult{}, err
 	}

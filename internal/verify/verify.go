@@ -17,6 +17,7 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -200,76 +201,15 @@ func wholesale(n int, p Property) bool {
 // streaming tests through the compiled network until the first
 // failure (reported in stream order).
 func Verdict(w *network.Network, p Property) Result {
-	return fromVerdict(engineFor(w, p, 1).Run(p.BinaryTests(), judgeFor(p)))
-}
-
-// VerdictProgram is Verdict for an already-compiled program — the
-// cache-aware entry point: a caller that verifies many properties of
-// one circuit (or the same circuit across many requests, like the
-// serving layer) compiles once and reuses the program. Verdicts are
-// deterministic: tests run in stream order on a single worker, so the
-// reported counterexample is stable call-to-call.
-func VerdictProgram(prog *eval.Program, p Property) Result {
-	if prog.N() != p.Lines() {
-		panic(fmt.Sprintf("verify: program has %d lines, property wants %d", prog.N(), p.Lines()))
-	}
-	return fromVerdict(eval.New(prog, 1).Run(p.BinaryTests(), judgeFor(p)))
+	r, _ := VerdictCtx(context.Background(), w, p, 1)
+	return r
 }
 
 // GroundTruth checks the property against the entire binary universe —
 // the exhaustive baseline the minimal test sets are measured against.
 func GroundTruth(w *network.Network, p Property) Result {
-	e := engineFor(w, p, 1)
-	if wholesale(w.N, p) {
-		return fromVerdict(e.RunUniverse(judgeFor(p)))
-	}
-	return fromVerdict(e.Run(p.ExhaustiveBinary(), judgeFor(p)))
-}
-
-// GroundTruthProgram is GroundTruth for an already-compiled program
-// (see VerdictProgram).
-func GroundTruthProgram(prog *eval.Program, p Property) Result {
-	if prog.N() != p.Lines() {
-		panic(fmt.Sprintf("verify: program has %d lines, property wants %d", prog.N(), p.Lines()))
-	}
-	e := eval.New(prog, 1)
-	if wholesale(prog.N(), p) {
-		return fromVerdict(e.RunUniverse(judgeFor(p)))
-	}
-	return fromVerdict(e.Run(p.ExhaustiveBinary(), judgeFor(p)))
-}
-
-// VerdictBatch runs a property's minimal test set through the
-// compiled block engine. It is retained for API compatibility:
-// Verdict now uses the same engine, so the two are identical.
-func VerdictBatch(w *network.Network, p Property) Result { return Verdict(w, p) }
-
-// GroundTruthBatch is the block-engine exhaustive sweep (same engine as
-// GroundTruth; retained for API compatibility).
-func GroundTruthBatch(w *network.Network, p Property) Result { return GroundTruth(w, p) }
-
-// VerdictParallel is Verdict with the engine's worker pool: the test
-// stream is carved into chunks and judged concurrently. workers ≤ 0
-// lets the engine choose (sequential under its work threshold,
-// NumCPU above). The first failure found is reported (not necessarily
-// the first in stream order).
-func VerdictParallel(w *network.Network, p Property, workers int) Result {
-	if workers < 0 {
-		workers = 0
-	}
-	return fromVerdict(engineFor(w, p, workers).Run(p.BinaryTests(), judgeFor(p)))
-}
-
-// GroundTruthParallel is GroundTruth with the engine's worker pool.
-func GroundTruthParallel(w *network.Network, p Property, workers int) Result {
-	if workers < 0 {
-		workers = 0
-	}
-	e := engineFor(w, p, workers)
-	if wholesale(w.N, p) {
-		return fromVerdict(e.RunUniverse(judgeFor(p)))
-	}
-	return fromVerdict(e.Run(p.ExhaustiveBinary(), judgeFor(p)))
+	r, _ := GroundTruthCtx(context.Background(), w, p, 1)
+	return r
 }
 
 // PermResult is the outcome of a permutation-input check.
@@ -333,41 +273,6 @@ func (r WideResult) String() string {
 
 func fromWideVerdict(v eval.WideVerdict) WideResult {
 	return WideResult{Holds: v.Holds, TestsRun: v.TestsRun, Counterexample: v.In, Output: v.Out}
-}
-
-// VerdictMergerWide certifies the (n/2,n/2)-merger property with the
-// n²/4-vector test set at any width, on the compiled wide path (the
-// pair slice is extracted once, not per call).
-func VerdictMergerWide(w *network.Network) WideResult {
-	return VerdictMergerWideParallel(w, 1)
-}
-
-// VerdictSelectorWide certifies the (k,n)-selector property with its
-// polynomial test set at any width.
-func VerdictSelectorWide(w *network.Network, k int) WideResult {
-	return VerdictSelectorWideParallel(w, k, 1)
-}
-
-// VerdictMergerWideParallel is VerdictMergerWide with the engine's
-// worker pool (workers ≤ 0 lets the engine choose).
-func VerdictMergerWideParallel(w *network.Network, workers int) WideResult {
-	if workers < 0 {
-		workers = 0
-	}
-	e := eval.New(eval.Compile(w), workers)
-	return fromWideVerdict(e.RunWide(core.MergerWideTests(w.N),
-		func(in, out widevec.Vec) bool { return out.IsSorted() }))
-}
-
-// VerdictSelectorWideParallel is VerdictSelectorWide with the
-// engine's worker pool.
-func VerdictSelectorWideParallel(w *network.Network, k, workers int) WideResult {
-	if workers < 0 {
-		workers = 0
-	}
-	e := eval.New(eval.Compile(w), workers)
-	return fromWideVerdict(e.RunWide(core.SelectorWideTests(w.N, k),
-		func(in, out widevec.Vec) bool { return selectsWide(in, out, k) }))
 }
 
 // selectsWide checks that the first k output bits equal the first k

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"sortnets/internal/core"
 	"sortnets/internal/gen"
 	"sortnets/internal/network"
+	"sortnets/internal/perm"
 )
 
 func TestVerdictAcceptsTrueSorters(t *testing.T) {
@@ -120,7 +122,10 @@ func TestParallelAgreesWithSequential(t *testing.T) {
 		p := Sorter{N: n}
 		seq := Verdict(w, p)
 		for _, workers := range []int{1, 2, 4, 0} {
-			par := VerdictParallel(w, p, workers)
+			par, err := VerdictCtx(context.Background(), w, p, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if par.Holds != seq.Holds {
 				t.Fatalf("workers=%d: parallel %v != sequential %v for %s",
 					workers, par.Holds, seq.Holds, w)
@@ -129,7 +134,10 @@ func TestParallelAgreesWithSequential(t *testing.T) {
 				t.Fatalf("workers=%d: bogus counterexample", workers)
 			}
 		}
-		gt := GroundTruthParallel(w, p, 2)
+		gt, err := GroundTruthCtx(context.Background(), w, p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if gt.Holds != seq.Holds {
 			t.Fatalf("parallel ground truth diverges for %s", w)
 		}
@@ -205,4 +213,26 @@ func TestVerdictPanicsOnLineMismatch(t *testing.T) {
 		}
 	}()
 	Verdict(network.New(3), Sorter{N: 4})
+}
+
+func TestVerdictUnknownPropertyFallsBack(t *testing.T) {
+	// A custom property type must route through the per-lane judge.
+	p := customProp{n: 3}
+	w := network.New(3)
+	r := Verdict(w, p)
+	if !r.Holds || r.TestsRun != 1 {
+		t.Errorf("fallback result %+v", r)
+	}
+}
+
+type customProp struct{ n int }
+
+func (c customProp) Name() string                          { return "custom" }
+func (c customProp) Lines() int                            { return c.n }
+func (c customProp) AcceptsBinary(in, out bitvec.Vec) bool { return true }
+func (c customProp) AcceptsInts(in, out []int) bool        { return true }
+func (c customProp) PermTests() []perm.P                   { return nil }
+func (c customProp) ExhaustiveBinary() bitvec.Iterator     { return bitvec.All(c.n) }
+func (c customProp) BinaryTests() bitvec.Iterator {
+	return bitvec.Slice([]bitvec.Vec{bitvec.AllZeros(c.n)})
 }

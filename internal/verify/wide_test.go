@@ -1,14 +1,27 @@
 package verify
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
 	"sortnets/internal/comb"
 	"sortnets/internal/core"
+	"sortnets/internal/eval"
 	"sortnets/internal/gen"
 	"sortnets/internal/network"
 )
+
+// wideVerdict certifies p on w through VerdictWideProgramCtx on one
+// worker.
+func wideVerdict(t *testing.T, w *network.Network, p Property) WideResult {
+	t.Helper()
+	r, err := VerdictWideProgramCtx(context.Background(), eval.Compile(w), p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 func TestWideTestSetSizesMatchFormulas(t *testing.T) {
 	for _, n := range []int{64, 100, 128} {
@@ -84,10 +97,10 @@ func TestWideTestSetsAgreeWithNarrowOnes(t *testing.T) {
 	}
 }
 
-func TestVerdictMergerWideAcceptsBatcher(t *testing.T) {
+func TestWideMergerAcceptsBatcher(t *testing.T) {
 	for _, n := range []int{64, 96, 128} {
 		w := gen.HalfMerger(n)
-		r := VerdictMergerWide(w)
+		r := wideVerdict(t, w, Merger{N: n})
 		if !r.Holds {
 			t.Errorf("n=%d: Batcher merger rejected: %s", n, r)
 		}
@@ -97,7 +110,7 @@ func TestVerdictMergerWideAcceptsBatcher(t *testing.T) {
 	}
 }
 
-func TestVerdictMergerWideCatchesMutants(t *testing.T) {
+func TestWideMergerCatchesMutants(t *testing.T) {
 	const n = 96
 	merger := gen.HalfMerger(n)
 	// Delete every 7th comparator; all resulting breakages must be
@@ -109,7 +122,7 @@ func TestVerdictMergerWideCatchesMutants(t *testing.T) {
 				mutant.AddPair(c.A, c.B)
 			}
 		}
-		r := VerdictMergerWide(mutant)
+		r := wideVerdict(t, mutant, Merger{N: n})
 		if r.Holds {
 			// A redundant comparator is possible in principle; verify
 			// redundancy by checking a full merge pattern sweep.
@@ -132,16 +145,16 @@ func TestVerdictMergerWideCatchesMutants(t *testing.T) {
 	}
 }
 
-func TestVerdictSelectorWide(t *testing.T) {
+func TestWideSelector(t *testing.T) {
 	const n, k = 96, 2
 	good := gen.Selection(n, k)
-	r := VerdictSelectorWide(good, k)
+	r := wideVerdict(t, good, Selector{N: n, K: k})
 	if !r.Holds {
 		t.Fatalf("true selector rejected: %s", r)
 	}
 	// k−1 passes are not enough.
 	bad := gen.Selection(n, k-1)
-	r = VerdictSelectorWide(bad, k)
+	r = wideVerdict(t, bad, Selector{N: n, K: k})
 	if r.Holds {
 		t.Fatal("under-provisioned selector accepted")
 	}
@@ -150,13 +163,13 @@ func TestVerdictSelectorWide(t *testing.T) {
 	}
 }
 
-func TestVerdictSelectorWideSorterPasses(t *testing.T) {
+func TestWideSelectorSorterPasses(t *testing.T) {
 	const n = 80
 	w := gen.OddEvenMergeSort(n)
-	if r := VerdictSelectorWide(w, 2); !r.Holds {
+	if r := wideVerdict(t, w, Selector{N: n, K: 2}); !r.Holds {
 		t.Errorf("sorter rejected as selector: %s", r)
 	}
-	if r := VerdictMergerWide(w); !r.Holds {
+	if r := wideVerdict(t, w, Merger{N: n}); !r.Holds {
 		t.Errorf("sorter rejected as merger: %s", r)
 	}
 }
@@ -166,11 +179,32 @@ func TestWideResultString(t *testing.T) {
 	if r.String() != "holds (5 tests)" {
 		t.Errorf("got %q", r.String())
 	}
-	bad := VerdictMergerWide(network.New(128))
+	bad := wideVerdict(t, network.New(128), Merger{N: 128})
 	if bad.Holds {
 		t.Fatal("empty network accepted")
 	}
 	if len(bad.String()) > 140 {
 		t.Errorf("failure string should truncate wide vectors: %q", bad.String())
+	}
+}
+
+// TestWideNeedsPolynomialFamily: only the merger and selector
+// properties have polynomial test sets, and the program must match
+// the property's width; anything else is a programmer error.
+func TestWideNeedsPolynomialFamily(t *testing.T) {
+	for name, p := range map[string]Property{
+		"sorter":         Sorter{N: 96},
+		"line mismatch":  Merger{N: 64},
+		"custom on 96":   customProp{n: 96},
+		"selector on 80": Selector{N: 80, K: 2},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			VerdictWideProgramCtx(context.Background(), eval.Compile(gen.HalfMerger(96)), p, 1)
+		}()
 	}
 }

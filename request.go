@@ -115,8 +115,8 @@ type MinsetVerdict struct {
 // serving layer writes it verbatim and the client reconstructs it, so
 // local and remote callers see the same typed error. The JSON tags
 // are the NDJSON per-line error form ({"status":400,"error":"..."});
-// the single-request JSON endpoints keep their historical
-// {"error":"..."} body with the status on the HTTP response line.
+// a single-shot JSON request is answered with an {"error":"..."} body
+// and the status on the HTTP response line.
 //
 // RetryAfter is the backpressure hint, in whole seconds, for the
 // statuses that promise one (429, 503, 504): when to try again. Over

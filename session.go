@@ -17,13 +17,11 @@ import (
 	"sortnets/internal/verify"
 )
 
-// Session is the context-aware verdict engine of the package: a
-// reusable handle owning a compiled-program cache (keyed on the
-// canonical digest of internal/canon), a verdict cache, a coalescing
-// worker pool, and default options. It unifies the three historical
-// request surfaces — the facade's Check* functions, the
-// program-reuse entry points, and sortnetd's HTTP bodies — behind
-// one request model:
+// Session is the context-aware verdict engine of the package and its
+// one verdict surface: a reusable handle owning a compiled-program
+// cache (keyed on the canonical digest of internal/canon), a verdict
+// cache, a coalescing worker pool, and default options. Library
+// callers and sortnetd's POST /do ask it through one request model:
 //
 //	sess := sortnets.NewSession(sortnets.WithWorkers(0))
 //	v, err := sess.Do(ctx, sortnets.Request{Network: "n=4: [1,2][3,4][1,3][2,4][2,3]"})
@@ -272,11 +270,7 @@ func (s *Session) Close() {
 
 // Doer is the one-request-model interface: *Session implements it
 // in-process and *client.Client implements it against a sortnetd
-// URL, so callers swap local ↔ remote by swapping a value. The
-// batch-first redesign grew it a second method; an implementation
-// that only has Do (the PR 4 shape) is adapted losslessly with
-// AdaptDoer, whose DoBatch loops Do — callers of either method are
-// untouched.
+// URL, so callers swap local ↔ remote by swapping a value.
 type Doer interface {
 	Do(ctx context.Context, req Request) (*Verdict, error)
 	// DoBatch renders verdicts for a whole batch in one call, with
@@ -285,48 +279,6 @@ type Doer interface {
 	// verdict is byte-identical to what sequential Do calls would
 	// produce.
 	DoBatch(ctx context.Context, reqs []Request) ([]*Verdict, error)
-}
-
-// SingleDoer is the historical one-method surface of the request
-// model, kept so PR 4-era implementations still have a name.
-type SingleDoer interface {
-	Do(ctx context.Context, req Request) (*Verdict, error)
-}
-
-// AdaptDoer upgrades a single-shot implementation to the batched Doer
-// interface: DoBatch loops Do sequentially, collecting per-entry
-// failures into a *BatchError exactly like Session.DoBatch (minus the
-// dedup/grouping — an adapter cannot see inside its delegate).
-func AdaptDoer(d SingleDoer) Doer { return &adaptedDoer{d} }
-
-type adaptedDoer struct{ d SingleDoer }
-
-func (a *adaptedDoer) Do(ctx context.Context, req Request) (*Verdict, error) {
-	return a.d.Do(ctx, req)
-}
-
-func (a *adaptedDoer) DoBatch(ctx context.Context, reqs []Request) ([]*Verdict, error) {
-	verdicts := make([]*Verdict, len(reqs))
-	errs := make([]error, len(reqs))
-	failed := false
-	for i := range reqs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		v, err := a.d.Do(ctx, reqs[i])
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			errs[i], failed = err, true
-			continue
-		}
-		verdicts[i] = v
-	}
-	if failed {
-		return verdicts, &BatchError{Errs: errs}
-	}
-	return verdicts, nil
 }
 
 // --- Stats --------------------------------------------------------------
@@ -955,23 +907,3 @@ func (s *Session) resolveNetwork(w *network.Network) (*network.Network, string, 
 // sortnetd sends). It uses the hand-rolled append encoder, which the
 // wire tests pin byte-identical to json.Marshal.
 func MarshalVerdict(v *Verdict) ([]byte, error) { return AppendVerdict(nil, v), nil }
-
-// --- Default session ----------------------------------------------------
-
-var (
-	defaultSessionOnce sync.Once
-	defaultSession     *Session
-)
-
-// DefaultSession returns the package-level Session backing the plain
-// facade functions (CheckSorter, GroundTruth, FaultCoverage, …). It
-// is built lazily with NewSession's defaults and is never closed.
-func DefaultSession() *Session {
-	defaultSessionOnce.Do(func() { defaultSession = NewSession() })
-	return defaultSession
-}
-
-// Do routes a Request through the default Session.
-func Do(ctx context.Context, req Request) (*Verdict, error) {
-	return DefaultSession().Do(ctx, req)
-}

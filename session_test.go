@@ -3,9 +3,14 @@ package sortnets
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
+
+	"sortnets/internal/faults"
+	"sortnets/internal/network"
+	"sortnets/internal/verify"
 )
 
 const sessSorter4 = "n=4: [1,2][3,4][1,3][2,4][2,3]"
@@ -122,9 +127,9 @@ func TestDoCacheAndSources(t *testing.T) {
 	}
 }
 
-// TestConveniencesMatchLegacyFacade: the Session conveniences are the
-// engine behind the plain facade functions — results must agree
-// exactly.
+// TestConveniencesMatchLegacyFacade: the Session conveniences agree
+// exactly with direct, uncached engine calls (verify.Verdict,
+// faults.Measure), on first computation and from the cache.
 func TestConveniencesMatchLegacyFacade(t *testing.T) {
 	sess := NewSession()
 	defer sess.Close()
@@ -148,8 +153,8 @@ func TestConveniencesMatchLegacyFacade(t *testing.T) {
 	if err != nil || rep.Faults == 0 {
 		t.Fatalf("FaultCoverage: %+v, %v", rep, err)
 	}
-	if legacy := FaultCoverage(w); rep != legacy {
-		t.Errorf("FaultCoverage diverges from facade: %+v vs %+v", rep, legacy)
+	if direct := faults.Measure(w, faults.Enumerate(w), p.BinaryTests, faults.ByProperty); rep != direct {
+		t.Errorf("FaultCoverage diverges from faults.Measure: %+v vs %+v", rep, direct)
 	}
 	picks, err := sess.MinSet(ctx, w)
 	if err != nil || len(picks) == 0 {
@@ -167,8 +172,8 @@ func TestConveniencesMatchLegacyFacade(t *testing.T) {
 		if err != nil || rb.Holds || rb.Counterexample.String() == "" {
 			t.Fatalf("round %d: failing check %+v, %v", i, rb, err)
 		}
-		if legacy := Check(bad, p); rb != legacy {
-			t.Fatalf("round %d: cached result diverges from facade: %+v vs %+v", i, rb, legacy)
+		if direct := verify.Verdict(bad, p); rb != direct {
+			t.Fatalf("round %d: cached result diverges from verify.Verdict: %+v vs %+v", i, rb, direct)
 		}
 	}
 }
@@ -283,5 +288,216 @@ func TestUnknownOpRejected(t *testing.T) {
 	}
 	if u := sess.Stats().Ops["unknown"]; u.Requests != 1 || u.Errors != 1 {
 		t.Errorf("unknown-op counters %+v, want requests=errors=1", u)
+	}
+}
+
+// check is Session.Check under a context that never cancels.
+func check(t *testing.T, sess *Session, w *Network, p Property) Result {
+	t.Helper()
+	r, err := sess.Check(context.Background(), w, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// wide is Session.Wide under a context that never cancels.
+func wide(t *testing.T, sess *Session, w *Network, p Property, workers int) WideResult {
+	t.Helper()
+	r, err := sess.Wide(context.Background(), w, p, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// The tests below are the package's integration checks across the
+// whole stack, asked of the Session.
+
+func TestFacadeQuickstartFlow(t *testing.T) {
+	sess := NewSession()
+	defer sess.Close()
+	if r := check(t, sess, BatcherSorter(8), SorterProp{N: 8}); !r.Holds {
+		t.Fatalf("Batcher sorter rejected: %s", r)
+	}
+	sigma := MustVec("0110")
+	r := check(t, sess, MustAlmostSorter(sigma), SorterProp{N: 4})
+	if r.Holds {
+		t.Fatal("almost-sorter passed")
+	}
+	if r.Counterexample != sigma {
+		t.Fatalf("counterexample %s, want %s", r.Counterexample, sigma)
+	}
+}
+
+func TestFacadeSelectorAndMerger(t *testing.T) {
+	sess := NewSession()
+	defer sess.Close()
+	if r := check(t, sess, SelectionNetwork(8, 3), SelectorProp{N: 8, K: 3}); !r.Holds {
+		t.Errorf("selection network rejected: %s", r)
+	}
+	if r := check(t, sess, BatcherMerger(10), MergerProp{N: 10}); !r.Holds {
+		t.Errorf("merger rejected: %s", r)
+	}
+	if check(t, sess, NewNetwork(6), MergerProp{N: 6}).Holds {
+		t.Error("empty network accepted as merger")
+	}
+	// A merger is not a sorter; the sorter test set must catch it.
+	if check(t, sess, BatcherMerger(8), SorterProp{N: 8}).Holds {
+		t.Error("merger accepted as sorter")
+	}
+}
+
+func TestFacadePermTests(t *testing.T) {
+	sess := NewSession()
+	defer sess.Close()
+	w := OptimalSorter(6)
+	if w == nil {
+		t.Fatal("no optimal 6-sorter")
+	}
+	r, err := sess.CheckPerms(context.Background(), w, SorterProp{N: 6})
+	if err != nil || !r.Holds {
+		t.Fatalf("perm tests rejected real sorter: %s, %v", r, err)
+	}
+	if len(SorterProp{N: 6}.PermTests()) != 19 {
+		t.Errorf("C(6,3)-1 = 19 perms expected")
+	}
+	if len(MergerProp{N: 8}.PermTests()) != 4 {
+		t.Error("merger perm tests should be n/2")
+	}
+	if len(SelectorProp{N: 8, K: 2}.PermTests()) != 27 {
+		t.Error("C(8,2)-1 = 27 selector perms expected")
+	}
+}
+
+func TestFacadeVerdictAgreesWithGroundTruthEndToEnd(t *testing.T) {
+	sess := NewSession()
+	defer sess.Close()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(2024))
+	for trial := 0; trial < 100; trial++ {
+		n := 2 + rng.Intn(8)
+		w := network.Random(n, rng.Intn(n*n), rng)
+		p := SorterProp{N: n}
+		g, err := sess.GroundTruth(ctx, w, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if check(t, sess, w, p).Holds != g.Holds {
+			t.Fatalf("session verdict mismatch for %s", w)
+		}
+		par, err := sess.CheckParallel(ctx, w, p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par.Holds != g.Holds {
+			t.Fatalf("parallel session verdict mismatch for %s", w)
+		}
+	}
+}
+
+func TestFacadeFaultCoverage(t *testing.T) {
+	sess := NewSession()
+	defer sess.Close()
+	rep, err := sess.FaultCoverage(context.Background(), OptimalSorter(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Faults == 0 || rep.Detected > rep.Detectable {
+		t.Errorf("bad report %+v", rep)
+	}
+	if rep.Coverage() <= 0 {
+		t.Error("zero coverage on a real sorter is impossible")
+	}
+}
+
+func TestFacadeDetectionMatrix(t *testing.T) {
+	sess := NewSession()
+	defer sess.Close()
+	ctx := context.Background()
+	w := OptimalSorter(5)
+	m := DetectionMatrix(w)
+	rep, err := sess.FaultCoverage(ctx, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Report(); got != rep {
+		t.Errorf("matrix report %+v disagrees with FaultCoverage %+v", got, rep)
+	}
+	picks, err := sess.MinSet(ctx, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(picks) == 0 || len(picks) > len(m.Tests) {
+		t.Fatalf("implausible minimal detecting set size %d", len(picks))
+	}
+	// The selection must preserve detected-fault coverage.
+	remaining := m.Detected()
+	for ti, tau := range m.Tests {
+		for _, sel := range picks {
+			if sel == tau {
+				remaining.DiffWith(m.Sigs[ti])
+			}
+		}
+	}
+	if !remaining.Empty() {
+		t.Errorf("selected tests miss faults %s", remaining)
+	}
+}
+
+// TestFacadeCompiledEngine: every Session verdict runs the compiled
+// engine, at any worker count, with the word-parallel judge of a
+// built-in property or the per-lane judge of a caller-defined one.
+func TestFacadeCompiledEngine(t *testing.T) {
+	sess := NewSession()
+	defer sess.Close()
+	w := BatcherSorter(10)
+	for _, workers := range []int{1, 2, 0} {
+		v, err := sess.CheckParallel(context.Background(), w, SorterProp{N: 10}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !v.Holds {
+			t.Fatalf("workers=%d: compiled engine rejected a Batcher sorter", workers)
+		}
+		if workers == 1 && v.TestsRun != 1<<10-10-1 {
+			t.Fatalf("engine ran %d tests, want the full minimal set", v.TestsRun)
+		}
+	}
+	// A per-lane judge must agree with the word-parallel one.
+	if r := check(t, sess, w, sortedProp{SorterProp{N: 10}}); !r.Holds || r.TestsRun != 1<<10-10-1 {
+		t.Fatalf("per-lane judge on a Batcher sorter: %s", r)
+	}
+}
+
+// sortedProp is the sorter property under a caller-defined type, so
+// verify lowers it to the per-lane judge.
+type sortedProp struct{ SorterProp }
+
+func TestFacadeWideParallelChecks(t *testing.T) {
+	sess := NewSession()
+	defer sess.Close()
+	r := wide(t, sess, BatcherMerger(128), MergerProp{N: 128}, 0)
+	if !r.Holds || r.TestsRun != 4096 {
+		t.Fatalf("pooled wide merger: %s", r)
+	}
+	if !wide(t, sess, SelectionNetwork(96, 2), SelectorProp{N: 96, K: 2}, 2).Holds {
+		t.Error("pooled wide selector rejected")
+	}
+}
+
+func TestFacadeWideCertification(t *testing.T) {
+	sess := NewSession()
+	defer sess.Close()
+	r := wide(t, sess, BatcherMerger(128), MergerProp{N: 128}, 1)
+	if !r.Holds || r.TestsRun != 4096 {
+		t.Fatalf("wide merger: %s", r)
+	}
+	sel := SelectorProp{N: 96, K: 2}
+	if !wide(t, sess, SelectionNetwork(96, 2), sel, 1).Holds {
+		t.Error("wide selector rejected")
+	}
+	if wide(t, sess, SelectionNetwork(96, 1), sel, 1).Holds {
+		t.Error("under-provisioned wide selector accepted")
 	}
 }

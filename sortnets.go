@@ -6,16 +6,23 @@
 // tight, a property-testing engine, classical network generators, a
 // VLSI fault simulator, and an exact behaviour-space search.
 //
-// This package is the public facade: it re-exports the types and
-// entry points a downstream user needs from the internal packages.
+// This package is the public surface: it re-exports the types a
+// downstream user needs from the internal packages, and a verdict is
+// asked of a Session (session.go) — in-process through its typed
+// methods or its Request/Verdict model, and over HTTP through
+// sortnetd's POST /do, which serves the same model.
 //
+//	ctx := context.Background()
+//	sess := sortnets.NewSession()
+//	defer sess.Close()
 //	w := sortnets.BatcherSorter(8)
-//	res := sortnets.CheckSorter(w)        // runs the 2⁸−8−1 minimal tests
-//	fmt.Println(res.Holds)                // true
+//	res, _ := sess.Check(ctx, w, sortnets.SorterProp{N: 8}) // runs the 2⁸−8−1 minimal tests
+//	fmt.Println(res.Holds)                                 // true
 //
 //	sigma := sortnets.MustVec("0110")
 //	h := sortnets.MustAlmostSorter(sigma) // sorts everything except 0110
-//	fmt.Println(sortnets.CheckSorter(h))  // fails on 0110 -> ...
+//	res, _ = sess.Check(ctx, h, sortnets.SorterProp{N: 4})
+//	fmt.Println(res)                      // fails on 0110 -> ...
 //
 // The three properties and their exact minimal test-set sizes:
 //
@@ -25,14 +32,11 @@
 package sortnets
 
 import (
-	"context"
-
 	"sortnets/internal/bitvec"
 	"sortnets/internal/canon"
 	"sortnets/internal/chains"
 	"sortnets/internal/comb"
 	"sortnets/internal/core"
-	"sortnets/internal/eval"
 	"sortnets/internal/faults"
 	"sortnets/internal/gen"
 	"sortnets/internal/network"
@@ -61,6 +65,8 @@ type (
 	Result = verify.Result
 	// PermResult is a permutation-input verdict.
 	PermResult = verify.PermResult
+	// WideResult is a wide-width (n > 64) verdict (Session.Wide).
+	WideResult = verify.WideResult
 	// Fault is an injectable hardware defect.
 	Fault = faults.Fault
 	// FaultReport aggregates a fault-coverage measurement.
@@ -135,29 +141,11 @@ func CanonicalNetwork(w *Network) *Network { return canon.Normalize(w) }
 func NetworkDigest(w *Network) string { return canon.DigestString(w) }
 
 // --- The paper's test sets --------------------------------------------
-
-// SorterTests streams the minimal 0/1 test set for sorting:
-// all 2ⁿ − n − 1 non-sorted strings (Theorem 2.2(i)).
-func SorterTests(n int) VecIterator { return core.SorterBinaryTests(n) }
-
-// SorterPermTests returns the minimal permutation test set for
-// sorting: C(n,⌊n/2⌋) − 1 permutations (Theorem 2.2(ii)).
-func SorterPermTests(n int) []Perm { return core.SorterPermTests(n) }
-
-// SelectorTests streams the minimal 0/1 test set for the
-// (k,n)-selector property (Theorem 2.4(i)).
-func SelectorTests(n, k int) VecIterator { return core.SelectorBinaryTests(n, k) }
-
-// SelectorPermTests returns the minimal permutation test set for the
-// (k,n)-selector property (Theorem 2.4(ii)).
-func SelectorPermTests(n, k int) []Perm { return core.SelectorPermTests(n, k) }
-
-// MergerTests streams the minimal 0/1 test set for the merger
-// property: n²/4 strings (Theorem 2.5(i)).
-func MergerTests(n int) VecIterator { return core.MergerBinaryTests(n) }
-
-// MergerPermTests returns the n/2 permutations τᵢ (Theorem 2.5(ii)).
-func MergerPermTests(n int) []Perm { return core.MergerPermTests(n) }
+//
+// The minimal test sets themselves are methods of the property types:
+// SorterProp{N: n}.BinaryTests() streams the 2ⁿ − n − 1 binary tests
+// and .PermTests() returns the C(n,⌊n/2⌋) − 1 permutations, likewise
+// for SelectorProp and MergerProp.
 
 // AlmostSorter returns the Lemma 2.1 network H_σ sorting every binary
 // input except σ — the witness that forces σ into every test set.
@@ -174,103 +162,6 @@ type Certificate = core.Certificate
 // certificate for n lines; Verify on the result re-checks it from
 // scratch.
 func MinimalityCertificate(n int) Certificate { return core.MinimalityCertificate(n) }
-
-// --- Compiled evaluation engine ---------------------------------------
-
-// Program is the immutable compiled form of a network: comparator
-// pairs pre-extracted, packed into data-independent layers, and
-// specialized per width regime (n ≤ 64 word-parallel blocks of up to
-// 256 lanes, n > 64 widevec). Every verdict in this package runs on
-// compiled programs; compile once when evaluating the same network
-// many times.
-type Program = eval.Program
-
-// Engine streams test vectors through a compiled program with an
-// engine-owned worker pool.
-type Engine = eval.Engine
-
-// Judge decides, word-parallel, which lanes of an evaluated block
-// violate the property under test.
-type Judge = eval.Judge
-
-// SortedJudge rejects outputs that are not sorted (the sorting
-// property) in one word-parallel pass.
-func SortedJudge() Judge { return eval.SortedJudge() }
-
-// PerLaneJudge adapts a scalar acceptance predicate to the batch
-// engine.
-func PerLaneJudge(accepts func(in, out Vec) bool) Judge { return eval.PerLaneJudge(accepts) }
-
-// Compile builds the compiled form of a network.
-func Compile(w *Network) *Program { return eval.Compile(w) }
-
-// NewEngine returns an engine over a compiled program. workers: 1 =
-// strictly sequential (stream-order counterexamples), k > 1 = k
-// workers, 0 = automatic (sequential under the engine's work
-// threshold, all cores above it).
-func NewEngine(p *Program, workers int) *Engine { return eval.New(p, workers) }
-
-// CompileFault builds the compiled program of a fault-injected
-// circuit; it evaluates on all engine paths exactly like a healthy
-// network's program.
-func CompileFault(w *Network, f Fault) *Program { return faults.Compile(w, f) }
-
-// --- Verdicts ----------------------------------------------------------
-//
-// The plain facade functions below are one-line wrappers over the
-// package-level default Session (see session.go): verdicts share the
-// default Session's compiled-program and verdict caches, and the
-// worker rule is the repository-wide one — 0 (or negative) means
-// automatic, 1 means strictly sequential, k > 1 means exactly k.
-// Context-aware callers should hold a Session and use its methods.
-
-// bg discards the impossible error of a Background-context Session
-// call (conveniences fail only on cancellation; programmer errors
-// still panic).
-func bg[T any](v T, err error) T {
-	if err != nil {
-		panic(err) // unreachable: context.Background() never cancels
-	}
-	return v
-}
-
-// CheckSorter decides whether w is a sorter using the minimal binary
-// test set.
-func CheckSorter(w *Network) Result { return Check(w, verify.Sorter{N: w.N}) }
-
-// CheckSelector decides whether w is a (k,n)-selector using the
-// minimal binary test set.
-func CheckSelector(w *Network, k int) Result {
-	return Check(w, verify.Selector{N: w.N, K: k})
-}
-
-// CheckMerger decides whether w is an (n/2,n/2)-merger using the
-// minimal binary test set.
-func CheckMerger(w *Network) Result { return Check(w, verify.Merger{N: w.N}) }
-
-// Check runs any property's minimal binary test set.
-func Check(w *Network, p Property) Result {
-	return bg(DefaultSession().Check(context.Background(), w, p))
-}
-
-// CheckParallel is Check with an explicit engine worker count under
-// the one rule: 0 (or negative) = automatic (sequential below the
-// engine's work threshold, all cores above), 1 = sequential, k > 1 =
-// exactly k workers.
-func CheckParallel(w *Network, p Property, workers int) Result {
-	return bg(DefaultSession().CheckParallel(context.Background(), w, p, workers))
-}
-
-// CheckPerms runs any property's minimal permutation test set.
-func CheckPerms(w *Network, p Property) PermResult {
-	return bg(DefaultSession().CheckPerms(context.Background(), w, p))
-}
-
-// GroundTruth sweeps the full binary universe — the exhaustive
-// baseline the minimal test sets replace.
-func GroundTruth(w *Network, p Property) Result {
-	return bg(DefaultSession().GroundTruth(context.Background(), w, p))
-}
 
 // --- Bounds (closed forms) ----------------------------------------------
 
@@ -303,12 +194,6 @@ const (
 // EnumerateFaults lists the single-fault universe for a network.
 func EnumerateFaults(w *Network) []Fault { return faults.Enumerate(w) }
 
-// FaultCoverage measures how many detectable faults the minimal sorter
-// test set exposes on w.
-func FaultCoverage(w *Network) FaultReport {
-	return bg(DefaultSession().FaultCoverage(context.Background(), w))
-}
-
 // FaultMatrix is the full test × fault detection table: per-test
 // fault-signature bitsets built in one streamed engine pass per
 // fault.
@@ -323,60 +208,16 @@ func DetectionMatrix(w *Network) *FaultMatrix {
 		func() VecIterator { return core.SorterBinaryTests(w.N) }, faults.ByProperty)
 }
 
-// MinimalDetectingTests greedily selects a small subset of the minimal
-// sorter test set that still detects every fault the full set detects
-// — stuck-at test-set selection on the same machinery that verifies
-// test sets.
-func MinimalDetectingTests(w *Network) []Vec {
-	return bg(DefaultSession().MinSet(context.Background(), w))
-}
-
-// --- Wide networks (beyond 64 lines) ----------------------------------------
-
-// WideResult is the outcome of a wide-width certification.
-type WideResult = verify.WideResult
-
-// CheckMergerWide certifies the (n/2,n/2)-merger property at any
-// width up to 4096 lines with the n²/4-vector test set — the regime
-// where a zero-one sweep is physically impossible.
-func CheckMergerWide(w *Network) WideResult {
-	return bg(DefaultSession().Wide(context.Background(), w, verify.Merger{N: w.N}, 1))
-}
-
-// CheckSelectorWide certifies the (k,n)-selector property at any
-// width with its polynomial test set.
-func CheckSelectorWide(w *Network, k int) WideResult {
-	return bg(DefaultSession().Wide(context.Background(), w, verify.Selector{N: w.N, K: k}, 1))
-}
-
-// CheckMergerWideParallel is CheckMergerWide with an explicit worker
-// count under the one rule (0 = automatic).
-func CheckMergerWideParallel(w *Network, workers int) WideResult {
-	return bg(DefaultSession().Wide(context.Background(), w, verify.Merger{N: w.N}, workers))
-}
-
-// CheckSelectorWideParallel is CheckSelectorWide with an explicit
-// worker count under the one rule (0 = automatic).
-func CheckSelectorWideParallel(w *Network, k, workers int) WideResult {
-	return bg(DefaultSession().Wide(context.Background(), w, verify.Selector{N: w.N, K: k}, workers))
-}
-
 // --- Analysis -----------------------------------------------------------------
 
 // NetworkStats summarizes a network's structure, including the exact
-// count of comparators that never fire.
+// count of comparators that never fire (Network.Analyze;
+// Network.RemoveRedundant deletes them).
 type NetworkStats = network.Stats
 
 // Equivalent reports whether two networks compute the same function
 // (exact, via the zero-one principle; exponential in n).
 func Equivalent(a, b *Network) bool { return network.Equivalent(a, b) }
-
-// RemoveRedundant returns an equivalent network with every
-// never-firing comparator deleted.
-func RemoveRedundant(w *Network) *Network { return w.RemoveRedundant() }
-
-// Analyze computes structural statistics for a network.
-func Analyze(w *Network) NetworkStats { return w.Analyze() }
 
 // --- Exact search (Section 3) ---------------------------------------------
 

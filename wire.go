@@ -19,11 +19,11 @@ import (
 // (same field order, same omitempty decisions, same string escaping
 // including HTML-safe < forms, same number formatting), which
 // the wire tests assert by differential fuzzing against
-// encoding/json. The decoders share one tokenizer: the request-line
-// form is strict (unknown fields and trailing data are errors,
-// matching the json.Decoder + DisallowUnknownFields the server used
-// historically), the batch-verdict form is lenient (unknown fields
-// skipped, matching json.Unmarshal on the client).
+// encoding/json. The decoders share one tokenizer: the request form
+// is strict (unknown fields and trailing data are errors) and is the
+// one Request decoder of both sortnetd transports, single-shot JSON
+// bodies and NDJSON lines; the batch-verdict form is lenient (unknown
+// fields skipped, matching json.Unmarshal on the client).
 
 // --- Encoding ------------------------------------------------------------
 
@@ -892,11 +892,12 @@ func (c *jsonCursor) stringsInto(dst *[]string) error {
 	}
 }
 
-// UnmarshalRequestLine decodes one NDJSON request line into r with
-// the strict semantics of the historical json.Decoder +
-// DisallowUnknownFields path: unknown fields are an error, as is any
-// non-whitespace trailing data after the JSON value. r is fully
-// overwritten (reset first), so a pooled Request can be reused.
+// UnmarshalRequestLine decodes one request — an NDJSON line or a whole
+// single-shot JSON body — into r with the strict semantics of
+// encoding/json's Decoder under DisallowUnknownFields: unknown fields
+// are an error, and so is any non-whitespace trailing data after the
+// JSON value. r is fully overwritten (reset first), so a pooled
+// Request can be reused.
 func UnmarshalRequestLine(data []byte, r *Request) error {
 	*r = Request{}
 	c := jsonCursor{data: data}
