@@ -240,9 +240,9 @@ func BenchmarkE14PermSpace(b *testing.B) {
 
 // BenchmarkE16DetectionMatrix builds the full test × fault detection
 // matrix for the optimal 6-line sorter (57 tests × 58 faults, one
-// streamed engine pass per fault) and greedily selects a minimal
-// detecting set — the VLSI test-selection workload on the shared
-// engine machinery.
+// multi-program sweep per chunk of the fault list) and greedily
+// selects a minimal detecting set — the VLSI test-selection workload
+// on the shared engine machinery.
 func BenchmarkE16DetectionMatrix(b *testing.B) {
 	w := gen.Sorter(6)
 	fs := faults.Enumerate(w)

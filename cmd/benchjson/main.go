@@ -12,10 +12,12 @@
 //	go run ./cmd/benchjson -bench 'BenchmarkE(2|14)' -benchtime 1s
 //
 // The output maps each benchmark to its metrics plus a small header
-// (Go version, GOMAXPROCS, bench time) for comparability:
+// (Go version, GOMAXPROCS, core count, the CPU model go test reports,
+// bench time) for comparability:
 //
 //	{
-//	  "go": "go1.24.0", "gomaxprocs": 4, "benchtime": "0.2s",
+//	  "go": "go1.24.0", "gomaxprocs": 4, "num_cpu": 4,
+//	  "cpu": "Intel(R) Xeon(R) Processor @ 2.10GHz", "benchtime": "0.2s",
 //	  "benchmarks": {
 //	    "BenchmarkE2SorterPermTestSet": {"ns_per_op": 56126, "bytes_per_op": 118392, "allocs_per_op": 19},
 //	    ...
@@ -47,6 +49,8 @@ type Metrics struct {
 type Result struct {
 	Go         string             `json:"go"`
 	GOMAXPROCS int                `json:"gomaxprocs"`
+	NumCPU     int                `json:"num_cpu"`
+	CPU        string             `json:"cpu"` // the cpu: line of go test, empty when absent
 	Benchtime  string             `json:"benchtime"`
 	Pattern    string             `json:"pattern"`
 	Benchmarks map[string]Metrics `json:"benchmarks"`
@@ -75,13 +79,15 @@ func run(bench, benchtime, pkg, out string) error {
 		}
 		return err
 	}
-	marks, err := parseBench(string(raw))
+	marks, cpu, err := parseBench(string(raw))
 	if err != nil {
 		return err
 	}
 	res := Result{
 		Go:         runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		CPU:        cpu,
 		Benchtime:  benchtime,
 		Pattern:    bench,
 		Benchmarks: marks,
@@ -98,16 +104,22 @@ func run(bench, benchtime, pkg, out string) error {
 	return nil
 }
 
-// parseBench extracts benchmark lines from go test output. A line
-// looks like:
+// parseBench extracts benchmark lines, and the CPU model from the
+// "cpu: ..." header line, from go test output. A benchmark line looks
+// like:
 //
 //	BenchmarkE2SorterPermTestSet  42643  56126 ns/op  118392 B/op  19 allocs/op
 //
 // The -N GOMAXPROCS suffix (BenchmarkFoo-8) is stripped so results
 // compare across machines.
-func parseBench(out string) (map[string]Metrics, error) {
+func parseBench(out string) (map[string]Metrics, string, error) {
 	marks := map[string]Metrics{}
+	cpu := ""
 	for _, line := range strings.Split(out, "\n") {
+		if model, ok := strings.CutPrefix(line, "cpu:"); ok {
+			cpu = strings.TrimSpace(model)
+			continue
+		}
 		fields := strings.Fields(line)
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
@@ -135,13 +147,13 @@ func parseBench(out string) (map[string]Metrics, error) {
 				m.AllocsPerOp, err = strconv.ParseInt(val, 10, 64)
 			}
 			if err != nil {
-				return nil, fmt.Errorf("bad benchmark line %q: %v", line, err)
+				return nil, "", fmt.Errorf("bad benchmark line %q: %v", line, err)
 			}
 		}
 		marks[name] = m
 	}
 	if len(marks) == 0 {
-		return nil, errors.New("no benchmark lines found in go test output")
+		return nil, "", errors.New("no benchmark lines found in go test output")
 	}
-	return marks, nil
+	return marks, cpu, nil
 }

@@ -14,7 +14,7 @@ ok  	sortnets	5.500s
 `
 
 func TestParseBench(t *testing.T) {
-	marks, err := parseBench(sample)
+	marks, _, err := parseBench(sample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,23 @@ func TestParseBench(t *testing.T) {
 }
 
 func TestParseBenchEmpty(t *testing.T) {
-	if _, err := parseBench("PASS\nok \tsortnets\t0.1s\n"); err == nil {
+	if _, _, err := parseBench("PASS\nok \tsortnets\t0.1s\n"); err == nil {
 		t.Error("expected error on output with no benchmarks")
+	}
+}
+
+// TestParseBenchCPU: the CPU model comes from go test's "cpu:" header
+// line, trimmed, and is empty when go test prints none.
+func TestParseBenchCPU(t *testing.T) {
+	_, cpu, err := parseBench(sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cpu != "Intel(R) Xeon(R) Processor @ 2.10GHz" {
+		t.Errorf("cpu = %q", cpu)
+	}
+	_, cpu, err = parseBench("BenchmarkX \t 10\t 5 ns/op\n")
+	if err != nil || cpu != "" {
+		t.Errorf("no cpu line: cpu = %q, err = %v", cpu, err)
 	}
 }

@@ -113,8 +113,8 @@ func TestRunWideCtxCancelled(t *testing.T) {
 }
 
 func TestSweepCtxCancelled(t *testing.T) {
-	e := New(Compile(gen.OddEvenMergeSort(16)), 1)
-	n, err := e.SweepCtx(cancelledCtx(), bitvec.All(16), SortedJudge(), func(int, uint64) {})
+	progs := []*Program{Compile(gen.OddEvenMergeSort(16))}
+	n, err := SweepCtx(cancelledCtx(), progs, bitvec.All(16), SortedJudge(), func(int, int, uint64) {})
 	if !errors.Is(err, context.Canceled) || n != 0 {
 		t.Fatalf("want (0, context.Canceled), got (%d, %v)", n, err)
 	}

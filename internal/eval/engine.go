@@ -269,45 +269,6 @@ feed:
 	return Verdict{Holds: true, TestsRun: tests}, nil
 }
 
-// Sweep streams the iterator's vectors through the program in blocks
-// like Run, but never early-exits: visit is called for every judged
-// 64-lane word with the stream offset of the word's first vector and
-// its rejected-lane mask (already masked to the occupied lanes). It
-// returns the number of vectors swept. This is the full-matrix
-// counterpart of Run — fault signature extraction wants every
-// (test, verdict) bit, not just the first failure.
-func (e *Engine) Sweep(it bitvec.Iterator, judge Judge, visit func(offset int, rejected uint64)) int {
-	n, _ := e.SweepCtx(context.Background(), it, judge, visit)
-	return n
-}
-
-// SweepCtx is Sweep under a context, checked once per block.
-//
-//sortnets:ctxloop
-func (e *Engine) SweepCtx(ctx context.Context, it bitvec.Iterator, judge Judge, visit func(offset int, rejected uint64)) (int, error) {
-	if e.p.n > bitvec.MaxN {
-		panic(fmt.Sprintf("eval: Sweep needs n ≤ 64, program has %d lines", e.p.n))
-	}
-	b := getBlock(e.p.n)
-	defer blockPool.Put(b)
-	tests := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return tests, err
-		}
-		k := b.fill(it, maxLanes)
-		if k == 0 {
-			return tests, nil
-		}
-		b.load(b.vecs[:k], judge.NeedsInput)
-		b.judge(e.p, &judge)
-		for g, bad := range b.bad[:b.out.W] {
-			visit(tests+g*network.LanesPerWord, bad)
-		}
-		tests += k
-	}
-}
-
 // RunUniverse judges the program against all 2ⁿ binary inputs — the
 // exhaustive ground-truth sweep — loading consecutive inputs
 // wholesale (six fixed masks and constant words) instead of

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"testing"
 
 	"sortnets/internal/bitvec"
@@ -94,7 +95,7 @@ func checkBlockPaths(t *testing.T, prog *Program, vecs []bitvec.Vec, ref func(bi
 				workers, v.In, v.Out, ref(v.In), desc)
 		}
 	}
-	New(prog, 1).Sweep(bitvec.Slice(vecs), SortedJudge(), func(off int, rejected uint64) {
+	SweepCtx(context.Background(), []*Program{prog}, bitvec.Slice(vecs), SortedJudge(), func(_, off int, rejected uint64) {
 		for lane := 0; lane < 64 && off+lane < len(vecs); lane++ {
 			in := vecs[off+lane]
 			if got, want := rejected>>uint(lane)&1 == 1, !ref(in).IsSorted(); got != want {

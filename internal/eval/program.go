@@ -18,6 +18,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 
 	"sortnets/internal/bitvec"
 	"sortnets/internal/network"
@@ -109,30 +110,46 @@ func Compile(w *network.Network) *Program {
 	return &Program{n: w.N, ops: ops, pure: true, comps: comps, pairs: pairs, levels: levels}
 }
 
-// NewProgram builds a program from an explicit op sequence (the fault
-// compilation path). Ops are executed in the given order — no layer
-// reordering, because clamp and short ops do not commute the way
-// standard comparators do. The op slice is copied.
+// NewProgram builds a program from an explicit op sequence. Ops are
+// executed in the given order — no layer reordering, because clamp
+// and short ops do not commute the way standard comparators do. The
+// op slice is copied. It is the one-range case of NewPrograms.
 func NewProgram(n int, ops []Op) *Program {
-	p := &Program{n: n, ops: append([]Op(nil), ops...)}
-	p.pure = true
-	for _, op := range p.ops {
-		if err := checkOp(n, op); err != nil {
-			panic(err.Error())
+	return NewPrograms(n, slices.Clone(ops), []int{len(ops)})[0]
+}
+
+// NewPrograms builds one program per range of an op arena (the fault
+// compilation path: a whole fault universe compiles into one arena):
+// program i runs arena[ends[i-1]:ends[i]], with ends[-1] = 0, in
+// order, exactly like NewProgram. The programs alias the arena
+// instead of copying it, so the caller must not modify it afterwards.
+func NewPrograms(n int, arena []Op, ends []int) []*Program {
+	progs := make([]Program, len(ends))
+	out := make([]*Program, len(ends))
+	start := 0
+	for i, end := range ends {
+		p := &progs[i]
+		*p = Program{n: n, ops: arena[start:end:end], pure: true}
+		for _, op := range p.ops {
+			if err := checkOp(n, op); err != nil {
+				panic(err.Error())
+			}
+			if op.Kind != OpCmp {
+				p.pure = false
+			}
 		}
-		if op.Kind != OpCmp {
-			p.pure = false
+		if p.pure {
+			p.comps = make([]network.Comparator, len(p.ops))
+			p.pairs = make([][2]int, len(p.ops))
+			for j, op := range p.ops {
+				p.comps[j] = network.Comparator{A: op.A, B: op.B}
+				p.pairs[j] = [2]int{op.A, op.B}
+			}
 		}
+		out[i] = p
+		start = end
 	}
-	if p.pure {
-		p.comps = make([]network.Comparator, len(p.ops))
-		p.pairs = make([][2]int, len(p.ops))
-		for i, op := range p.ops {
-			p.comps[i] = network.Comparator{A: op.A, B: op.B}
-			p.pairs[i] = [2]int{op.A, op.B}
-		}
-	}
-	return p
+	return out
 }
 
 func checkOp(n int, op Op) error {

@@ -105,7 +105,7 @@ func TestVerdictsByteIdenticalAcrossWidths(t *testing.T) {
 				(!got.Holds && (got.Out != prog.Apply(got.In) || accepts(got.In, got.Out))) {
 				t.Fatalf("trial %d n=%d len=%d: pooled Run %+v, scalar %+v", trial, n, length, got, want)
 			}
-			checkSweep(t, prog, tests, judge, accepts)
+			checkSweep(t, []*Program{prog}, tests, judge, accepts)
 		}
 
 		wantU := scalarRun(prog, bitvec.Collect(bitvec.All(n)), accepts)
@@ -117,34 +117,41 @@ func TestVerdictsByteIdenticalAcrossWidths(t *testing.T) {
 	}
 }
 
-// checkSweep: Sweep visits every 64-lane word once, in order, with
-// exactly the lanes the scalar reference rejects.
-func checkSweep(t *testing.T, p *Program, tests []bitvec.Vec, judge Judge, accepts func(in, out bitvec.Vec) bool) {
+// checkSweep: Sweep visits every 64-lane word of every program once,
+// in stream order per program, with exactly the lanes the scalar
+// reference rejects.
+func checkSweep(t *testing.T, progs []*Program, tests []bitvec.Vec, judge Judge, accepts func(in, out bitvec.Vec) bool) {
 	t.Helper()
-	next := 0
-	swept := New(p, 1).Sweep(bitvec.Slice(tests), judge, func(off int, rejected uint64) {
-		if off != next {
-			t.Fatalf("Sweep visited offset %d, want %d", off, next)
+	next := make([]int, len(progs))
+	swept, err := SweepCtx(context.Background(), progs, bitvec.Slice(tests), judge, func(pi, off int, rejected uint64) {
+		if off != next[pi] {
+			t.Fatalf("Sweep visited program %d offset %d, want %d", pi, off, next[pi])
 		}
 		var want uint64
 		for lane := 0; lane < 64 && off+lane < len(tests); lane++ {
-			if v := tests[off+lane]; !accepts(v, p.Apply(v)) {
+			if v := tests[off+lane]; !accepts(v, progs[pi].Apply(v)) {
 				want |= 1 << uint(lane)
 			}
 		}
 		if rejected != want {
-			t.Fatalf("Sweep offset %d: rejected %016x, scalar %016x", off, rejected, want)
+			t.Fatalf("Sweep program %d offset %d: rejected %016x, scalar %016x", pi, off, rejected, want)
 		}
-		next += 64
+		next[pi] += 64
 	})
-	if swept != len(tests) || next < len(tests) {
-		t.Fatalf("Sweep swept %d of %d vectors, visited up to %d", swept, len(tests), next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pi, visited := range next {
+		if swept != len(tests) || visited < len(tests) {
+			t.Fatalf("Sweep swept %d of %d vectors, visited program %d up to %d", swept, len(tests), pi, visited)
+		}
 	}
 }
 
 // TestRunManyByteIdenticalAcrossWidths: every verdict of the fleet
 // pass must equal the scalar per-vector reference for that program,
-// at every final-block word count.
+// at every final-block word count, and the fleet's Sweep must report
+// exactly each program's scalar failures.
 func TestRunManyByteIdenticalAcrossWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 30; trial++ {
@@ -170,6 +177,7 @@ func TestRunManyByteIdenticalAcrossWidths(t *testing.T) {
 						trial, n, length, i, got[i], want)
 				}
 			}
+			checkSweep(t, progs, tests, judge, accepts)
 		}
 	}
 }
@@ -213,6 +221,30 @@ func TestWideCancelMidBlock(t *testing.T) {
 			if v != (Verdict{}) {
 				t.Fatalf("after %d, %d workers: want zero verdict on cancellation, got %+v", after, workers, v)
 			}
+		}
+	}
+}
+
+// TestManyCancelMidStream: the multi-program passes over an endless
+// stream end only by cancellation — RunManyCtx with nil verdicts,
+// SweepCtx after the block in which the cancellation was raised.
+func TestManyCancelMidStream(t *testing.T) {
+	n := 8
+	rng := rand.New(rand.NewSource(6))
+	progs := []*Program{Compile(randomNet(n, 3*n, rng)), Compile(randomNet(n, 2*n, rng))}
+	accept := PerLaneJudge(func(in, out bitvec.Vec) bool { return true })
+	for _, after := range []int{32, 300, 5000} {
+		ctx, cancel := context.WithCancel(context.Background())
+		vs, err := RunManyCtx(ctx, progs, &cancellingIter{n: n, after: after, cancel: cancel}, accept)
+		cancel()
+		if err != context.Canceled || vs != nil {
+			t.Fatalf("after %d: RunManyCtx = (%v, %v), want (nil, context.Canceled)", after, vs, err)
+		}
+		ctx, cancel = context.WithCancel(context.Background())
+		swept, err := SweepCtx(ctx, progs, &cancellingIter{n: n, after: after, cancel: cancel}, accept, func(int, int, uint64) {})
+		cancel()
+		if err != context.Canceled || swept <= after || swept > after+maxLanes {
+			t.Fatalf("after %d: SweepCtx = (%d, %v), want the cancelling block and context.Canceled", after, swept, err)
 		}
 	}
 }
@@ -288,7 +320,7 @@ func TestBlockWidthPolicy(t *testing.T) {
 
 	full := []blockShape{{4, 247}}
 	var got []blockShape
-	New(prog, 1).Sweep(bitvec.Slice(tests[:247]), recordingJudge(&got), func(int, uint64) {})
+	SweepCtx(context.Background(), []*Program{prog}, bitvec.Slice(tests[:247]), recordingJudge(&got), func(int, int, uint64) {})
 	checkShapes(t, "Sweep", 247, got, full)
 	got = nil
 	RunMany([]*Program{prog}, bitvec.Slice(tests[:247]), recordingJudge(&got))

@@ -34,86 +34,96 @@ func (m DetectMode) String() string {
 	return "by-golden"
 }
 
-// Detector is the compiled form of one (circuit, fault, mode)
-// triple: the faulty program, the golden program when the mode needs
-// it, and the detection judge — built once, then run over any number
-// of test streams on the word-parallel block engine. A Detector is
-// not safe for concurrent use (it owns a scratch batch); build one
-// per goroutine.
-type Detector struct {
-	prog    *eval.Program
-	judge   eval.Judge
-	scratch network.Batch // ByGolden: golden outputs, recomputed per block
-}
-
-// NewDetector compiles the faulty circuit and its detection judge.
-// golden must be the compiled healthy circuit (eval.Compile(w)); it
-// is only consulted in ByGolden mode and may be shared between
-// detectors (programs are immutable).
-func NewDetector(w *network.Network, golden *eval.Program, f Fault, mode DetectMode) *Detector {
-	d := &Detector{prog: Compile(w, f)}
-	if mode == ByGolden {
-		d.judge = eval.Judge{
-			NeedsInput: true,
-			Rejects: func(in, out *network.Batch, bad []uint64) {
-				s := &d.scratch
-				s.N, s.W, s.Lanes = in.N, in.W, in.Lanes
-				s.Lines = append(s.Lines[:0], in.Lines...)
-				golden.ApplyBatch(s)
-				clear(bad)
-				for i := 0; i < len(s.Lines); i += s.W {
-					for g := range bad {
-						bad[g] |= s.Lines[i+g] ^ out.Lines[i+g]
-					}
+// judgeFor returns the detection judge of mode: the sorted-output
+// judge for ByProperty; for ByGolden, a judge that recomputes each
+// block's fault-free outputs through golden (eval.Compile(w)) and
+// rejects the lanes whose faulty outputs differ. A ByGolden judge
+// owns a scratch batch, so each goroutine needs its own.
+func judgeFor(golden *eval.Program, mode DetectMode) eval.Judge {
+	if mode != ByGolden {
+		return eval.SortedJudge()
+	}
+	var s network.Batch // golden outputs, recomputed per block
+	return eval.Judge{
+		NeedsInput: true,
+		Rejects: func(in, out *network.Batch, bad []uint64) {
+			s.N, s.W, s.Lanes = in.N, in.W, in.Lanes
+			s.Lines = append(s.Lines[:0], in.Lines...)
+			golden.ApplyBatch(&s)
+			clear(bad)
+			for i := 0; i < len(s.Lines); i += s.W {
+				for g := range bad {
+					bad[g] |= s.Lines[i+g] ^ out.Lines[i+g]
 				}
-			},
+			}
+		},
+	}
+}
+
+// chunk is one worker's share of a fault pass: the programs of the
+// contiguous faults lo, lo+1, … of the list, and a detection judge of
+// its own.
+type chunk struct {
+	lo    int
+	progs []*eval.Program
+	judge eval.Judge
+}
+
+// forChunks compiles fs into one op arena and runs fn on at most
+// NumCPU contiguous, non-empty chunks of it on the shared worker
+// pool. A cancelled context stops the pass and returns ctx.Err(); fn's
+// partial results must then be discarded. Every pass sweeps the 2ⁿ
+// universe, so like eval's RunUniverse it refuses n > 30 — here, on
+// the caller's goroutine rather than a pool worker's.
+func forChunks(ctx context.Context, w *network.Network, golden *eval.Program, fs []Fault, mode DetectMode, fn func(c chunk)) error {
+	if w.N > 30 {
+		panic(fmt.Sprintf("faults: detectability sweeps 2^%d inputs; n is too wide", w.N))
+	}
+	progs := compileAll(w, fs)
+	chunks := min(eval.Workers(0), len(fs))
+	return eval.ForEachCtx(ctx, chunks, chunks, func(i int) {
+		lo, hi := i*len(fs)/chunks, (i+1)*len(fs)/chunks
+		fn(chunk{lo: lo, progs: progs[lo:hi], judge: judgeFor(golden, mode)})
+	})
+}
+
+// detectable judges the chunk's programs against the whole 2ⁿ binary
+// universe, in one pass that loads each block once for all of them,
+// and returns the faults some input detects: their indices into the
+// fault list and their programs.
+func (c chunk) detectable(ctx context.Context) ([]int, []*eval.Program, error) {
+	vs, err := eval.RunManyCtx(ctx, c.progs, bitvec.All(c.progs[0].N()), c.judge)
+	if err != nil {
+		return nil, nil, err
+	}
+	var idx []int
+	var progs []*eval.Program
+	for i, v := range vs {
+		if !v.Holds {
+			idx = append(idx, c.lo+i)
+			progs = append(progs, c.progs[i])
 		}
-	} else {
-		d.judge = eval.SortedJudge()
 	}
-	return d
+	return idx, progs, nil
 }
 
-// Detects reports whether the single test vector τ detects the fault.
-func (d *Detector) Detects(tau bitvec.Vec) bool {
-	return !eval.New(d.prog, 1).Run(bitvec.Slice([]bitvec.Vec{tau}), d.judge).Holds
-}
-
-// DetectedBy reports whether any vector of the stream detects the
-// fault, in word-parallel blocks.
-func (d *Detector) DetectedBy(it bitvec.Iterator) bool {
-	return !eval.New(d.prog, 1).Run(it, d.judge).Holds
-}
-
-// DetectedByCtx is DetectedBy under a context.
-func (d *Detector) DetectedByCtx(ctx context.Context, it bitvec.Iterator) (bool, error) {
-	v, err := eval.New(d.prog, 1).RunCtx(ctx, it, d.judge)
-	if err != nil {
-		return false, err
-	}
-	return !v.Holds, nil
-}
-
-// Detectable reports whether any binary input at all detects the
-// fault, sweeping the 2ⁿ universe with wholesale lane loading.
-func (d *Detector) Detectable() bool {
-	return !eval.New(d.prog, 1).RunUniverse(d.judge).Holds
-}
-
-// DetectableCtx is Detectable under a context.
-func (d *Detector) DetectableCtx(ctx context.Context) (bool, error) {
-	v, err := eval.New(d.prog, 1).RunUniverseCtx(ctx, d.judge)
-	if err != nil {
-		return false, err
-	}
-	return !v.Holds, nil
+// detectability reports, per fault of fs, whether any binary input
+// at all detects it.
+func detectability(ctx context.Context, w *network.Network, golden *eval.Program, fs []Fault, mode DetectMode) ([]bool, error) {
+	det := make([]bool, len(fs))
+	err := forChunks(ctx, w, golden, fs, mode, func(c chunk) {
+		idx, _, _ := c.detectable(ctx) // on cancellation forChunks returns the error
+		for _, f := range idx {
+			det[f] = true
+		}
+	})
+	return det, err
 }
 
 // Detects reports whether the test vector τ detects fault f on w.
-// One-shot convenience; loops should build a Detector (or call
-// Measure) so the fault compiles once.
 func Detects(w *network.Network, f Fault, tau bitvec.Vec, mode DetectMode) bool {
-	return NewDetector(w, eval.Compile(w), f, mode).Detects(tau)
+	vs := eval.RunMany([]*eval.Program{Compile(w, f)}, bitvec.Slice([]bitvec.Vec{tau}), judgeFor(eval.Compile(w), mode))
+	return !vs[0].Holds
 }
 
 // Detectable reports whether any binary input at all detects the fault
@@ -121,7 +131,8 @@ func Detects(w *network.Network, f Fault, tau bitvec.Vec, mode DetectMode) bool 
 // bypassed redundant comparator) and excluded from coverage
 // denominators.
 func Detectable(w *network.Network, f Fault, mode DetectMode) bool {
-	return NewDetector(w, eval.Compile(w), f, mode).Detectable()
+	det, _ := detectability(context.Background(), w, eval.Compile(w), []Fault{f}, mode)
+	return det[0]
 }
 
 // Report aggregates a fault-coverage measurement.
@@ -147,12 +158,14 @@ func (r Report) String() string {
 }
 
 // Measure injects every fault in fs into w and checks which ones the
-// test set exposes. Each fault compiles once to a program variant and
-// is judged on the batch engine; the faults themselves are spread
-// over the shared worker pool. tests is re-created per fault via the
-// factory so streamed iterators can be replayed — the factory must be
-// safe for concurrent calls (all the package core test-set factories
-// are: each call returns a fresh iterator).
+// test set exposes. The faults compile into one op arena, split into
+// at most NumCPU contiguous chunks on the shared worker pool; each
+// chunk judges all its variants against one load of each block, first
+// of the 2ⁿ universe (which faults are detectable at all), then of
+// the test stream (which of those the tests detect). tests is called
+// once per chunk, so the factory must be safe for concurrent calls
+// (all the package core test-set factories are: each call returns a
+// fresh iterator).
 func Measure(w *network.Network, fs []Fault, tests func() bitvec.Iterator, mode DetectMode) Report {
 	rep, _ := MeasureCtx(context.Background(), w, eval.Compile(w), fs, tests, mode)
 	return rep
@@ -163,30 +176,34 @@ func Measure(w *network.Network, fs []Fault, tests func() bitvec.Iterator, mode 
 // holding w's program already (the Session keeps one per canonical
 // digest) skips the recompilation. golden must be eval.Compile(w)
 // (programs are immutable, so sharing one across calls and goroutines
-// is safe). The fault sweep stops claiming new faults once the context
-// is cancelled, each per-fault engine pass checks it per block, and a
-// cancelled run returns the context's error with a zero report.
+// is safe). Every shared pass checks the context once per block, and
+// a cancelled run returns the context's error with a zero report.
 func MeasureCtx(ctx context.Context, w *network.Network, golden *eval.Program, fs []Fault, tests func() bitvec.Iterator, mode DetectMode) (Report, error) {
-	type outcome struct{ detectable, detected bool }
-	outcomes := make([]outcome, len(fs))
-	err := eval.ForEachCtx(ctx, len(fs), 0, func(i int) {
-		d := NewDetector(w, golden, fs[i], mode)
-		detectable, err := d.DetectableCtx(ctx)
-		if err != nil || !detectable {
+	detectable := make([]bool, len(fs))
+	detected := make([]bool, len(fs))
+	err := forChunks(ctx, w, golden, fs, mode, func(c chunk) {
+		idx, progs, err := c.detectable(ctx)
+		if err != nil || len(idx) == 0 {
 			return
 		}
-		outcomes[i].detectable = true
-		outcomes[i].detected, _ = d.DetectedByCtx(ctx, tests())
+		vs, err := eval.RunManyCtx(ctx, progs, tests(), c.judge)
+		if err != nil {
+			return
+		}
+		for j, f := range idx {
+			detectable[f] = true
+			detected[f] = !vs[j].Holds
+		}
 	})
 	if err != nil {
 		return Report{}, err
 	}
 	rep := Report{Faults: len(fs)}
-	for _, o := range outcomes {
-		if o.detectable {
+	for f := range fs {
+		if detectable[f] {
 			rep.Detectable++
 		}
-		if o.detected {
+		if detected[f] {
 			rep.Detected++
 		}
 	}

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -28,9 +29,9 @@ func (f DoubleComp) Describe() string {
 	return fmt.Sprintf("%s + %s", f.First.Describe(), f.Second.Describe())
 }
 
-// Ops implements Fault: both comparator modes apply in one pass.
-func (f DoubleComp) Ops(w *network.Network) []eval.Op {
-	ops := make([]eval.Op, len(w.Comps))
+// AppendOps implements Fault: both comparator modes apply in one
+// pass.
+func (f DoubleComp) AppendOps(dst []eval.Op, w *network.Network) []eval.Op {
 	for i, c := range w.Comps {
 		kind := eval.OpCmp
 		switch i {
@@ -39,9 +40,9 @@ func (f DoubleComp) Ops(w *network.Network) []eval.Op {
 		case f.Second.Index:
 			kind = opFor(f.Second.Mode)
 		}
-		ops[i] = eval.Op{Kind: kind, A: c.A, B: c.B}
+		dst = append(dst, eval.Op{Kind: kind, A: c.A, B: c.B})
 	}
-	return ops
+	return dst
 }
 
 // Eval implements Fault.
@@ -91,31 +92,27 @@ func (r MaskingReport) String() string {
 }
 
 // MeasureMasking examines double-comparator faults for masking under
-// the given detection mode, spreading the pairs over the shared
-// worker pool (each pair needs up to three compiled-universe sweeps).
+// the given detection mode: every pair and both its components
+// compile into one op arena and are judged for detectability in one
+// shared 2ⁿ universe pass per chunk on the shared worker pool.
+// Entries of pairs that are not DoubleComp are counted but not
+// examined.
 func MeasureMasking(w *network.Network, pairs []Fault, mode DetectMode) MaskingReport {
-	golden := eval.Compile(w)
-	type outcome struct{ both, masked bool }
-	outcomes := make([]outcome, len(pairs))
-	eval.ForEach(len(pairs), 0, func(i int) {
-		d, ok := pairs[i].(DoubleComp)
-		if !ok {
-			return
+	// Per double fault: its two components, then the pair itself.
+	var fs []Fault
+	for _, f := range pairs {
+		if d, ok := f.(DoubleComp); ok {
+			fs = append(fs, d.First, d.Second, d)
 		}
-		if !NewDetector(w, golden, d.First, mode).Detectable() ||
-			!NewDetector(w, golden, d.Second, mode).Detectable() {
-			return
-		}
-		outcomes[i].both = true
-		outcomes[i].masked = !NewDetector(w, golden, d, mode).Detectable()
-	})
+	}
+	det, _ := detectability(context.Background(), w, eval.Compile(w), fs, mode)
 	rep := MaskingReport{Pairs: len(pairs)}
-	for _, o := range outcomes {
-		if o.both {
+	for i := 0; i < len(fs); i += 3 {
+		if det[i] && det[i+1] {
 			rep.BothDetectable++
-		}
-		if o.masked {
-			rep.PairUndetectable++
+			if !det[i+2] {
+				rep.PairUndetectable++
+			}
 		}
 	}
 	return rep

@@ -22,10 +22,14 @@
 // rather than trivially 100%.
 //
 // Faulty circuits are not evaluated by a per-fault interpreter loop:
-// each fault COMPILES, via Ops, to an eval.Program variant of the
-// healthy circuit (a bypassed comparator is a no-op, a stuck line a
-// clamp op, a bridge a short op), so fault simulation inherits the
-// word-parallel block engine for free.
+// each fault COMPILES, via AppendOps, to an eval.Program variant of
+// the healthy circuit (a bypassed comparator is a no-op, a stuck line
+// a clamp op, a bridge a short op), so fault simulation inherits the
+// word-parallel block engine for free. A whole fault list compiles
+// into one op arena, and Measure, DetectionMatrix and MeasureMasking
+// judge every variant against a single load of each test block —
+// one multi-program pass per chunk of the list, not one engine pass
+// per fault.
 package faults
 
 import (
@@ -41,8 +45,9 @@ import (
 type Fault interface {
 	// Describe renders a short human-readable label.
 	Describe() string
-	// Ops compiles the faulty circuit to an eval op sequence.
-	Ops(w *network.Network) []eval.Op
+	// AppendOps compiles the faulty circuit to an eval op sequence,
+	// appended to dst.
+	AppendOps(dst []eval.Op, w *network.Network) []eval.Op
 	// Eval runs the faulty circuit on a binary input. It compiles on
 	// the fly; hot paths should compile once via faults.Compile.
 	Eval(w *network.Network, v bitvec.Vec) bitvec.Vec
@@ -52,7 +57,27 @@ type Fault interface {
 // program evaluates on all of eval's paths — scalar and block —
 // exactly like a healthy network's program.
 func Compile(w *network.Network, f Fault) *eval.Program {
-	return eval.NewProgram(w.N, f.Ops(w))
+	return compileAll(w, []Fault{f})[0]
+}
+
+// compileAll compiles every fault of fs into one op arena and returns
+// the programs over its ranges, indexed like fs. A first pass through
+// a scratch buffer sizes the arena exactly, so it is allocated once:
+// stuck lines and bridges add ops after every comparator touching
+// their lines.
+func compileAll(w *network.Network, fs []Fault) []*eval.Program {
+	size, scratch := 0, make([]eval.Op, 0, 2*len(w.Comps)+1)
+	for _, f := range fs {
+		scratch = f.AppendOps(scratch[:0], w)
+		size += len(scratch)
+	}
+	arena := make([]eval.Op, 0, size)
+	ends := make([]int, len(fs))
+	for i, f := range fs {
+		arena = f.AppendOps(arena, w)
+		ends[i] = len(arena)
+	}
+	return eval.NewPrograms(w.N, arena, ends)
 }
 
 // CompMode selects how a comparator misbehaves.
@@ -102,18 +127,17 @@ func (f CompFault) Describe() string {
 	return fmt.Sprintf("comparator %d %s", f.Index, f.Mode)
 }
 
-// Ops implements Fault: comparator Index fires in its fault mode, the
-// rest are standard.
-func (f CompFault) Ops(w *network.Network) []eval.Op {
-	ops := make([]eval.Op, len(w.Comps))
+// AppendOps implements Fault: comparator Index fires in its fault
+// mode, the rest are standard.
+func (f CompFault) AppendOps(dst []eval.Op, w *network.Network) []eval.Op {
 	for i, c := range w.Comps {
 		kind := eval.OpCmp
 		if i == f.Index {
 			kind = opFor(f.Mode)
 		}
-		ops[i] = eval.Op{Kind: kind, A: c.A, B: c.B}
+		dst = append(dst, eval.Op{Kind: kind, A: c.A, B: c.B})
 	}
-	return ops
+	return dst
 }
 
 // Eval implements Fault.
@@ -132,22 +156,22 @@ func (f StuckLine) Describe() string {
 	return fmt.Sprintf("line %d stuck-at-%d", f.Line+1, f.Value)
 }
 
-// Ops implements Fault: the clamp is enforced at the input and after
-// every comparator touching the line (a defective wire segment along
-// the entire line).
-func (f StuckLine) Ops(w *network.Network) []eval.Op {
+// AppendOps implements Fault: the clamp is enforced at the input and
+// after every comparator touching the line (a defective wire segment
+// along the entire line).
+func (f StuckLine) AppendOps(dst []eval.Op, w *network.Network) []eval.Op {
 	clamp := eval.Op{Kind: eval.OpClamp0, A: f.Line}
 	if f.Value == 1 {
 		clamp.Kind = eval.OpClamp1
 	}
-	ops := []eval.Op{clamp}
+	dst = append(dst, clamp)
 	for _, c := range w.Comps {
-		ops = append(ops, eval.Op{Kind: eval.OpCmp, A: c.A, B: c.B})
+		dst = append(dst, eval.Op{Kind: eval.OpCmp, A: c.A, B: c.B})
 		if c.A == f.Line || c.B == f.Line {
-			ops = append(ops, clamp)
+			dst = append(dst, clamp)
 		}
 	}
-	return ops
+	return dst
 }
 
 // Eval implements Fault.
@@ -183,21 +207,21 @@ func (f Bridge) Describe() string {
 	return fmt.Sprintf("bridge %d~%d %s", f.A+1, f.B+1, f.Mode)
 }
 
-// Ops implements Fault: the short is enforced at the input and after
-// every comparator touching either line.
-func (f Bridge) Ops(w *network.Network) []eval.Op {
+// AppendOps implements Fault: the short is enforced at the input and
+// after every comparator touching either line.
+func (f Bridge) AppendOps(dst []eval.Op, w *network.Network) []eval.Op {
 	short := eval.Op{Kind: eval.OpShortOR, A: f.A, B: f.B}
 	if f.Mode == WiredAND {
 		short.Kind = eval.OpShortAND
 	}
-	ops := []eval.Op{short}
+	dst = append(dst, short)
 	for _, c := range w.Comps {
-		ops = append(ops, eval.Op{Kind: eval.OpCmp, A: c.A, B: c.B})
+		dst = append(dst, eval.Op{Kind: eval.OpCmp, A: c.A, B: c.B})
 		if c.A == f.A || c.A == f.B || c.B == f.A || c.B == f.B {
-			ops = append(ops, short)
+			dst = append(dst, short)
 		}
 	}
-	return ops
+	return dst
 }
 
 // Eval implements Fault.

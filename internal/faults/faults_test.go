@@ -228,3 +228,15 @@ func TestMeasureOnRealSorterFullEnumeration(t *testing.T) {
 		t.Errorf("suspiciously low coverage: %s", rep)
 	}
 }
+
+func TestDetectabilityRefusesWideUniverse(t *testing.T) {
+	// 2³¹ inputs: the pass panics up front, on the caller's
+	// goroutine, instead of running for minutes.
+	w := network.New(31).AddPair(0, 1)
+	defer func() {
+		if recover() == nil {
+			t.Error("a 31-line fault pass should panic")
+		}
+	}()
+	Measure(w, Enumerate(w), func() bitvec.Iterator { return bitvec.All(31) }, ByProperty)
+}

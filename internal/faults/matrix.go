@@ -15,17 +15,20 @@ import (
 
 // Matrix is the full test × fault detection table for one circuit
 // under one detection mode: Sigs[t] is the fault signature of test t —
-// the set of fault indices that test exposes. It is built in ONE
-// streamed engine pass per fault (no early exit, every verdict bit
-// kept), with the faults spread over the shared worker pool, so
-// test-set *selection* for stuck-at coverage runs on exactly the same
-// compiled-program machinery as test-set verification.
+// the set of fault indices that test exposes. It is built in one
+// multi-program sweep per chunk of the fault list (no early exit,
+// every verdict bit kept), each loading every test block once for all
+// the chunk's fault variants, with the chunks spread over the shared
+// worker pool — so test-set *selection* for stuck-at coverage runs on
+// exactly the same compiled-program machinery as test-set
+// verification.
 type Matrix struct {
 	Tests      []bitvec.Vec  // the materialized test stream, in order
 	Faults     []Fault       // the injected fault universe
 	Sigs       []*bitset.Set // per test: detected fault indices
 	Detectable *bitset.Set   // faults some binary input could expose
 	Mode       DetectMode
+	rows       []*bitset.Set // per fault: the tests exposing it; nil if undetectable
 }
 
 // DetectionMatrix injects every fault in fs into w and records, for
@@ -33,8 +36,8 @@ type Matrix struct {
 // input at all can expose are excluded from signatures (they are
 // functionally benign and would poison coverage denominators). Unlike
 // Measure, the factory is consumed exactly once, up front — the
-// collected vectors are replayed per fault — so it need not be safe
-// for concurrent calls.
+// collected vectors are swept once per chunk of the fault list — so
+// it need not be safe for concurrent calls.
 func DetectionMatrix(w *network.Network, fs []Fault, tests func() bitvec.Iterator, mode DetectMode) *Matrix {
 	m, _ := DetectionMatrixCtx(context.Background(), w, eval.Compile(w), fs, tests, mode)
 	return m
@@ -42,42 +45,44 @@ func DetectionMatrix(w *network.Network, fs []Fault, tests func() bitvec.Iterato
 
 // DetectionMatrixCtx is DetectionMatrix under a context, with a
 // caller-supplied compiled healthy program (see MeasureCtx): the
-// per-fault sweeps check the context per block and a cancelled run
+// shared passes check the context once per block and a cancelled run
 // returns the context's error with a nil matrix.
 func DetectionMatrixCtx(ctx context.Context, w *network.Network, golden *eval.Program, fs []Fault, tests func() bitvec.Iterator, mode DetectMode) (*Matrix, error) {
 	vecs := bitvec.Collect(tests())
+	// One row (bitset over tests) per detectable fault, built by the
+	// chunks concurrently; the row-to-column transpose into per-test
+	// signatures is sequential and cheap.
+	rows := make([]*bitset.Set, len(fs))
+	err := forChunks(ctx, w, golden, fs, mode, func(c chunk) {
+		idx, progs, err := c.detectable(ctx)
+		if err != nil || len(idx) == 0 {
+			return
+		}
+		for _, f := range idx {
+			rows[f] = bitset.New(len(vecs))
+		}
+		// A cancelled sweep leaves its rows partial; forChunks then
+		// returns the context's error and the rows are dropped.
+		_, _ = eval.SweepCtx(ctx, progs, bitvec.Slice(vecs), c.judge, func(j, off int, bad uint64) {
+			row := rows[idx[j]]
+			for w := bad; w != 0; w &= w - 1 {
+				row.Add(off + bits.TrailingZeros64(w))
+			}
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
 	m := &Matrix{
 		Tests:      vecs,
 		Faults:     fs,
 		Sigs:       make([]*bitset.Set, len(vecs)),
 		Detectable: bitset.New(len(fs)),
 		Mode:       mode,
+		rows:       rows,
 	}
 	for t := range m.Sigs {
 		m.Sigs[t] = bitset.New(len(fs))
-	}
-	// One row (bitset over tests) per fault, built concurrently; the
-	// row-to-column transpose into per-test signatures is sequential
-	// and cheap.
-	rows := make([]*bitset.Set, len(fs))
-	err := eval.ForEachCtx(ctx, len(fs), 0, func(i int) {
-		d := NewDetector(w, golden, fs[i], mode)
-		detectable, err := d.DetectableCtx(ctx)
-		if err != nil || !detectable {
-			return
-		}
-		row := bitset.New(len(vecs))
-		if _, err := eval.New(d.prog, 1).SweepCtx(ctx, bitvec.Slice(vecs), d.judge, func(off int, bad uint64) {
-			for w := bad; w != 0; w &= w - 1 {
-				row.Add(off + bits.TrailingZeros64(w))
-			}
-		}); err != nil {
-			return
-		}
-		rows[i] = row
-	})
-	if err != nil {
-		return nil, err
 	}
 	for f, row := range rows {
 		if row == nil {
@@ -142,8 +147,9 @@ func (m *Matrix) MinimalDetectingSet() []int {
 
 // ExactMinimalDetectingSetCtx computes an exact minimum subset of the
 // tests that still detects every fault the full stream detects, by
-// handing the transposed matrix (per detected fault, the set of tests
-// exposing it) to the search package's hitting-set branch and bound.
+// handing the matrix's per-fault rows (per detected fault, the set of
+// tests exposing it) to the search package's hitting-set branch and
+// bound.
 // nodeBudget caps the solve (≤ 0 = unlimited); if it is exhausted
 // before the search closes, it returns (nil, false, nil) and callers
 // should fall back to the greedy MinimalDetectingSet. workers ≤ 0
@@ -153,18 +159,12 @@ func (m *Matrix) MinimalDetectingSet() []int {
 // cancellation and a cancelled run returns the context's error. The
 // returned indices (into Tests) are sorted ascending.
 func (m *Matrix) ExactMinimalDetectingSetCtx(ctx context.Context, nodeBudget, workers int) ([]int, bool, error) {
-	detected := m.Detected()
-	fams := make([]*bitset.Set, 0, detected.Count())
-	detected.ForEach(func(f int) bool {
-		exposing := bitset.New(len(m.Tests))
-		for t, sig := range m.Sigs {
-			if sig.Contains(f) {
-				exposing.Add(t)
-			}
+	var fams []*bitset.Set
+	for _, row := range m.rows {
+		if row != nil && !row.Empty() {
+			fams = append(fams, row)
 		}
-		fams = append(fams, exposing)
-		return true
-	})
+	}
 	if len(fams) == 0 {
 		return []int{}, true, nil
 	}

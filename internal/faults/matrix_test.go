@@ -1,13 +1,19 @@
 package faults
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"sortnets/internal/bitset"
 	"sortnets/internal/bitvec"
 	"sortnets/internal/core"
+	"sortnets/internal/eval"
 	"sortnets/internal/gen"
 	"sortnets/internal/network"
+	"sortnets/internal/search"
 )
 
 func sorterMatrix(t *testing.T, n int, mode DetectMode) *Matrix {
@@ -50,68 +56,131 @@ func TestDetectionMatrixCellsMatchDetectors(t *testing.T) {
 }
 
 // scalarDetects is the reference detection verdict: the faulty
-// circuit evaluated one vector at a time by Fault.Eval, judged against
-// the property (sorted output) or the golden output.
-func scalarDetects(w *network.Network, f Fault, tau bitvec.Vec, mode DetectMode) bool {
-	out := f.Eval(w, tau)
+// circuit evaluated one vector at a time by the scalar Program.Apply,
+// judged against the property (sorted output) or the golden output.
+func scalarDetects(w *network.Network, faulty *eval.Program, tau bitvec.Vec, mode DetectMode) bool {
+	out := faulty.Apply(tau)
 	if mode == ByGolden {
 		return out != w.ApplyVec(tau)
 	}
 	return !out.IsSorted()
 }
 
-// TestMatrixAndMeasureMatchScalarEval: on 8-line circuits the 247
-// minimal sorter tests span several words, so Sweep and the golden
-// judge see multi-word and ragged blocks; every Matrix cell and the
-// Measure report must equal the scalar Fault.Eval reference, in both
-// detection modes.
+// TestMatrixAndMeasureMatchScalarEval: every Matrix cell and the
+// Measure report must equal the scalar per-vector reference, in the
+// given detection modes. At n = 8 the 247 minimal sorter tests fill
+// one ragged block; at n = 10 and 12 the 2ⁿ universes span 4 and 16
+// full 256-lane blocks and the 1013- and 4083-vector test streams
+// several blocks ending in a ragged one, so the shared universe pass,
+// RunMany and the multi-program Sweep all cross block boundaries. The
+// exact minset picks, solved from the matrix's kept per-fault rows,
+// must equal the picks solved from the per-fault families re-scanned
+// out of the signatures.
 func TestMatrixAndMeasureMatchScalarEval(t *testing.T) {
-	const n = 8
-	nets := map[string]*network.Network{
-		"sorter": gen.Sorter(n),
-		"random": network.Random(n, 20, rand.New(rand.NewSource(8))),
+	cases := []struct {
+		n     int
+		comps int // comparators of the random circuit
+		modes []DetectMode
+	}{
+		{8, 20, []DetectMode{ByProperty, ByGolden}},
+		{10, 30, []DetectMode{ByProperty, ByGolden}},
+		{12, 40, []DetectMode{ByProperty}},
 	}
-	tests := func() bitvec.Iterator { return core.SorterBinaryTests(n) }
-	universe := bitvec.Collect(bitvec.All(n))
-	for name, w := range nets {
-		fs := Enumerate(w)
-		for _, mode := range []DetectMode{ByProperty, ByGolden} {
-			m := DetectionMatrix(w, fs, tests, mode)
-			if len(m.Tests) != 247 {
-				t.Fatalf("%s: %d tests, want 247", name, len(m.Tests))
-			}
-			want := Report{Faults: len(fs)}
-			for fi, f := range fs {
-				detectable := false
-				for _, tau := range universe {
-					if scalarDetects(w, f, tau, mode) {
-						detectable = true
-						break
+	for _, c := range cases {
+		n := c.n
+		nets := map[string]*network.Network{
+			"sorter": gen.Sorter(n),
+			"random": network.Random(n, c.comps, rand.New(rand.NewSource(int64(n)))),
+		}
+		tests := func() bitvec.Iterator { return core.SorterBinaryTests(n) }
+		universe := bitvec.Collect(bitvec.All(n))
+		for name, w := range nets {
+			fs := Enumerate(w)
+			for _, mode := range c.modes {
+				m := DetectionMatrix(w, fs, tests, mode)
+				if want := bitvec.Universe(n) - (n + 1); len(m.Tests) != want {
+					t.Fatalf("n=%d %s: %d tests, want %d", n, name, len(m.Tests), want)
+				}
+				want := Report{Faults: len(fs)}
+				for fi, f := range fs {
+					faulty := Compile(w, f)
+					detectable := false
+					for _, tau := range universe {
+						if scalarDetects(w, faulty, tau, mode) {
+							detectable = true
+							break
+						}
+					}
+					if detectable {
+						want.Detectable++
+					}
+					detected := false
+					for ti, tau := range m.Tests {
+						cell := detectable && scalarDetects(w, faulty, tau, mode)
+						detected = detected || cell
+						if got := m.Sigs[ti].Contains(fi); got != cell {
+							t.Fatalf("n=%d %s %s cell (test %d %s, fault %s): matrix %v, scalar %v",
+								n, name, mode, ti, tau, f.Describe(), got, cell)
+						}
+					}
+					if detected {
+						want.Detected++
 					}
 				}
-				if detectable {
-					want.Detectable++
+				if got := Measure(w, fs, tests, mode); got != want {
+					t.Errorf("n=%d %s %s: Measure %+v, scalar %+v", n, name, mode, got, want)
 				}
-				detected := false
-				for ti, tau := range m.Tests {
-					cell := detectable && scalarDetects(w, f, tau, mode)
-					detected = detected || cell
-					if got := m.Sigs[ti].Contains(fi); got != cell {
-						t.Fatalf("%s %s cell (test %d %s, fault %s): matrix %v, scalar %v",
-							name, mode, ti, tau, f.Describe(), got, cell)
-					}
+				if got := m.Report(); got != want {
+					t.Errorf("n=%d %s %s: matrix report %+v, scalar %+v", n, name, mode, got, want)
 				}
-				if detected {
-					want.Detected++
-				}
-			}
-			if got := Measure(w, fs, tests, mode); got != want {
-				t.Errorf("%s %s: Measure %+v, scalar %+v", name, mode, got, want)
-			}
-			if got := m.Report(); got != want {
-				t.Errorf("%s %s: matrix report %+v, scalar %+v", name, mode, got, want)
+				checkExactPicks(t, fmt.Sprintf("n=%d %s %s", n, name, mode), m)
 			}
 		}
+	}
+}
+
+// exactPicksBudget caps each exact solve of checkExactPicks, so the
+// larger matrices may end unsolved: then both sides must report that.
+const exactPicksBudget = 200_000
+
+// checkExactPicks pins ExactMinimalDetectingSetCtx, which hands the
+// matrix's kept per-fault rows to the solver, to a reference that
+// rebuilds each detected fault's family by scanning every signature.
+func checkExactPicks(t *testing.T, desc string, m *Matrix) {
+	t.Helper()
+	ctx := context.Background()
+	var fams []*bitset.Set
+	m.Detected().ForEach(func(f int) bool {
+		exposing := bitset.New(len(m.Tests))
+		for ti, sig := range m.Sigs {
+			if sig.Contains(f) {
+				exposing.Add(ti)
+			}
+		}
+		fams = append(fams, exposing)
+		return true
+	})
+	want := []int{}
+	wantExact := true
+	if len(fams) > 0 {
+		res, err := search.MinHittingSetBitsCtx(ctx, len(m.Tests), fams, exactPicksBudget, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantExact = nil, res.Exact
+		if res.Exact {
+			res.Elements.ForEach(func(ti int) bool {
+				want = append(want, ti)
+				return true
+			})
+		}
+	}
+	got, exact, err := m.ExactMinimalDetectingSetCtx(ctx, exactPicksBudget, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact != wantExact || !slices.Equal(got, want) {
+		t.Fatalf("%s: exact picks %v (exact %v), re-scan reference %v (exact %v)", desc, got, exact, want, wantExact)
 	}
 }
 

@@ -98,8 +98,8 @@ func WithCache(entries int) Option { return func(s *Session) { s.cacheSize = ent
 func WithMaxLines(n int) Option { return func(s *Session) { s.maxLines = n } }
 
 // WithMaxFaultLines caps the line count Do accepts for OpFaults and
-// OpMinset requests (fault detectability sweeps the 2ⁿ universe per
-// fault). 0 or negative keeps the default of 12.
+// OpMinset requests (fault detectability sweeps the 2ⁿ universe, once
+// per chunk of the fault list). 0 or negative keeps the default of 12.
 func WithMaxFaultLines(n int) Option { return func(s *Session) { s.maxFaultLines = n } }
 
 // WithFaultMode sets the default fault-detection mode used by
@@ -554,11 +554,13 @@ func (s *Session) binaryTests(p Property) VecIterator {
 }
 
 // binaryTestsFactory is binaryTests as a restartable factory, for the
-// fault paths that replay the stream once per fault. WithTestStream
-// overrides deliberately do NOT apply here (they never have: the
-// option scores alternative VERIFY streams; fault coverage is defined
-// over the paper's minimal test set), but tables do — the replay per
-// fault is exactly where skipping re-enumeration pays most.
+// fault paths: Measure draws the stream once per chunk of the fault
+// list (at most NumCPU chunks, each judging all its fault variants
+// against one load of every block), the detection matrix once per
+// request. WithTestStream overrides deliberately do NOT apply here
+// (they never have: the option scores alternative VERIFY streams;
+// fault coverage is defined over the paper's minimal test set), but
+// tables do, so those draws replay a table instead of re-enumerating.
 func (s *Session) binaryTestsFactory(p Property) func() VecIterator {
 	if t, ok := s.tableFor(p); ok {
 		return t.Iter

@@ -195,8 +195,8 @@ const (
 func EnumerateFaults(w *Network) []Fault { return faults.Enumerate(w) }
 
 // FaultMatrix is the full test × fault detection table: per-test
-// fault-signature bitsets built in one streamed engine pass per
-// fault.
+// fault-signature bitsets built in one multi-program sweep per chunk
+// of the fault list, each test block loaded once for all its faults.
 type FaultMatrix = faults.Matrix
 
 // DetectionMatrix builds the test × fault detection matrix for w over
