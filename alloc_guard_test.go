@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"sortnets/internal/bitvec"
+	"sortnets/internal/core"
+	"sortnets/internal/gen"
 	"sortnets/internal/network"
 )
 
@@ -40,5 +43,39 @@ func TestDoBatchCacheHitAllocs(t *testing.T) {
 	t.Logf("cache-hit DoBatch: %.1f allocs per %d-request batch, %.2f per request", perBatch, batch, perReq)
 	if perReq > 8 {
 		t.Fatalf("cache-hit DoBatch allocates %.2f per request (%.1f per batch); the batched hit path has regressed", perReq, perBatch)
+	}
+}
+
+// TestResolveAllocs guards request resolution — parse, canonicalize
+// and digest, the work every verdict pays before a cache can answer
+// it — at a small constant number of allocations whatever the
+// comparator count: a 16-line Lemma 2.1 almost-sorter H_σ (1405
+// comparators) and a 16-line odd-even merge sorter (63) must cost
+// the same bounded handful. Each measured 6 on go1.24 (two for the
+// parsed network, three for the canonical one, one for the hex
+// digest); the bound of twice that leaves room for toolchain drift
+// but not for a per-comparator or per-layer allocation.
+func TestResolveAllocs(t *testing.T) {
+	h, err := core.AlmostSorter(bitvec.New(16, 0x5a3c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		w    *network.Network
+	}{
+		{"almost-sorter-16", h},
+		{"odd-even-merge-16", gen.OddEvenMergeSort(16)},
+	} {
+		req := Request{Network: tc.w.Format()}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, _, err := req.resolve(16); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		})
+		t.Logf("%s (%d comparators): %.0f allocs per resolve", tc.name, tc.w.Size(), allocs)
+		if allocs > 12 {
+			t.Errorf("%s: resolve costs %.0f allocs, want at most 12 whatever the comparator count", tc.name, allocs)
+		}
 	}
 }

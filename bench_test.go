@@ -484,3 +484,57 @@ func BenchmarkAblationLemmaConstructionWorstCase(b *testing.B) {
 		}
 	}
 }
+
+// --- Serve path: request resolution --------------------------------------
+
+// deepMixRequests is a fixed text-form mix of 32 networks at n = 12..16
+// shaped like a deep serving batch: 14 sorters (a random prefix, then
+// gen.OddEvenMergeSort), 11 Lemma 2.1 almost-sorters H_σ, 4
+// (4,n)-selectors (a random prefix, then gen.Selection) and 3 mergers
+// (gen.HalfMerger, then a random suffix).
+func deepMixRequests() []Request {
+	rng := rand.New(rand.NewSource(16))
+	prefix := func(n int) *network.Network { return network.Random(n, 4+rng.Intn(8), rng) }
+	var reqs []Request
+	add := func(w *network.Network, property string, k int) {
+		reqs = append(reqs, Request{Network: w.Format(), Property: property, K: k})
+	}
+	for i := 0; i < 14; i++ {
+		n := 12 + i%5
+		add(prefix(n).Append(gen.OddEvenMergeSort(n)), "", 0)
+	}
+	for i := 0; i < 11; i++ {
+		n := 12 + i%5
+		sigma := bitvec.New(n, 0)
+		for sigma.IsSorted() {
+			sigma = bitvec.New(n, rng.Uint64()&(1<<uint(n)-1))
+		}
+		h, err := core.AlmostSorter(sigma)
+		if err != nil {
+			panic(err)
+		}
+		add(h, "", 0)
+	}
+	for i := 0; i < 4; i++ {
+		n := 12 + i%5
+		add(prefix(n).Append(gen.Selection(n, 4)), "selector", 4)
+	}
+	for _, n := range []int{12, 14, 16} {
+		add(gen.HalfMerger(n).Append(prefix(n)), "merger", 0)
+	}
+	return reqs
+}
+
+// BenchmarkResolve parses, canonicalizes and digests the text form of
+// one deep-mix network per op, cycling through deepMixRequests: the
+// work a verdict pays before any cache can answer it.
+func BenchmarkResolve(b *testing.B) {
+	reqs := deepMixRequests()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := reqs[i%len(reqs)].resolve(16); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -31,7 +31,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
 
 	"sortnets/internal/network"
 )
@@ -43,19 +42,61 @@ import (
 // w on every input — comparators within a layer touch disjoint lines,
 // so they commute — and Normalize is a fixpoint: applying it twice
 // yields the same comparator sequence. w is not modified.
+//
+// The order comes from two stable counting passes: comparator indices
+// by top line A, then comparators by greedy layer (the bucket
+// schedule eval.Compile uses). A layer's comparators have distinct
+// top lines, so A alone orders a layer as (A, B) does. The cost is
+// three allocations — the network, one scratch slab and one
+// exact-size comparator slice — whatever the comparator count.
 func Normalize(w *network.Network) *network.Network {
 	out := network.New(w.N)
-	for _, layer := range w.Layers() {
-		layer = append([]network.Comparator(nil), layer...)
-		sort.Slice(layer, func(i, j int) bool {
-			if layer[i].A != layer[j].A {
-				return layer[i].A < layer[j].A
-			}
-			return layer[i].B < layer[j].B
-		})
-		out.Add(layer...)
+	m := len(w.Comps)
+	if m == 0 {
+		return out
 	}
+	// layer[i] is comparator i's greedy layer, byTop the indices in
+	// top-line order, and count the per-line busy-until layer, then
+	// the buckets of each pass.
+	scratch := make([]int, 2*m+max(w.N, m))
+	layer, byTop, count := scratch[:m], scratch[m:2*m], scratch[2*m:]
+	depth := 0
+	for i, c := range w.Comps {
+		l := max(count[c.A], count[c.B])
+		count[c.A], count[c.B] = l+1, l+1
+		layer[i] = l
+		depth = max(depth, l+1)
+	}
+	clear(count)
+	for _, c := range w.Comps {
+		count[c.A]++
+	}
+	bucketStarts(count[:w.N])
+	for i, c := range w.Comps {
+		byTop[count[c.A]] = i
+		count[c.A]++
+	}
+	clear(count)
+	for _, l := range layer {
+		count[l]++
+	}
+	bucketStarts(count[:depth])
+	comps := make([]network.Comparator, m)
+	for _, i := range byTop {
+		comps[count[layer[i]]] = w.Comps[i]
+		count[layer[i]]++
+	}
+	out.Comps = comps
 	return out
+}
+
+// bucketStarts turns per-bucket counts into each bucket's first
+// position in the sorted order.
+func bucketStarts(count []int) {
+	sum := 0
+	for k, c := range count {
+		count[k], sum = sum, sum+c
+	}
 }
 
 // Untangle standardizes a generalized comparator sequence on n lines.
@@ -63,7 +104,8 @@ func Normalize(w *network.Network) *network.Network {
 // the MAX on line j — standard when i < j, tangled when i > j. The
 // relabeling sweep keeps a lane map r (initially the identity): a
 // tangled comparator is emitted in standard orientation and the two
-// lanes swap names for everything downstream.
+// lanes swap names for everything downstream. The standard network
+// is written into one exact-size comparator slice.
 //
 // The returned network S and permutation r satisfy, for every input
 // x and every line l:
@@ -85,20 +127,20 @@ func Untangle(n int, pairs [][2]int) (*network.Network, []int, error) {
 		r[i] = i
 	}
 	s := network.New(n)
+	s.Comps = make([]network.Comparator, len(pairs))
 	for idx, p := range pairs {
 		i, j := p[0], p[1]
 		if i < 0 || j < 0 || i >= n || j >= n || i == j {
 			return nil, nil, fmt.Errorf("canon: comparator %d (%d,%d) invalid on %d lines", idx, i, j, n)
 		}
 		a, b := r[i], r[j]
-		if a < b {
-			s.AddPair(a, b)
-		} else {
+		if a > b {
 			// Tangled: emit the standard orientation and swap the lane
 			// names so downstream comparators (and the outputs) follow.
-			s.AddPair(b, a)
-			r[i], r[j] = b, a
+			a, b = b, a
+			r[i], r[j] = a, b
 		}
+		s.Comps[idx] = network.Comparator{A: a, B: b}
 	}
 	return s, r, nil
 }
@@ -128,35 +170,36 @@ func Digest(w *network.Network) [sha256.Size]byte {
 
 // Canonicalize returns the canonical form and its hex digest in one
 // pass — the serving layer's entry point, which needs both and should
-// not pay for normalizing twice.
+// not pay for normalizing twice. It costs Normalize's three
+// allocations plus the hex string.
 func Canonicalize(w *network.Network) (*network.Network, string) {
 	c := Normalize(w)
 	d := digestNormalized(c)
-	return c, hex.EncodeToString(d[:])
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], d[:])
+	return c, string(hx[:])
 }
 
-// digestNormalized hashes an already-canonical network.
+// digestNormalized hashes an already-canonical network: the version
+// tag, then uvarints of N, the comparator count and each comparator's
+// A and B. The stream is laid out in one stack buffer, which holds
+// about 2000 comparators on up to 128 lines (a larger network spills
+// it to the heap), and hashed with one sha256.Sum256.
 func digestNormalized(c *network.Network) [sha256.Size]byte {
-	h := sha256.New()
-	h.Write([]byte(digestVersion))
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v int) {
-		h.Write(buf[:binary.PutUvarint(buf[:], uint64(v))])
-	}
-	put(c.N)
-	put(len(c.Comps))
+	var stack [4096]byte
+	buf := append(stack[:0], digestVersion...)
+	buf = binary.AppendUvarint(buf, uint64(c.N))
+	buf = binary.AppendUvarint(buf, uint64(len(c.Comps)))
 	for _, cmp := range c.Comps {
-		put(cmp.A)
-		put(cmp.B)
+		buf = binary.AppendUvarint(buf, uint64(cmp.A))
+		buf = binary.AppendUvarint(buf, uint64(cmp.B))
 	}
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
+	return sha256.Sum256(buf)
 }
 
 // DigestString is Digest rendered as lowercase hex — the cache-key
 // form used by the serving layer.
 func DigestString(w *network.Network) string {
-	d := Digest(w)
-	return hex.EncodeToString(d[:])
+	_, d := Canonicalize(w)
+	return d
 }

@@ -28,10 +28,12 @@ func decodeNetwork(nByte byte, data []byte) *network.Network {
 	return w
 }
 
-// FuzzCanonRoundTrip is the satellite fuzz contract: canonicalizing
-// twice is a fixpoint, the digest is invariant under normalization,
-// and the canonical network computes the same function as the input
-// (checked over the full 2ⁿ universe — n is capped small).
+// FuzzCanonRoundTrip is the canonical form's fuzz contract: Normalize
+// and Digest agree with normalizeReference and digestReference (the
+// same comparators, the same digest bytes), canonicalizing twice is a
+// fixpoint, the digest is invariant under normalization, and the
+// canonical network computes the same function as the input (checked
+// over the full 2ⁿ universe — n is capped small).
 func FuzzCanonRoundTrip(f *testing.F) {
 	f.Add(byte(2), []byte{0, 1})
 	f.Add(byte(4), []byte{0, 2, 1, 3, 0, 1, 2, 3})
@@ -39,6 +41,7 @@ func FuzzCanonRoundTrip(f *testing.F) {
 	f.Add(byte(0), []byte{})
 	f.Fuzz(func(t *testing.T, nByte byte, data []byte) {
 		w := decodeNetwork(nByte, data)
+		checkAgainstReference(t, w)
 		once := Normalize(w)
 		twice := Normalize(once)
 		if once.Format() != twice.Format() {

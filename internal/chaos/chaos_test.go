@@ -4,30 +4,49 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 )
 
 // echoServer accepts connections and echoes bytes back until closed.
+// Its cleanup closes the listener and every accepted connection, then
+// waits for the accept loop and each echo goroutine to exit.
 func echoServer(t *testing.T) net.Listener {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var (
+		conns  []net.Conn // written by the accept loop until it exits
+		echoes sync.WaitGroup
+	)
+	accepting := make(chan struct{})
 	go func() {
+		defer close(accepting)
 		for {
 			c, err := ln.Accept()
 			if err != nil {
 				return
 			}
+			conns = append(conns, c)
+			echoes.Add(1)
 			go func() {
+				defer echoes.Done()
 				io.Copy(c, c)
 				c.Close()
 			}()
 		}
 	}()
-	t.Cleanup(func() { ln.Close() })
+	t.Cleanup(func() {
+		ln.Close()
+		<-accepting
+		for _, c := range conns {
+			c.Close()
+		}
+		echoes.Wait()
+	})
 	return ln
 }
 

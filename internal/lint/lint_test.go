@@ -61,6 +61,13 @@ func TestLockOrder(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "lockorder"), "sortnets/testdata/lockorder", lint.AtomicField, lint.LockOrder)
 }
 
+// TestLockOrderInitFunctions runs a package with two init functions,
+// one of them taking a mutex. They share one symbol, so the summary
+// fixpoint terminates only if it keys summaries by function.
+func TestLockOrderInitFunctions(t *testing.T) {
+	linttest.Run(t, filepath.Join("testdata", "lockorderinit"), "sortnets/testdata/lockorderinit", lint.LockOrder)
+}
+
 func TestRetryContractServe(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "retrycontract", "serve"), "sortnets/testdata/retrycontract/serve", lint.RetryContract)
 }

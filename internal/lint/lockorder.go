@@ -46,7 +46,8 @@ var LockOrder = &Analyzer{
 // lockOrderFact is both fact shapes this analyzer exports: per
 // function (symbol = FuncSymbol) the locks it acquires anywhere
 // inside, and per package (symbol = "edges:<path>") the ordered
-// pairs it observed.
+// pairs it observed. Package init functions export no fact: nothing
+// can call them, and every init of a package shares one FuncSymbol.
 type lockOrderFact struct {
 	Locks []string   `json:"locks,omitempty"`
 	Edges []lockEdge `json:"edges,omitempty"`
@@ -72,7 +73,7 @@ type heldLock struct {
 type lockWalkState struct {
 	pass      *Pass
 	decls     map[*types.Func]*ast.FuncDecl
-	summaries map[string][]string // FuncSymbol -> acquired lock symbols
+	summaries map[*types.Func][]string // acquired lock symbols
 	edges     []lockEdge
 	edgePos   []token.Pos // parallel to edges: position in THIS package
 }
@@ -81,25 +82,27 @@ func runLockOrder(pass *Pass) error {
 	st := &lockWalkState{
 		pass:      pass,
 		decls:     funcDeclOf(pass),
-		summaries: make(map[string][]string),
+		summaries: make(map[*types.Func][]string),
 	}
 
 	// Fixpoint the per-function acquisition summaries over the
 	// package's internal call graph (callee bodies may be declared
 	// after their callers; cross-package callees come from facts).
+	// Summaries are keyed by the declared function, not its symbol:
+	// the several init functions of one package share a symbol, and
+	// a shared key would flip between their summaries forever.
 	for changed := true; changed; {
 		changed = false
 		for fn, fd := range st.decls {
 			sum := st.summarize(fd)
-			key := FuncSymbol(fn)
-			if len(sum) != len(st.summaries[key]) {
-				st.summaries[key] = sum
+			if len(sum) != len(st.summaries[fn]) {
+				st.summaries[fn] = sum
 				changed = true
 			}
 		}
 	}
 	for _, fn := range sortedFuncs(st.decls) {
-		if locks := st.summaries[FuncSymbol(fn)]; len(locks) > 0 {
+		if locks := st.summaries[fn]; len(locks) > 0 && !isPackageInit(fn) {
 			pass.ExportFact(FuncSymbol(fn), lockOrderFact{Locks: locks})
 		}
 	}
@@ -202,15 +205,19 @@ func (st *lockWalkState) calleeLocks(call *ast.CallExpr) []string {
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() == "sync" {
 		return nil
 	}
-	key := FuncSymbol(fn)
-	if sum, ok := st.summaries[key]; ok {
+	if sum, ok := st.summaries[fn.Origin()]; ok {
 		return sum
 	}
 	var fact lockOrderFact
-	if st.pass.ImportFact(key, &fact) {
+	if st.pass.ImportFact(FuncSymbol(fn), &fact) {
 		return fact.Locks
 	}
 	return nil
+}
+
+// isPackageInit reports whether fn is a package initializer.
+func isPackageInit(fn *types.Func) bool {
+	return fn.Name() == "init" && fn.Type().(*types.Signature).Recv() == nil
 }
 
 // walkStmts threads the held set through a statement list. Branch

@@ -43,6 +43,10 @@ func (w *Network) Format() string {
 
 // Parse reads the text format. An explicit "n=<k>:" prefix fixes the
 // line count; otherwise it is inferred from the largest line used.
+// One count of '[' sizes the comparator slice, and strings.IndexByte
+// finds each comparator's closing bracket and comma, so a well-formed
+// network costs two allocations whatever its size (malformed text may
+// over-reserve, by at most one comparator per '[').
 func Parse(s string) (*Network, error) {
 	s = strings.TrimSpace(s)
 	n := -1
@@ -59,6 +63,9 @@ func Parse(s string) (*Network, error) {
 		s = strings.TrimSpace(s[colon+1:])
 	}
 	var comps []Comparator
+	if k := strings.Count(s, "["); k > 0 {
+		comps = make([]Comparator, 0, k)
+	}
 	maxLine := 0
 	for len(s) > 0 {
 		if s[0] != '[' {
@@ -69,17 +76,17 @@ func Parse(s string) (*Network, error) {
 			return nil, fmt.Errorf("network: unterminated comparator in %q", s)
 		}
 		body := s[1:close]
-		parts := strings.Split(body, ",")
-		if len(parts) != 2 {
+		comma := strings.IndexByte(body, ',')
+		if comma < 0 || strings.IndexByte(body[comma+1:], ',') >= 0 {
 			return nil, fmt.Errorf("network: comparator %q must have two lines", body)
 		}
-		a, err := strconv.Atoi(strings.TrimSpace(parts[0]))
+		a, err := strconv.Atoi(strings.TrimSpace(body[:comma]))
 		if err != nil {
-			return nil, fmt.Errorf("network: bad line %q: %v", parts[0], err)
+			return nil, fmt.Errorf("network: bad line %q: %v", body[:comma], err)
 		}
-		b, err := strconv.Atoi(strings.TrimSpace(parts[1]))
+		b, err := strconv.Atoi(strings.TrimSpace(body[comma+1:]))
 		if err != nil {
-			return nil, fmt.Errorf("network: bad line %q: %v", parts[1], err)
+			return nil, fmt.Errorf("network: bad line %q: %v", body[comma+1:], err)
 		}
 		if a < 1 || b < 1 {
 			return nil, fmt.Errorf("network: lines are 1-based, got [%d,%d]", a, b)
@@ -91,7 +98,11 @@ func Parse(s string) (*Network, error) {
 		if b > maxLine {
 			maxLine = b
 		}
-		s = strings.TrimSpace(s[close+1:])
+		// The text was trimmed at both ends above, so only space
+		// before the next comparator can remain.
+		if s = s[close+1:]; len(s) > 0 && s[0] != '[' {
+			s = strings.TrimSpace(s)
+		}
 	}
 	if n < 0 {
 		n = maxLine

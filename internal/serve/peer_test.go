@@ -172,6 +172,9 @@ func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	return http.DefaultTransport.RoundTrip(r)
 }
 
+// snapshot returns the number of requests sent so far.
+func (c *countingTransport) snapshot() int64 { return c.n.Load() }
+
 // postNDJSON posts an NDJSON batch body to /do and returns the raw
 // response body.
 func postNDJSON(t *testing.T, url, body string) []byte {
@@ -223,7 +226,7 @@ func TestPeerFillOneProbePerPeerPerBatch(t *testing.T) {
 	})
 	got := postNDJSON(t, tsA.URL, body)
 
-	if n := probes.n.Load(); n != 1 {
+	if n := probes.snapshot(); n != 1 {
 		t.Errorf("A sent %d fill probes for one batch, want exactly 1", n)
 	}
 	if c := sA.Stats().Endpoints["verify"].Computes; c != 16 {

@@ -176,9 +176,14 @@ const maxComparators = 1 << 14
 // resolve parses, untangles, canonicalizes and digests the request's
 // network. maxLines is the operation's line-count cap and is enforced
 // BEFORE any O(lines) allocation (Untangle's lane map, Normalize's
-// layer schedule), so an absurd "n=2000000000:" request is rejected,
-// not materialized. The returned network is the canonical
-// (normalized) form.
+// scratch), so an absurd "n=2000000000:" request is rejected, not
+// materialized. The returned network is the canonical (normalized)
+// form. Every step allocates exact-size slices, so a resolve costs a
+// fixed handful of allocations whatever the comparator count: six for
+// the text form (two for network.Parse, four for canon.Canonicalize),
+// and for the comparator form the 0-based pair slice, which one loop
+// validates and fills, plus canon.Untangle's three and
+// Canonicalize's four.
 func (r *Request) resolve(maxLines int) (*network.Network, string, error) {
 	var w *network.Network
 	switch {
