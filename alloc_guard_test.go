@@ -7,8 +7,10 @@ import (
 
 	"sortnets/internal/bitvec"
 	"sortnets/internal/core"
+	"sortnets/internal/eval"
 	"sortnets/internal/gen"
 	"sortnets/internal/network"
+	"sortnets/internal/verify"
 )
 
 // TestDoBatchCacheHitAllocs guards the Session's batched cache-hit
@@ -77,5 +79,26 @@ func TestResolveAllocs(t *testing.T) {
 		if allocs > 12 {
 			t.Errorf("%s: resolve costs %.0f allocs, want at most 12 whatever the comparator count", tc.name, allocs)
 		}
+	}
+}
+
+// TestWideVerdictAllocs guards the wide (n > 64) certification path:
+// the 256-line Batcher merger's 16,384 tests stream as rows into the
+// pooled block engine, so a one-worker verdict allocates a fixed
+// handful (the stream, the judge, the engine; 4 on go1.24) and nothing
+// per vector. The bound is one allocation per block: 66 blocks for
+// 16,384 tests on the 64 → 128 → 256-lane ramp.
+func TestWideVerdictAllocs(t *testing.T) {
+	prog := eval.Compile(gen.HalfMerger(256))
+	p := verify.Merger{N: 256}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(20, func() {
+		if r, err := verify.VerdictWideProgramCtx(ctx, prog, p, 1); err != nil || !r.Holds || r.TestsRun != 16384 {
+			t.Fatalf("merger verdict %s, %v", r, err)
+		}
+	})
+	t.Logf("wide merger verdict (n = 256, 16384 tests): %.0f allocs", allocs)
+	if allocs > 66 {
+		t.Errorf("wide merger verdict costs %.0f allocs, want at most one per block (66)", allocs)
 	}
 }

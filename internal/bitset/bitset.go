@@ -1,7 +1,6 @@
 // Package bitset provides a fixed-capacity dynamic bit set used where
 // a single machine word is not enough: the permutation-space search
-// tracks failure sets over all n! inputs (120 bits at n=5), and the
-// wide-vector engine indexes lines beyond 64.
+// tracks failure sets over all n! inputs (120 bits at n=5).
 package bitset
 
 import (

@@ -3,34 +3,38 @@ package core
 import (
 	"fmt"
 
-	"sortnets/internal/widevec"
+	"sortnets/internal/eval"
 )
 
 // Wide-width test sets: beyond 64 lines a zero-one sweep is physically
 // impossible (2ⁿ inputs), but the paper's merger and selector test
 // sets stay polynomial — n²/4 and Σᵢ₌₀..k C(n,i) − k − 1 — so
-// certification keeps working. These iterators mirror
-// MergerBinaryTests and SelectorBinaryTests on widevec vectors.
+// certification keeps working. These streams mirror MergerBinaryTests
+// and SelectorBinaryTests at any width, writing each vector's words
+// straight into the engine's staging row (eval.RowStream).
 
-// WideIterator streams wide binary vectors.
-type WideIterator interface {
-	Next() (widevec.Vec, bool)
+// CountWide drains a row stream of n-line vectors.
+func CountWide(n int, it eval.RowStream) int {
+	row := make([]uint64, (n+63)/64)
+	c := 0
+	for it.NextRow(row) {
+		c++
+	}
+	return c
 }
 
-// CountWide drains a wide iterator.
-func CountWide(it WideIterator) int {
-	n := 0
-	for {
-		if _, ok := it.Next(); !ok {
-			return n
-		}
-		n++
+// setOnes sets lines from..to−1 of a row.
+func setOnes(row []uint64, from, to int) {
+	for from < to {
+		end := min(to, from|63+1)
+		row[from>>6] |= ^uint64(0) >> uint(64-(end-from)) << uint(from&63)
+		from = end
 	}
 }
 
-// MergerWideTests streams the n²/4 merger tests for any even n up to
-// widevec.MaxN.
-func MergerWideTests(n int) WideIterator {
+// MergerWideTests streams the n²/4 merger tests for any even n:
+// 0^(h−i) 1^i over 0^k 1^(h−k) for i, k = 1..h, h = n/2.
+func MergerWideTests(n int) eval.RowStream {
 	if n%2 != 0 || n < 2 {
 		panic(fmt.Sprintf("core: merger tests need even n ≥ 2, got %d", n))
 	}
@@ -41,25 +45,27 @@ type mergerWideIter struct {
 	h, i, k int
 }
 
-func (it *mergerWideIter) Next() (widevec.Vec, bool) {
+func (it *mergerWideIter) NextRow(row []uint64) bool {
 	if it.i > it.h {
-		return widevec.Vec{}, false
+		return false
 	}
-	v := widevec.Concat(widevec.SortedWithOnes(it.h, it.i), widevec.SortedWithOnes(it.h, it.h-it.k))
+	clear(row)
+	setOnes(row, it.h-it.i, it.h)
+	setOnes(row, it.h+it.k, 2*it.h)
 	it.k++
 	if it.k > it.h {
 		it.k = 1
 		it.i++
 	}
-	return v, true
+	return true
 }
 
 // SelectorWideTests streams the minimal (k,n)-selector test set for
-// any n up to widevec.MaxN: every non-sorted vector with at most k
-// zeros, enumerated by the zero-position combination odometer
-// (weight 0 first — the all-ones vector is sorted and skipped — then
-// single zeros, and so on).
-func SelectorWideTests(n, k int) WideIterator {
+// any n: every non-sorted vector with at most k zeros, enumerated by
+// the zero-position combination odometer (weight 0 first — the
+// all-ones vector is sorted and skipped — then single zeros, and so
+// on).
+func SelectorWideTests(n, k int) eval.RowStream {
 	if k < 1 || k > n {
 		panic(fmt.Sprintf("core: selector arity k=%d out of range 1..%d", k, n))
 	}
@@ -72,16 +78,20 @@ type selectorWideIter struct {
 	pos  []int // current zero positions (combination odometer), nil = start of level
 }
 
-func (it *selectorWideIter) Next() (widevec.Vec, bool) {
-	for {
-		if !it.advance() {
-			return widevec.Vec{}, false
+func (it *selectorWideIter) NextRow(row []uint64) bool {
+	for it.advance() {
+		// Zeros exactly on lines 0..z−1 make the sorted 0^z 1^(n−z).
+		if it.z == 0 || it.pos[it.z-1] == it.z-1 {
+			continue
 		}
-		v := it.current()
-		if !v.IsSorted() {
-			return v, true
+		clear(row)
+		setOnes(row, 0, it.n)
+		for _, p := range it.pos {
+			row[p>>6] &^= 1 << uint(p&63)
 		}
+		return true
 	}
+	return false
 }
 
 // advance steps the combination odometer, moving to the next zero
@@ -114,12 +124,4 @@ func (it *selectorWideIter) advance() bool {
 		}
 		return true
 	}
-}
-
-func (it *selectorWideIter) current() widevec.Vec {
-	v := widevec.SortedWithOnes(it.n, it.n) // all ones
-	for _, p := range it.pos {
-		v = v.SetBit(p, 0)
-	}
-	return v
 }

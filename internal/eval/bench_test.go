@@ -7,7 +7,6 @@ import (
 	"sortnets/internal/bitvec"
 	"sortnets/internal/gen"
 	"sortnets/internal/network"
-	"sortnets/internal/widevec"
 )
 
 // The acceptance bar for the compiled engine: the layered compiled
@@ -86,26 +85,6 @@ func BenchmarkUniverseEngine(b *testing.B) {
 			b.Fatal("sorter rejected")
 		}
 	}
-}
-
-// --- wide path: compiled ------------------------------------------------
-
-// BenchmarkWideCompiled evaluates one merger test vector through the
-// compiled program's cached, layered pair slice.
-func BenchmarkWideCompiled(b *testing.B) {
-	p := Compile(gen.HalfMerger(256))
-	v := wideTestInput(256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !p.ApplyWide(v).IsSorted() {
-			b.Fatal("merger failed")
-		}
-	}
-}
-
-func wideTestInput(n int) widevec.Vec {
-	h := n / 2
-	return widevec.Concat(widevec.SortedWithOnes(h, h/3), widevec.SortedWithOnes(h, h-h/4))
 }
 
 // --- fault path: compiled variant batch sweep ---------------------------

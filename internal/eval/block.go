@@ -6,80 +6,123 @@ import (
 
 	"sortnets/internal/bitvec"
 	"sortnets/internal/network"
+	"sortnets/internal/widevec"
 )
 
-// block is a worker's reusable evaluation state: up to maxLanes
-// stream vectors, the transpose scratch, the in/out batches and the
-// rejected-lane mask. Every run path (Run's sequential loop and pool,
-// Sweep, RunUniverse, RunMany) loads, evaluates and judges through
-// it, so there is one block schedule and one first-failure rule.
+// RowStream streams test vectors of any width by writing each one
+// straight into a staging row: ⌈n/64⌉ words, line i in bit i&63 of
+// word i>>6, every word written and no bit set at or beyond line n.
+// NextRow returns false, leaving row alone, once the stream is
+// exhausted, and keeps returning false. The wide test families of
+// package core implement it; RunWideCtx consumes it.
+type RowStream interface {
+	NextRow(row []uint64) bool
+}
+
+// stream is a run's vector source: rows already staged (auto mode's
+// probe), then a narrow bitvec iterator or a row stream.
+type stream struct {
+	head []uint64
+	vecs bitvec.Iterator
+	rows RowStream
+}
+
+// fill stages up to lim vectors of R words each into dst and returns
+// how many it staged; fewer than lim means the stream is exhausted.
+// It is the one per-block step every streaming run path (Run,
+// RunWideCtx, RunMany, Sweep) draws vectors through.
+//
+//sortnets:hotpath
+func (s *stream) fill(dst []uint64, R, lim int) int {
+	k := min(lim, len(s.head)/R)
+	copy(dst, s.head[:k*R])
+	s.head = s.head[k*R:]
+	if it := s.vecs; it != nil {
+		for ; k < lim; k++ {
+			v, ok := it.Next()
+			if !ok {
+				break
+			}
+			dst[k] = v.Bits
+		}
+	} else if rs := s.rows; rs != nil {
+		for k < lim && rs.NextRow(dst[k*R:k*R+R]) {
+			k++
+		}
+	}
+	return k
+}
+
+// rowWords is the staging row length for n lines.
+func rowWords(n int) int { return max(1, (n+network.LanesPerWord-1)/network.LanesPerWord) }
+
+// block is a worker's reusable evaluation state: a staging area of up
+// to maxLanes rows, the transpose scratch, the in/out batches and the
+// rejected-lane mask. Every run path (Run's and RunWideCtx's
+// sequential loop and pool, Sweep, RunUniverse, RunMany) loads,
+// evaluates and judges through it, so there is one block schedule and
+// one first-failure rule at every width.
 type block struct {
-	vecs    [maxLanes]bitvec.Vec
-	words   [maxLanes]uint64
+	R       int      // words per staged row, ⌈n/64⌉
+	rows    []uint64 // staged vectors, row j at [j·R, (j+1)·R)
+	t       [network.LanesPerWord]uint64
 	in, out network.Batch
 	bad     [maxWords]uint64
 }
 
-// blockPool recycles blocks: a block is ~6 KiB plus its batches, and
-// a serve path running one short verify per request would otherwise
-// make that garbage per request.
+// blockPool recycles blocks: a block is a few KiB plus its batches,
+// and a serve path running one short verify per request would
+// otherwise make that garbage per request.
 var blockPool sync.Pool
 
-// getBlock checks a block out of the pool with batches for n lines,
-// growing them when a previous user had fewer lines.
+// getBlock checks a block out of the pool with staging rows and
+// batches for n lines, growing them when a previous user had fewer.
 func getBlock(n int) *block {
 	b, _ := blockPool.Get().(*block)
 	if b == nil {
 		b = new(block)
 	}
+	b.R = rowWords(n)
+	if cap(b.rows) < maxLanes*b.R {
+		b.rows = make([]uint64, maxLanes*b.R)
+	}
 	if cap(b.out.Lines) < n*maxWords {
 		b.in.Lines = make([]uint64, 0, n*maxWords)
 		b.out.Lines = make([]uint64, 0, n*maxWords)
 	}
+	b.rows = b.rows[:maxLanes*b.R]
 	b.in.N, b.out.N = n, n
 	return b
 }
 
-// fill reads up to lim vectors from it into the block and returns how
-// many it read.
-func (b *block) fill(it bitvec.Iterator, lim int) int {
-	k := 0
-	for k < lim {
-		v, ok := it.Next()
-		if !ok {
-			break
-		}
-		b.vecs[k] = v
-		k++
-	}
-	return k
-}
-
-// load transposes src (1..maxLanes vectors) into the out batch at
-// ⌈len(src)/64⌉ words per line — one 64×64 transpose per occupied
-// word, scattered into the line-major layout — and mirrors it into in
-// when the judge reads inputs.
+// load transposes k staged rows (1..maxLanes) into the out batch at
+// ⌈k/64⌉ words per line — one 64×64 transpose per row word of each
+// 64-lane group, scattered into the line-major layout — and mirrors it
+// into in when the judge reads inputs. rows is left intact, so a
+// failing lane's input is read back from it.
 //
 //sortnets:hotpath
-func (b *block) load(src []bitvec.Vec, needsInput bool) {
-	k := len(src)
+func (b *block) load(rows []uint64, k int, needsInput bool) {
+	n, R := b.out.N, b.R
 	W := (k + network.LanesPerWord - 1) / network.LanesPerWord
-	words := b.words[:W*network.LanesPerWord]
-	for i, v := range src {
-		words[i] = v.Bits
-	}
-	clear(words[k:])
-	for g := 0; g < W; g++ {
-		transpose64((*[64]uint64)(words[g*network.LanesPerWord:]))
-	}
-	n := b.out.N
 	lines := b.out.Lines[:n*W]
-	if W == 1 {
-		copy(lines, words[:n])
-	} else {
-		for i := 0; i < n; i++ {
-			for g := 0; g < W; g++ {
-				lines[i*W+g] = words[g*network.LanesPerWord+i]
+	t := &b.t
+	for g := 0; g < W; g++ {
+		group := rows[g*network.LanesPerWord*R:]
+		lanes := min(k-g*network.LanesPerWord, network.LanesPerWord)
+		for r := 0; r < R; r++ {
+			if R == 1 {
+				copy(t[:lanes], group)
+			} else {
+				for j := range lanes {
+					t[j] = group[j*R+r]
+				}
+			}
+			clear(t[lanes:])
+			transpose64(t)
+			base := r * network.LanesPerWord
+			for i, w := range t[:min(network.LanesPerWord, n-base)] {
+				lines[(base+i)*W+g] = w
 			}
 		}
 	}
@@ -121,7 +164,34 @@ func (b *block) judge(p *Program, j *Judge) int {
 }
 
 // verdict is the failing Verdict for lane of the judged block loaded
-// from src, after tests earlier vectors.
-func (b *block) verdict(src []bitvec.Vec, lane, tests int) Verdict {
-	return Verdict{Holds: false, TestsRun: tests + lane + 1, In: src[lane], Out: b.out.Lane(lane)}
+// from rows (n ≤ 64, one word per row), after tests earlier vectors:
+// the input is read back from its staged row.
+func (b *block) verdict(rows []uint64, lane, tests int) Verdict {
+	return Verdict{TestsRun: tests + lane + 1, In: bitvec.Vec{N: b.out.N, Bits: rows[lane]}, Out: b.out.Lane(lane)}
+}
+
+// outcome is a run's result at either width: the Verdict of a bitvec
+// stream, or for a row stream the counterexample as wide vectors.
+type outcome struct {
+	Verdict
+	wideIn, wideOut widevec.Vec
+}
+
+// failure is the outcome for a failing lane of the judged block
+// loaded from rows, after tests earlier vectors; wide reads it back
+// for a row stream.
+func (b *block) failure(wide bool, rows []uint64, lane, tests int) outcome {
+	if !wide {
+		return outcome{Verdict: b.verdict(rows, lane, tests)}
+	}
+	out := make([]uint64, b.R)
+	g, s := lane/network.LanesPerWord, uint(lane%network.LanesPerWord)
+	for i := 0; i < b.out.N; i++ {
+		out[i/network.LanesPerWord] |= (b.out.Lines[i*b.out.W+g] >> s & 1) << uint(i%network.LanesPerWord)
+	}
+	return outcome{
+		Verdict: Verdict{TestsRun: tests + lane + 1},
+		wideIn:  widevec.FromWords(b.out.N, rows[lane*b.R:lane*b.R+b.R]),
+		wideOut: widevec.FromWords(b.out.N, out),
+	}
 }

@@ -9,7 +9,7 @@ import (
 
 	"sortnets/internal/bitvec"
 	"sortnets/internal/gen"
-	"sortnets/internal/widevec"
+	"sortnets/internal/network"
 )
 
 // Cancellation contract of every engine path: an already-cancelled
@@ -89,19 +89,19 @@ func TestRunUniverseCtxCancelled(t *testing.T) {
 	}
 }
 
-// endlessWide streams the all-zero wide vector forever: only
+// endlessWide streams the all-zero wide row forever: only
 // cancellation can end the run.
-type endlessWide struct{ n int }
+type endlessWide struct{}
 
-func (it *endlessWide) Next() (widevec.Vec, bool) { return widevec.New(it.n), true }
+func (endlessWide) NextRow(row []uint64) bool { clear(row); return true }
 
 func TestRunWideCtxCancelled(t *testing.T) {
+	accept := Judge{Rejects: func(_, _ *network.Batch, bad []uint64) { clear(bad) }}
 	for _, workers := range []int{1, 4} {
 		e := New(Compile(gen.HalfMerger(128)), workers)
 		before := runtime.NumGoroutine()
 		start := time.Now()
-		_, err := e.RunWideCtx(cancelledCtx(), &endlessWide{n: 128},
-			func(in, out widevec.Vec) bool { return true })
+		_, err := e.RunWideCtx(cancelledCtx(), endlessWide{}, accept)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: want context.Canceled, got %v", workers, err)
 		}

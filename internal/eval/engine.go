@@ -36,7 +36,8 @@ func SortedJudge() Judge {
 
 // PerLaneJudge adapts a scalar acceptance predicate to the batch
 // engine: the network evaluation — the expensive part — stays
-// word-parallel, only the judgment is per lane.
+// word-parallel, only the judgment is per lane. Lanes are read as
+// bitvec vectors, so it serves n ≤ 64.
 func PerLaneJudge(accepts func(in, out bitvec.Vec) bool) Judge {
 	return Judge{
 		NeedsInput: true,
@@ -59,17 +60,12 @@ type Verdict struct {
 	In, Out  bitvec.Vec // counterexample input/output, valid when !Holds
 }
 
-// WideVerdict is the n > 64 counterpart of Verdict.
+// WideVerdict is Verdict for a row stream (RunWideCtx), with the
+// counterexample as wide vectors.
 type WideVerdict struct {
 	Holds    bool
 	TestsRun int
 	In, Out  widevec.Vec
-}
-
-// WideIterator streams wide binary vectors; core.WideIterator
-// satisfies it structurally.
-type WideIterator interface {
-	Next() (widevec.Vec, bool)
 }
 
 // Engine runs a compiled program over streamed test vectors with an
@@ -106,7 +102,8 @@ const chunkLanes = 16 * maxLanes
 // rejected lane. With one worker the counterexample is the first
 // failure in stream order; with a pool it is the first failure some
 // worker found, and TestsRun counts the vectors handed out before the
-// pool drained. Requires n ≤ 64 (use RunWide beyond).
+// pool drained. bitvec vectors hold at most 64 lines, so Run needs
+// n ≤ 64; RunWideCtx is the same run over row streams of any width.
 func (e *Engine) Run(it bitvec.Iterator, judge Judge) Verdict {
 	v, _ := e.RunCtx(context.Background(), it, judge)
 	return v
@@ -119,52 +116,42 @@ func (e *Engine) Run(it bitvec.Iterator, judge Judge) Verdict {
 // nil error.
 func (e *Engine) RunCtx(ctx context.Context, it bitvec.Iterator, judge Judge) (Verdict, error) {
 	if e.p.n > bitvec.MaxN {
-		panic(fmt.Sprintf("eval: Run needs n ≤ 64, program has %d lines (use RunWide)", e.p.n))
+		panic(fmt.Sprintf("eval: Run streams bitvec vectors of at most 64 lines, program has %d", e.p.n))
 	}
-	workers := e.workers
-	if workers == 0 {
-		// Auto: stage vectors until the work estimate crosses the
-		// threshold; a stream that ends first runs sequentially.
-		perVec := len(e.p.ops)
-		if perVec == 0 {
-			perVec = 1
-		}
-		budget := autoWorkThreshold/perVec + 1
-		staged := make([]bitvec.Vec, 0, budget)
-		exhausted := false
-		for len(staged) < budget {
-			v, ok := it.Next()
-			if !ok {
-				exhausted = true
-				break
-			}
-			staged = append(staged, v)
-		}
-		if exhausted {
-			return e.runSeq(ctx, bitvec.Slice(staged), judge)
-		}
-		return e.runPool(ctx, &chainIter{head: staged, tail: it}, judge, runtime.NumCPU())
-	}
-	if workers == 1 {
-		return e.runSeq(ctx, it, judge)
-	}
-	return e.runPool(ctx, it, judge, workers)
+	o, err := e.run(ctx, &stream{vecs: it}, judge)
+	return o.Verdict, err
 }
 
-// chainIter replays a staged prefix, then drains the live tail.
-type chainIter struct {
-	head []bitvec.Vec
-	i    int
-	tail bitvec.Iterator
+// RunWideCtx is RunCtx over a row stream, the typed entry for vectors
+// wider than bitvec holds: the same blocks, judges, worker rules and
+// first-failure rule, with the counterexample read back as wide
+// vectors.
+func (e *Engine) RunWideCtx(ctx context.Context, src RowStream, judge Judge) (WideVerdict, error) {
+	o, err := e.run(ctx, &stream{rows: src}, judge)
+	return WideVerdict{Holds: o.Holds, TestsRun: o.TestsRun, In: o.wideIn, Out: o.wideOut}, err
 }
 
-func (c *chainIter) Next() (bitvec.Vec, bool) {
-	if c.i < len(c.head) {
-		v := c.head[c.i]
-		c.i++
-		return v, true
+// run picks the block loop for the engine's worker setting. Auto mode
+// stages rows until the work estimate crosses the threshold: a stream
+// that ends first runs sequentially, a longer one on all cores, with
+// the staged rows replayed ahead of the live tail.
+func (e *Engine) run(ctx context.Context, src *stream, judge Judge) (outcome, error) {
+	switch e.workers {
+	case 0:
+		budget := autoWorkThreshold/max(len(e.p.ops), 1) + 1
+		R := rowWords(e.p.n)
+		staged := make([]uint64, budget*R)
+		k := src.fill(staged, R, budget)
+		src.head = staged[:k*R]
+		if k < budget {
+			return e.runSeq(ctx, src, judge)
+		}
+		return e.runPool(ctx, src, judge, runtime.NumCPU())
+	case 1:
+		return e.runSeq(ctx, src, judge)
+	default:
+		return e.runPool(ctx, src, judge, e.workers)
 	}
-	return c.tail.Next()
 }
 
 // runSeq is the sequential block loop. Block sizes ramp 64 → 128 →
@@ -173,33 +160,34 @@ func (c *chainIter) Next() (bitvec.Vec, bool) {
 // before the engine looks.
 //
 //sortnets:ctxloop
-func (e *Engine) runSeq(ctx context.Context, it bitvec.Iterator, judge Judge) (Verdict, error) {
+func (e *Engine) runSeq(ctx context.Context, src *stream, judge Judge) (outcome, error) {
 	b := getBlock(e.p.n)
 	defer blockPool.Put(b)
 	tests := 0
 	for lim := network.LanesPerWord; ; lim = min(2*lim, maxLanes) {
 		if err := ctx.Err(); err != nil {
-			return Verdict{}, err
+			return outcome{}, err
 		}
-		k := b.fill(it, lim)
+		k := src.fill(b.rows, b.R, lim)
 		if k == 0 {
-			return Verdict{Holds: true, TestsRun: tests}, nil
+			return outcome{Verdict: Verdict{Holds: true, TestsRun: tests}}, nil
 		}
-		b.load(b.vecs[:k], judge.NeedsInput)
+		b.load(b.rows, k, judge.NeedsInput)
 		if lane := b.judge(e.p, &judge); lane >= 0 {
 			// The lowest rejected lane is the first failure in stream
 			// order; report the tests consumed up to and including it,
 			// exactly as a one-vector-at-a-time engine would.
-			return b.verdict(b.vecs[:k], lane, tests), nil
+			return b.failure(src.rows != nil, b.rows, lane, tests), nil
 		}
 		tests += k
 	}
 }
 
 //sortnets:ctxloop
-func (e *Engine) runPool(ctx context.Context, it bitvec.Iterator, judge Judge, workers int) (Verdict, error) {
-	chunks := make(chan []bitvec.Vec, workers)
-	fails := make(chan Verdict, workers)
+func (e *Engine) runPool(ctx context.Context, src *stream, judge Judge, workers int) (outcome, error) {
+	R, wide := rowWords(e.p.n), src.rows != nil
+	chunks := make(chan []uint64, workers)
+	fails := make(chan outcome, workers)
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 
@@ -211,15 +199,15 @@ func (e *Engine) runPool(ctx context.Context, it bitvec.Iterator, judge Judge, w
 			b := getBlock(e.p.n)
 			defer blockPool.Put(b)
 			for chunk := range chunks {
-				for off := 0; off < len(chunk); off += maxLanes {
+				for off := 0; off < len(chunk); off += maxLanes * R {
 					if ctx.Err() != nil {
 						return
 					}
-					src := chunk[off:min(off+maxLanes, len(chunk))]
-					b.load(src, judge.NeedsInput)
+					rows := chunk[off:min(off+maxLanes*R, len(chunk))]
+					b.load(rows, len(rows)/R, judge.NeedsInput)
 					if lane := b.judge(e.p, &judge); lane >= 0 {
 						select {
-						case fails <- b.verdict(src, lane, 0):
+						case fails <- b.failure(wide, rows, lane, 0):
 						default:
 						}
 						stopOnce.Do(func() { close(stop) })
@@ -236,20 +224,14 @@ feed:
 		if ctx.Err() != nil {
 			break
 		}
-		chunk := make([]bitvec.Vec, 0, chunkLanes)
-		for len(chunk) < chunkLanes {
-			v, ok := it.Next()
-			if !ok {
-				break
-			}
-			chunk = append(chunk, v)
-		}
-		if len(chunk) == 0 {
+		chunk := make([]uint64, chunkLanes*R)
+		k := src.fill(chunk, R, chunkLanes)
+		if k == 0 {
 			break
 		}
-		tests += len(chunk)
+		tests += k
 		select {
-		case chunks <- chunk:
+		case chunks <- chunk[:k*R]:
 		case <-stop:
 			break feed
 		case <-ctx.Done():
@@ -264,9 +246,9 @@ feed:
 		return f, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return Verdict{}, err
+		return outcome{}, err
 	}
-	return Verdict{Holds: true, TestsRun: tests}, nil
+	return outcome{Verdict: Verdict{Holds: true, TestsRun: tests}}, nil
 }
 
 // RunUniverse judges the program against all 2ⁿ binary inputs — the
@@ -368,159 +350,6 @@ func (e *Engine) universePool(ctx context.Context, judge Judge, workers int) (Ve
 	}
 	found.TestsRun = foundSlab*slab + found.TestsRun
 	return found, nil
-}
-
-// RunWide streams wide vectors (n > 64 regime) through a pure
-// program, judging each with the scalar predicate; pooled above the
-// auto threshold exactly like Run. accepts sees the input and output
-// vector of one test.
-func (e *Engine) RunWide(it WideIterator, accepts func(in, out widevec.Vec) bool) WideVerdict {
-	v, _ := e.RunWideCtx(context.Background(), it, accepts)
-	return v
-}
-
-// RunWideCtx is RunWide under a context, checked between test vectors
-// (one wide evaluation is already a block's worth of work).
-func (e *Engine) RunWideCtx(ctx context.Context, it WideIterator, accepts func(in, out widevec.Vec) bool) (WideVerdict, error) {
-	pairs := e.p.Pairs() // also asserts purity once, up front
-	workers := e.workers
-	if workers == 0 {
-		perVec := len(pairs)
-		if perVec == 0 {
-			perVec = 1
-		}
-		budget := autoWorkThreshold/perVec + 1
-		staged := make([]widevec.Vec, 0, budget)
-		exhausted := false
-		for len(staged) < budget {
-			v, ok := it.Next()
-			if !ok {
-				exhausted = true
-				break
-			}
-			staged = append(staged, v)
-		}
-		if exhausted {
-			return e.runWideSeq(ctx, &wideChain{head: staged}, accepts)
-		}
-		return e.runWidePool(ctx, &wideChain{head: staged, tail: it}, accepts, runtime.NumCPU())
-	}
-	if workers == 1 {
-		return e.runWideSeq(ctx, it, accepts)
-	}
-	return e.runWidePool(ctx, it, accepts, workers)
-}
-
-type wideChain struct {
-	head []widevec.Vec
-	i    int
-	tail WideIterator
-}
-
-func (c *wideChain) Next() (widevec.Vec, bool) {
-	if c.i < len(c.head) {
-		v := c.head[c.i]
-		c.i++
-		return v, true
-	}
-	if c.tail == nil {
-		return widevec.Vec{}, false
-	}
-	return c.tail.Next()
-}
-
-//sortnets:ctxloop
-func (e *Engine) runWideSeq(ctx context.Context, it WideIterator, accepts func(in, out widevec.Vec) bool) (WideVerdict, error) {
-	tests := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return WideVerdict{}, err
-		}
-		v, ok := it.Next()
-		if !ok {
-			return WideVerdict{Holds: true, TestsRun: tests}, nil
-		}
-		tests++
-		out := e.p.ApplyWide(v)
-		if !accepts(v, out) {
-			return WideVerdict{Holds: false, TestsRun: tests, In: v, Out: out}, nil
-		}
-	}
-}
-
-const wideChunk = 64
-
-//sortnets:ctxloop
-func (e *Engine) runWidePool(ctx context.Context, it WideIterator, accepts func(in, out widevec.Vec) bool, workers int) (WideVerdict, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	chunks := make(chan []widevec.Vec, workers)
-	fails := make(chan WideVerdict, workers)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for chunk := range chunks {
-				for _, v := range chunk {
-					if ctx.Err() != nil {
-						return
-					}
-					out := e.p.ApplyWide(v)
-					if !accepts(v, out) {
-						select {
-						case fails <- WideVerdict{Holds: false, In: v, Out: out}:
-						default:
-						}
-						stopOnce.Do(func() { close(stop) })
-						return
-					}
-				}
-			}
-		}()
-	}
-
-	tests := 0
-feed:
-	for {
-		if ctx.Err() != nil {
-			break
-		}
-		chunk := make([]widevec.Vec, 0, wideChunk)
-		for len(chunk) < wideChunk {
-			v, ok := it.Next()
-			if !ok {
-				break
-			}
-			chunk = append(chunk, v)
-		}
-		if len(chunk) == 0 {
-			break
-		}
-		tests += len(chunk)
-		select {
-		case chunks <- chunk:
-		case <-stop:
-			break feed
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(chunks)
-	wg.Wait()
-	close(fails)
-	if f, ok := <-fails; ok {
-		f.TestsRun = tests
-		return f, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return WideVerdict{}, err
-	}
-	return WideVerdict{Holds: true, TestsRun: tests}, nil
 }
 
 // transpose64 transposes a 64×64 bit matrix in place (the recursive

@@ -7,20 +7,9 @@ import (
 
 	"sortnets/internal/bitvec"
 	"sortnets/internal/network"
-	"sortnets/internal/widevec"
 )
 
 type atomic32 struct{ v atomic.Int32 }
-
-func mustWide(v bitvec.Vec) widevec.Vec {
-	w := widevec.New(v.N)
-	for i := 0; i < v.N; i++ {
-		if v.Bit(i) == 1 {
-			w = w.SetBit(i, 1)
-		}
-	}
-	return w
-}
 
 func randomNet(n, size int, rng *rand.Rand) *network.Network {
 	if n < 2 {
@@ -308,29 +297,6 @@ func TestForEachVisitsEverything(t *testing.T) {
 	for i := range visited {
 		if visited[i].v.Load() != 1 {
 			t.Fatalf("index %d visited %d times", i, visited[i].v.Load())
-		}
-	}
-}
-
-func TestEngineWidePathAgainstNarrow(t *testing.T) {
-	// A 16-line network evaluated through the wide path must agree
-	// with the packed path (widevec has no real lower bound on n).
-	rng := rand.New(rand.NewSource(9))
-	w := randomNet(16, 40, rng)
-	p := Compile(w)
-	it := bitvec.All(16)
-	for {
-		v, ok := it.Next()
-		if !ok {
-			break
-		}
-		wv := mustWide(v)
-		got := p.ApplyWide(wv)
-		want := w.ApplyVec(v)
-		for i := 0; i < 16; i++ {
-			if got.Bit(i) != want.Bit(i) {
-				t.Fatalf("wide path diverges on %s at line %d", v, i)
-			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"sortnets/internal/bitvec"
@@ -17,12 +18,17 @@ import (
 // machinery. The same bytes, read as (opcode, line, line) triples,
 // also build an impure program over all eight opcodes — the form the
 // fault models lower to — whose block paths must agree with its
-// scalar interpreter Program.Apply.
+// scalar interpreter Program.Apply. A wide leg reads the bytes again
+// as a network of 65..200 lines and rows derived from the vector
+// bytes, and RunWideCtx must match the scalar wide reference
+// applyComparators.
 func FuzzEngine(f *testing.F) {
 	f.Add(byte(2), []byte{0, 1}, []byte{1})
 	f.Add(byte(4), []byte{0, 1, 2, 3, 0, 2, 1, 3, 1, 2}, []byte{5, 10, 3})
 	f.Add(byte(16), []byte{0, 15, 7, 8, 3, 12}, []byte{0xff, 0x0f, 0xf0, 0xaa})
 	f.Add(byte(6), []byte{}, []byte{})
+	f.Add(byte(130), []byte{0, 129, 64, 65, 63, 64, 127, 128, 1, 130}, []byte{1, 2, 3, 4, 5, 6, 7})
+	f.Add(byte(255), []byte{199, 0, 100, 150, 3, 70, 64, 192}, []byte{0xde, 0xad, 0xbe, 0xef})
 	f.Fuzz(func(t *testing.T, nByte byte, compBytes, vecBytes []byte) {
 		n := 2 + int(nByte)%15 // 2..16 lines
 		w := network.New(n)
@@ -58,7 +64,53 @@ func FuzzEngine(f *testing.F) {
 		checkBlockPaths(t, prog, vecs, w.ApplyVec, w.Format())
 		impure := NewProgram(n, fuzzOps(n, compBytes))
 		checkBlockPaths(t, impure, vecs, impure.Apply, "impure program")
+		checkWidePaths(t, 65+int(nByte)*135/255, compBytes, vecBytes)
 	})
+}
+
+// checkWidePaths builds a network on n lines from compBytes and one
+// row per byte pair of vecBytes (the pair seeds a splitmix64 stream
+// filling the row), plus the all-zero and all-one rows, and checks
+// RunWideCtx against the scalar reference: at one worker the sorted
+// verdict equals it field for field, and at one and two workers no
+// lane's output differs from it.
+func checkWidePaths(t *testing.T, n int, compBytes, vecBytes []byte) {
+	t.Helper()
+	w := network.New(n)
+	for i := 0; i+1 < len(compBytes) && w.Size() < 256; i++ {
+		a, b := int(compBytes[i])%n, int(compBytes[i+1])%n
+		if a != b {
+			w.AddPair(min(a, b), max(a, b))
+		}
+	}
+	R := rowWords(n)
+	ones := make([]uint64, R)
+	for i := 0; i < n; i++ {
+		ones[i>>6] |= 1 << uint(i&63)
+	}
+	rows := [][]uint64{make([]uint64, R), ones}
+	for i := 0; i+1 < len(vecBytes) && len(rows) < 600; i += 2 {
+		x := uint64(vecBytes[i])<<8 | uint64(vecBytes[i+1])
+		row := make([]uint64, R)
+		for j := range row {
+			x += 0x9e3779b97f4a7c15
+			z := (x ^ x>>30) * 0xbf58476d1ce4e5b9
+			z = (z ^ z>>27) * 0x94d049bb133111eb
+			row[j] = (z ^ z>>31) & ones[j]
+		}
+		rows = append(rows, row)
+	}
+	prog := Compile(w)
+	want := wideScalarRun(w, rows, func(_, out []uint64) bool { return sortedRow(n, out) })
+	if got := runWide(t, prog, 1, rows, SortedJudge()); !sameWide(got, want) {
+		t.Fatalf("n=%d: RunWideCtx %v, reference %v (net %s)", n, got, want, w.Format())
+	}
+	same := rowJudge(func(in, out []uint64) bool { return slices.Equal(out, applyComparators(in, w.Comps)) })
+	for _, workers := range []int{1, 2} {
+		if v := runWide(t, prog, workers, rows, same); !v.Holds {
+			t.Fatalf("n=%d, %d workers: wide block path diverges from reference on %s (net %s)", n, workers, v.In, w.Format())
+		}
+	}
 }
 
 // fuzzOps reads bytes as (opcode, line, line) triples into a valid op

@@ -40,6 +40,7 @@ func RunManyCtx(ctx context.Context, progs []*Program, it bitvec.Iterator, judge
 	}
 	b := getBlock(fleetWidth(progs, "RunMany"))
 	defer blockPool.Put(b)
+	src := stream{vecs: it}
 
 	verdicts := make([]Verdict, len(progs))
 	// active[i] — program i has not failed yet. Failed programs drop
@@ -54,19 +55,19 @@ func RunManyCtx(ctx context.Context, progs []*Program, it bitvec.Iterator, judge
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		k := b.fill(it, maxLanes)
+		k := src.fill(b.rows, 1, maxLanes)
 		if k == 0 {
 			break
 		}
 		// Shared per-block work: load + transpose once for all
 		// programs. in keeps the block's inputs; each program
 		// evaluates a fresh copy of them in out.
-		b.load(b.vecs[:k], true)
+		b.load(b.rows, k, true)
 		keep := active[:0]
 		for _, pi := range active {
 			copy(b.out.Lines, b.in.Lines)
 			if lane := b.judge(progs[pi], &judge); lane >= 0 {
-				verdicts[pi] = b.verdict(b.vecs[:k], lane, tests)
+				verdicts[pi] = b.verdict(b.rows, lane, tests)
 				continue
 			}
 			keep = append(keep, pi)
@@ -99,16 +100,17 @@ func SweepCtx(ctx context.Context, progs []*Program, it bitvec.Iterator, judge J
 	}
 	b := getBlock(fleetWidth(progs, "Sweep"))
 	defer blockPool.Put(b)
+	src := stream{vecs: it}
 	tests := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return tests, err
 		}
-		k := b.fill(it, maxLanes)
+		k := src.fill(b.rows, 1, maxLanes)
 		if k == 0 {
 			return tests, nil
 		}
-		b.load(b.vecs[:k], true)
+		b.load(b.rows, k, true)
 		for pi, p := range progs {
 			copy(b.out.Lines, b.in.Lines)
 			b.judge(p, &judge)

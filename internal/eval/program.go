@@ -1,12 +1,12 @@
 // Package eval is the compiled evaluation engine behind every
 // verification path in the repository. A *network.Network is compiled
-// ONCE into an immutable Program — comparator pairs pre-extracted,
-// topologically packed into data-independent layers, and specialized
-// per width regime (n ≤ 64: word-parallel blocks of up to 256 lanes,
-// each carrying only the words its vectors fill; n > 64: widevec) —
-// and an Engine streams test vectors through it with an engine-owned
-// worker pool (sequential under a work threshold, NumCPU workers
-// above it).
+// ONCE into an immutable Program — comparator pairs pre-extracted and
+// topologically packed into data-independent layers — and an Engine
+// streams test vectors through it in word-parallel blocks of up to 256
+// lanes, each carrying only the words its vectors fill, at any width:
+// a vector of n lines is staged as a row of ⌈n/64⌉ words and loaded by
+// one 64×64 transpose per row word. The engine owns the worker pool
+// (sequential under a work threshold, NumCPU workers above it).
 //
 // Programs are op sequences rather than comparator sequences so that
 // the fault models of package faults compile to program *variants*
@@ -22,7 +22,6 @@ import (
 
 	"sortnets/internal/bitvec"
 	"sortnets/internal/network"
-	"sortnets/internal/widevec"
 )
 
 // OpKind is the opcode of one compiled program step.
@@ -60,8 +59,7 @@ type Program struct {
 	// comps is the pure program's schedule in layer order, the form
 	// the hot scalar/batch loops range over (ranging a []Comparator
 	// compiles measurably tighter than a [][2]int).
-	pairs  [][2]int // pure programs: comps as plain pairs, for widevec
-	levels []int    // pure programs: layer boundaries into ops/comps
+	levels []int // pure programs: layer boundaries into ops/comps
 }
 
 // Compile builds the compiled form of a healthy network: comparators
@@ -98,16 +96,14 @@ func Compile(w *network.Network) *Program {
 	}
 	ops := make([]Op, len(w.Comps))
 	comps := make([]network.Comparator, len(w.Comps))
-	pairs := make([][2]int, len(w.Comps))
 	fill := append([]int(nil), levels[:depth]...)
 	for i, c := range w.Comps {
 		at := fill[layerOf[i]]
 		fill[layerOf[i]]++
 		ops[at] = Op{Kind: OpCmp, A: c.A, B: c.B}
 		comps[at] = c
-		pairs[at] = [2]int{c.A, c.B}
 	}
-	return &Program{n: w.N, ops: ops, pure: true, comps: comps, pairs: pairs, levels: levels}
+	return &Program{n: w.N, ops: ops, pure: true, comps: comps, levels: levels}
 }
 
 // NewProgram builds a program from an explicit op sequence. Ops are
@@ -140,10 +136,8 @@ func NewPrograms(n int, arena []Op, ends []int) []*Program {
 		}
 		if p.pure {
 			p.comps = make([]network.Comparator, len(p.ops))
-			p.pairs = make([][2]int, len(p.ops))
 			for j, op := range p.ops {
 				p.comps[j] = network.Comparator{A: op.A, B: op.B}
-				p.pairs[j] = [2]int{op.A, op.B}
 			}
 		}
 		out[i] = p
@@ -180,7 +174,7 @@ func (p *Program) Size() int { return len(p.ops) }
 
 // Pure reports whether every step is a standard compare-exchange —
 // i.e. the program is a healthy comparator network, for which the
-// layered schedule and the wide path are valid.
+// layered schedule is valid.
 func (p *Program) Pure() bool { return p.pure }
 
 // Depth returns the number of data-independent layers of a pure
@@ -190,16 +184,6 @@ func (p *Program) Depth() int {
 		return 0
 	}
 	return len(p.levels) - 1
-}
-
-// Pairs exposes a pure program's steps as plain line pairs in layer
-// order, the form widevec consumes. The slice is owned by the program:
-// callers must treat it as read-only. Panics on impure programs.
-func (p *Program) Pairs() [][2]int {
-	if !p.pure {
-		panic("eval: Pairs on an impure (fault-injected) program")
-	}
-	return p.pairs
 }
 
 // Apply runs the program on a single packed binary input.
@@ -267,16 +251,6 @@ func (p *Program) ApplyInts(v []int) {
 			panic("eval: clamp/short ops are binary-only")
 		}
 	}
-}
-
-// ApplyWide routes a wide binary vector (n > 64 regime) through a
-// pure program using the pre-extracted pair slice — no per-call pair
-// re-extraction.
-func (p *Program) ApplyWide(v widevec.Vec) widevec.Vec {
-	if v.N() != p.n {
-		panic(fmt.Sprintf("eval: wide input has %d lines, program wants %d", v.N(), p.n))
-	}
-	return v.ApplyComparators(p.Pairs())
 }
 
 // SortsAll reports whether a pure program sorts every one of the 2ⁿ

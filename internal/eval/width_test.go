@@ -278,10 +278,10 @@ func shapes(parts ...[]blockShape) []blockShape {
 }
 
 // TestBlockWidthPolicy pins how blocks size themselves from the
-// stream: Run and RunUniverse ramp 64 → 128 → 256 lanes (1, 2, 4, 4, …
-// words), Sweep and RunMany start at 256, and every last block carries
-// ⌈tail/64⌉ words. 247 and 4083 are the minimal sorter test sets for
-// n = 8 and n = 12.
+// stream: Run, RunWideCtx and RunUniverse ramp 64 → 128 → 256 lanes
+// (1, 2, 4, 4, … words), Sweep and RunMany start at 256, and every
+// last block carries ⌈tail/64⌉ words. 247 and 4083 are the minimal
+// sorter test sets for n = 8 and n = 12.
 func TestBlockWidthPolicy(t *testing.T) {
 	ramp := []blockShape{{1, 64}, {2, 128}}
 	runCases := []struct {
@@ -302,6 +302,16 @@ func TestBlockWidthPolicy(t *testing.T) {
 			t.Fatalf("Run over %d vectors failed: %+v", c.length, v)
 		}
 		checkShapes(t, "Run", c.length, got, c.want)
+	}
+	wide := Compile(gen.HalfMerger(130))
+	rows := randomRows(130, 4083, rand.New(rand.NewSource(3)))
+	for _, c := range runCases {
+		var got []blockShape
+		v, err := New(wide, 1).RunWideCtx(context.Background(), &rowSlice{rows: rows[:c.length]}, recordingJudge(&got))
+		if err != nil || !v.Holds {
+			t.Fatalf("RunWideCtx over %d rows failed: %v %v", c.length, v, err)
+		}
+		checkShapes(t, "RunWideCtx", c.length, got, c.want)
 	}
 
 	universeCases := []struct {

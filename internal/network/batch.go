@@ -109,17 +109,25 @@ func (w *Network) ApplyBatch(b *Batch) {
 // lane, whether a 1 has been seen (ones) and flags lanes where a 0
 // follows.
 func (b *Batch) UnsortedLanes(viol []uint64) {
-	W := b.W
-	for g := 0; g < W; g++ {
-		var ones, v uint64
-		for i := g; i < len(b.Lines); i += W {
-			w := b.Lines[i]
-			v |= ones &^ w // a lane that already saw 1 now sees 0
-			ones |= w
-		}
-		viol[g] = v
+	for g := 0; g < b.W; g++ {
+		viol[g] = b.Unsorted(g, 0, b.N)
 	}
-	MaskLanes(viol[:W], b.Lanes)
+	MaskLanes(viol[:b.W], b.Lanes)
+}
+
+// Unsorted is the UnsortedLanes scan of word g over lines from..to−1
+// alone, unmasked: the lanes of the word whose reading of those lines
+// is not 0^a 1^b.
+func (b *Batch) Unsorted(g, from, to int) uint64 {
+	W := b.W
+	lines := b.Lines[from*W : to*W]
+	var ones, v uint64
+	for i := g; i < len(lines); i += W {
+		w := lines[i]
+		v |= ones &^ w // a lane that already saw 1 now sees 0
+		ones |= w
+	}
+	return v
 }
 
 // MaskLanes clears every bit of the word-vector mask at or above the

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"sortnets/internal/bitvec"
-	"sortnets/internal/widevec"
 )
 
 func benchSorter16() *Network {
@@ -138,38 +137,6 @@ func BenchmarkDiagram(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if len(w.Diagram()) == 0 {
 			b.Fatal("empty diagram")
-		}
-	}
-}
-
-// BenchmarkApplyWideCachedPairs measures the wide path with the pair
-// slice compiled once and cached on the network.
-func BenchmarkApplyWideCachedPairs(b *testing.B) {
-	w := benchSorter16()
-	v := widevec.MustFromString("1010101010101010")
-	w.Pairs() // warm the cache
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !w.ApplyWide(v).IsSorted() {
-			b.Fatal("sorter failed")
-		}
-	}
-}
-
-// BenchmarkApplyWideRecomputedPairs is the pre-cache behaviour:
-// re-extracting the pair slice on every call, the allocation the
-// cached compiled form removes.
-func BenchmarkApplyWideRecomputedPairs(b *testing.B) {
-	w := benchSorter16()
-	v := widevec.MustFromString("1010101010101010")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pairs := make([][2]int, len(w.Comps))
-		for j, c := range w.Comps {
-			pairs[j] = [2]int{c.A, c.B}
-		}
-		if !v.ApplyComparators(pairs).IsSorted() {
-			b.Fatal("sorter failed")
 		}
 	}
 }

@@ -11,10 +11,11 @@
 //   - Apply/ApplyInPlace: arbitrary integer inputs (permutations).
 //   - ApplyVec: a single 0/1 input packed in a machine word; a
 //     comparator exchange is two bit operations.
-//   - Batch: 64 independent 0/1 inputs evaluated simultaneously, one
-//     word per line, a comparator being one AND and one OR. This is the
-//     workhorse of the exhaustive and test-set verification engines —
-//     it evaluates the network on 64 test vectors for the cost of one.
+//   - Batch: 64·W independent 0/1 inputs of any width evaluated
+//     simultaneously, W words per line, a comparator being one AND and
+//     one OR per word. This is the layout of the verification engine
+//     (internal/eval) — it evaluates the network on 64 test vectors per
+//     word for the cost of one.
 //
 // Lines are 0-based internally; the text format and diagrams use the
 // paper's 1-based lines.
@@ -23,7 +24,6 @@ package network
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"sortnets/internal/bitvec"
 )
@@ -51,12 +51,6 @@ func (c Comparator) String() string { return fmt.Sprintf("[%d,%d]", c.A+1, c.B+1
 type Network struct {
 	N     int
 	Comps []Comparator
-
-	// pairs caches the compiled pair form built by Pairs. Loads and
-	// stores are atomic (safe for concurrent readers) and every load
-	// is validated against Comps, so direct mutation of the exported
-	// Comps field can never serve stale pairs.
-	pairs atomic.Pointer[[][2]int]
 }
 
 // New returns an empty network (no comparators) on n lines; the empty
@@ -78,7 +72,6 @@ func (w *Network) Add(comps ...Comparator) *Network {
 		}
 		w.Comps = append(w.Comps, c)
 	}
-	w.pairs.Store(nil)
 	return w
 }
 
@@ -201,7 +194,6 @@ func (w *Network) Append(other *Network) *Network {
 		panic(fmt.Sprintf("network: appending %d-line network to %d-line network", other.N, w.N))
 	}
 	w.Comps = append(w.Comps, other.Comps...)
-	w.pairs.Store(nil)
 	return w
 }
 

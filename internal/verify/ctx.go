@@ -7,7 +7,6 @@ import (
 	"sortnets/internal/core"
 	"sortnets/internal/eval"
 	"sortnets/internal/network"
-	"sortnets/internal/widevec"
 )
 
 // Context-aware verdicts. Every engine path in this package is written
@@ -101,31 +100,26 @@ func VerdictPermsCtx(ctx context.Context, w *network.Network, p Property) (PermR
 // already-compiled program of any width with the paper's polynomial
 // test set (n²/4 vectors for the merger, Σᵢ₌₀..k C(n,i) − k − 1 for the
 // (k,n)-selector) — the regime beyond 64 lines where a zero-one sweep
-// is physically impossible. workers: 0 = automatic, 1 = sequential,
-// k > 1 = k engine workers. Any other property panics: only these two
-// have polynomial families.
+// is physically impossible. The test set streams as rows into the same
+// block engine and word-parallel judges as every other verdict.
+// workers: 0 = automatic, 1 = sequential, k > 1 = k engine workers.
+// Any other property panics: only these two have polynomial families.
 func VerdictWideProgramCtx(ctx context.Context, prog *eval.Program, p Property, workers int) (WideResult, error) {
 	if prog.N() != p.Lines() {
 		panic(fmt.Sprintf("verify: program has %d lines, property wants %d", prog.N(), p.Lines()))
 	}
-	var tests eval.WideIterator
-	var accepts func(in, out widevec.Vec) bool
+	var tests eval.RowStream
 	switch q := p.(type) {
 	case Merger:
 		tests = core.MergerWideTests(q.N)
-		accepts = func(in, out widevec.Vec) bool { return out.IsSorted() }
 	case Selector:
 		tests = core.SelectorWideTests(q.N, q.K)
-		accepts = func(in, out widevec.Vec) bool { return selectsWide(in, out, q.K) }
 	default:
 		panic(fmt.Sprintf("verify: wide certification needs a merger or selector property, got %s", p.Name()))
 	}
-	if workers < 0 {
-		workers = 0
-	}
-	v, err := eval.New(prog, workers).RunWideCtx(ctx, tests, accepts)
+	v, err := eval.New(prog, workers).RunWideCtx(ctx, tests, judgeFor(p))
 	if err != nil {
 		return WideResult{}, err
 	}
-	return fromWideVerdict(v), nil
+	return WideResult{Holds: v.Holds, TestsRun: v.TestsRun, Counterexample: v.In, Output: v.Out}, nil
 }

@@ -11,9 +11,9 @@
 //
 // All evaluation is delegated to the compiled engine of package eval:
 // the network is compiled once into a layered Program, test vectors
-// stream through word-parallel blocks of up to 256 lanes (or the
-// widevec path beyond 64 lines), and the engine owns the worker pool.
-// This package only maps properties to judges and shapes results.
+// of any width stream through word-parallel blocks of up to 256 lanes,
+// and the engine owns the worker pool. This package only maps
+// properties to word-parallel judges and shapes results.
 package verify
 
 import (
@@ -269,25 +269,4 @@ func (r WideResult) String() string {
 		ce = ce[:72] + "..."
 	}
 	return fmt.Sprintf("fails on %s (after %d tests)", ce, r.TestsRun)
-}
-
-func fromWideVerdict(v eval.WideVerdict) WideResult {
-	return WideResult{Holds: v.Holds, TestsRun: v.TestsRun, Counterexample: v.In, Output: v.Out}
-}
-
-// selectsWide checks that the first k output bits equal the first k
-// bits of the sorted input: 0 for positions below the zero count, 1
-// above.
-func selectsWide(in, out widevec.Vec, k int) bool {
-	zeros := in.Zeros()
-	for i := 0; i < k; i++ {
-		want := 0
-		if i >= zeros {
-			want = 1
-		}
-		if out.Bit(i) != want {
-			return false
-		}
-	}
-	return true
 }

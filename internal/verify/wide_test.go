@@ -2,7 +2,9 @@ package verify
 
 import (
 	"context"
+	"fmt"
 	"math/big"
+	"sort"
 	"testing"
 
 	"sortnets/internal/comb"
@@ -10,7 +12,137 @@ import (
 	"sortnets/internal/eval"
 	"sortnets/internal/gen"
 	"sortnets/internal/network"
+	"sortnets/internal/widevec"
 )
+
+// wideRows drains a row stream of n-line vectors.
+func wideRows(n int, it eval.RowStream) [][]uint64 {
+	var rows [][]uint64
+	for {
+		row := make([]uint64, (n+63)/64)
+		if !it.NextRow(row) {
+			return rows
+		}
+		rows = append(rows, row)
+	}
+}
+
+// wideTests is p's polynomial wide test family.
+func wideTests(p Property) eval.RowStream {
+	if m, ok := p.(Merger); ok {
+		return core.MergerWideTests(m.N)
+	}
+	s := p.(Selector)
+	return core.SelectorWideTests(s.N, s.K)
+}
+
+// referenceRun is the scalar reference for wide verdicts: each row
+// read into 0/1 ints and routed through the network's integer
+// evaluator, which shares no code with the block engine, then judged
+// on the integers — sorted output for the merger (every family row is
+// in contract); for the (k,n)-selector, output line i < k carries 1
+// exactly when i is at least the input's zero count — stopping at the
+// first failure in stream order.
+func referenceRun(w *network.Network, p Property, tests eval.RowStream) WideResult {
+	row := make([]uint64, (w.N+63)/64)
+	v := make([]int, w.N)
+	i := 0
+	for ; tests.NextRow(row); i++ {
+		zeros := 0
+		for line := range v {
+			v[line] = int(row[line>>6] >> uint(line&63) & 1)
+			zeros += 1 - v[line]
+		}
+		w.ApplyInPlace(v)
+		ok := true
+		if s, isSelector := p.(Selector); isSelector {
+			for line := 0; line < s.K; line++ {
+				ok = ok && (v[line] == 1) == (line >= zeros)
+			}
+		} else {
+			ok = sort.IntsAreSorted(v)
+		}
+		if !ok {
+			out := make([]uint64, len(row))
+			for line, bit := range v {
+				out[line>>6] |= uint64(bit) << uint(line&63)
+			}
+			return WideResult{TestsRun: i + 1, Counterexample: widevec.FromWords(w.N, row), Output: widevec.FromWords(w.N, out)}
+		}
+	}
+	return WideResult{Holds: true, TestsRun: i}
+}
+
+// oneRow streams a single row.
+type oneRow []uint64
+
+func (r *oneRow) NextRow(row []uint64) bool {
+	if *r == nil {
+		return false
+	}
+	copy(row, *r)
+	*r = nil
+	return true
+}
+
+// TestWideVerdictsMatchReference: merger and (k,n)-selector verdicts,
+// k = 1..3, on Batcher merging and selection networks and their
+// single-comparator-deletion mutants, equal the scalar reference at
+// one worker — Holds, TestsRun, counterexample and output — and agree
+// on Holds at workers 0 and 2, with every counterexample failing
+// under the reference. (Mergers need even n: 66 stands in for 65.)
+func TestWideVerdictsMatchReference(t *testing.T) {
+	type wideCase struct {
+		w *network.Network
+		p Property
+	}
+	var cases []wideCase
+	for _, n := range []int{66, 96, 128, 256} {
+		cases = append(cases, wideCase{gen.HalfMerger(n), Merger{N: n}})
+	}
+	for _, n := range []int{65, 96, 128, 256} {
+		for k := 1; k <= 3; k++ {
+			cases = append(cases, wideCase{gen.Selection(n, k), Selector{N: n, K: k}})
+		}
+	}
+	for _, c := range cases {
+		size := c.w.Size()
+		for _, drop := range []int{-1, 0, size / 3, 2 * size / 3, size - 1} {
+			w := network.New(c.w.N)
+			for j, cmp := range c.w.Comps {
+				if j != drop {
+					w.AddPair(cmp.A, cmp.B)
+				}
+			}
+			desc := fmt.Sprintf("%s without comparator %d", c.p.Name(), drop)
+			want := referenceRun(w, c.p, wideTests(c.p))
+			prog := eval.Compile(w)
+			for _, workers := range []int{1, 0, 2} {
+				got, err := VerdictWideProgramCtx(context.Background(), prog, c.p, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if workers == 1 && (got.Holds != want.Holds || got.TestsRun != want.TestsRun ||
+					!got.Counterexample.Equal(want.Counterexample) || !got.Output.Equal(want.Output)) {
+					t.Fatalf("%s: verdict %s, reference %s", desc, got, want)
+				}
+				if got.Holds != want.Holds {
+					t.Fatalf("%s, %d workers: holds %v, reference %v", desc, workers, got.Holds, want.Holds)
+				}
+				if got.Holds {
+					continue
+				}
+				ce := oneRow(make([]uint64, (w.N+63)/64))
+				for line := 0; line < w.N; line++ {
+					ce[line>>6] |= uint64(got.Counterexample.Bit(line)) << uint(line&63)
+				}
+				if r := referenceRun(w, c.p, &ce); r.Holds || !r.Output.Equal(got.Output) {
+					t.Fatalf("%s, %d workers: counterexample %s passes the reference", desc, workers, got)
+				}
+			}
+		}
+	}
+}
 
 // wideVerdict certifies p on w through VerdictWideProgramCtx on one
 // worker.
@@ -26,14 +158,14 @@ func wideVerdict(t *testing.T, w *network.Network, p Property) WideResult {
 func TestWideTestSetSizesMatchFormulas(t *testing.T) {
 	for _, n := range []int{64, 100, 128} {
 		if n%2 == 0 {
-			got := int64(core.CountWide(core.MergerWideTests(n)))
+			got := int64(core.CountWide(n, core.MergerWideTests(n)))
 			want := comb.MergerBinaryTestSetSize(n)
 			if want.Cmp(big.NewInt(got)) != 0 {
 				t.Errorf("merger n=%d: %d tests, want %s", n, got, want)
 			}
 		}
 		for k := 1; k <= 3; k++ {
-			got := int64(core.CountWide(core.SelectorWideTests(n, k)))
+			got := int64(core.CountWide(n, core.SelectorWideTests(n, k)))
 			want := comb.SelectorBinaryTestSetSize(n, k)
 			if want.Cmp(big.NewInt(got)) != 0 {
 				t.Errorf("selector n=%d k=%d: %d tests, want %s", n, k, got, want)
@@ -55,20 +187,14 @@ func TestWideTestSetsAgreeWithNarrowOnes(t *testing.T) {
 		}
 		narrow[v.String()] = true
 	}
-	wit := core.MergerWideTests(n)
-	count := 0
-	for {
-		v, ok := wit.Next()
-		if !ok {
-			break
-		}
-		count++
-		if !narrow[v.String()] {
+	wide := wideRows(n, core.MergerWideTests(n))
+	for _, row := range wide {
+		if v := widevec.FromWords(n, row); !narrow[v.String()] {
 			t.Errorf("wide merger test %s not in narrow set", v)
 		}
 	}
-	if count != len(narrow) {
-		t.Errorf("wide %d vs narrow %d", count, len(narrow))
+	if len(wide) != len(narrow) {
+		t.Errorf("wide %d vs narrow %d", len(wide), len(narrow))
 	}
 
 	narrowSel := map[string]bool{}
@@ -80,20 +206,14 @@ func TestWideTestSetsAgreeWithNarrowOnes(t *testing.T) {
 		}
 		narrowSel[v.String()] = true
 	}
-	wsit := core.SelectorWideTests(n, 2)
-	count = 0
-	for {
-		v, ok := wsit.Next()
-		if !ok {
-			break
-		}
-		count++
-		if !narrowSel[v.String()] {
+	wide = wideRows(n, core.SelectorWideTests(n, 2))
+	for _, row := range wide {
+		if v := widevec.FromWords(n, row); !narrowSel[v.String()] {
 			t.Errorf("wide selector test %s not in narrow set", v)
 		}
 	}
-	if count != len(narrowSel) {
-		t.Errorf("wide selector %d vs narrow %d", count, len(narrowSel))
+	if len(wide) != len(narrowSel) {
+		t.Errorf("wide selector %d vs narrow %d", len(wide), len(narrowSel))
 	}
 }
 
@@ -125,20 +245,9 @@ func TestWideMergerCatchesMutants(t *testing.T) {
 		r := wideVerdict(t, mutant, Merger{N: n})
 		if r.Holds {
 			// A redundant comparator is possible in principle; verify
-			// redundancy by checking a full merge pattern sweep.
-			ok := true
-			it := core.MergerWideTests(n)
-			for {
-				v, okNext := it.Next()
-				if !okNext {
-					break
-				}
-				if !mutant.ApplyWide(v).IsSorted() {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+			// redundancy by a full merge pattern sweep on the
+			// integer path.
+			if !referenceRun(mutant, Merger{N: n}, core.MergerWideTests(n)).Holds {
 				t.Fatalf("mutant %d broken but verdict holds", i)
 			}
 		}

@@ -7,6 +7,10 @@
 // 2.5 certifies a merger with n²/4 = 4096 vectors and Theorem 2.4
 // certifies a (k,n)-selector with Σᵢ₌₀..k C(n,i) − k − 1, polynomial
 // for fixed k. The experiment E15 exercises exactly that.
+//
+// The engine (package eval) evaluates wide vectors as staged rows of
+// words in its word-parallel blocks; a Vec is the read-only form in
+// which a wide verdict reports its counterexample.
 package widevec
 
 import (
@@ -16,15 +20,13 @@ import (
 )
 
 // Vec is a binary string over an arbitrary number of lines, bit i of
-// word i>>6 carrying line i. Vecs are immutable by convention: all
-// operations return fresh values.
+// word i>>6 carrying line i. Vecs are immutable.
 type Vec struct {
 	n     int
 	words []uint64
 }
 
-// MaxN caps the width to keep test-set materialization honest
-// (n²/4 vectors of n bits at n = 4096 is still only ~2 GB-bits).
+// MaxN is the widest vector a Vec holds.
 const MaxN = 4096
 
 // New returns the all-zero vector on n lines.
@@ -35,30 +37,12 @@ func New(n int) Vec {
 	return Vec{n: n, words: make([]uint64, (n+63)/64)}
 }
 
-// FromString parses a string of '0'/'1' runes, line 0 first.
-func FromString(s string) (Vec, error) {
-	if len(s) > MaxN {
-		return Vec{}, fmt.Errorf("widevec: length %d exceeds %d", len(s), MaxN)
-	}
-	v := New(len(s))
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '0':
-		case '1':
-			v.words[i>>6] |= 1 << uint(i&63)
-		default:
-			return Vec{}, fmt.Errorf("widevec: invalid character %q at %d", s[i], i)
-		}
-	}
-	return v, nil
-}
-
-// MustFromString is FromString panicking on error.
-func MustFromString(s string) Vec {
-	v, err := FromString(s)
-	if err != nil {
-		panic(err)
-	}
+// FromWords returns the vector on n lines whose line i is bit i&63 of
+// words[i>>6] — the row layout of the engine's staging area. It copies
+// the ⌈n/64⌉ words it reads; bits at or beyond line n must be zero.
+func FromWords(n int, words []uint64) Vec {
+	v := New(n)
+	copy(v.words, words[:len(v.words)])
 	return v
 }
 
@@ -71,28 +55,10 @@ func (v Vec) Bit(i int) int {
 	return int(v.words[i>>6] >> uint(i&63) & 1)
 }
 
-// SetBit returns a copy with line i set to b.
-func (v Vec) SetBit(i, b int) Vec {
-	v.check(i)
-	c := v.clone()
-	if b == 0 {
-		c.words[i>>6] &^= 1 << uint(i&63)
-	} else {
-		c.words[i>>6] |= 1 << uint(i&63)
-	}
-	return c
-}
-
 func (v Vec) check(i int) {
 	if i < 0 || i >= v.n {
 		panic(fmt.Sprintf("widevec: line %d out of range [0,%d)", i, v.n))
 	}
-}
-
-func (v Vec) clone() Vec {
-	c := Vec{n: v.n, words: make([]uint64, len(v.words))}
-	copy(c.words, v.words)
-	return c
 }
 
 // Ones returns the number of 1 bits.
@@ -135,34 +101,6 @@ func (v Vec) IsSorted() bool {
 	return true
 }
 
-// SortedWithOnes returns 0^(n−k) 1^k on n lines.
-func SortedWithOnes(n, k int) Vec {
-	if k < 0 || k > n {
-		panic(fmt.Sprintf("widevec: %d ones out of range for length %d", k, n))
-	}
-	v := New(n)
-	for i := n - k; i < n; i++ {
-		v.words[i>>6] |= 1 << uint(i&63)
-	}
-	return v
-}
-
-// Concat returns the concatenation of a (top) and b (bottom).
-func Concat(a, b Vec) Vec {
-	if a.n+b.n > MaxN {
-		panic(fmt.Sprintf("widevec: concat length %d exceeds %d", a.n+b.n, MaxN))
-	}
-	v := New(a.n + b.n)
-	copy(v.words, a.words)
-	for i := 0; i < b.n; i++ {
-		if b.Bit(i) == 1 {
-			j := a.n + i
-			v.words[j>>6] |= 1 << uint(j&63)
-		}
-	}
-	return v
-}
-
 // String renders the vector as '0'/'1' runes.
 func (v Vec) String() string {
 	var sb strings.Builder
@@ -171,22 +109,4 @@ func (v Vec) String() string {
 		sb.WriteByte('0' + byte(v.Bit(i)))
 	}
 	return sb.String()
-}
-
-// ApplyComparators routes the vector through a comparator sequence
-// given as (a,b) line pairs; it is the wide-width analogue of
-// network.ApplyVec and lives here (with a plain pair slice) to keep
-// widevec free of upward dependencies. The network package wraps it.
-func (v Vec) ApplyComparators(pairs [][2]int) Vec {
-	out := v.clone()
-	for _, p := range pairs {
-		a, b := p[0], p[1]
-		av := out.words[a>>6] >> uint(a&63) & 1
-		bv := out.words[b>>6] >> uint(b&63) & 1
-		if av == 1 && bv == 0 {
-			out.words[a>>6] &^= 1 << uint(a&63)
-			out.words[b>>6] |= 1 << uint(b&63)
-		}
-	}
-	return out
 }

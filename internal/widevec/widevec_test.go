@@ -1,53 +1,57 @@
 package widevec
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
+
+// fromString builds a vector from '0'/'1' runes, line 0 first.
+func fromString(s string) Vec {
+	words := make([]uint64, (len(s)+63)/64)
+	for i := range s {
+		if s[i] == '1' {
+			words[i>>6] |= 1 << uint(i&63)
+		}
+	}
+	return FromWords(len(s), words)
+}
 
 func TestRoundTrip(t *testing.T) {
 	for _, s := range []string{"", "0", "1", "0101", strings.Repeat("10", 100)} {
-		v := MustFromString(s)
+		v := fromString(s)
 		if v.String() != s || v.N() != len(s) {
 			t.Errorf("round trip of %d-bit vector failed", len(s))
 		}
 	}
-	if _, err := FromString("01x"); err == nil {
-		t.Error("invalid character accepted")
-	}
 }
 
-func TestBitSetBitAcrossWordBoundaries(t *testing.T) {
-	v := New(200)
+// TestFromWordsAcrossWordBoundaries: line i is bit i&63 of word i>>6,
+// and FromWords copies the words it reads.
+func TestFromWordsAcrossWordBoundaries(t *testing.T) {
 	for _, i := range []int{0, 63, 64, 65, 127, 128, 199} {
-		if v.Bit(i) != 0 {
-			t.Errorf("fresh bit %d not 0", i)
-		}
-		u := v.SetBit(i, 1)
-		if u.Bit(i) != 1 {
-			t.Errorf("SetBit(%d) lost", i)
-		}
-		if v.Bit(i) != 0 {
-			t.Errorf("SetBit mutated receiver at %d", i)
+		words := make([]uint64, 4)
+		words[i>>6] = 1 << uint(i&63)
+		v := FromWords(200, words)
+		words[i>>6] = 0
+		if v.Ones() != 1 || v.Bit(i) != 1 {
+			t.Fatalf("bit %d set: reads %s", i, v)
 		}
 	}
 }
 
 func TestOnesZeros(t *testing.T) {
-	v := MustFromString(strings.Repeat("011", 50)) // 150 bits, 100 ones
+	v := fromString(strings.Repeat("011", 50)) // 150 bits, 100 ones
 	if v.Ones() != 100 || v.Zeros() != 50 {
 		t.Errorf("ones/zeros = %d/%d", v.Ones(), v.Zeros())
 	}
 }
 
 func TestIsSortedWide(t *testing.T) {
-	if !SortedWithOnes(300, 123).IsSorted() {
-		t.Error("SortedWithOnes not sorted")
+	sorted := strings.Repeat("0", 177) + strings.Repeat("1", 123)
+	if !fromString(sorted).IsSorted() {
+		t.Error("0^177 1^123 not sorted")
 	}
-	v := SortedWithOnes(300, 123).SetBit(0, 1)
-	if v.IsSorted() {
+	if fromString("1" + sorted[1:]).IsSorted() {
 		t.Error("1 at the top should unsort")
 	}
 	if !New(100).IsSorted() {
@@ -55,96 +59,13 @@ func TestIsSortedWide(t *testing.T) {
 	}
 }
 
-func TestSortedWithOnesCount(t *testing.T) {
-	for _, k := range []int{0, 1, 64, 65, 128, 300} {
-		v := SortedWithOnes(300, k)
-		if v.Ones() != k {
-			t.Errorf("k=%d: %d ones", k, v.Ones())
-		}
-		if !v.IsSorted() {
-			t.Errorf("k=%d: not sorted", k)
-		}
-	}
-}
-
-func TestConcatWide(t *testing.T) {
-	a := SortedWithOnes(100, 30)
-	b := SortedWithOnes(100, 70)
-	c := Concat(a, b)
-	if c.N() != 200 || c.Ones() != 100 {
-		t.Errorf("concat shape wrong: n=%d ones=%d", c.N(), c.Ones())
-	}
-	for i := 0; i < 100; i++ {
-		if c.Bit(i) != a.Bit(i) || c.Bit(100+i) != b.Bit(i) {
-			t.Fatalf("concat content wrong at %d", i)
-		}
-	}
-}
-
 func TestEqual(t *testing.T) {
-	a := SortedWithOnes(130, 5)
-	if !a.Equal(SortedWithOnes(130, 5)) {
+	a := fromString(strings.Repeat("0", 125) + "11111")
+	if !a.Equal(fromString(strings.Repeat("0", 125) + "11111")) {
 		t.Error("equal vectors unequal")
 	}
-	if a.Equal(SortedWithOnes(130, 6)) || a.Equal(SortedWithOnes(131, 5)) {
+	if a.Equal(fromString(strings.Repeat("0", 124)+"111111")) || a.Equal(fromString(strings.Repeat("0", 126)+"11111")) {
 		t.Error("unequal vectors equal")
-	}
-}
-
-func TestApplyComparatorsSortsWithBubble(t *testing.T) {
-	// A wide bubble network must sort random wide inputs.
-	const n = 150
-	var pairs [][2]int
-	for pass := n - 1; pass >= 1; pass-- {
-		for j := 0; j < pass; j++ {
-			pairs = append(pairs, [2]int{j, j + 1})
-		}
-	}
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 20; trial++ {
-		v := New(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 1 {
-				v = v.SetBit(i, 1)
-			}
-		}
-		out := v.ApplyComparators(pairs)
-		if !out.IsSorted() {
-			t.Fatalf("bubble failed on trial %d", trial)
-		}
-		if out.Ones() != v.Ones() {
-			t.Fatalf("multiset changed on trial %d", trial)
-		}
-	}
-}
-
-func TestApplyComparatorsMatchesNarrowSemantics(t *testing.T) {
-	// Against a scalar reference on random pairs.
-	f := func(x uint32, aRaw, bRaw uint8) bool {
-		n := 32
-		a := int(aRaw) % n
-		b := int(bRaw) % n
-		if a == b {
-			return true
-		}
-		if a > b {
-			a, b = b, a
-		}
-		v := New(n)
-		for i := 0; i < n; i++ {
-			if x>>uint(i)&1 == 1 {
-				v = v.SetBit(i, 1)
-			}
-		}
-		out := v.ApplyComparators([][2]int{{a, b}})
-		wantA, wantB := v.Bit(a), v.Bit(b)
-		if wantA > wantB {
-			wantA, wantB = wantB, wantA
-		}
-		return out.Bit(a) == wantA && out.Bit(b) == wantB
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -161,5 +82,5 @@ func TestPanics(t *testing.T) {
 	mustPanic("negative", func() { New(-1) })
 	mustPanic("too wide", func() { New(MaxN + 1) })
 	mustPanic("bit range", func() { New(5).Bit(5) })
-	mustPanic("ones range", func() { SortedWithOnes(5, 6) })
+	mustPanic("short words", func() { FromWords(65, make([]uint64, 1)) })
 }
