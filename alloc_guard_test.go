@@ -82,23 +82,42 @@ func TestResolveAllocs(t *testing.T) {
 	}
 }
 
-// TestWideVerdictAllocs guards the wide (n > 64) certification path:
-// the 256-line Batcher merger's 16,384 tests stream as rows into the
-// pooled block engine, so a one-worker verdict allocates a fixed
-// handful (the stream, the judge, the engine; 4 on go1.24) and nothing
-// per vector. The bound is one allocation per block: 66 blocks for
-// 16,384 tests on the 64 → 128 → 256-lane ramp.
+// TestWideVerdictAllocs guards the block engine's verdict path at
+// both widths: the 256-line Batcher merger's 16,384 tests stream as
+// rows into the pooled block engine (the wide, n > 64, path), and the
+// 16-line odd-even merge sorter's 65,519 tests stream as words. A
+// one-worker verdict allocates a fixed handful (the stream, the judge,
+// the engine) and nothing per vector or per block: on go1.24 the
+// merger costs 4 and the sorter 3. Each bound is its measured count
+// plus 2, so a block that is checked out of the pool and never put
+// back (4 more allocations per verdict) fails the guard.
 func TestWideVerdictAllocs(t *testing.T) {
-	prog := eval.Compile(gen.HalfMerger(256))
-	p := verify.Merger{N: 256}
 	ctx := context.Background()
-	allocs := testing.AllocsPerRun(20, func() {
-		if r, err := verify.VerdictWideProgramCtx(ctx, prog, p, 1); err != nil || !r.Holds || r.TestsRun != 16384 {
-			t.Fatalf("merger verdict %s, %v", r, err)
+	merger := eval.Compile(gen.HalfMerger(256))
+	sorter := eval.Compile(gen.OddEvenMergeSort(16))
+	for _, tc := range []struct {
+		name  string
+		tests int
+		bound float64
+		run   func() (holds bool, tests int, err error)
+	}{
+		{"wide merger verdict (n = 256)", 16384, 6, func() (bool, int, error) {
+			r, err := verify.VerdictWideProgramCtx(ctx, merger, verify.Merger{N: 256}, 1)
+			return r.Holds, r.TestsRun, err
+		}},
+		{"sorter verdict (n = 16)", 1<<16 - 17, 5, func() (bool, int, error) {
+			r, err := verify.VerdictProgramCtx(ctx, sorter, verify.Sorter{N: 16})
+			return r.Holds, r.TestsRun, err
+		}},
+	} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if holds, tests, err := tc.run(); err != nil || !holds || tests != tc.tests {
+				t.Fatalf("%s: holds %v after %d tests, %v", tc.name, holds, tests, err)
+			}
+		})
+		t.Logf("%s, %d tests: %.0f allocs", tc.name, tc.tests, allocs)
+		if allocs > tc.bound {
+			t.Errorf("%s costs %.0f allocs, want at most %.0f", tc.name, allocs, tc.bound)
 		}
-	})
-	t.Logf("wide merger verdict (n = 256, 16384 tests): %.0f allocs", allocs)
-	if allocs > 66 {
-		t.Errorf("wide merger verdict costs %.0f allocs, want at most one per block (66)", allocs)
 	}
 }

@@ -1,51 +1,31 @@
 // Command sortnetlint runs the sortnets project's analyzer suite
-// (internal/lint): nine project-specific checks that machine-enforce
-// the engine's hand-kept invariants — per-block context cancellation
-// (ctxloop), allocation-free hot paths (hotalloc), sync.Pool hygiene
-// (poolsafe), atomic counter discipline (atomicfield), wire-codec
-// completeness (wirestrict), provable goroutine joins
-// (goroutineleak), lock-order acyclicity (lockorder), the Retry-After
-// backpressure contract (retrycontract), and stats-surface coverage
-// (statscover).
+// (internal/lint) as a go vet tool: six project-specific checks that
+// machine-enforce the engine's hand-kept invariants — per-block
+// context cancellation (ctxloop), allocation-free hot paths
+// (hotalloc), sync.Pool hygiene (poolsafe), provable goroutine joins
+// (goroutineleak), the Retry-After backpressure contract
+// (retrycontract), and stats-surface coverage (statscover).
 //
 // Usage:
 //
-//	go run ./cmd/sortnetlint [-json] [-fix] [-baseline file] [packages]
-//
-// With no arguments it lints ./... from the current directory. Any
-// diagnostic exits 1; load/type failures exit 2. Findings judged
-// false positives are suppressed in the source with
-// `//lint:ignore <analyzer> <reason>` on (or above) the flagged line.
-//
-// -fix applies every suggested fix (constant-format rewrites, missing
-// Retry-After insertions) to the files in place, then reports only
-// the findings no fix could resolve.
-//
-// -baseline ratchets: findings recorded in the baseline file are
-// tolerated (reported as "baseline"), while any NEW finding still
-// fails. -write-baseline regenerates the file from the current state;
-// the committed lint.baseline.json is empty, so the ratchet only ever
-// tightens. Baseline entries match on (file, analyzer, message) —
-// line numbers are deliberately excluded so unrelated edits above a
-// tolerated finding don't resurrect it.
-//
-// The binary also speaks go vet's vettool protocol, so the suite can
-// ride the vet driver and its caching:
-//
 //	go build -o sortnetlint ./cmd/sortnetlint
 //	go vet -vettool=$(pwd)/sortnetlint ./...
+//	sortnetlint -list
+//
+// The vet driver runs the tool once per compilation unit, test
+// variants included, and caches the results per package; any finding
+// fails the vet run. Findings judged false positives are suppressed
+// in the source with `//lint:ignore <analyzer> <reason>` on (or above)
+// the flagged line.
 package main
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 
 	"sortnets/internal/lint"
@@ -58,34 +38,28 @@ func main() {
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("sortnetlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	fix := fs.Bool("fix", false, "apply suggested fixes in place")
-	baselinePath := fs.String("baseline", "", "tolerate findings recorded in this baseline file")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit 0")
 	version := fs.String("V", "", "version flag for the go vet driver")
-	fs.Bool("flags", false, "describe flags in JSON (go vet driver handshake)")
+	flagsQuery := fs.Bool("flags", false, "describe flags in JSON (go vet driver handshake)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	// go vet driver handshake: -V=full prints an identity line used
 	// for the build cache key; -flags asks for the flag schema. The
-	// driver requires the "devel" form to end in a buildID=<hex> field.
-	// The suite's analyzer names and versions are folded into the hash
-	// alongside the executable's content hash, so bumping an
-	// Analyzer.Version invalidates cached vet results even in build
-	// setups where the binary hashes identically.
+	// driver requires the "devel" form to end in a buildID=<hex>
+	// field: the executable's content hash, so rebuilding the tool
+	// with changed analyzers invalidates cached vet results.
 	if *version != "" {
 		id, err := buildID()
 		if err != nil {
 			fmt.Fprintf(stderr, "sortnetlint: %v\n", err)
 			return 2
 		}
-		fmt.Fprintf(stdout, "sortnetlint version devel %s buildID=%s\n", strings.Join(analyzerIDs(), ","), id)
+		fmt.Fprintf(stdout, "sortnetlint version devel buildID=%s\n", id)
 		return 0
 	}
-	if hasFlag(args, "-flags") {
+	if *flagsQuery {
 		fmt.Fprintln(stdout, "[]")
 		return 0
 	}
@@ -96,148 +70,16 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 0
 	}
 
-	patterns := fs.Args()
-	// Vettool mode: the vet driver passes exactly one *.cfg argument
-	// describing a single compilation unit.
-	if len(patterns) == 1 && strings.HasSuffix(patterns[0], ".cfg") {
-		return runVetUnit(patterns[0], stdout, stderr)
+	// The vet driver passes exactly one *.cfg argument describing a
+	// single compilation unit.
+	if fs.NArg() == 1 && strings.HasSuffix(fs.Arg(0), ".cfg") {
+		return runVetUnit(fs.Arg(0), stdout, stderr)
 	}
-
-	pkgs, err := lint.Load("", patterns...)
-	if err != nil {
-		fmt.Fprintf(stderr, "sortnetlint: %v\n", err)
-		return 2
-	}
-	// One fact store across the whole walk: go list -deps hands the
-	// loader packages dependencies-first, so by the time an importer
-	// runs, its dependencies' facts (ctx-bounded functions, lock
-	// summaries, atomic fields) are already in the store.
-	facts := lint.NewFacts()
-	var all []lint.Diagnostic
-	for _, pkg := range pkgs {
-		if terr := pkg.TypeErrorsJoined(); terr != nil {
-			fmt.Fprintf(stderr, "sortnetlint: %s: type errors (results may be partial):\n%v\n", pkg.ImportPath, terr)
-		}
-		diags, err := lint.RunAnalyzersFacts(pkg, lint.All(), facts)
-		if err != nil {
-			fmt.Fprintf(stderr, "sortnetlint: %v\n", err)
-			return 2
-		}
-		all = append(all, diags...)
-	}
-
-	if *fix && len(all) > 0 {
-		changed, err := lint.ApplyFixes(all)
-		if err != nil {
-			fmt.Fprintf(stderr, "sortnetlint: %v\n", err)
-			return 2
-		}
-		for _, f := range changed {
-			fmt.Fprintf(stderr, "sortnetlint: rewrote %s\n", f)
-		}
-		all = withoutFixable(all)
-	}
-
-	relativizePaths(all)
-	lint.SortDiagnostics(all)
-
-	if *writeBaseline != "" {
-		if err := saveBaseline(*writeBaseline, all); err != nil {
-			fmt.Fprintf(stderr, "sortnetlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "sortnetlint: wrote %d finding(s) to %s\n", len(all), *writeBaseline)
-		return 0
-	}
-	var tolerated int
-	if *baselinePath != "" {
-		base, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "sortnetlint: %v\n", err)
-			return 2
-		}
-		all, tolerated = filterBaselined(all, base)
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(diagJSON(all)); err != nil {
-			fmt.Fprintf(stderr, "sortnetlint: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, d := range all {
-			fmt.Fprintln(stdout, d.String())
-		}
-	}
-	if tolerated > 0 {
-		fmt.Fprintf(stderr, "sortnetlint: %d baseline finding(s) tolerated\n", tolerated)
-	}
-	if len(all) > 0 {
-		fmt.Fprintf(stderr, "sortnetlint: %d finding(s)\n", len(all))
-		return 1
-	}
-	return 0
+	fmt.Fprintln(stderr, "usage: go vet -vettool=/path/to/sortnetlint [packages]\n       sortnetlint -list")
+	return 2
 }
 
-// withoutFixable drops findings whose every fix was just applied —
-// what remains is the human's queue.
-func withoutFixable(diags []lint.Diagnostic) []lint.Diagnostic {
-	kept := diags[:0]
-	for _, d := range diags {
-		if len(d.Fixes) == 0 {
-			kept = append(kept, d)
-		}
-	}
-	return kept
-}
-
-// relativizePaths rewrites absolute diagnostic filenames to be
-// module-root-relative, so -json output and baseline files are stable
-// across checkouts. Best-effort: unknown roots leave paths untouched.
-func relativizePaths(diags []lint.Diagnostic) {
-	root := moduleRoot()
-	if root == "" {
-		return
-	}
-	prefix := root + string(filepath.Separator)
-	for i := range diags {
-		if rest, ok := strings.CutPrefix(diags[i].Pos.Filename, prefix); ok {
-			diags[i].Pos.Filename = filepath.ToSlash(rest)
-		}
-	}
-}
-
-func moduleRoot() string {
-	out, err := exec.Command("go", "env", "GOMOD").Output()
-	if err != nil {
-		return ""
-	}
-	gomod := strings.TrimSpace(string(out))
-	if gomod == "" || gomod == os.DevNull {
-		return ""
-	}
-	return filepath.Dir(gomod)
-}
-
-type jsonDiag struct {
-	Pos      string              `json:"posn"`
-	Analyzer string              `json:"analyzer"`
-	Message  string              `json:"message"`
-	Fixes    []lint.SuggestedFix `json:"fixes,omitempty"`
-}
-
-func diagJSON(diags []lint.Diagnostic) []jsonDiag {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiag{Pos: d.Pos.String(), Analyzer: d.Analyzer, Message: d.Message, Fixes: d.Fixes})
-	}
-	return out
-}
-
-// buildID content-hashes this binary plus the analyzer suite identity
-// for the vet driver's cache key.
+// buildID content-hashes this binary for the vet driver's cache key.
 func buildID() (string, error) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -252,30 +94,10 @@ func buildID() (string, error) {
 	if _, err := io.Copy(h, f); err != nil {
 		return "", err
 	}
-	fmt.Fprintf(h, "\n%s\n", strings.Join(analyzerIDs(), ","))
 	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// analyzerIDs lists the suite as name@version strings — the part of
-// the cache key that survives binary-identical rebuilds.
-func analyzerIDs() []string {
-	var ids []string
-	for _, a := range lint.All() {
-		ids = append(ids, a.Name+"@"+a.Version)
-	}
-	return ids
 }
 
 func firstLine(s string) string {
 	line, _, _ := strings.Cut(s, "\n")
 	return line
-}
-
-func hasFlag(args []string, name string) bool {
-	for _, a := range args {
-		if a == name || strings.HasPrefix(a, name+"=") {
-			return true
-		}
-	}
-	return false
 }

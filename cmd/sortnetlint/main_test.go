@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -33,18 +34,19 @@ func slurp(t *testing.T, f *os.File) string {
 	return string(b)
 }
 
+// TestListFlag pins the suite: exactly the six analyzers, in order.
 func TestListFlag(t *testing.T) {
 	code, out, _ := capture(t, "-list")
 	if code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	for _, name := range []string{
-		"ctxloop", "hotalloc", "poolsafe", "atomicfield", "wirestrict",
-		"goroutineleak", "lockorder", "retrycontract", "statscover",
-	} {
-		if !strings.Contains(out, name) {
-			t.Errorf("-list output missing analyzer %q:\n%s", name, out)
-		}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	want := []string{"ctxloop", "hotalloc", "poolsafe", "goroutineleak", "retrycontract", "statscover"}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("-list names %v, want %v:\n%s", names, want, out)
 	}
 }
 
@@ -66,126 +68,79 @@ func TestVetHandshake(t *testing.T) {
 	}
 }
 
-// TestDirectModeClean lints the whole module in-process: HEAD must be
-// clean (the same invariant TestRepoClean asserts from inside the
-// lint package, here through the CLI path).
-func TestDirectModeClean(t *testing.T) {
+// buildTool builds the sortnetlint binary into a temporary directory.
+func buildTool(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "sortnetlint")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building sortnetlint: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// goVet runs `go vet -vettool=<bin> ./...` in dir with extra
+// environment entries, returning the exit code and combined output.
+func goVet(t *testing.T, bin, dir string, env ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), env...)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, string(out)
+	case errors.As(err, &exit):
+		return exit.ExitCode(), string(out)
+	}
+	t.Fatalf("go vet: %v\n%s", err, out)
+	return -1, ""
+}
+
+// TestRepoClean is the gate CI runs: the whole module, _test.go files
+// included, is finding-free at HEAD through the vet driver. Any
+// committed finding must be fixed or carry a documented suppression.
+func TestRepoClean(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs go list over the module; skipped in -short")
+		t.Skip("builds the tool and vets the module; skipped in -short")
 	}
-	code, out, stderr := capture(t, "sortnets/...")
-	if code != 0 {
-		t.Fatalf("sortnetlint sortnets/... exited %d\nstdout:\n%s\nstderr:\n%s", code, out, stderr)
-	}
-}
-
-// TestFixAndBaseline drives the -fix and baseline-ratchet paths
-// against a throwaway module: -fix rewrites the fixable finding in
-// place and leaves the unfixable one; -write-baseline records what
-// remains; -baseline tolerates exactly that, while a new finding
-// still fails the run.
-func TestFixAndBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs go list over a throwaway module; skipped in -short")
-	}
-	mod := t.TempDir()
-	write := func(name, content string) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(mod, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module fixprobe\n\ngo 1.22\n")
-	write("probe.go", `package fixprobe
-
-import "fmt"
-
-func Const() error {
-	return fmt.Errorf("wrapped nothing")
-}
-
-func Banner() string {
-	return fmt.Sprintf("static banner")
-}
-`)
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(mod); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := os.Chdir(cwd); err != nil {
-			t.Fatal(err)
-		}
-	}()
-
-	// Both findings present: the run fails.
-	if code, _, stderr := capture(t, "./..."); code != 1 {
-		t.Fatalf("unfixed module: exit %d, want 1\nstderr:\n%s", code, stderr)
-	}
-
-	// -fix resolves the Errorf (rewritten to errors.New) but not the
-	// Sprintf, which has no mechanical fix.
-	code, _, stderr := capture(t, "-fix", "./...")
-	if code != 1 {
-		t.Fatalf("-fix: exit %d, want 1 (Sprintf finding remains)\nstderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "rewrote") {
-		t.Fatalf("-fix did not report a rewrite:\n%s", stderr)
-	}
-	src, err := os.ReadFile(filepath.Join(mod, "probe.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(src), `errors.New("wrapped nothing")`) || strings.Contains(string(src), "fmt.Errorf") {
-		t.Fatalf("-fix did not rewrite the Errorf:\n%s", src)
-	}
-
-	// Ratchet: record the surviving finding, then tolerate it.
-	base := filepath.Join(mod, "lint.baseline.json")
-	if code, _, stderr := capture(t, "-write-baseline", base, "./..."); code != 0 {
-		t.Fatalf("-write-baseline: exit %d\nstderr:\n%s", code, stderr)
-	}
-	if code, _, stderr := capture(t, "-baseline", base, "./..."); code != 0 {
-		t.Fatalf("baselined run: exit %d, want 0\nstderr:\n%s", code, stderr)
-	} else if !strings.Contains(stderr, "tolerated") {
-		t.Fatalf("baselined run did not report tolerated findings:\n%s", stderr)
-	}
-
-	// A NEW finding is not hidden by the baseline.
-	write("extra.go", `package fixprobe
-
-import "fmt"
-
-func Extra() string {
-	return fmt.Sprintf("another banner")
-}
-`)
-	if code, _, stderr := capture(t, "-baseline", base, "./..."); code != 1 {
-		t.Fatalf("new finding under baseline: exit %d, want 1\nstderr:\n%s", code, stderr)
+	if code, out := goVet(t, buildTool(t), filepath.Join("..", "..")); code != 0 || out != "" {
+		t.Fatalf("go vet -vettool=sortnetlint ./... at the module root: exit %d\n%s", code, out)
 	}
 }
 
-// TestVetTool builds the binary and drives it through the real
-// `go vet -vettool` protocol against a throwaway module: a module
-// with a violation must fail vet, and fixing it must pass.
+// TestVetTool drives the binary through the real `go vet -vettool`
+// protocol against a throwaway module: a violation in a package file
+// and another in a _test.go file must each fail vet on their own, and
+// fixing both must pass.
 func TestVetTool(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the tool and runs go vet; skipped in -short")
 	}
-	bin := filepath.Join(t.TempDir(), "sortnetlint")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building sortnetlint: %v\n%s", err, out)
-	}
-
+	bin := buildTool(t)
 	mod := t.TempDir()
 	write := func(name, content string) {
 		t.Helper()
 		if err := os.WriteFile(filepath.Join(mod, name), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+	// wantFindings runs vet and requires it to fail with a hotalloc
+	// finding at each of the given file:line positions.
+	wantFindings := func(positions ...string) {
+		t.Helper()
+		code, out := goVet(t, bin, mod, "GOWORK=off", "GOFLAGS=")
+		if code == 0 {
+			t.Fatalf("go vet -vettool passed a module with hotalloc violations at %v:\n%s", positions, out)
+		}
+		for _, pos := range positions {
+			found := false
+			for _, line := range strings.Split(out, "\n") {
+				found = found || strings.Contains(line, "/"+pos+":") && strings.HasSuffix(line, "(hotalloc)")
+			}
+			if !found {
+				t.Errorf("vet output has no hotalloc finding at %s:\n%s", pos, out)
+			}
 		}
 	}
 	write("go.mod", "module vetprobe\n\ngo 1.22\n")
@@ -197,28 +152,18 @@ func Probe() error {
 	return fmt.Errorf("constant message")
 }
 `)
-	vet := func() (int, string) {
-		cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-		cmd.Dir = mod
-		cmd.Env = append(os.Environ(), "GOWORK=off", "GOFLAGS=")
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			return 0, string(out)
-		}
-		if ee, ok := err.(*exec.ExitError); ok {
-			return ee.ExitCode(), string(out)
-		}
-		t.Fatalf("go vet: %v\n%s", err, out)
-		return -1, ""
-	}
+	write("probe_test.go", `package vetprobe
 
-	code, out := vet()
-	if code == 0 {
-		t.Fatalf("go vet -vettool passed a module with a hotalloc violation:\n%s", out)
-	}
-	if !strings.Contains(out, "hotalloc") {
-		t.Fatalf("vet failure does not name the analyzer:\n%s", out)
-	}
+import (
+	"fmt"
+	"testing"
+)
+
+func TestProbe(t *testing.T) {
+	t.Log(fmt.Sprintf("constant banner"))
+}
+`)
+	wantFindings("probe.go:6", "probe_test.go:9")
 
 	write("probe.go", `package vetprobe
 
@@ -228,7 +173,17 @@ func Probe() error {
 	return errors.New("constant message")
 }
 `)
-	if code, out := vet(); code != 0 {
+	wantFindings("probe_test.go:9")
+
+	write("probe_test.go", `package vetprobe
+
+import "testing"
+
+func TestProbe(t *testing.T) {
+	t.Log("constant banner")
+}
+`)
+	if code, out := goVet(t, bin, mod, "GOWORK=off", "GOFLAGS="); code != 0 {
 		t.Fatalf("go vet -vettool failed a clean module (exit %d):\n%s", code, out)
 	}
 }

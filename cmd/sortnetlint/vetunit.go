@@ -7,18 +7,18 @@ package main
 // tool type-checks the unit from the supplied files — no `go list`,
 // no network — runs its analyzers, prints findings to stderr, and
 // exits 2 when it found any, which the driver surfaces as a vet
-// failure.
+// failure. A package with test files is vetted as its test variant,
+// so _test.go files are linted too.
 //
 // Facts ride the protocol's .vetx files: PackageVetx maps each
 // dependency to the fact file its own analysis run produced, and
 // VetxOutput is where this unit must write its facts. The store
 // merges every dependency's facts before analysis and serializes the
-// union afterwards, which gives the interprocedural analyzers
-// (goroutineleak, lockorder, statscover) the same dependency-ordered
-// flow the direct loader provides in-process. Analyzers therefore run
-// even for VetxOnly units — the driver asks for facts only, so the
-// diagnostics are computed-and-dropped, but the exported facts must
-// exist for the units upstream.
+// union afterwards, which carries goroutineleak's ctx-bounded
+// function facts from each package to its importers. Analyzers
+// therefore run even for VetxOnly units — the driver asks for facts
+// only, so the diagnostics are computed-and-dropped, but the exported
+// facts must exist for the units upstream.
 import (
 	"encoding/json"
 	"fmt"
@@ -102,8 +102,7 @@ func runVetUnit(cfgPath string, stdout, stderr *os.File) int {
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	sizes := types.SizesFor("gc", runtime.GOARCH)
-	conf := types.Config{Importer: imp, Sizes: sizes}
+	conf := types.Config{Importer: imp, Sizes: types.SizesFor("gc", runtime.GOARCH)}
 	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
@@ -119,7 +118,6 @@ func runVetUnit(cfgPath string, stdout, stderr *os.File) int {
 		Files:      files,
 		Types:      tpkg,
 		Info:       info,
-		Sizes:      sizes,
 	}
 	diags, err := lint.RunAnalyzersFacts(pkg, lint.All(), facts)
 	if err != nil {

@@ -32,10 +32,9 @@ import (
 //     the function loops is a severed chain. (Intentionally unused
 //     contexts are declared `_ context.Context`.)
 var CtxLoop = &Analyzer{
-	Name:    "ctxloop",
-	Doc:     "engine loops must observe context cancellation; ctx-carrying code must call *Ctx engine variants",
-	Version: "1",
-	Run:     runCtxLoop,
+	Name: "ctxloop",
+	Doc:  "engine loops must observe context cancellation; ctx-carrying code must call *Ctx engine variants",
+	Run:  runCtxLoop,
 }
 
 // CtxLoopScope decides which packages rules 2 and 3 apply to (rule 1

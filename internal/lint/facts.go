@@ -4,27 +4,23 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/types"
-	"sort"
 )
 
 // Facts is the cross-package summary store that turns the per-package
 // analyzers into a whole-program analysis: when a package is analyzed,
-// its analyzers export facts about its objects ("this function joins
-// its goroutines", "this function acquires mutex X", "this field is
-// accessed atomically"), and analyzers running over LATER packages —
-// the loader hands packages over in dependency order, dependencies
-// first — import those facts instead of re-deriving (or being blind
+// its analyzers export facts about its objects ("this function bounds
+// itself on its ctx"), and analyzers running over the packages that
+// import it read those facts instead of re-deriving (or being blind
 // to) their dependencies' behavior. This mirrors
 // golang.org/x/tools/go/analysis facts in role, but keys facts by
 // stable symbol strings instead of types.Object identities, because
 // an object imported from export data is NOT the object the defining
 // package was analyzed with.
 //
-// Fact values are stored as JSON so the whole store serializes: in
-// `go vet -vettool` mode each compilation unit is a separate process,
-// and the store round-trips through the driver's .vetx fact files
-// (vetunit.go), giving the same dependency-order flow the direct
-// loader provides in-process.
+// Fact values are stored as JSON so the whole store serializes: under
+// `go vet -vettool` each compilation unit is a separate process, and
+// the store round-trips through the driver's .vetx fact files
+// (cmd/sortnetlint/vetunit.go), dependencies first.
 type Facts struct {
 	// m[analyzer][symbol] = marshaled fact.
 	m map[string]map[string]json.RawMessage
@@ -58,16 +54,6 @@ func (f *Facts) lookup(analyzer, symbol string, out any) bool {
 		return false
 	}
 	return json.Unmarshal(data, out) == nil
-}
-
-// Symbols returns the sorted symbols carrying facts for analyzer.
-func (f *Facts) Symbols(analyzer string) []string {
-	syms := make([]string, 0, len(f.m[analyzer]))
-	for s := range f.m[analyzer] {
-		syms = append(syms, s)
-	}
-	sort.Strings(syms)
-	return syms
 }
 
 // MarshalJSON serializes the whole store (the .vetx payload).
@@ -115,60 +101,7 @@ func (p *Pass) ImportFact(symbol string, out any) bool {
 	return p.Facts.lookup(p.Analyzer.Name, symbol, out)
 }
 
-// ImportFactOf is ImportFact against a different analyzer's facts
-// (lockorder consumes atomicfield's, for example).
-func (p *Pass) ImportFactOf(analyzer, symbol string, out any) bool {
-	if p.Facts == nil {
-		return false
-	}
-	return p.Facts.lookup(analyzer, symbol, out)
-}
-
-// FactSymbols lists the symbols carrying facts for this pass's
-// analyzer, in sorted order.
-func (p *Pass) FactSymbols() []string {
-	if p.Facts == nil {
-		return nil
-	}
-	return p.Facts.Symbols(p.Analyzer.Name)
-}
-
 // FuncSymbol names a function or method stably across packages:
 // "pkg/path.Func" or "(pkg/path.Recv).Method" — types.Func.FullName's
 // format, which survives the export-data round trip.
 func FuncSymbol(fn *types.Func) string { return fn.FullName() }
-
-// FieldSymbol names a struct field stably across packages:
-// "pkg/path.Type.field". The owning named type is found by scanning
-// the package scope (go/types fields don't link back to their
-// struct). Empty when the field belongs to an unnamed struct.
-func FieldSymbol(pkg *types.Package, fld *types.Var) string {
-	if pkg == nil {
-		return ""
-	}
-	scope := pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i) == fld {
-				return pkg.Path() + "." + name + "." + fld.Name()
-			}
-		}
-	}
-	return ""
-}
-
-// VarSymbol names a package-level variable stably: "pkg/path.name".
-func VarSymbol(v *types.Var) string {
-	if v.Pkg() == nil {
-		return ""
-	}
-	return v.Pkg().Path() + "." + v.Name()
-}

@@ -34,10 +34,9 @@ import (
 // with //lint:ignore goroutineleak <reason> — the reason is the
 // reviewable artifact.
 var GoroutineLeak = &Analyzer{
-	Name:    "goroutineleak",
-	Doc:     "every go statement in client/serve/chaos/search needs a provable join (WaitGroup, done-channel, or ctx bound)",
-	Version: "1",
-	Run:     runGoroutineLeak,
+	Name: "goroutineleak",
+	Doc:  "every go statement in client/serve/chaos/search needs a provable join (WaitGroup, done-channel, or ctx bound)",
+	Run:  runGoroutineLeak,
 }
 
 // GoroutineLeakScope selects the packages whose go statements must

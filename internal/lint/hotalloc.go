@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 	"strings"
 )
@@ -32,10 +31,9 @@ import (
 // package-level var (or use errors.New). Beyond the waste, such sites
 // are usually per-request error paths a client can drive at line rate.
 var HotAlloc = &Analyzer{
-	Name:    "hotalloc",
-	Doc:     "//sortnets:hotpath functions must not call allocating denylist functions (encoding/json, fmt, string conversions, …)",
-	Version: "2", // 2: constant-format Errorf findings carry an errors.New autofix
-	Run:     runHotAlloc,
+	Name: "hotalloc",
+	Doc:  "//sortnets:hotpath functions must not call allocating denylist functions (encoding/json, fmt, string conversions, …)",
+	Run:  runHotAlloc,
 }
 
 const hotPathDirective = "//sortnets:hotpath"
@@ -63,15 +61,8 @@ func runHotAlloc(pass *Pass) error {
 // so the formatting (and its allocation) belongs in a package-level
 // var, not on the call path. Package-level var initializers are
 // exempt: running the format once at init IS the recommended fix.
-//
-// The single-argument verb-free Errorf form carries an autofix:
-// fmt.Errorf("msg") is errors.New("msg") exactly, so -fix rewrites
-// the callee and adds the errors import if missing. (-fix does not
-// prune a now-unused fmt import; gofmt-adjacent tooling or the
-// compiler error makes that removal obvious.)
 func checkConstantFormat(pass *Pass) {
 	for _, file := range pass.Files {
-		file := file
 		for _, d := range file.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -93,11 +84,6 @@ func checkConstantFormat(pass *Pass) {
 					}
 				}
 				if fnName == "Errorf" {
-					if fix, ok := errorsNewFix(pass, file, call); ok {
-						pass.ReportFix(call.Pos(), fix,
-							"fmt.Errorf formats only constants and returns the same value on every call; use errors.New (or a package-level error var)")
-						return true
-					}
 					pass.Reportf(call.Pos(),
 						"fmt.Errorf formats only constants and returns the same value on every call; use errors.New (or a package-level error var)")
 					return true
@@ -108,27 +94,6 @@ func checkConstantFormat(pass *Pass) {
 			})
 		}
 	}
-}
-
-// errorsNewFix builds the Errorf→errors.New rewrite when the call is
-// the single-argument form whose constant string contains no format
-// verb (so the text passes through unchanged).
-func errorsNewFix(pass *Pass, file *ast.File, call *ast.CallExpr) (SuggestedFix, bool) {
-	if len(call.Args) != 1 {
-		return SuggestedFix{}, false
-	}
-	tv, ok := pass.Info.Types[call.Args[0]]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return SuggestedFix{}, false
-	}
-	if strings.ContainsRune(constant.StringVal(tv.Value), '%') {
-		return SuggestedFix{}, false
-	}
-	edits := []TextEdit{pass.Edit(call.Fun.Pos(), call.Fun.End(), "errors.New")}
-	if imp := importEdit(pass, file, "errors"); imp != nil {
-		edits = append(edits, *imp)
-	}
-	return SuggestedFix{Message: "replace with errors.New", Edits: edits}, true
 }
 
 func checkHotBody(pass *Pass, fd *ast.FuncDecl) {

@@ -1,20 +1,23 @@
 // Package lint is sortnets' project-specific static-analysis suite:
-// a small go/analysis-shaped framework plus the analyzers that
+// a small go/analysis-shaped framework plus six analyzers that
 // machine-enforce the invariants the engine and serve layers are
 // hand-built around — per-block context cancellation, allocation-free
-// hot paths, pool hygiene, atomic counter discipline, and wire-codec
-// completeness. CHANGES.md documents these contracts prose-first;
-// this package is the executable form, run on every change by
-// cmd/sortnetlint and CI, so a refactor that silently drops one of
-// them fails fast instead of waiting for a fuzz/chaos/-race campaign
-// to trip over the regression.
+// hot paths, pool hygiene, provable goroutine joins, the Retry-After
+// backpressure contract, and stats-surface coverage. CHANGES.md
+// documents these contracts prose-first and records the finding or
+// planted defect that keeps each analyzer; this package is the
+// executable form, run on every change through `go vet -vettool`
+// (cmd/sortnetlint) in CI and in tier-1's repo-clean test, so a
+// refactor that silently drops one of them fails fast instead of
+// waiting for a fuzz/chaos/-race campaign to trip over the regression.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic) but is built on the standard library only —
-// go/parser + go/types over export data produced by `go list
-// -export` — so the suite needs no module dependencies and runs in
-// hermetic build environments. Analyzers written against it port to
-// the real go/analysis API mechanically if the dependency ever lands.
+// go/parser + go/types over the export data the vet driver hands each
+// compilation unit — so the suite needs no module dependencies and
+// runs in hermetic build environments. Analyzers written against it
+// port to the real go/analysis API mechanically if the dependency
+// ever lands.
 //
 // # Annotations
 //
@@ -52,11 +55,6 @@ type Analyzer struct {
 	// Doc is the analyzer's documentation: first line is a one-line
 	// summary.
 	Doc string
-	// Version participates in the vet driver's cache key (-V=full):
-	// bump it when the analyzer's rules change so stale `go vet`
-	// results are invalidated even though the tool binary may hash
-	// identically in unusual build setups.
-	Version string
 	// Run applies the analyzer to one package, reporting findings
 	// through pass.Report/Reportf.
 	Run func(pass *Pass) error
@@ -71,7 +69,6 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-	Sizes    types.Sizes
 	// Dir is the package's source directory on disk (empty in
 	// fixture-driven tests without one); statscover walks up from it
 	// to find the governing README.md.
@@ -84,31 +81,11 @@ type Pass struct {
 	diags *[]Diagnostic
 }
 
-// A TextEdit replaces the half-open byte range [Start, End) of
-// Filename with NewText. Offsets are file byte offsets (token.Position
-// .Offset), so edits survive being serialized to JSON and applied by
-// a different process.
-type TextEdit struct {
-	Filename string `json:"file"`
-	Start    int    `json:"start"`
-	End      int    `json:"end"`
-	NewText  string `json:"new"`
-}
-
-// A SuggestedFix is one mechanical resolution of a finding, applied
-// by `sortnetlint -fix`.
-type SuggestedFix struct {
-	Message string     `json:"message"`
-	Edits   []TextEdit `json:"edits"`
-}
-
-// A Diagnostic is one finding, positioned and attributed, optionally
-// carrying mechanical fixes.
+// A Diagnostic is one finding, positioned and attributed.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Fixes    []SuggestedFix
 }
 
 func (d Diagnostic) String() string {
@@ -124,41 +101,29 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportFix records a finding at pos carrying one suggested fix.
-func (p *Pass) ReportFix(pos token.Pos, fix SuggestedFix, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		Fixes:    []SuggestedFix{fix},
-	})
-}
-
-// Edit builds a TextEdit replacing [pos, end) with newText, resolving
-// token positions to byte offsets.
-func (p *Pass) Edit(pos, end token.Pos, newText string) TextEdit {
-	from, to := p.Fset.Position(pos), p.Fset.Position(end)
-	return TextEdit{Filename: from.Filename, Start: from.Offset, End: to.Offset, NewText: newText}
-}
-
-// InsertBefore builds a TextEdit inserting newText at pos.
-func (p *Pass) InsertBefore(pos token.Pos, newText string) TextEdit {
-	at := p.Fset.Position(pos)
-	return TextEdit{Filename: at.Filename, Start: at.Offset, End: at.Offset, NewText: newText}
+// A Package is one parsed, type-checked compilation unit: what the
+// vet driver's unit config (cmd/sortnetlint) or a fixture loader
+// (linttest) hands the analyzers.
+type Package struct {
+	ImportPath string
+	Dir        string
+	Fset       *token.FileSet
+	Files      []*ast.File
+	Types      *types.Package
+	Info       *types.Info
 }
 
 // All returns the full sortnetlint suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		CtxLoop, HotAlloc, PoolSafe, AtomicField, WireStrict,
-		GoroutineLeak, LockOrder, RetryContract, StatsCover,
+		CtxLoop, HotAlloc, PoolSafe, GoroutineLeak, RetryContract, StatsCover,
 	}
 }
 
 // RunAnalyzers applies the analyzers to pkg with a fresh fact store —
-// the single-package form. Whole-program checks (lockorder cycles,
-// cross-package joins) need RunAnalyzersFacts with a store shared
-// across a dependency-ordered package walk.
+// the single-package form. Cross-package judgements (goroutineleak's
+// imported ctx-bounded facts) need RunAnalyzersFacts with a store
+// carrying the dependencies' facts.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return RunAnalyzersFacts(pkg, analyzers, NewFacts())
 }
@@ -179,7 +144,6 @@ func RunAnalyzersFacts(pkg *Package, analyzers []*Analyzer, facts *Facts) ([]Dia
 			Files:    pkg.Files,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
-			Sizes:    pkg.Sizes,
 			Dir:      pkg.Dir,
 			Facts:    facts,
 			diags:    &diags,
@@ -193,9 +157,8 @@ func RunAnalyzersFacts(pkg *Package, analyzers []*Analyzer, facts *Facts) ([]Dia
 	return diags, nil
 }
 
-// lessDiag is the one position ordering every output path shares
-// (per-package results, the merged -json stream, baseline files), so
-// CI artifacts diff reproducibly.
+// lessDiag orders diagnostics by position, so a unit's findings print
+// in the same order on every run.
 func lessDiag(a, b Diagnostic) bool {
 	if a.Pos.Filename != b.Pos.Filename {
 		return a.Pos.Filename < b.Pos.Filename
@@ -210,12 +173,6 @@ func lessDiag(a, b Diagnostic) bool {
 		return a.Analyzer < b.Analyzer
 	}
 	return a.Message < b.Message
-}
-
-// SortDiagnostics sorts a merged diagnostic stream into the canonical
-// order (stable across runs and platforms).
-func SortDiagnostics(diags []Diagnostic) {
-	sort.SliceStable(diags, func(i, j int) bool { return lessDiag(diags[i], diags[j]) })
 }
 
 // suppression is one parsed //lint:ignore comment.

@@ -40,32 +40,11 @@ func TestPoolSafe(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "poolsafe"), "sortnets/testdata/poolsafe", lint.PoolSafe)
 }
 
-func TestAtomicField(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "atomicfield"), "sortnets/testdata/atomicfield", lint.AtomicField)
-}
-
-func TestWireStrict(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "wirestrict"), "sortnets/testdata/wirestrict", lint.WireStrict)
-}
-
 // TestGoroutineLeak: the fixture import path ends in /client, so
 // every launch is in scope; each function demonstrates one join
 // evidence class or its absence.
 func TestGoroutineLeak(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "goroutineleak", "client"), "sortnets/testdata/goroutineleak/client", lint.GoroutineLeak)
-}
-
-// TestLockOrder runs atomicfield first so the discipline-mixing rule
-// has the per-field facts it consumes.
-func TestLockOrder(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "lockorder"), "sortnets/testdata/lockorder", lint.AtomicField, lint.LockOrder)
-}
-
-// TestLockOrderInitFunctions runs a package with two init functions,
-// one of them taking a mutex. They share one symbol, so the summary
-// fixpoint terminates only if it keys summaries by function.
-func TestLockOrderInitFunctions(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "lockorderinit"), "sortnets/testdata/lockorderinit", lint.LockOrder)
 }
 
 func TestRetryContractServe(t *testing.T) {
@@ -80,19 +59,18 @@ func TestRetryContractClient(t *testing.T) {
 // so rule B's nearest-README walk stops there instead of reaching the
 // repo's.
 func TestStatsCover(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "statscover", "serve"), "sortnets/testdata/statscover/serve", lint.AtomicField, lint.StatsCover)
+	linttest.Run(t, filepath.Join("testdata", "statscover", "serve"), "sortnets/testdata/statscover/serve", lint.StatsCover)
 }
 
 // TestCrossPackageFacts drives the two-package fixture in dependency
-// order with one shared fact store: the client half's judgements — a
-// launch excused by dep's ctx-bounded fact, a lock cycle that only
-// exists in the union of both packages' edges — depend on facts this
+// order with one shared fact store: the client half's judgement — a
+// launch excused by dep's ctx-bounded fact — depends on a fact this
 // file cannot see.
 func TestCrossPackageFacts(t *testing.T) {
 	linttest.RunPkgs(t, []linttest.FixturePkg{
 		{Dir: filepath.Join("testdata", "xfacts", "dep"), ImportPath: "sortnets/testdata/xfacts/dep"},
 		{Dir: filepath.Join("testdata", "xfacts", "client"), ImportPath: "sortnets/testdata/xfacts/client"},
-	}, lint.GoroutineLeak, lint.LockOrder)
+	}, lint.GoroutineLeak)
 }
 
 // TestSuppressions: documented //lint:ignore comments (both
@@ -122,38 +100,6 @@ func TestSuppressionNeedsReason(t *testing.T) {
 	}
 	if len(diags) != 2 {
 		t.Errorf("want exactly 2 diagnostics (malformed + survivor), got %d: %v", len(diags), diags)
-	}
-}
-
-// TestRepoClean is the smoke test the CI lint step depends on: the
-// full suite over the whole module is clean at HEAD. Any committed
-// finding must be fixed or carry a documented suppression.
-func TestRepoClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("repo-wide lint runs go list; skipped in -short")
-	}
-	pkgs, err := lint.Load("../..", "./...")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatal("no packages loaded")
-	}
-	// One shared fact store across the dependency-ordered package list,
-	// exactly like the sortnetlint CLI: the interprocedural analyzers
-	// only see their cross-package facts this way.
-	facts := lint.NewFacts()
-	for _, pkg := range pkgs {
-		if terr := pkg.TypeErrorsJoined(); terr != nil {
-			t.Errorf("%s: type errors: %v", pkg.ImportPath, terr)
-		}
-		diags, err := lint.RunAnalyzersFacts(pkg, lint.All(), facts)
-		if err != nil {
-			t.Fatalf("%s: %v", pkg.ImportPath, err)
-		}
-		for _, d := range diags {
-			t.Errorf("finding at HEAD: %s", d)
-		}
 	}
 }
 

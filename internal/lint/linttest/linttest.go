@@ -11,10 +11,10 @@
 // tool), parsed and type-checked directly; they may import only the
 // standard library, which the default importer resolves without build
 // steps or network. RunPkgs lints several fixture packages in
-// dependency order against one shared fact store — the way the real
-// loader drives the suite — so cross-package facts (goroutineleak's
-// ctx-bounded summaries, lockorder's acquisition edges) are testable
-// with a two-package fixture.
+// dependency order against one shared fact store — the flow the vet
+// driver's .vetx files give the real runs — so cross-package facts
+// (goroutineleak's ctx-bounded summaries) are testable with a
+// two-package fixture.
 package linttest
 
 import (
@@ -54,7 +54,7 @@ type FixturePkg struct {
 // fact store. Each package is type-checked with its predecessors
 // importable under their fixture import paths, so a later fixture
 // can `import "fixture/dep"` and the analyzers see the same
-// dependency-ordered fact flow the real loader provides. Want
+// dependency-ordered fact flow the vet driver provides. Want
 // comments are checked across all packages.
 func RunPkgs(t *testing.T, pkgs []FixturePkg, analyzers ...*lint.Analyzer) {
 	t.Helper()
@@ -174,10 +174,9 @@ func loadFixture(dir, importPath string, deps map[string]*types.Package, fallbac
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	sizes := types.SizesFor("gc", runtime.GOARCH)
 	conf := types.Config{
 		Importer: fixtureImporter{pkgs: deps, fallback: fallback},
-		Sizes:    sizes,
+		Sizes:    types.SizesFor("gc", runtime.GOARCH),
 	}
 	tpkg, err := conf.Check(importPath, fset, files, info)
 	if err != nil {
@@ -190,7 +189,6 @@ func loadFixture(dir, importPath string, deps map[string]*types.Package, fallbac
 		Files:      files,
 		Types:      tpkg,
 		Info:       info,
-		Sizes:      sizes,
 	}, nil
 }
 

@@ -33,10 +33,9 @@ import (
 // [:0]-style reslice, or a zeroing assignment) — a pool whose values
 // are never reset anywhere leaks request state between borrowers.
 var PoolSafe = &Analyzer{
-	Name:    "poolsafe",
-	Doc:     "sync.Pool Get/Put balance, pointer-shaped Put values, reset-before-reuse, no goroutine escape",
-	Version: "1",
-	Run:     runPoolSafe,
+	Name: "poolsafe",
+	Doc:  "sync.Pool Get/Put balance, pointer-shaped Put values, reset-before-reuse, no goroutine escape",
+	Run:  runPoolSafe,
 }
 
 func runPoolSafe(pass *Pass) error {

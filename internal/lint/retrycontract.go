@@ -21,14 +21,12 @@ import (
 //     must be preceded, on some path through the function's CFG, by a
 //     Header().Set("Retry-After", ...) call. A backpressure status
 //     without the hint turns a polite client into a hammering one.
-//     The suggested fix inserts the missing Set (seconds value 1, the
-//     shed default; prefer RetryAfterSeconds for derived durations).
 //
 //   - S2: a composite literal of a RequestError-shaped type (named
 //     RequestError, carrying a RetryAfter field) with a constant 429/
 //     503/504 Status must populate RetryAfter — the typed error IS
 //     the wire contract on per-line (NDJSON) and mapped error paths,
-//     and 0 decodes as "no hint". The fix appends RetryAfter: 1.
+//     and 0 decodes as "no hint".
 //
 // Client side (packages whose import path ends in "client"):
 //
@@ -41,10 +39,9 @@ import (
 //     on well-formed traffic mid-incident, exactly when failover
 //     needs them honest.
 var RetryContract = &Analyzer{
-	Name:    "retrycontract",
-	Doc:     "429/503/504 emissions must carry Retry-After; client breakers must not count semantic 4xx as backend failure",
-	Version: "1",
-	Run:     runRetryContract,
+	Name: "retrycontract",
+	Doc:  "429/503/504 emissions must carry Retry-After; client breakers must not count semantic 4xx as backend failure",
+	Run:  runRetryContract,
 }
 
 // RetryContractServeScope / RetryContractClientScope select where
@@ -94,7 +91,6 @@ func isResponseWriter(t types.Type) bool {
 type emission struct {
 	call   *ast.CallExpr
 	status int64
-	writer ast.Expr // the http.ResponseWriter expression, when identifiable
 }
 
 // checkServeEmissions applies S1 to one function.
@@ -134,12 +130,7 @@ func checkServeEmissions(pass *Pass, fd *ast.FuncDecl) {
 		if hinted {
 			continue
 		}
-		msg := "%d response is written without a Retry-After header on this path; set it (via RetryAfterSeconds) so clients back off instead of hammering"
-		if fix, ok := retryAfterFix(pass, fd, e); ok {
-			pass.ReportFix(e.call.Pos(), fix, msg, e.status)
-		} else {
-			pass.Reportf(e.call.Pos(), msg, e.status)
-		}
+		pass.Reportf(e.call.Pos(), "%d response is written without a Retry-After header on this path; set it (via RetryAfterSeconds) so clients back off instead of hammering", e.status)
 	}
 }
 
@@ -165,7 +156,7 @@ func statusEmission(info *types.Info, call *ast.CallExpr) (emission, bool) {
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "WriteHeader" && len(call.Args) == 1 {
 		if t := info.TypeOf(sel.X); t != nil && isResponseWriter(t) {
 			if c, ok := constStatus(info, call.Args[0]); ok && retryStatuses[c] {
-				return emission{call: call, status: c, writer: sel.X}, true
+				return emission{call: call, status: c}, true
 			}
 		}
 	}
@@ -186,57 +177,12 @@ func statusEmission(info *types.Info, call *ast.CallExpr) (emission, bool) {
 	if !hasWriter {
 		return emission{}, false
 	}
-	var writer ast.Expr
-	for _, arg := range call.Args {
-		if t := info.TypeOf(arg); t != nil && isResponseWriter(t) {
-			writer = arg
-		}
-	}
 	for _, arg := range call.Args {
 		if c, ok := constStatus(info, arg); ok && retryStatuses[c] {
-			return emission{call: call, status: c, writer: writer}, true
+			return emission{call: call, status: c}, true
 		}
 	}
 	return emission{}, false
-}
-
-// retryAfterFix builds the S1 fix: insert a Header().Set line before
-// the statement performing the emission. Only offered when the
-// writer is a plain identifier and the enclosing statement is found.
-func retryAfterFix(pass *Pass, fd *ast.FuncDecl, e emission) (SuggestedFix, bool) {
-	id, ok := ast.Unparen(e.writer).(*ast.Ident)
-	if !ok {
-		return SuggestedFix{}, false
-	}
-	stmt := enclosingStmt(fd.Body, e.call)
-	if stmt == nil {
-		return SuggestedFix{}, false
-	}
-	pos := pass.Fset.Position(stmt.Pos())
-	indent := strings.Repeat("\t", max(pos.Column-1, 0))
-	text := id.Name + ".Header().Set(\"Retry-After\", \"1\")\n" + indent
-	return SuggestedFix{
-		Message: "set Retry-After before writing the status",
-		Edits:   []TextEdit{pass.InsertBefore(stmt.Pos(), text)},
-	}, true
-}
-
-// enclosingStmt finds the smallest statement in body containing n.
-func enclosingStmt(body *ast.BlockStmt, n ast.Node) ast.Stmt {
-	var best ast.Stmt
-	ast.Inspect(body, func(c ast.Node) bool {
-		s, ok := c.(ast.Stmt)
-		if !ok {
-			return true
-		}
-		if s.Pos() <= n.Pos() && n.End() <= s.End() {
-			if best == nil || (s.Pos() >= best.Pos() && s.End() <= best.End()) {
-				best = s
-			}
-		}
-		return true
-	})
-	return best
 }
 
 // blockContaining finds a CFG block one of whose recorded nodes
@@ -273,7 +219,7 @@ func checkRequestErrorLiterals(pass *Pass) {
 			for _, el := range lit.Elts {
 				kv, ok := el.(*ast.KeyValueExpr)
 				if !ok {
-					return true // positional literal: wirestrict territory
+					return true // positional literal: no field names to check
 				}
 				key, ok := kv.Key.(*ast.Ident)
 				if !ok {
@@ -288,15 +234,10 @@ func checkRequestErrorLiterals(pass *Pass) {
 					hasRetryAfter = true
 				}
 			}
-			if !hasStatus || hasRetryAfter || !retryStatuses[status] || len(lit.Elts) == 0 {
+			if !hasStatus || hasRetryAfter || !retryStatuses[status] {
 				return true
 			}
-			last := lit.Elts[len(lit.Elts)-1]
-			fix := SuggestedFix{
-				Message: "populate RetryAfter (seconds)",
-				Edits:   []TextEdit{pass.InsertBefore(last.End(), ", RetryAfter: 1")},
-			}
-			pass.ReportFix(lit.Pos(), fix,
+			pass.Reportf(lit.Pos(),
 				"RequestError with status %d carries no RetryAfter: the typed error is the wire's backpressure hint, and 0 decodes as \"none\"", status)
 			return true
 		})

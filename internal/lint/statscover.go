@@ -15,11 +15,12 @@ import (
 // (client and internal/serve):
 //
 //   - Rule A: every atomic counter field of a package-level struct —
-//     a typed sync/atomic.IntN/UintN/Bool field, or a raw integer
-//     field carrying an atomicfield fact — must be Load()ed inside
-//     some function whose name mentions stats or snapshot. A counter
-//     that is only ever incremented is write-only telemetry: the
-//     increment costs a cache line on the hot path and buys nothing.
+//     a typed sync/atomic.IntN/UintN/Bool field (the only form the
+//     repo uses; a raw integer behind atomic.AddInt64 is not seen) —
+//     must be Load()ed inside some function whose name mentions stats
+//     or snapshot. A counter that is only ever incremented is
+//     write-only telemetry: the increment costs a cache line on the
+//     hot path and buys nothing.
 //     Deliberate non-counters (the round-robin cursor) are silenced
 //     with //lint:ignore statscover <reason>.
 //
@@ -30,10 +31,9 @@ import (
 //     person staring at a dashboard mid-incident. Skipped silently
 //     when no README exists (fixture trees carry their own).
 var StatsCover = &Analyzer{
-	Name:    "statscover",
-	Doc:     "atomic counters must surface in a stats/snapshot function and documented /stats JSON keys",
-	Version: "1",
-	Run:     runStatsCover,
+	Name: "statscover",
+	Doc:  "atomic counters must surface in a stats/snapshot function and documented /stats JSON keys",
+	Run:  runStatsCover,
 }
 
 // StatsCoverScope selects the packages whose counters form the
@@ -84,16 +84,7 @@ func checkCounterSurfacing(pass *Pass) {
 			continue
 		}
 		for i := 0; i < st.NumFields(); i++ {
-			fld := st.Field(i)
-			if atomicTypedField(fld.Type()) {
-				counters[fld] = true
-				continue
-			}
-			var fact struct {
-				Atomic bool `json:"atomic"`
-			}
-			if sym := FieldSymbol(pass.Pkg, fld); sym != "" &&
-				pass.ImportFactOf("atomicfield", sym, &fact) && fact.Atomic {
+			if fld := st.Field(i); atomicTypedField(fld.Type()) {
 				counters[fld] = true
 			}
 		}
@@ -102,8 +93,8 @@ func checkCounterSurfacing(pass *Pass) {
 		return
 	}
 
-	// A field is surfaced when a stats/snapshot-named function reads
-	// it: fld.Load() on a typed atomic, or atomic.LoadX(&s.fld).
+	// A field is surfaced when a stats/snapshot-named function calls
+	// its Load method.
 	surfaced := make(map[*types.Var]bool)
 	for _, fd := range funcDecls(pass.Files) {
 		lower := strings.ToLower(fd.Name.Name)
@@ -118,12 +109,6 @@ func checkCounterSurfacing(pass *Pass) {
 			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Load" {
 				if obj, ok := selectorObj(pass.Info, sel.X).(*types.Var); ok {
 					surfaced[obj] = true
-				}
-			}
-			if path, name := calleePkgPath(pass.Info, call); path == "sync/atomic" &&
-				isAtomicAccessor(name) && strings.HasPrefix(name, "Load") && len(call.Args) > 0 {
-				if fld, _ := addressedField(pass.Info, call.Args[0]); fld != nil {
-					surfaced[fld] = true
 				}
 			}
 			return true

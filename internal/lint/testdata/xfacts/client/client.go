@@ -1,7 +1,7 @@
 // Package client is the consumer half of the cross-package facts
-// fixture: its judgements depend on facts the dep package exported —
-// goroutineleak's ctx-bounded summary and lockorder's acquisition
-// edges — not on anything visible in this file alone.
+// fixture: its judgement depends on the fact the dep package exported
+// — goroutineleak's ctx-bounded summary — not on anything visible in
+// this file alone.
 package client
 
 import (
@@ -16,13 +16,4 @@ import (
 func launch(ctx context.Context) {
 	go dep.Watch(ctx)
 	go dep.Spin(ctx) // want "goroutine has no provable join"
-}
-
-// reversed takes dep's locks in the opposite order to dep.LockAB.
-// The cycle only exists in the union of both packages' edges.
-func reversed() {
-	dep.MuB.Lock()
-	dep.MuA.Lock() // want "closes a lock-order cycle"
-	dep.MuA.Unlock()
-	dep.MuB.Unlock()
 }

@@ -1,21 +1,11 @@
 // Package dep is the dependency half of the cross-package facts
 // fixture. Its import path is NOT in any analyzer's reporting scope,
-// so this file must stay silent — but the pass still exports facts:
-// Watch's ctx-bounded summary and LockAB's acquisition edge, which
-// the sibling client package consumes.
+// so this file must stay silent — but the pass still exports a fact:
+// Watch's ctx-bounded summary, which the sibling client package
+// consumes.
 package dep
 
-import (
-	"context"
-	"sync"
-)
-
-// MuA and MuB are the shared locks whose ordering the client half
-// reverses.
-var (
-	MuA sync.Mutex
-	MuB sync.Mutex
-)
+import "context"
 
 // Watch bounds its own lifetime on ctx: launching it as a goroutine
 // is launching something that dies with its context.
@@ -29,12 +19,4 @@ func Spin(ctx context.Context) {
 	for {
 		_ = ctx
 	}
-}
-
-// LockAB establishes the A-before-B order this package promises.
-func LockAB() {
-	MuA.Lock()
-	MuB.Lock()
-	MuB.Unlock()
-	MuA.Unlock()
 }

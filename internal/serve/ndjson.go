@@ -62,7 +62,8 @@ type connScratch struct {
 	// pooledBytes gauge; the finalizer retires it when the pool drops
 	// the scratch. It is a separate allocation so the finalizer
 	// closure does not retain the scratch.
-	accounted *int64
+	//lint:ignore statscover a per-scratch share of pooledBytes, which PooledBytes surfaces; not a counter of its own
+	accounted *atomic.Int64
 }
 
 // pooledBytes gauges the buffer bytes currently parked in (or checked
@@ -73,11 +74,11 @@ var pooledBytes atomic.Int64
 var scratchPool = sync.Pool{New: func() any {
 	sc := &connScratch{
 		br:        bufio.NewReaderSize(nil, 64<<10),
-		accounted: new(int64),
+		accounted: new(atomic.Int64),
 	}
 	acct := sc.accounted
 	runtime.SetFinalizer(sc, func(*connScratch) {
-		pooledBytes.Add(-atomic.LoadInt64(acct))
+		pooledBytes.Add(-acct.Load())
 	})
 	return sc
 }}
@@ -109,8 +110,8 @@ func getScratch(body io.Reader) *connScratch {
 func putScratch(sc *connScratch) {
 	sc.br.Reset(nil)
 	n := sc.size()
-	pooledBytes.Add(n - atomic.LoadInt64(sc.accounted))
-	atomic.StoreInt64(sc.accounted, n)
+	pooledBytes.Add(n - sc.accounted.Load())
+	sc.accounted.Store(n)
 	scratchPool.Put(sc)
 }
 
