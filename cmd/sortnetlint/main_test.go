@@ -97,15 +97,19 @@ func goVet(t *testing.T, bin, dir string, env ...string) (int, string) {
 	return -1, ""
 }
 
-// TestRepoClean is the gate CI runs: the whole module, _test.go files
-// included, is finding-free at HEAD through the vet driver. Any
-// committed finding must be fixed or carry a documented suppression.
-func TestRepoClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the tool and vets the module; skipped in -short")
-	}
-	if code, out := goVet(t, buildTool(t), filepath.Join("..", "..")); code != 0 || out != "" {
-		t.Fatalf("go vet -vettool=sortnetlint ./... at the module root: exit %d\n%s", code, out)
+// TestDirectModeClean pins the retired direct mode. `sortnetlint
+// <packages>` used to lint in-process and exit 0 on a clean module;
+// it must now never report clean: it lints nothing, prints the go vet
+// usage and exits 2, so a stale script that still runs it fails
+// instead of passing. The module-clean gate itself is
+// internal/lint's TestRepoClean, which runs the vet driver.
+func TestDirectModeClean(t *testing.T) {
+	for _, args := range [][]string{{"sortnets/..."}, {"./..."}, {}} {
+		code, out, stderr := capture(t, args...)
+		if code != 2 || out != "" || !strings.Contains(stderr, "go vet -vettool=") {
+			t.Errorf("sortnetlint %v: exit %d, stdout %q, stderr %q; want exit 2, no stdout and the go vet usage",
+				args, code, out, stderr)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -100,6 +101,29 @@ func TestSuppressionNeedsReason(t *testing.T) {
 	}
 	if len(diags) != 2 {
 		t.Errorf("want exactly 2 diagnostics (malformed + survivor), got %d: %v", len(diags), diags)
+	}
+}
+
+// TestRepoClean is the gate CI runs: it builds cmd/sortnetlint once
+// and runs `go vet -vettool=<bin> ./...` at the module root, so the
+// whole module, _test.go files included, must be finding-free at HEAD.
+// Any committed finding must be fixed or carry a documented
+// suppression.
+func TestRepoClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the tool and vets the module; skipped in -short")
+	}
+	root := filepath.Join("..", "..")
+	bin := filepath.Join(t.TempDir(), "sortnetlint")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/sortnetlint")
+	build.Dir = root
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building sortnetlint: %v\n%s", err, out)
+	}
+	vet := exec.Command("go", "vet", "-vettool="+bin, "./...")
+	vet.Dir = root
+	if out, err := vet.CombinedOutput(); err != nil || len(out) != 0 {
+		t.Fatalf("go vet -vettool=sortnetlint ./... at the module root: %v\n%s", err, out)
 	}
 }
 
