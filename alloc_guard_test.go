@@ -82,19 +82,26 @@ func TestResolveAllocs(t *testing.T) {
 	}
 }
 
-// TestWideVerdictAllocs guards the block engine's verdict path at
-// both widths: the 256-line Batcher merger's 16,384 tests stream as
-// rows into the pooled block engine (the wide, n > 64, path), and the
-// 16-line odd-even merge sorter's 65,519 tests stream as words. A
-// one-worker verdict allocates a fixed handful (the stream, the judge,
-// the engine) and nothing per vector or per block: on go1.24 the
-// merger costs 4 and the sorter 3. Each bound is its measured count
-// plus 2, so a block that is checked out of the pool and never put
-// back (4 more allocations per verdict) fails the guard.
+// TestWideVerdictAllocs guards the block engine's verdict paths: the
+// 256-line Batcher merger's 16,384 tests stream as rows into the
+// pooled block engine (the wide, n > 64, path), the 16-line odd-even
+// merge sorter's 65,519 tests load as a span, and so do those of a
+// RunManyCtx pass over five 16-line sorters (the batch path). A
+// verdict allocates a fixed handful (the stream, the judge, the
+// engine; the pass's verdict and active slices) and nothing per
+// vector or per block: on go1.24 the merger costs 4, the sorter 3
+// and the pass 4. Each bound is its measured count plus 2, so a block
+// that is checked out of the pool and never put back (4 more
+// allocations per verdict) fails the guard.
 func TestWideVerdictAllocs(t *testing.T) {
 	ctx := context.Background()
 	merger := eval.Compile(gen.HalfMerger(256))
 	sorter := eval.Compile(gen.OddEvenMergeSort(16))
+	rng := rand.New(rand.NewSource(20))
+	fleet := make([]*eval.Program, 5)
+	for i := range fleet {
+		fleet[i] = eval.Compile(network.Random(16, 4+i, rng).Append(gen.OddEvenMergeSort(16)))
+	}
 	for _, tc := range []struct {
 		name  string
 		tests int
@@ -108,6 +115,18 @@ func TestWideVerdictAllocs(t *testing.T) {
 		{"sorter verdict (n = 16)", 1<<16 - 17, 5, func() (bool, int, error) {
 			r, err := verify.VerdictProgramCtx(ctx, sorter, verify.Sorter{N: 16})
 			return r.Holds, r.TestsRun, err
+		}},
+		{"sorter group pass (n = 16, 5 programs)", 1<<16 - 17, 6, func() (bool, int, error) {
+			vs, err := eval.RunManyCtx(ctx, fleet, core.SorterBinaryTests(16), verify.JudgeFor(verify.Sorter{N: 16}))
+			if err != nil {
+				return false, 0, err
+			}
+			for _, v := range vs[1:] {
+				if v != vs[0] {
+					return false, v.TestsRun, nil
+				}
+			}
+			return vs[0].Holds, vs[0].TestsRun, nil
 		}},
 	} {
 		allocs := testing.AllocsPerRun(20, func() {

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"sortnets/internal/eval"
 	"sortnets/internal/faults"
@@ -13,18 +16,19 @@ import (
 )
 
 // Batch-first verdicts. Chung & Ravikumar's fixed minimal test sets
-// make fleet verdicts embarrassingly batchable: the expensive part of
-// a verify — enumerating the exponential test stream and transposing
-// it into the word layout — depends only on the property and the width,
-// not the network, so it is identical for every same-shaped entry in
-// a batch. DoBatch exploits exactly that: it canonicalizes every
-// entry up front, deduplicates identical entries within the batch,
-// compiles each distinct program once, and runs every group of
-// same-width same-property verify entries through one shared
-// eval.RunMany pass. Everything else — exhaustive sweeps, faults,
-// minset, singletons — falls back to the per-request cache →
+// make fleet verdicts embarrassingly batchable: loading a verify's
+// exponential test stream into the word layout depends only on the
+// property and the width, not the network, so it is identical for
+// every same-shaped entry in a batch. DoBatch exploits exactly that:
+// it canonicalizes every entry up front, deduplicates identical
+// entries within the batch, compiles each distinct program once, and
+// runs every group of same-width same-property verify entries through
+// one shared eval.RunMany pass. Everything else — exhaustive sweeps,
+// faults, minset, singletons — falls back to the per-request cache →
 // coalesce → compute pipeline of Do, so a batch of one behaves
-// exactly like Do.
+// exactly like Do. A batch's passes and fallback entries run side by
+// side: all of them go to the compute pool at once, so a batch keeps
+// every pool worker busy, not just one.
 
 // BatchError aggregates per-entry failures from DoBatch: Errs is
 // index-aligned with the submitted batch, nil at entries that
@@ -85,15 +89,15 @@ type batchEntry struct {
 // to the cluster fill hook in one call (WithPeerFillBatch); group the
 // remaining non-exhaustive verify entries by (width, property) and
 // compute each group ≥ 2 through one shared eval.RunMany pass on the
-// compute pool (one test-stream enumeration and one transpose per
-// block for the whole group); run everything else through
-// the same per-request pipeline as Do.
+// compute pool (one load of each test block for the whole group);
+// run everything else through the same per-request pipeline as Do.
+// The group passes and the other entries compute side by side, and
+// DoBatch returns once every one of them has returned.
 func (s *Session) DoBatch(ctx context.Context, reqs []Request) ([]*Verdict, error) {
 	s.stats.batch.batches.Add(1)
 	s.stats.batch.entries.Add(int64(len(reqs)))
 	verdicts := make([]*Verdict, len(reqs))
 	errs := make([]error, len(reqs))
-	failed := false
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -107,7 +111,7 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request) ([]*Verdict, erro
 		e := &entries[i]
 		e.idx, e.req, e.dupOf = i, &reqs[i], -1
 		if err := s.resolveEntry(e); err != nil {
-			errs[i], failed = err, true
+			errs[i] = err
 			continue
 		}
 		work = append(work, e)
@@ -141,11 +145,11 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request) ([]*Verdict, erro
 	// Phase 2b: one cluster-fill consultation for every miss.
 	pending = s.fillBatch(ctx, pending, verdicts)
 
-	// Phase 3: partition the misses. Non-exhaustive verify entries of
-	// one (width, property) form a group; groups of ≥ 2 take the
-	// shared eval.RunMany pass, everything else (singletons,
-	// exhaustive sweeps, faults, minset) falls back to the
-	// per-request pipeline.
+	// Phase 3: partition the misses into compute units. Non-exhaustive
+	// verify entries of one (width, property) form a group, and a
+	// group of ≥ 2 is one unit, a shared eval.RunMany pass. Every other
+	// entry (singletons, exhaustive sweeps, faults, minset) is a unit
+	// of its own, through the per-request pipeline.
 	groups := make(map[groupKey][]*batchEntry)
 	var order []groupKey // deterministic group order
 	var single []*batchEntry
@@ -160,41 +164,21 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request) ([]*Verdict, erro
 		}
 		single = append(single, e)
 	}
+	units := make([][]*batchEntry, 0, 1) // one unit stays on the stack
 	for _, gk := range order {
-		members := groups[gk]
-		if len(members) < 2 {
+		if members := groups[gk]; len(members) >= 2 {
+			units = append(units, members)
+		} else {
 			single = append(single, members...)
-			continue
-		}
-		if err := s.computeGroup(ctx, members, verdicts); err != nil {
-			if isCtxErr(err) {
-				for _, e := range members {
-					e.ctrs.canceled.Add(1)
-				}
-				return nil, err
-			}
-			for _, e := range members {
-				e.ctrs.errors.Add(1)
-				errs[e.idx], failed = err, true
-			}
 		}
 	}
+	for i := range single {
+		units = append(units, single[i:i+1])
+	}
 
-	// Phase 4: the fallback entries, through the exact Do pipeline
-	// (cache → coalesce → pool) minus the re-resolution.
-	for _, e := range single {
-		v, err := s.doResolved(ctx, e)
-		if err != nil {
-			if isCtxErr(err) {
-				e.ctrs.canceled.Add(1)
-				return nil, err
-			}
-			e.ctrs.errors.Add(1)
-			errs[e.idx], failed = err, true
-			continue
-		}
-		stampID(v, e.req.ID)
-		verdicts[e.idx] = v
+	// Phase 4: every unit at once, side by side on the compute pool.
+	if err := s.computeUnits(ctx, units, verdicts, errs); err != nil {
+		return nil, err
 	}
 
 	// Phase 5: resolve intra-batch duplicates off their
@@ -207,7 +191,7 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request) ([]*Verdict, erro
 		}
 		if repErr := errs[e.dupOf]; repErr != nil {
 			e.ctrs.errors.Add(1)
-			errs[e.idx], failed = repErr, true
+			errs[e.idx] = repErr
 			continue
 		}
 		if rep := verdicts[e.dupOf]; rep != nil {
@@ -221,10 +205,85 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request) ([]*Verdict, erro
 		}
 	}
 
-	if failed {
-		return verdicts, &BatchError{Errs: errs}
+	for _, err := range errs {
+		if err != nil {
+			return verdicts, &BatchError{Errs: errs}
+		}
 	}
 	return verdicts, nil
+}
+
+// computeUnits is DoBatch's phase 4. It runs every unit side by side
+// on the compute pool, from at most Workers() goroutines that claim
+// the units in order — enough to keep every pool worker busy — and
+// returns once each has returned. A batch of one unit runs it inline.
+// It returns a context error that ended some unit, with the units
+// left unclaimed after it skipped.
+func (s *Session) computeUnits(ctx context.Context, units [][]*batchEntry, verdicts []*Verdict, errs []error) error {
+	switch len(units) {
+	case 0:
+		return nil
+	case 1:
+		return s.computeUnit(ctx, units[0], verdicts, errs)
+	}
+	work := slices.Clone(units) // so the caller's units stay on its stack
+	ended := make([]error, len(work))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(len(work), s.Workers()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(work) {
+					return
+				}
+				if ended[i] = ctx.Err(); ended[i] != nil {
+					return
+				}
+				ended[i] = s.computeUnit(ctx, work[i], verdicts, errs)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range ended {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// computeUnit computes one unit — a group pass for two or more
+// entries, else its one entry through the Do pipeline — filling
+// verdicts and per-entry errs at its entries' indices. It returns the
+// context error that ended it, if any; other errors are per entry.
+func (s *Session) computeUnit(ctx context.Context, unit []*batchEntry, verdicts []*Verdict, errs []error) error {
+	var err error
+	if e := unit[0]; len(unit) > 1 {
+		err = s.computeGroup(ctx, unit, verdicts)
+	} else if v, verr := s.doResolved(ctx, e); verr != nil {
+		err = verr
+	} else {
+		stampID(v, e.req.ID)
+		verdicts[e.idx] = v
+	}
+	if err == nil {
+		return nil
+	}
+	for _, e := range unit {
+		if isCtxErr(err) {
+			e.ctrs.canceled.Add(1)
+		} else {
+			e.ctrs.errors.Add(1)
+			errs[e.idx] = err
+		}
+	}
+	if isCtxErr(err) {
+		return err
+	}
+	return nil
 }
 
 func isCtxErr(err error) bool {
@@ -327,8 +386,8 @@ func (s *Session) doResolved(ctx context.Context, e *batchEntry) (*Verdict, erro
 
 // computeGroup runs one same-width same-property group of verify
 // entries through a shared eval.RunMany pass on the compute pool: the
-// test stream is enumerated and transposed once per block for the
-// whole fleet, and each distinct program compiles once. Verdicts
+// test stream is loaded once per block for the whole fleet, and each
+// distinct program compiles once. Verdicts
 // are byte-identical to sequential Do — RunMany's block schedule is
 // exactly the sequential single-worker one — and fill the verdict
 // cache under each member's own key. The pool hop bounds concurrent

@@ -197,6 +197,8 @@ func splitPeers(s string) []string {
 // tables the service will actually use — the operator's confirmation
 // that a -streamtab-dir deployment took effect (lookups themselves
 // are silent: a broken table just falls back to live enumeration).
+// Sorter tables are valid but never read: the live sorter test set
+// loads wholesale, faster than a table replays.
 func logStreamTables(dir string, logf func(string, ...any)) {
 	infos, err := streamtab.List(dir)
 	if err != nil {
@@ -208,6 +210,9 @@ func logStreamTables(dir string, logf func(string, ...any)) {
 		if info.Err != nil {
 			logf("sortnetd: streamtab %s: %v (ignored)", info.File, info.Err)
 			continue
+		}
+		if info.Header.Property == "sorter" {
+			logf("sortnetd: streamtab %s: not read (sorter test sets load wholesale)", info.File)
 		}
 		valid++
 	}

@@ -52,11 +52,11 @@ func (s *Session) Check(ctx context.Context, w *Network, p Property) (Result, er
 
 // CheckMany decides ONE property for a whole fleet of networks in a
 // single shared engine pass — the library face of the batch-first
-// model. The property's minimal test set is enumerated and transposed
-// once per block for every still-undecided program
-// (eval.RunMany), instead of once per network; cache hits and
-// canonical duplicates within the fleet skip the pass entirely. Each
-// Result is identical to what Check would return for that network.
+// model. The property's minimal test set is loaded once per block for
+// every still-undecided program (eval.RunMany), instead of once per
+// network; cache hits and canonical duplicates within the fleet skip
+// the pass entirely. Each Result is identical to what Check would
+// return for that network.
 // Every network must have p.Lines() lines (≤ 64 — beyond that only
 // the polynomial Wide families are feasible anyway).
 func (s *Session) CheckMany(ctx context.Context, ws []*Network, p Property) ([]Result, error) {

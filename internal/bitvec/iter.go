@@ -38,22 +38,91 @@ func Collect(it Iterator) []Vec {
 }
 
 // All enumerates every vector of length n in increasing word order
-// (0^n first, 1^n last).
-func All(n int) Iterator { return &allIter{n: n, next: 0, limit: uint64(Universe(n))} }
+// (0^n first, 1^n last): the span of the whole universe.
+func All(n int) *Span { return &Span{n: n, to: uint64(Universe(n))} }
 
-type allIter struct {
-	n     int
-	next  uint64
-	limit uint64
+// Span enumerates the consecutive words [next, to) of the n-line
+// universe in increasing order, optionally minus its sorted words
+// (NotSorted). Besides one vector at a time through Next, a span can
+// be taken a block of consecutive words at a time (Take), which lets
+// the evaluation engine load it wholesale instead of enumerating and
+// transposing it.
+type Span struct {
+	n        int
+	next, to uint64
+	unsorted bool // the sorted words are not in the stream
 }
 
-func (it *allIter) Next() (Vec, bool) {
-	if it.next >= it.limit {
-		return Vec{}, false
+// Next yields the span's next word. A word x < 2ⁿ is sorted iff
+// x = 0 or x + (x & −x) = 2ⁿ: its ones are one run reaching line n−1.
+func (s *Span) Next() (Vec, bool) {
+	top := uint64(1) << uint(s.n)
+	for x := s.next; x < s.to; x++ {
+		if !s.unsorted || x != 0 && x+(x&-x) != top {
+			s.next = x + 1
+			return Vec{N: s.n, Bits: x}, true
+		}
 	}
-	v := Vec{N: it.n, Bits: it.next}
-	it.next++
-	return v, true
+	s.next = s.to
+	return Vec{}, false
+}
+
+// Words returns the words [next, to) the span has left, sorted ones
+// included.
+func (s *Span) Words() (next, to uint64) { return s.next, s.to }
+
+// Sub returns the span of the words [lo, hi) with s's filter, for lo
+// and hi within s.Words(); s is not advanced.
+func (s *Span) Sub(lo, hi uint64) Span { return Span{n: s.n, next: lo, to: hi, unsorted: s.unsorted} }
+
+// Len returns how many vectors the span has left.
+func (s *Span) Len() int {
+	k := int(s.to - s.next)
+	if s.unsorted {
+		k -= sortedWords(s.n, s.next, s.to, 0, nil)
+	}
+	return k
+}
+
+// Take advances the span past its next block, for wholesale loading:
+// the consecutive words [base, base+lanes), where base is the span's
+// next word rounded down to a multiple of 64 and lanes ≤ lim (lim ≥
+// 64). It sets holes (at least ⌈lanes/64⌉ words, bit j for word
+// base+j) to the block's words that are not in the stream: those
+// before the span's next word, and the sorted ones when the span
+// drops them. tests counts the rest, the block's stream vectors.
+// lanes is 0 once the span is exhausted.
+func (s *Span) Take(lim int, holes []uint64) (base uint64, lanes, tests int) {
+	base = s.next &^ 63
+	if s.next >= s.to {
+		return base, 0, 0
+	}
+	lanes = int(min(s.to-base, uint64(lim)))
+	clear(holes[:(lanes+63)/64])
+	holes[0] = 1<<(s.next-base) - 1
+	tests = lanes - int(s.next-base)
+	if s.unsorted {
+		tests -= sortedWords(s.n, s.next, base+uint64(lanes), base, holes)
+	}
+	s.next = base + uint64(lanes)
+	return base, lanes, tests
+}
+
+// sortedWords counts the sorted n-line words in [lo, hi) — 2ⁿ − 2ᵃ
+// for a = 0..n, where a = n is 0ⁿ — setting bit x − base of holes for
+// each word x it counts when holes is not nil.
+func sortedWords(n int, lo, hi, base uint64, holes []uint64) int {
+	count := 0
+	top := uint64(1) << uint(n)
+	for a := 0; a <= n; a++ {
+		if x := top - 1<<uint(a); lo <= x && x < hi {
+			count++
+			if holes != nil {
+				holes[(x-base)>>6] |= 1 << ((x - base) & 63)
+			}
+		}
+	}
+	return count
 }
 
 // FixedWeight enumerates every vector of length n with exactly k ones,
@@ -161,7 +230,16 @@ func (it *complementIter) Next() (Vec, bool) {
 // of the paper's 0/1 test sets are "some universe minus its sorted
 // members": a sorted input can never witness a failure because standard
 // comparators cannot unsort it.
-func NotSorted(inner Iterator) Iterator { return &filterIter{inner: inner, keep: notSorted} }
+//
+// NotSorted of a span is a span: the same words minus the sorted ones.
+func NotSorted(inner Iterator) Iterator {
+	if s, ok := inner.(*Span); ok {
+		sp := *s
+		sp.unsorted = true
+		return &sp
+	}
+	return &filterIter{inner: inner, keep: notSorted}
+}
 
 func notSorted(v Vec) bool { return !v.IsSorted() }
 

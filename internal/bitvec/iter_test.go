@@ -120,6 +120,87 @@ func TestNotSortedFilter(t *testing.T) {
 	}
 }
 
+// TestSpanMatchesFilter: NotSorted of a span yields exactly what the
+// generic filter over the universe yields, from any starting point.
+func TestSpanMatchesFilter(t *testing.T) {
+	for n := 0; n <= 10; n++ {
+		for _, drawn := range []int{0, 1, 7, 64, 300} {
+			sp := NotSorted(All(n))
+			ref := Filter(All(n), func(v Vec) bool { return !v.IsSorted() })
+			for range drawn {
+				sp.Next()
+				ref.Next()
+			}
+			got, want := Collect(sp), Collect(ref)
+			if len(got) != len(want) {
+				t.Fatalf("n=%d drawn %d: span yields %d vectors, filter %d", n, drawn, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d drawn %d: vector %d is %s, filter %s", n, drawn, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSpanTakeMatchesNext: the blocks Take hands out cover exactly the
+// words Next would yield — every other lane marked a hole, tests
+// counting the rest — for the universe and its non-sorted words, from
+// any starting point, and Len counts the same words.
+func TestSpanTakeMatchesNext(t *testing.T) {
+	for n := 0; n <= 10; n++ {
+		for _, drawn := range []int{0, 1, 5, 63, 64, 65, 200} {
+			for _, unsorted := range []bool{false, true} {
+				span := func() *Span {
+					var it Iterator = All(n)
+					if unsorted {
+						it = NotSorted(it)
+					}
+					for range drawn {
+						it.Next()
+					}
+					return it.(*Span)
+				}
+				want := Collect(span())
+				sp := span()
+				if sp.Len() != len(want) {
+					t.Fatalf("n=%d drawn %d unsorted=%v: Len %d, Next yields %d", n, drawn, unsorted, sp.Len(), len(want))
+				}
+				var got []Vec
+				var holes [4]uint64
+				for lim := 64; ; lim = min(2*lim, 256) {
+					base, lanes, tests := sp.Take(lim, holes[:])
+					if lanes == 0 {
+						break
+					}
+					if base%64 != 0 || lanes > lim {
+						t.Fatalf("n=%d: block of %d lanes from %d under lim %d", n, lanes, base, lim)
+					}
+					kept := 0
+					for j := 0; j < lanes; j++ {
+						if holes[j/64]>>uint(j%64)&1 == 0 {
+							got = append(got, Vec{N: n, Bits: base + uint64(j)})
+							kept++
+						}
+					}
+					if kept != tests {
+						t.Fatalf("n=%d drawn %d: block from %d counts %d tests, has %d non-hole lanes", n, drawn, base, tests, kept)
+					}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("n=%d drawn %d unsorted=%v: blocks hold %d vectors, Next yields %d", n, drawn, unsorted, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d drawn %d unsorted=%v: vector %d is %s, Next yields %s", n, drawn, unsorted, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestGrayCodeAdjacency(t *testing.T) {
 	for n := 1; n <= 10; n++ {
 		it := GrayCode(n)

@@ -100,7 +100,7 @@ func BenchmarkFaultDetectableBatch(b *testing.B) {
 		if i == 3 {
 			kind = OpNop
 		}
-		ops[i] = Op{Kind: kind, A: c.A, B: c.B}
+		ops[i] = Op{Kind: kind, A: uint16(c.A), B: uint16(c.B)}
 	}
 	p := NewProgram(10, ops)
 	e := New(p, 1)
@@ -114,14 +114,17 @@ func BenchmarkFaultDetectableBatch(b *testing.B) {
 
 // --- block engine throughput ----------------------------------------------
 
-// Two shapes of the same 16-line merge sorter:
+// Three shapes of the same 16-line merge sorter:
 //
-//   - Universe: the exhaustive 2^16 sweep on the wholesale-loading
-//     path — pure kernel + judge throughput, no enumeration cost, no
-//     early exit (the property holds).
+//   - Universe: the exhaustive 2^16 sweep — pure kernel + judge
+//     throughput, no early exit (the property holds).
 //   - MinimalStream: the full 2^16−17-vector minimal sorter test set
-//     through a holding network — kernel plus live Gosper/filter
-//     enumeration, the serve path's per-verdict profile.
+//     through a holding network, the serve path's per-verdict
+//     profile. The set is a span of the universe, loaded wholesale
+//     like it, plus a hole mask for the 17 sorted words.
+//   - MinimalStreamGroup: one RunMany pass of five holding sorters
+//     (random prefixes on the merge sorter) over the same set, the
+//     batch path's profile: one load per block for all five.
 //
 // ns/op is per full verification pass; divide by 65536 or 65519
 // (tests) for per-vector cost.
@@ -142,6 +145,22 @@ func BenchmarkKernelMinimalStream(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if !e.Run(notSorted(16), SortedJudge()).Holds {
 			b.Fatal("sorter failed its minimal test set")
+		}
+	}
+}
+
+func BenchmarkKernelMinimalStreamGroup(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	progs := make([]*Program, 5)
+	for i := range progs {
+		progs[i] = Compile(network.Random(16, 4+i, rng).Append(gen.OddEvenMergeSort(16)))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, v := range RunMany(progs, notSorted(16), SortedJudge()) {
+			if !v.Holds {
+				b.Fatal("a sorter failed its minimal test set")
+			}
 		}
 	}
 }

@@ -19,18 +19,30 @@ type RowStream interface {
 	NextRow(row []uint64) bool
 }
 
-// stream is a run's vector source: rows already staged (auto mode's
-// probe), then a narrow bitvec iterator or a row stream.
+// stream is a run's vector source: a span of the universe, loaded
+// wholesale, or rows already staged (auto mode's probe) followed by a
+// narrow bitvec iterator or a row stream.
 type stream struct {
+	span *bitvec.Span
 	head []uint64
 	vecs bitvec.Iterator
 	rows RowStream
 }
 
+// vecStream is the stream of a bitvec iterator: a span when it is
+// one, so the block engine loads it wholesale.
+func vecStream(it bitvec.Iterator) stream {
+	if sp, ok := it.(*bitvec.Span); ok {
+		return stream{span: sp}
+	}
+	return stream{vecs: it}
+}
+
 // fill stages up to lim vectors of R words each into dst and returns
 // how many it staged; fewer than lim means the stream is exhausted.
-// It is the one per-block step every streaming run path (Run,
-// RunWideCtx, RunMany, Sweep) draws vectors through.
+// It is how every row-staging path (the block step, the pool's
+// producer, Sweep) draws vectors; a span's vectors reach it only
+// through Next.
 //
 //sortnets:hotpath
 func (s *stream) fill(dst []uint64, R, lim int) int {
@@ -68,6 +80,12 @@ type block struct {
 	t       [network.LanesPerWord]uint64
 	in, out network.Batch
 	bad     [maxWords]uint64
+	// A span block (span set) holds the consecutive words from base,
+	// lane j carrying word base+j; holes marks its lanes that are not
+	// in the stream, which the judge never rejects.
+	span  bool
+	base  uint64
+	holes [maxWords]uint64
 }
 
 // blockPool recycles blocks: a block is a few KiB plus its batches,
@@ -93,6 +111,33 @@ func getBlock(n int) *block {
 	b.rows = b.rows[:maxLanes*b.R]
 	b.in.N, b.out.N = n, n
 	return b
+}
+
+// step loads the stream's next block of at most lim lanes (lim ≥
+// 64): a span's words wholesale (LoadConsecutive, no enumeration or
+// transpose), any other stream's vectors staged as rows and
+// transposed. It returns the lanes loaded, 0 once the stream is
+// exhausted, and how many of them are stream vectors (lanes minus a
+// span block's holes). It is the one load step of runSeq and RunMany.
+//
+//sortnets:hotpath
+func (b *block) step(src *stream, lim int, needsInput bool) (lanes, tests int) {
+	if sp := src.span; sp != nil {
+		b.base, lanes, tests = sp.Take(lim, b.holes[:])
+		if lanes > 0 {
+			b.span = true
+			b.out.LoadConsecutive(b.base, lanes)
+			if needsInput {
+				b.mirror()
+			}
+		}
+		return lanes, tests
+	}
+	k := src.fill(b.rows, b.R, lim)
+	if k > 0 {
+		b.load(b.rows, k, needsInput)
+	}
+	return k, k
 }
 
 // load transposes k staged rows (1..maxLanes) into the out batch at
@@ -127,6 +172,7 @@ func (b *block) load(rows []uint64, k int, needsInput bool) {
 		}
 	}
 	b.out.W, b.out.Lanes, b.out.Lines = W, k, lines
+	b.span = false
 	if needsInput {
 		b.mirror()
 	}
@@ -155,19 +201,17 @@ func (b *block) judge(p *Program, j *Judge) int {
 		j.Rejects(&b.in, &b.out, bad)
 	}
 	network.MaskLanes(bad, b.out.Lanes)
+	if b.span {
+		for g := range bad {
+			bad[g] &^= b.holes[g]
+		}
+	}
 	for g, w := range bad {
 		if w != 0 {
 			return g*network.LanesPerWord + bits.TrailingZeros64(w)
 		}
 	}
 	return -1
-}
-
-// verdict is the failing Verdict for lane of the judged block loaded
-// from rows (n ≤ 64, one word per row), after tests earlier vectors:
-// the input is read back from its staged row.
-func (b *block) verdict(rows []uint64, lane, tests int) Verdict {
-	return Verdict{TestsRun: tests + lane + 1, In: bitvec.Vec{N: b.out.N, Bits: rows[lane]}, Out: b.out.Lane(lane)}
 }
 
 // outcome is a run's result at either width: the Verdict of a bitvec
@@ -178,20 +222,31 @@ type outcome struct {
 }
 
 // failure is the outcome for a failing lane of the judged block
-// loaded from rows, after tests earlier vectors; wide reads it back
-// for a row stream.
+// loaded from rows, after tests earlier vectors: the lane's stream
+// position is its index minus the holes below it, and its input is
+// base+lane for a span block, else read back from its staged row
+// (wide for a row stream).
 func (b *block) failure(wide bool, rows []uint64, lane, tests int) outcome {
+	n := b.out.N
+	if b.span {
+		g, s := lane/network.LanesPerWord, uint(lane%network.LanesPerWord)
+		below := bits.OnesCount64(b.holes[g] & (1<<s - 1))
+		for _, h := range b.holes[:g] {
+			below += bits.OnesCount64(h)
+		}
+		return outcome{Verdict: Verdict{TestsRun: tests + lane - below + 1, In: bitvec.Vec{N: n, Bits: b.base + uint64(lane)}, Out: b.out.Lane(lane)}}
+	}
 	if !wide {
-		return outcome{Verdict: b.verdict(rows, lane, tests)}
+		return outcome{Verdict: Verdict{TestsRun: tests + lane + 1, In: bitvec.Vec{N: n, Bits: rows[lane]}, Out: b.out.Lane(lane)}}
 	}
 	out := make([]uint64, b.R)
 	g, s := lane/network.LanesPerWord, uint(lane%network.LanesPerWord)
-	for i := 0; i < b.out.N; i++ {
+	for i := 0; i < n; i++ {
 		out[i/network.LanesPerWord] |= (b.out.Lines[i*b.out.W+g] >> s & 1) << uint(i%network.LanesPerWord)
 	}
 	return outcome{
 		Verdict: Verdict{TestsRun: tests + lane + 1},
-		wideIn:  widevec.FromWords(b.out.N, rows[lane*b.R:lane*b.R+b.R]),
-		wideOut: widevec.FromWords(b.out.N, out),
+		wideIn:  widevec.FromWords(n, rows[lane*b.R:lane*b.R+b.R]),
+		wideOut: widevec.FromWords(n, out),
 	}
 }

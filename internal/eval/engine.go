@@ -100,10 +100,12 @@ const chunkLanes = 16 * maxLanes
 // Run streams the iterator's vectors through the program in
 // word-parallel blocks and judges each block, returning on the first
 // rejected lane. With one worker the counterexample is the first
-// failure in stream order; with a pool it is the first failure some
-// worker found, and TestsRun counts the vectors handed out before the
-// pool drained. bitvec vectors hold at most 64 lines, so Run needs
-// n ≤ 64; RunWideCtx is the same run over row streams of any width.
+// failure in stream order. With a pool, a span (bitvec.All, or
+// NotSorted of it) still reports the first failure in stream order;
+// any other stream reports the first failure some worker found, with
+// TestsRun counting the vectors handed out before the pool drained.
+// bitvec vectors hold at most 64 lines, so Run needs n ≤ 64;
+// RunWideCtx is the same run over row streams of any width.
 func (e *Engine) Run(it bitvec.Iterator, judge Judge) Verdict {
 	v, _ := e.RunCtx(context.Background(), it, judge)
 	return v
@@ -118,7 +120,8 @@ func (e *Engine) RunCtx(ctx context.Context, it bitvec.Iterator, judge Judge) (V
 	if e.p.n > bitvec.MaxN {
 		panic(fmt.Sprintf("eval: Run streams bitvec vectors of at most 64 lines, program has %d", e.p.n))
 	}
-	o, err := e.run(ctx, &stream{vecs: it}, judge)
+	src := vecStream(it)
+	o, err := e.run(ctx, &src, judge)
 	return o.Verdict, err
 }
 
@@ -131,27 +134,43 @@ func (e *Engine) RunWideCtx(ctx context.Context, src RowStream, judge Judge) (Wi
 	return WideVerdict{Holds: o.Holds, TestsRun: o.TestsRun, In: o.wideIn, Out: o.wideOut}, err
 }
 
-// run picks the block loop for the engine's worker setting. Auto mode
-// stages rows until the work estimate crosses the threshold: a stream
-// that ends first runs sequentially, a longer one on all cores, with
-// the staged rows replayed ahead of the live tail.
+// run picks the block loop for the engine's worker setting: one
+// worker runs runSeq, a pool runs a span by slabs (spanPool) and any
+// other stream through runPool.
 func (e *Engine) run(ctx context.Context, src *stream, judge Judge) (outcome, error) {
-	switch e.workers {
-	case 0:
-		budget := autoWorkThreshold/max(len(e.p.ops), 1) + 1
+	workers := e.workers
+	if workers == 0 {
+		workers = e.autoWorkers(src)
+	}
+	switch {
+	case workers == 1:
+		return e.runSeq(ctx, src, judge)
+	case src.span != nil:
+		return e.spanPool(ctx, src.span, judge, workers)
+	default:
+		return e.runPool(ctx, src, judge, workers)
+	}
+}
+
+// autoWorkers is auto mode's worker count: 1 for a stream shorter
+// than the work threshold, NumCPU for a longer one. A span knows its
+// length; any other stream is staged until it crosses the threshold
+// or ends, and the staged rows are replayed ahead of its live tail.
+func (e *Engine) autoWorkers(src *stream) int {
+	budget := autoWorkThreshold/max(len(e.p.ops), 1) + 1
+	k := 0
+	if src.span != nil {
+		k = min(src.span.Len(), budget)
+	} else {
 		R := rowWords(e.p.n)
 		staged := make([]uint64, budget*R)
-		k := src.fill(staged, R, budget)
+		k = src.fill(staged, R, budget)
 		src.head = staged[:k*R]
-		if k < budget {
-			return e.runSeq(ctx, src, judge)
-		}
-		return e.runPool(ctx, src, judge, runtime.NumCPU())
-	case 1:
-		return e.runSeq(ctx, src, judge)
-	default:
-		return e.runPool(ctx, src, judge, e.workers)
 	}
+	if k < budget {
+		return 1
+	}
+	return runtime.NumCPU()
 }
 
 // runSeq is the sequential block loop. Block sizes ramp 64 → 128 →
@@ -168,18 +187,17 @@ func (e *Engine) runSeq(ctx context.Context, src *stream, judge Judge) (outcome,
 		if err := ctx.Err(); err != nil {
 			return outcome{}, err
 		}
-		k := src.fill(b.rows, b.R, lim)
+		k, m := b.step(src, lim, judge.NeedsInput)
 		if k == 0 {
 			return outcome{Verdict: Verdict{Holds: true, TestsRun: tests}}, nil
 		}
-		b.load(b.rows, k, judge.NeedsInput)
 		if lane := b.judge(e.p, &judge); lane >= 0 {
 			// The lowest rejected lane is the first failure in stream
 			// order; report the tests consumed up to and including it,
 			// exactly as a one-vector-at-a-time engine would.
 			return b.failure(src.rows != nil, b.rows, lane, tests), nil
 		}
-		tests += k
+		tests += m
 	}
 }
 
@@ -252,103 +270,65 @@ feed:
 }
 
 // RunUniverse judges the program against all 2ⁿ binary inputs — the
-// exhaustive ground-truth sweep — loading consecutive inputs
-// wholesale (six fixed masks and constant words) instead of
-// transposing lane by lane.
+// exhaustive ground-truth sweep — as a run over the span of the whole
+// universe, loaded wholesale (six fixed masks and constant words)
+// instead of transposed lane by lane.
 func (e *Engine) RunUniverse(judge Judge) Verdict {
 	v, _ := e.RunUniverseCtx(context.Background(), judge)
 	return v
 }
 
 // RunUniverseCtx is RunUniverse under a context, checked once per
-// block on the sequential path and once per slab under the pool.
+// block, and once per slab under the pool.
 func (e *Engine) RunUniverseCtx(ctx context.Context, judge Judge) (Verdict, error) {
-	n := e.p.n
-	if n > 30 {
+	if n := e.p.n; n > 30 {
 		panic(fmt.Sprintf("eval: RunUniverse sweeps 2^%d inputs; n is too wide", n))
 	}
-	if n > 6 && e.workers != 1 {
-		workers := e.workers
-		if workers == 0 {
-			if (uint64(len(e.p.ops))+1)<<uint(n) >= autoWorkThreshold {
-				workers = runtime.NumCPU()
-			} else {
-				workers = 1
-			}
-		}
-		if workers > 1 {
-			return e.universePool(ctx, judge, workers)
-		}
-	}
-	return e.universeRange(ctx, judge, 0, uint64(bitvec.Universe(n)))
+	o, err := e.run(ctx, &stream{span: bitvec.All(e.p.n)}, judge)
+	return o.Verdict, err
 }
 
-// universeRange sweeps inputs [from, to) in blocks ramping 64 → 128 →
-// 256 lanes, like runSeq; from must be a multiple of 64 (or 0). On
-// failure TestsRun is the count swept within this range up to and
-// including the failing input.
-//
-//sortnets:ctxloop
-func (e *Engine) universeRange(ctx context.Context, judge Judge, from, to uint64) (Verdict, error) {
-	b := getBlock(e.p.n)
-	defer blockPool.Put(b)
-	tests := 0
-	for lim := network.LanesPerWord; from < to; lim = min(2*lim, maxLanes) {
-		if err := ctx.Err(); err != nil {
-			return Verdict{}, err
-		}
-		k := int(min(to-from, uint64(lim)))
-		b.out.LoadConsecutive(from, k)
-		if judge.NeedsInput {
-			b.mirror()
-		}
-		if lane := b.judge(e.p, &judge); lane >= 0 {
-			return Verdict{
-				Holds:    false,
-				TestsRun: tests + lane + 1,
-				In:       bitvec.New(e.p.n, from+uint64(lane)),
-				Out:      b.out.Lane(lane),
-			}, nil
-		}
-		tests += k
-		from += uint64(k)
-	}
-	return Verdict{Holds: true, TestsRun: tests}, nil
-}
-
-// universePool shards the universe into contiguous slabs handed to
-// NumCPU-bounded workers; the first failure (lowest slab) wins. The
-// slab size is a multiple of 64, so every slab starts on a word
-// boundary. (No ctxloop annotation: the loop and its per-claim ctx
-// check live in ForEachUntilCtx.)
-func (e *Engine) universePool(ctx context.Context, judge Judge, workers int) (Verdict, error) {
-	n := e.p.n
-	total := uint64(bitvec.Universe(n))
+// spanPool judges a span on a pool: its words are cut into slabs of
+// 4096 (each but the first starting on a multiple of 4096), every
+// slab runs through runSeq on whichever worker claims it, and the
+// failure in the lowest failing slab wins, its position moved from
+// the slab's stream to the span's. So a pool reports the first
+// failure in stream order, exactly as one worker does. (No ctxloop
+// annotation: the loop and its per-claim ctx check live in
+// ForEachUntilCtx.)
+func (e *Engine) spanPool(ctx context.Context, sp *bitvec.Span, judge Judge, workers int) (outcome, error) {
 	const slab = 1 << 12
-	slabs := int((total + slab - 1) / slab)
+	from, to := sp.Words()
+	first := from / slab
+	slabStart := func(i int) uint64 { return max(from, (first+uint64(i))*slab) }
+	slabs := 0
+	if from < to {
+		slabs = int((to-1)/slab - first + 1)
+	}
 	var mu sync.Mutex
-	found := Verdict{Holds: true}
+	var found outcome
 	foundSlab := slabs
 	hit, err := ForEachUntilCtx(ctx, slabs, workers, func(i int) bool {
-		from := uint64(i) * slab
-		v, err := e.universeRange(ctx, judge, from, min(from+slab, total))
-		if err != nil || v.Holds {
+		part := sp.Sub(slabStart(i), min(to, slabStart(i+1)))
+		o, err := e.runSeq(ctx, &stream{span: &part}, judge)
+		if err != nil || o.Holds {
 			return false
 		}
 		mu.Lock()
 		if i < foundSlab {
-			foundSlab, found = i, v
+			foundSlab, found = i, o
 		}
 		mu.Unlock()
 		return true
 	})
 	if hit < 0 {
 		if err != nil {
-			return Verdict{}, err
+			return outcome{}, err
 		}
-		return Verdict{Holds: true, TestsRun: int(total)}, nil
+		return outcome{Verdict: Verdict{Holds: true, TestsRun: sp.Len()}}, nil
 	}
-	found.TestsRun = foundSlab*slab + found.TestsRun
+	before := sp.Sub(from, slabStart(foundSlab))
+	found.TestsRun += before.Len()
 	return found, nil
 }
 

@@ -130,7 +130,7 @@ func TestImpureOpsScalarAgainstBatch(t *testing.T) {
 			k := kinds[rng.Intn(len(kinds))]
 			a := rng.Intn(n - 1)
 			b := a + 1 + rng.Intn(n-1-a)
-			ops = append(ops, Op{Kind: k, A: a, B: b})
+			ops = append(ops, Op{Kind: k, A: uint16(a), B: uint16(b)})
 		}
 		p := NewProgram(n, ops)
 		var vs []bitvec.Vec
@@ -164,7 +164,7 @@ func TestNewProgramsOverArena(t *testing.T) {
 			if i%2 == 1 { // even ranges stay pure
 				k = kinds[rng.Intn(len(kinds))]
 			}
-			arena = append(arena, Op{Kind: k, A: a, B: a + 1 + rng.Intn(n-1-a)})
+			arena = append(arena, Op{Kind: k, A: uint16(a), B: uint16(a + 1 + rng.Intn(n-1-a))})
 		}
 		ends[i] = len(arena)
 	}

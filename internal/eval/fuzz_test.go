@@ -18,7 +18,8 @@ import (
 // machinery. The same bytes, read as (opcode, line, line) triples,
 // also build an impure program over all eight opcodes — the form the
 // fault models lower to — whose block paths must agree with its
-// scalar interpreter Program.Apply. A wide leg reads the bytes again
+// scalar interpreter Program.Apply. For n ≤ 10 both also run the
+// sorter span and the universe. A wide leg reads the bytes again
 // as a network of 65..200 lines and rows derived from the vector
 // bytes, and RunWideCtx must match the scalar wide reference
 // applyComparators.
@@ -125,7 +126,7 @@ func fuzzOps(n int, raw []byte) []Op {
 		if a > b {
 			a, b = b, a
 		}
-		ops = append(ops, Op{Kind: OpKind(raw[i] % 8), A: a, B: b})
+		ops = append(ops, Op{Kind: OpKind(raw[i] % 8), A: uint16(a), B: uint16(b)})
 	}
 	return ops
 }
@@ -137,7 +138,9 @@ func fuzzOps(n int, raw []byte) []Op {
 // reference on every streamed lane; the vector count is rarely a
 // multiple of 64, so the final blocks are ragged on almost every
 // input. RunUniverse (kept to small n so the 2ⁿ sweep stays cheap)
-// must report the first unsorted output of a reference scan.
+// must report the first unsorted output of a reference scan, and so
+// must Run over the sorter span, the non-sorted words loaded
+// wholesale.
 func checkBlockPaths(t *testing.T, prog *Program, vecs []bitvec.Vec, ref func(bitvec.Vec) bitvec.Vec, desc string) {
 	t.Helper()
 	differential := PerLaneJudge(func(in, out bitvec.Vec) bool { return out == ref(in) })
@@ -173,5 +176,25 @@ func checkBlockPaths(t *testing.T, prog *Program, vecs []bitvec.Vec, ref func(bi
 	}
 	if v := New(prog, 1).RunUniverse(differential); !v.Holds {
 		t.Fatalf("RunUniverse block path diverges from reference on %s (%s)", v.In, desc)
+	}
+
+	// The sorter span loads the non-sorted words wholesale; it must
+	// report the first unsorted output of a scan of exactly those.
+	want = Verdict{Holds: true, TestsRun: bitvec.Universe(n) - n - 1}
+	for x, pos := 0, 0; x < bitvec.Universe(n); x++ {
+		in := bitvec.New(n, uint64(x))
+		if in.IsSorted() {
+			continue
+		}
+		pos++
+		if out := ref(in); !out.IsSorted() {
+			want = Verdict{Holds: false, TestsRun: pos, In: in, Out: out}
+			break
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		if got := New(prog, workers).Run(bitvec.NotSorted(bitvec.All(n)), SortedJudge()); got != want {
+			t.Fatalf("%d-worker sorter span %+v, reference %+v (%s)", workers, got, want, desc)
+		}
 	}
 }

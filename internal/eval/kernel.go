@@ -90,10 +90,11 @@ func applyPureW(comps []network.Comparator, lines []uint64, W int) {
 // included) at W words per line.
 func applyOps(ops []Op, lines []uint64, W int) {
 	for _, op := range ops {
-		la := lines[op.A*W : op.A*W+W]
+		a, b := int(op.A)*W, int(op.B)*W
+		la := lines[a : a+W]
 		var lb []uint64
 		if op.Kind != OpClamp0 && op.Kind != OpClamp1 {
-			lb = lines[op.B*W : op.B*W+W]
+			lb = lines[b : b+W]
 		}
 		switch op.Kind {
 		case OpCmp:

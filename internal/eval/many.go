@@ -11,11 +11,13 @@ import (
 // The multi-program passes of the batch-first request model: when
 // many programs of one width are judged against one stream — a fleet
 // of candidate networks checked against one property, or every fault
-// variant of one circuit — the expensive shared work, enumerating the
-// stream and transposing it into the word layout, is identical for
-// every program. RunMany and Sweep do that work ONCE per block and
-// feed the block to every program, so k programs pay one enumeration
-// and one transpose instead of k.
+// variant of one circuit — the shared work, getting the stream into
+// the word layout, is identical for every program. RunMany and Sweep
+// do that work ONCE per block and feed the block to every program, so
+// k programs pay one load instead of k. RunMany loads a span
+// wholesale; Sweep stages every stream as rows, because its visit
+// offsets count 64-lane words of the stream, which a span block's
+// holes would shift.
 
 // RunMany streams the iterator's vectors once through every program,
 // judging each block against all programs that have not yet failed.
@@ -40,7 +42,7 @@ func RunManyCtx(ctx context.Context, progs []*Program, it bitvec.Iterator, judge
 	}
 	b := getBlock(fleetWidth(progs, "RunMany"))
 	defer blockPool.Put(b)
-	src := stream{vecs: it}
+	src := vecStream(it)
 
 	verdicts := make([]Verdict, len(progs))
 	// active[i] — program i has not failed yet. Failed programs drop
@@ -55,25 +57,24 @@ func RunManyCtx(ctx context.Context, progs []*Program, it bitvec.Iterator, judge
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		k := src.fill(b.rows, 1, maxLanes)
+		// Shared per-block work: one load for all programs. in keeps
+		// the block's inputs; each program evaluates a fresh copy of
+		// them in out.
+		k, m := b.step(&src, maxLanes, true)
 		if k == 0 {
 			break
 		}
-		// Shared per-block work: load + transpose once for all
-		// programs. in keeps the block's inputs; each program
-		// evaluates a fresh copy of them in out.
-		b.load(b.rows, k, true)
 		keep := active[:0]
 		for _, pi := range active {
 			copy(b.out.Lines, b.in.Lines)
 			if lane := b.judge(progs[pi], &judge); lane >= 0 {
-				verdicts[pi] = b.verdict(b.rows, lane, tests)
+				verdicts[pi] = b.failure(false, b.rows, lane, tests).Verdict
 				continue
 			}
 			keep = append(keep, pi)
 		}
 		active = keep
-		tests += k
+		tests += m
 	}
 	for _, pi := range active {
 		verdicts[pi] = Verdict{Holds: true, TestsRun: tests}

@@ -3,8 +3,11 @@
 // ONCE into an immutable Program — comparator pairs pre-extracted and
 // topologically packed into data-independent layers — and an Engine
 // streams test vectors through it in word-parallel blocks of up to 256
-// lanes, each carrying only the words its vectors fill, at any width:
-// a vector of n lines is staged as a row of ⌈n/64⌉ words and loaded by
+// lanes, each carrying only the words its vectors fill, at any width.
+// A span of the universe (bitvec.All, or the sorter test set NotSorted
+// of it) loads wholesale: consecutive words are constant line words,
+// and a hole mask drops the words the stream skips. Any other stream
+// stages each vector of n lines as a row of ⌈n/64⌉ words, loaded by
 // one 64×64 transpose per row word. The engine owns the worker pool
 // (sequential under a work threshold, NumCPU workers above it).
 //
@@ -41,11 +44,16 @@ const (
 	OpShortAND               // lines A and B both read their wired-AND
 )
 
-// Op is one program step on lines A (and, for two-line ops, B).
+// Op is one program step on lines A (and, for two-line ops, B). It
+// is 6 bytes: a fault universe compiles into one arena of them.
 type Op struct {
 	Kind OpKind
-	A, B int
+	A, B uint16
 }
+
+// maxProgramLines is the widest program: an Op addresses lines
+// 0..65534.
+const maxProgramLines = 65535
 
 // Program is the immutable compiled form of a comparator network (or
 // of a fault-injected variant of one). Compile once, evaluate many
@@ -70,6 +78,9 @@ type Program struct {
 // layer. The program does not alias the network: later mutation of w
 // leaves the program untouched.
 func Compile(w *network.Network) *Program {
+	if w.N > maxProgramLines {
+		panic(fmt.Sprintf("eval: network has %d lines, a program at most %d", w.N, maxProgramLines))
+	}
 	busy := make([]int, w.N)
 	depth := 0
 	layerOf := make([]int, len(w.Comps))
@@ -100,7 +111,7 @@ func Compile(w *network.Network) *Program {
 	for i, c := range w.Comps {
 		at := fill[layerOf[i]]
 		fill[layerOf[i]]++
-		ops[at] = Op{Kind: OpCmp, A: c.A, B: c.B}
+		ops[at] = Op{Kind: OpCmp, A: uint16(c.A), B: uint16(c.B)}
 		comps[at] = c
 	}
 	return &Program{n: w.N, ops: ops, pure: true, comps: comps, levels: levels}
@@ -137,7 +148,7 @@ func NewPrograms(n int, arena []Op, ends []int) []*Program {
 		if p.pure {
 			p.comps = make([]network.Comparator, len(p.ops))
 			for j, op := range p.ops {
-				p.comps[j] = network.Comparator{A: op.A, B: op.B}
+				p.comps[j] = network.Comparator{A: int(op.A), B: int(op.B)}
 			}
 		}
 		out[i] = p
@@ -147,18 +158,22 @@ func NewPrograms(n int, arena []Op, ends []int) []*Program {
 }
 
 func checkOp(n int, op Op) error {
+	if n > maxProgramLines {
+		return fmt.Errorf("eval: %d lines, a program has at most %d", n, maxProgramLines)
+	}
+	a, b := int(op.A), int(op.B)
 	switch op.Kind {
 	case OpClamp0, OpClamp1:
-		if op.A < 0 || op.A >= n {
-			return fmt.Errorf("eval: clamp line %d out of range 0..%d", op.A, n-1)
+		if a >= n {
+			return fmt.Errorf("eval: clamp line %d out of range 0..%d", a, n-1)
 		}
 	case OpCmp, OpNop, OpSwap, OpRevCmp:
-		if !(0 <= op.A && op.A < op.B && op.B < n) {
-			return fmt.Errorf("eval: op on lines [%d,%d] invalid for %d lines", op.A, op.B, n)
+		if !(a < b && b < n) {
+			return fmt.Errorf("eval: op on lines [%d,%d] invalid for %d lines", a, b, n)
 		}
 	case OpShortOR, OpShortAND:
-		if op.A == op.B || op.A < 0 || op.B < 0 || op.A >= n || op.B >= n {
-			return fmt.Errorf("eval: short on lines [%d,%d] invalid for %d lines", op.A, op.B, n)
+		if a == b || a >= n || b >= n {
+			return fmt.Errorf("eval: short on lines [%d,%d] invalid for %d lines", a, b, n)
 		}
 	default:
 		return fmt.Errorf("eval: unknown opcode %d", op.Kind)

@@ -40,7 +40,7 @@ func (f DoubleComp) AppendOps(dst []eval.Op, w *network.Network) []eval.Op {
 		case f.Second.Index:
 			kind = opFor(f.Second.Mode)
 		}
-		dst = append(dst, eval.Op{Kind: kind, A: c.A, B: c.B})
+		dst = append(dst, eval.Op{Kind: kind, A: uint16(c.A), B: uint16(c.B)})
 	}
 	return dst
 }

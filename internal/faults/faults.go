@@ -135,7 +135,7 @@ func (f CompFault) AppendOps(dst []eval.Op, w *network.Network) []eval.Op {
 		if i == f.Index {
 			kind = opFor(f.Mode)
 		}
-		dst = append(dst, eval.Op{Kind: kind, A: c.A, B: c.B})
+		dst = append(dst, eval.Op{Kind: kind, A: uint16(c.A), B: uint16(c.B)})
 	}
 	return dst
 }
@@ -160,13 +160,13 @@ func (f StuckLine) Describe() string {
 // after every comparator touching the line (a defective wire segment
 // along the entire line).
 func (f StuckLine) AppendOps(dst []eval.Op, w *network.Network) []eval.Op {
-	clamp := eval.Op{Kind: eval.OpClamp0, A: f.Line}
+	clamp := eval.Op{Kind: eval.OpClamp0, A: uint16(f.Line)}
 	if f.Value == 1 {
 		clamp.Kind = eval.OpClamp1
 	}
 	dst = append(dst, clamp)
 	for _, c := range w.Comps {
-		dst = append(dst, eval.Op{Kind: eval.OpCmp, A: c.A, B: c.B})
+		dst = append(dst, eval.Op{Kind: eval.OpCmp, A: uint16(c.A), B: uint16(c.B)})
 		if c.A == f.Line || c.B == f.Line {
 			dst = append(dst, clamp)
 		}
@@ -210,13 +210,13 @@ func (f Bridge) Describe() string {
 // AppendOps implements Fault: the short is enforced at the input and
 // after every comparator touching either line.
 func (f Bridge) AppendOps(dst []eval.Op, w *network.Network) []eval.Op {
-	short := eval.Op{Kind: eval.OpShortOR, A: f.A, B: f.B}
+	short := eval.Op{Kind: eval.OpShortOR, A: uint16(f.A), B: uint16(f.B)}
 	if f.Mode == WiredAND {
 		short.Kind = eval.OpShortAND
 	}
 	dst = append(dst, short)
 	for _, c := range w.Comps {
-		dst = append(dst, eval.Op{Kind: eval.OpCmp, A: c.A, B: c.B})
+		dst = append(dst, eval.Op{Kind: eval.OpCmp, A: uint16(c.A), B: uint16(c.B)})
 		if c.A == f.A || c.A == f.B || c.B == f.A || c.B == f.B {
 			dst = append(dst, short)
 		}

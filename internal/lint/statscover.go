@@ -15,10 +15,11 @@ import (
 // (client and internal/serve):
 //
 //   - Rule A: every atomic counter field of a package-level struct —
-//     a typed sync/atomic.IntN/UintN/Bool field (the only form the
-//     repo uses; a raw integer behind atomic.AddInt64 is not seen) —
-//     must be Load()ed inside some function whose name mentions stats
-//     or snapshot. A counter that is only ever incremented is
+//     a typed sync/atomic.IntN/UintN/Bool value field (the only form
+//     the repo uses; a raw integer behind atomic.AddInt64 is not seen,
+//     and a *atomic.Int64 handle is a reference to a counter held
+//     elsewhere, not a counter of its own) — must be Load()ed inside
+//     some function whose name mentions stats or snapshot. A counter that is only ever incremented is
 //     write-only telemetry: the increment costs a cache line on the
 //     hot path and buys nothing.
 //     Deliberate non-counters (the round-robin cursor) are silenced
@@ -57,8 +58,11 @@ func runStatsCover(pass *Pass) error {
 }
 
 // atomicTypedField reports whether t is one of the typed sync/atomic
-// counter wrappers.
+// counter wrappers, held by value.
 func atomicTypedField(t types.Type) bool {
+	if _, ptr := t.(*types.Pointer); ptr {
+		return false
+	}
 	for _, name := range []string{"Int32", "Int64", "Uint32", "Uint64", "Bool", "Uintptr"} {
 		if isNamedType(t, "sync/atomic", name) {
 			return true

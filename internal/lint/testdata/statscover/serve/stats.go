@@ -12,6 +12,8 @@ type endpointStats struct {
 	misses atomic.Int64 // want "atomic counter misses is never Load"
 	//lint:ignore statscover epoch is a generation tag the tests compare directly, not telemetry
 	epoch atomic.Int64
+	// share is a handle on a counter held elsewhere, not a counter.
+	share *atomic.Int64
 }
 
 // bump is the hot path: increments surface nothing on their own.
@@ -19,6 +21,7 @@ func bump(s *endpointStats) {
 	s.hits.Add(1)
 	s.misses.Add(1)
 	s.epoch.Add(1)
+	s.share.Add(1)
 }
 
 // StatsSnapshot is the operator surface; Raw's key is missing from

@@ -62,7 +62,6 @@ type connScratch struct {
 	// pooledBytes gauge; the finalizer retires it when the pool drops
 	// the scratch. It is a separate allocation so the finalizer
 	// closure does not retain the scratch.
-	//lint:ignore statscover a per-scratch share of pooledBytes, which PooledBytes surfaces; not a counter of its own
 	accounted *atomic.Int64
 }
 

@@ -58,7 +58,7 @@ func randomOps(n int, rng *rand.Rand) []eval.Op {
 	ops := make([]eval.Op, rng.Intn(3*n))
 	for i := range ops {
 		a := rng.Intn(n - 1)
-		ops[i] = eval.Op{Kind: eval.OpKind(rng.Intn(8)), A: a, B: a + 1 + rng.Intn(n-1-a)}
+		ops[i] = eval.Op{Kind: eval.OpKind(rng.Intn(8)), A: uint16(a), B: uint16(a + 1 + rng.Intn(n-1-a))}
 	}
 	return ops
 }

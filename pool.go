@@ -7,20 +7,21 @@ import (
 	"sync"
 )
 
-// The Session's compute plane is a SHARDED worker pool: one goroutine
-// per shard, with requests routed to a shard by the hash of their
-// cache key. Routing by key gives coalescing for free and without a
-// global lock — two concurrent identical requests always land on the
-// same shard, where an inflight table lets the second subscribe to
-// the first's result instead of recomputing it. The shard count
-// bounds the number of verdicts computing at once (the engines inside
-// run single-worker, so total CPU use stays ≈ shard count).
+// The Session's compute plane is a work-conserving worker pool: a
+// fixed set of workers drains ONE shared job queue, so no worker sits
+// idle while a job waits, and the worker count bounds the number of
+// verdicts computing at once (the engines inside run single-worker,
+// so total CPU use stays ≈ worker count). Coalescing is sharded
+// instead, by the hash of the cache key, and needs no global lock:
+// two concurrent identical requests always land on the same shard,
+// whose inflight table lets the second subscribe to the first's
+// result instead of recomputing it.
 //
 // Cancellation: each in-flight call computes under its OWN context,
 // cancelled when the last subscribed waiter abandons it. A caller
 // whose context dies stops waiting immediately; the computation keeps
 // running only while someone still wants the result, and aborts at
-// its next engine block check otherwise — releasing the shard slot.
+// its next engine block check otherwise — releasing its worker.
 // Caller deadlines and values are deliberately NOT propagated into
 // the compute context: a verdict may be shared by callers with
 // different deadlines.
@@ -36,38 +37,36 @@ type call struct {
 	cancel  context.CancelFunc
 }
 
+// shard is one slice of the inflight table.
 type shard struct {
 	mu       sync.Mutex
 	inflight map[string]*call
-	jobs     chan func()
 }
 
 type pool struct {
 	shards  []*shard
+	jobs    chan func()
 	wg      sync.WaitGroup
 	onPanic func() // observes each recovered compute panic (may be nil)
 }
 
-// newPool starts n shard workers. Each shard's job queue is buffered;
-// a full queue blocks the submitting caller, which is the intended
-// backpressure (the submitter still honours its context while
-// blocked). onPanic, if non-nil, runs once per recovered compute
-// panic (the job's error becomes a *PanicError either way).
+// newPool starts n workers on one shared job queue and n inflight
+// shards. The queue holds 64 jobs per worker; a full queue blocks the
+// submitting caller, which is the intended backpressure (the
+// submitter still honours its context while blocked). onPanic, if
+// non-nil, runs once per recovered compute panic (the job's error
+// becomes a *PanicError either way).
 func newPool(n int, onPanic func()) *pool {
 	if n < 1 {
 		n = 1
 	}
-	p := &pool{shards: make([]*shard, n), onPanic: onPanic}
+	p := &pool{shards: make([]*shard, n), jobs: make(chan func(), 64*n), onPanic: onPanic}
 	for i := range p.shards {
-		sh := &shard{
-			inflight: make(map[string]*call),
-			jobs:     make(chan func(), 64),
-		}
-		p.shards[i] = sh
+		p.shards[i] = &shard{inflight: make(map[string]*call)}
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			for job := range sh.jobs {
+			for job := range p.jobs {
 				job()
 			}
 		}()
@@ -77,9 +76,7 @@ func newPool(n int, onPanic func()) *pool {
 
 // close drains the pool: no do calls may be in flight or follow.
 func (p *pool) close() {
-	for _, sh := range p.shards {
-		close(sh.jobs)
-	}
+	close(p.jobs)
 	p.wg.Wait()
 }
 
@@ -89,9 +86,10 @@ func (p *pool) shardFor(key string) *shard {
 	return p.shards[h.Sum32()%uint32(len(p.shards))]
 }
 
-// do runs compute for key on key's shard, coalescing with an
-// identical in-flight computation if one exists. It returns the
-// result and whether this caller merely joined an existing call.
+// do runs compute for key on the next free worker, coalescing with
+// an identical in-flight computation on key's shard if one exists. It
+// returns the result and whether this caller merely joined an
+// existing call.
 // onJoin, if non-nil, runs as soon as a caller registers as a waiter
 // (BEFORE blocking on the twin's result), so coalescing is observable
 // in stats while the shared computation is still running.
@@ -132,7 +130,7 @@ func (p *pool) do(ctx context.Context, key string, compute func(context.Context)
 		c.verdict, c.err = compute(c.ctx)
 	}
 	select {
-	case sh.jobs <- job:
+	case p.jobs <- job:
 	case <-ctx.Done():
 		// Queue full and the submitter gave up before the job was
 		// accepted: finish the call with a retryable sentinel — NOT

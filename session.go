@@ -121,11 +121,14 @@ func WithTestStream(tag string, factory func(p Property) VecIterator) Option {
 }
 
 // WithStreamTables points the Session at a directory of persisted
-// minimal-test-stream tables (package streamtab). When the property
-// of a verify, faults or minset request has a table on disk, its
-// pre-enumerated (mmap-backed) stream replaces live enumeration —
-// same vectors, same order, so verdicts and cache keys are unchanged;
-// properties without a table fall back transparently. An explicit
+// minimal-test-stream tables (package streamtab). When the selector
+// or merger property of a verify, faults or minset request has a
+// table on disk, its pre-enumerated (mmap-backed) stream replaces
+// live enumeration — same vectors, same order, so verdicts and cache
+// keys are unchanged; properties without a table fall back
+// transparently. Sorter tables are not read: the live sorter test set
+// is a span of the universe, which the engine loads wholesale, faster
+// than it can stage and transpose a table's rows. An explicit
 // WithTestStream override always wins over tables.
 func WithStreamTables(d *streamtab.Dir) Option {
 	return func(s *Session) { s.tables = d }
@@ -522,15 +525,15 @@ func minsetKey(digest string, p verify.Property, mode faults.DetectMode, exact b
 	return "minset|" + digest + "|" + p.Name() + "|" + mode.String() + "|exact=" + strconv.FormatBool(exact)
 }
 
-// tableFor maps a paper property to its persisted stream table, when
-// the session has a table directory and the directory has the table.
+// tableFor maps a selector or merger property to its persisted
+// stream table, when the session has a table directory and the
+// directory has the table. The sorter property has none to read (see
+// WithStreamTables).
 func (s *Session) tableFor(p Property) (*streamtab.Table, bool) {
 	if s.tables == nil {
 		return nil, false
 	}
 	switch q := p.(type) {
-	case verify.Sorter:
-		return s.tables.Lookup("sorter", q.N, 0)
 	case verify.Selector:
 		return s.tables.Lookup("selector", q.N, q.K)
 	case verify.Merger:

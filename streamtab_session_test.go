@@ -106,3 +106,33 @@ func TestStreamTablesBatchIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamTablesSorterNotRead: the Session never replays a sorter
+// table — the live sorter test set loads wholesale, faster — so even a
+// sorter table holding the wrong stream leaves verdicts as a plain
+// Session's.
+func TestStreamTablesSorterNotRead(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := streamtab.Write(dir, streamtab.Header{Property: "sorter", N: 4}, SliceIterator([]Vec{MustVec("1010")})); err != nil {
+		t.Fatal(err)
+	}
+	tables := streamtab.OpenDir(dir)
+	defer tables.Close()
+	plain := NewSession()
+	defer plain.Close()
+	tabbed := NewSession(WithStreamTables(tables))
+	defer tabbed.Close()
+	for _, req := range []Request{{Network: sessSorter4}, {Network: "n=4: [1,2][3,4]"}, {Op: OpFaults, Network: sessSorter4}} {
+		want, err := plain.Do(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tabbed.Do(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: the sorter table was read\nplain:  %+v\ntabbed: %+v", req.Network, want, got)
+		}
+	}
+}
