@@ -86,17 +86,21 @@ func TestResolveAllocs(t *testing.T) {
 // 256-line Batcher merger's 16,384 tests stream as rows into the
 // pooled block engine (the wide, n > 64, path), the 16-line odd-even
 // merge sorter's 65,519 tests load as a span, and so do those of a
-// RunManyCtx pass over five 16-line sorters (the batch path). A
+// RunManyCtx pass over five 16-line sorters (the batch path). The
+// sorter's 39,194 (8,16)-selector tests and the 64-line merger's
+// 1,024 tests are row sources that fill a block of rows per call. A
 // verdict allocates a fixed handful (the stream, the judge, the
 // engine; the pass's verdict and active slices) and nothing per
-// vector or per block: on go1.24 the merger costs 4, the sorter 3
-// and the pass 4. Each bound is its measured count plus 2, so a block
-// that is checked out of the pool and never put back (4 more
-// allocations per verdict) fails the guard.
+// vector or per block: on go1.24 the wide merger costs 4, the sorter
+// 3, the selector 4, the 64-line merger 3 and the pass 4. Each bound
+// is its measured count plus 2, so a block that is checked out of the
+// pool and never put back (4 more allocations per verdict) fails the
+// guard.
 func TestWideVerdictAllocs(t *testing.T) {
 	ctx := context.Background()
 	merger := eval.Compile(gen.HalfMerger(256))
 	sorter := eval.Compile(gen.OddEvenMergeSort(16))
+	merger64 := eval.Compile(gen.HalfMerger(64))
 	rng := rand.New(rand.NewSource(20))
 	fleet := make([]*eval.Program, 5)
 	for i := range fleet {
@@ -114,6 +118,14 @@ func TestWideVerdictAllocs(t *testing.T) {
 		}},
 		{"sorter verdict (n = 16)", 1<<16 - 17, 5, func() (bool, int, error) {
 			r, err := verify.VerdictProgramCtx(ctx, sorter, verify.Sorter{N: 16})
+			return r.Holds, r.TestsRun, err
+		}},
+		{"selector verdict (n = 16, k = 8)", 39194, 6, func() (bool, int, error) {
+			r, err := verify.VerdictProgramCtx(ctx, sorter, verify.Selector{N: 16, K: 8})
+			return r.Holds, r.TestsRun, err
+		}},
+		{"merger verdict (n = 64)", 1024, 5, func() (bool, int, error) {
+			r, err := verify.VerdictProgramCtx(ctx, merger64, verify.Merger{N: 64})
 			return r.Holds, r.TestsRun, err
 		}},
 		{"sorter group pass (n = 16, 5 programs)", 1<<16 - 17, 6, func() (bool, int, error) {

@@ -53,7 +53,6 @@ import (
 	"time"
 
 	"sortnets/internal/serve"
-	"sortnets/internal/streamtab"
 )
 
 func main() {
@@ -62,7 +61,6 @@ func main() {
 	cacheSize := flag.Int("cache-size", 4096, "verdict cache capacity in entries")
 	maxLines := flag.Int("max-lines", 20, "largest line count accepted for verify requests")
 	maxFaultLines := flag.Int("max-fault-lines", 12, "largest line count accepted for faults and minset requests")
-	streamTabDir := flag.String("streamtab-dir", "", "directory of persisted test-stream tables (see cmd/streamtab); empty disables")
 	maxInflight := flag.Int("max-inflight", 0, "admission gate: requests allowed past the HTTP layer at once; 0 = max(64, 8×workers)")
 	queueWait := flag.Duration("queue-wait", 100*time.Millisecond, "admission gate: longest a request may wait for a slot before a 429 shed")
 	computeTimeout := flag.Duration("compute-timeout", 0, "per-request compute deadline (504 past it); 0 disables")
@@ -78,7 +76,6 @@ func main() {
 		CacheSize:      *cacheSize,
 		MaxLines:       *maxLines,
 		MaxFaultLines:  *maxFaultLines,
-		StreamTabDir:   *streamTabDir,
 		MaxInflight:    *maxInflight,
 		QueueWait:      *queueWait,
 		ComputeTimeout: *computeTimeout,
@@ -136,9 +133,6 @@ func run(ln net.Listener, cfg serve.Config, opts drainOptions, drain <-chan stru
 		logf("sortnetd: cluster shard %q, peer fill from %v (budget %v per miss)",
 			cfg.ShardID, cfg.Peers, cfg.PeerTimeout)
 	}
-	if cfg.StreamTabDir != "" {
-		logStreamTables(cfg.StreamTabDir, logf)
-	}
 	srv := &http.Server{Handler: svc.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
@@ -191,32 +185,6 @@ func splitPeers(s string) []string {
 		}
 	}
 	return urls
-}
-
-// logStreamTables reports at startup which persisted test-stream
-// tables the service will actually use — the operator's confirmation
-// that a -streamtab-dir deployment took effect (lookups themselves
-// are silent: a broken table just falls back to live enumeration).
-// Sorter tables are valid but never read: the live sorter test set
-// loads wholesale, faster than a table replays.
-func logStreamTables(dir string, logf func(string, ...any)) {
-	infos, err := streamtab.List(dir)
-	if err != nil {
-		logf("sortnetd: streamtab dir %s: %v (serving with live enumeration)", dir, err)
-		return
-	}
-	valid := 0
-	for _, info := range infos {
-		if info.Err != nil {
-			logf("sortnetd: streamtab %s: %v (ignored)", info.File, info.Err)
-			continue
-		}
-		if info.Header.Property == "sorter" {
-			logf("sortnetd: streamtab %s: not read (sorter test sets load wholesale)", info.File)
-		}
-		valid++
-	}
-	logf("sortnetd: streamtab dir %s: %d of %d tables valid", dir, valid, len(infos))
 }
 
 // isClosedListener reports whether err is the accept error http.Serve

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"runtime"
@@ -15,9 +14,7 @@ import (
 
 	"sortnets"
 	"sortnets/client"
-	"sortnets/internal/core"
 	"sortnets/internal/serve"
-	"sortnets/internal/streamtab"
 )
 
 // startDaemon runs the full daemon stack (listener + service +
@@ -212,27 +209,5 @@ func TestDrainMidStreamFinishesBatch(t *testing.T) {
 				baseline, n, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// TestStreamTablesLogMarksSorterUnread: the startup log counts a valid
-// sorter table but says the service does not read it, and says
-// nothing of the kind for a selector table.
-func TestStreamTablesLogMarksSorterUnread(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := streamtab.Write(dir, streamtab.Header{Property: "sorter", N: 6}, core.SorterBinaryTests(6)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := streamtab.Write(dir, streamtab.Header{Property: "selector", N: 6, K: 2}, core.SelectorBinaryTests(6, 2)); err != nil {
-		t.Fatal(err)
-	}
-	var lines []string
-	logStreamTables(dir, func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) })
-	log := strings.Join(lines, "\n")
-	if !strings.Contains(log, "sorter_n6.snstab: not read") || strings.Contains(log, "selector_k2_n6.snstab: not read") {
-		t.Fatalf("startup log does not mark exactly the sorter table unread:\n%s", log)
-	}
-	if !strings.Contains(log, "2 of 2 tables valid") {
-		t.Fatalf("startup log miscounts the valid tables:\n%s", log)
 	}
 }

@@ -109,11 +109,7 @@ func (s *Session) CheckMany(ctx context.Context, ws []*Network, p Property) ([]R
 	for i, pe := range order {
 		progs[i] = pe.prog
 	}
-	stream := p.BinaryTests()
-	if s.stream != nil {
-		stream = s.stream(p)
-	}
-	evs, err := eval.RunManyCtx(ctx, progs, stream, verify.JudgeFor(p))
+	evs, err := eval.RunManyCtx(ctx, progs, s.binaryTests(p), verify.JudgeFor(p))
 	if err != nil {
 		return nil, err
 	}

@@ -180,52 +180,6 @@ func (it *gosperIter) Next() (Vec, bool) {
 	return v, true
 }
 
-// MaxWeight enumerates every vector of length n with at most k ones,
-// weight by weight (all weight-0, then weight-1, …). This is the
-// enumeration order behind the selector test sets of Theorem 2.4, where
-// the relevant strings have |σ|₀ ≤ k, i.e. complemented weight bounds.
-func MaxWeight(n, k int) Iterator {
-	if k > n {
-		k = n
-	}
-	return &maxWeightIter{n: n, k: k, w: 0, inner: FixedWeight(n, 0)}
-}
-
-type maxWeightIter struct {
-	n, k, w int
-	inner   Iterator
-}
-
-func (it *maxWeightIter) Next() (Vec, bool) {
-	for {
-		if v, ok := it.inner.Next(); ok {
-			return v, true
-		}
-		it.w++
-		if it.w > it.k {
-			return Vec{}, false
-		}
-		it.inner = FixedWeight(it.n, it.w)
-	}
-}
-
-// MaxZeros enumerates every vector of length n with at most k zeroes
-// (|σ|₀ ≤ k), the raw universe of the selector test set T⁺_k before the
-// sorted strings are removed.
-func MaxZeros(n, k int) Iterator {
-	return &complementIter{inner: MaxWeight(n, k)}
-}
-
-type complementIter struct{ inner Iterator }
-
-func (it *complementIter) Next() (Vec, bool) {
-	v, ok := it.inner.Next()
-	if !ok {
-		return Vec{}, false
-	}
-	return v.Complement(), true
-}
-
 // NotSorted wraps an iterator, dropping every sorted vector. All three
 // of the paper's 0/1 test sets are "some universe minus its sorted
 // members": a sorted input can never witness a failure because standard

@@ -82,34 +82,6 @@ func TestFixedWeightEdges(t *testing.T) {
 	}
 }
 
-func TestMaxWeightAndMaxZeros(t *testing.T) {
-	for n := 0; n <= 12; n++ {
-		for k := 0; k <= n; k++ {
-			want := 0
-			for i := 0; i <= k; i++ {
-				want += binom(n, i)
-			}
-			if c := Count(MaxWeight(n, k)); c != want {
-				t.Errorf("MaxWeight(%d,%d) = %d, want %d", n, k, c, want)
-			}
-			if c := Count(MaxZeros(n, k)); c != want {
-				t.Errorf("MaxZeros(%d,%d) = %d, want %d", n, k, c, want)
-			}
-		}
-	}
-	// MaxZeros yields vectors with at most k zeroes.
-	it := MaxZeros(6, 2)
-	for {
-		v, ok := it.Next()
-		if !ok {
-			break
-		}
-		if v.Zeros() > 2 {
-			t.Errorf("MaxZeros(6,2) yielded %q with %d zeroes", v, v.Zeros())
-		}
-	}
-}
-
 func TestNotSortedFilter(t *testing.T) {
 	for n := 1; n <= 12; n++ {
 		c := Count(NotSorted(All(n)))

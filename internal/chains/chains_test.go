@@ -196,14 +196,16 @@ func TestSelectorPermutationsSizeAndCoverage(t *testing.T) {
 				t.Errorf("n=%d k=%d: %d permutations, want %d", n, k, len(ps), want)
 			}
 			covered := perm.CoverSet(ps)
-			it := bitvec.NotSorted(bitvec.MaxZeros(n, k))
-			for {
-				v, ok := it.Next()
-				if !ok {
-					break
-				}
-				if !covered[v] {
-					t.Fatalf("n=%d k=%d: %s (zeros=%d) not covered", n, k, v, v.Zeros())
+			for z := 0; z <= k; z++ {
+				it := bitvec.NotSorted(bitvec.FixedWeight(n, n-z))
+				for {
+					v, ok := it.Next()
+					if !ok {
+						break
+					}
+					if !covered[v] {
+						t.Fatalf("n=%d k=%d: %s (zeros=%d) not covered", n, k, v, v.Zeros())
+					}
 				}
 			}
 		}

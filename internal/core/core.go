@@ -39,49 +39,6 @@ func SorterBinaryTests(n int) bitvec.Iterator {
 	return bitvec.NotSorted(bitvec.All(n))
 }
 
-// SelectorBinaryTests streams the minimal 0/1 test set T⁺ₖ for the
-// (k,n)-selector property: every non-sorted string with at most k
-// zeros. |T| = Σᵢ₌₀..k C(n,i) − (k+1) (Theorem 2.4(i)). Sufficiency
-// follows from monotonicity: if H (k,n)-selects every σ′ with exactly
-// k zeros, then for any σ ≥ σ′ the first k outputs are forced to 0.
-func SelectorBinaryTests(n, k int) bitvec.Iterator {
-	if k < 1 || k > n {
-		panic(fmt.Sprintf("core: selector arity k=%d out of range 1..%d", k, n))
-	}
-	return bitvec.NotSorted(bitvec.MaxZeros(n, k))
-}
-
-// MergerBinaryTests streams the minimal 0/1 test set for the
-// (n/2,n/2)-merger property: every concatenation σ₁σ₂ of two sorted
-// halves that is not itself sorted — σ₁ must contain a 1 and σ₂ a 0.
-// |T| = n²/4 (Theorem 2.5(i)).
-func MergerBinaryTests(n int) bitvec.Iterator {
-	if n%2 != 0 || n < 2 {
-		panic(fmt.Sprintf("core: merger tests need even n ≥ 2, got %d", n))
-	}
-	return &mergerIter{h: n / 2, i: 1, k: 1}
-}
-
-type mergerIter struct {
-	h, i, k int
-}
-
-func (it *mergerIter) Next() (bitvec.Vec, bool) {
-	if it.i > it.h {
-		return bitvec.Vec{}, false
-	}
-	// First half 0^(h−i) 1^i with i ≥ 1 ones; second half 0^k 1^(h−k)
-	// with k ≥ 1 zeros; the leading 1 precedes the trailing 0, so the
-	// whole is never sorted.
-	v := bitvec.Concat(bitvec.SortedWithOnes(it.h, it.i), bitvec.SortedWithOnes(it.h, it.h-it.k))
-	it.k++
-	if it.k > it.h {
-		it.k = 1
-		it.i++
-	}
-	return v, true
-}
-
 // permFamilyCache memoizes the permutation test families. They are
 // fixed mathematical objects per (property, n, k) — building one costs
 // a full symmetric-chain decomposition, so verdict paths that certify

@@ -9,31 +9,37 @@ import (
 	"sortnets/internal/widevec"
 )
 
-// RowStream streams test vectors of any width by writing each one
-// straight into a staging row: ⌈n/64⌉ words, line i in bit i&63 of
-// word i>>6, every word written and no bit set at or beyond line n.
-// NextRow returns false, leaving row alone, once the stream is
-// exhausted, and keeps returning false. The wide test families of
-// package core implement it; RunWideCtx consumes it.
-type RowStream interface {
-	NextRow(row []uint64) bool
+// RowSource is a test-vector stream that stages its vectors in
+// bulk: FillRows writes up to lim of its next vectors into dst as
+// consecutive rows of ⌈n/64⌉ words (line i in bit i&63 of word i>>6,
+// every word written and no bit set at or beyond line n) and returns
+// how many it wrote; fewer than lim means the stream is exhausted. The
+// selector and merger test sets of package core implement it at every
+// width. RunWideCtx consumes one; RunCtx and RunManyCtx pick one up
+// from a bitvec.Iterator that implements it.
+type RowSource interface {
+	FillRows(dst []uint64, lim int) int
 }
 
 // stream is a run's vector source: a span of the universe, loaded
 // wholesale, or rows already staged (auto mode's probe) followed by a
-// narrow bitvec iterator or a row stream.
+// row source or a plain bitvec iterator.
 type stream struct {
 	span *bitvec.Span
 	head []uint64
+	rows RowSource
 	vecs bitvec.Iterator
-	rows RowStream
 }
 
 // vecStream is the stream of a bitvec iterator: a span when it is
-// one, so the block engine loads it wholesale.
+// one, so the block engine loads it wholesale, and a row source when
+// it is one, so its rows are staged in bulk.
 func vecStream(it bitvec.Iterator) stream {
-	if sp, ok := it.(*bitvec.Span); ok {
-		return stream{span: sp}
+	switch s := it.(type) {
+	case *bitvec.Span:
+		return stream{span: s}
+	case RowSource:
+		return stream{rows: s}
 	}
 	return stream{vecs: it}
 }
@@ -49,17 +55,15 @@ func (s *stream) fill(dst []uint64, R, lim int) int {
 	k := min(lim, len(s.head)/R)
 	copy(dst, s.head[:k*R])
 	s.head = s.head[k*R:]
-	if it := s.vecs; it != nil {
+	if rs := s.rows; rs != nil {
+		k += rs.FillRows(dst[k*R:], lim-k)
+	} else if it := s.vecs; it != nil {
 		for ; k < lim; k++ {
 			v, ok := it.Next()
 			if !ok {
 				break
 			}
 			dst[k] = v.Bits
-		}
-	} else if rs := s.rows; rs != nil {
-		for k < lim && rs.NextRow(dst[k*R:k*R+R]) {
-			k++
 		}
 	}
 	return k
@@ -214,8 +218,9 @@ func (b *block) judge(p *Program, j *Judge) int {
 	return -1
 }
 
-// outcome is a run's result at either width: the Verdict of a bitvec
-// stream, or for a row stream the counterexample as wide vectors.
+// outcome is a run's result at either width: a Verdict, whose
+// counterexample is a bitvec at n ≤ 64, and the counterexample as
+// wide vectors beyond 64 lines.
 type outcome struct {
 	Verdict
 	wideIn, wideOut widevec.Vec
@@ -225,8 +230,8 @@ type outcome struct {
 // loaded from rows, after tests earlier vectors: the lane's stream
 // position is its index minus the holes below it, and its input is
 // base+lane for a span block, else read back from its staged row
-// (wide for a row stream).
-func (b *block) failure(wide bool, rows []uint64, lane, tests int) outcome {
+// (as a wide vector beyond 64 lines).
+func (b *block) failure(rows []uint64, lane, tests int) outcome {
 	n := b.out.N
 	if b.span {
 		g, s := lane/network.LanesPerWord, uint(lane%network.LanesPerWord)
@@ -236,7 +241,7 @@ func (b *block) failure(wide bool, rows []uint64, lane, tests int) outcome {
 		}
 		return outcome{Verdict: Verdict{TestsRun: tests + lane - below + 1, In: bitvec.Vec{N: n, Bits: b.base + uint64(lane)}, Out: b.out.Lane(lane)}}
 	}
-	if !wide {
+	if n <= bitvec.MaxN {
 		return outcome{Verdict: Verdict{TestsRun: tests + lane + 1, In: bitvec.Vec{N: n, Bits: rows[lane]}, Out: b.out.Lane(lane)}}
 	}
 	out := make([]uint64, b.R)

@@ -93,7 +93,7 @@ func TestRunUniverseCtxCancelled(t *testing.T) {
 // cancellation can end the run.
 type endlessWide struct{}
 
-func (endlessWide) NextRow(row []uint64) bool { clear(row); return true }
+func (endlessWide) FillRows(dst []uint64, lim int) int { clear(dst); return lim }
 
 func TestRunWideCtxCancelled(t *testing.T) {
 	accept := Judge{Rejects: func(_, _ *network.Batch, bad []uint64) { clear(bad) }}

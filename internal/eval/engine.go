@@ -60,7 +60,7 @@ type Verdict struct {
 	In, Out  bitvec.Vec // counterexample input/output, valid when !Holds
 }
 
-// WideVerdict is Verdict for a row stream (RunWideCtx), with the
+// WideVerdict is Verdict for a row source (RunWideCtx), with the
 // counterexample as wide vectors.
 type WideVerdict struct {
 	Holds    bool
@@ -105,7 +105,7 @@ const chunkLanes = 16 * maxLanes
 // any other stream reports the first failure some worker found, with
 // TestsRun counting the vectors handed out before the pool drained.
 // bitvec vectors hold at most 64 lines, so Run needs n ≤ 64;
-// RunWideCtx is the same run over row streams of any width.
+// RunWideCtx is the same run over row sources of any width.
 func (e *Engine) Run(it bitvec.Iterator, judge Judge) Verdict {
 	v, _ := e.RunCtx(context.Background(), it, judge)
 	return v
@@ -125,13 +125,17 @@ func (e *Engine) RunCtx(ctx context.Context, it bitvec.Iterator, judge Judge) (V
 	return o.Verdict, err
 }
 
-// RunWideCtx is RunCtx over a row stream, the typed entry for vectors
+// RunWideCtx is RunCtx over a row source, the typed entry for vectors
 // wider than bitvec holds: the same blocks, judges, worker rules and
 // first-failure rule, with the counterexample read back as wide
 // vectors.
-func (e *Engine) RunWideCtx(ctx context.Context, src RowStream, judge Judge) (WideVerdict, error) {
+func (e *Engine) RunWideCtx(ctx context.Context, src RowSource, judge Judge) (WideVerdict, error) {
 	o, err := e.run(ctx, &stream{rows: src}, judge)
-	return WideVerdict{Holds: o.Holds, TestsRun: o.TestsRun, In: o.wideIn, Out: o.wideOut}, err
+	v := WideVerdict{Holds: o.Holds, TestsRun: o.TestsRun, In: o.wideIn, Out: o.wideOut}
+	if n := e.p.n; err == nil && !o.Holds && n <= bitvec.MaxN {
+		v.In, v.Out = widevec.FromWords(n, []uint64{o.In.Bits}), widevec.FromWords(n, []uint64{o.Out.Bits})
+	}
+	return v, err
 }
 
 // run picks the block loop for the engine's worker setting: one
@@ -195,7 +199,7 @@ func (e *Engine) runSeq(ctx context.Context, src *stream, judge Judge) (outcome,
 			// The lowest rejected lane is the first failure in stream
 			// order; report the tests consumed up to and including it,
 			// exactly as a one-vector-at-a-time engine would.
-			return b.failure(src.rows != nil, b.rows, lane, tests), nil
+			return b.failure(b.rows, lane, tests), nil
 		}
 		tests += m
 	}
@@ -203,7 +207,7 @@ func (e *Engine) runSeq(ctx context.Context, src *stream, judge Judge) (outcome,
 
 //sortnets:ctxloop
 func (e *Engine) runPool(ctx context.Context, src *stream, judge Judge, workers int) (outcome, error) {
-	R, wide := rowWords(e.p.n), src.rows != nil
+	R := rowWords(e.p.n)
 	chunks := make(chan []uint64, workers)
 	fails := make(chan outcome, workers)
 	stop := make(chan struct{})
@@ -225,7 +229,7 @@ func (e *Engine) runPool(ctx context.Context, src *stream, judge Judge, workers 
 					b.load(rows, len(rows)/R, judge.NeedsInput)
 					if lane := b.judge(e.p, &judge); lane >= 0 {
 						select {
-						case fails <- b.failure(wide, rows, lane, 0):
+						case fails <- b.failure(rows, lane, 0):
 						default:
 						}
 						stopOnce.Do(func() { close(stop) })

@@ -68,7 +68,7 @@ func RunManyCtx(ctx context.Context, progs []*Program, it bitvec.Iterator, judge
 		for _, pi := range active {
 			copy(b.out.Lines, b.in.Lines)
 			if lane := b.judge(progs[pi], &judge); lane >= 0 {
-				verdicts[pi] = b.failure(false, b.rows, lane, tests).Verdict
+				verdicts[pi] = b.failure(b.rows, lane, tests).Verdict
 				continue
 			}
 			keep = append(keep, pi)

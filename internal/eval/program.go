@@ -7,9 +7,11 @@
 // A span of the universe (bitvec.All, or the sorter test set NotSorted
 // of it) loads wholesale: consecutive words are constant line words,
 // and a hole mask drops the words the stream skips. Any other stream
-// stages each vector of n lines as a row of ⌈n/64⌉ words, loaded by
-// one 64×64 transpose per row word. The engine owns the worker pool
-// (sequential under a work threshold, NumCPU workers above it).
+// stages each vector of n lines as a row of ⌈n/64⌉ words (a row
+// source, such as the selector and merger test sets, writes a block
+// of rows per call), loaded by one 64×64 transpose per row word. The
+// engine owns the worker pool (sequential under a work threshold,
+// NumCPU workers above it).
 //
 // Programs are op sequences rather than comparator sequences so that
 // the fault models of package faults compile to program *variants*

@@ -36,13 +36,13 @@ type rowSlice struct {
 	i    int
 }
 
-func (s *rowSlice) NextRow(row []uint64) bool {
-	if s.i == len(s.rows) {
-		return false
+func (s *rowSlice) FillRows(dst []uint64, lim int) int {
+	c := 0
+	for ; c < lim && s.i < len(s.rows); c, s.i = c+1, s.i+1 {
+		R := len(s.rows[s.i])
+		copy(dst[c*R:c*R+R], s.rows[s.i])
 	}
-	copy(row, s.rows[s.i])
-	s.i++
-	return true
+	return c
 }
 
 // randomRows returns count random rows of n lines.

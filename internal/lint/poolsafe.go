@@ -17,7 +17,8 @@ import (
 //   - a Get whose result is Put in the same function (defer included)
 //     is balanced;
 //   - a Get whose result is returned makes the function a checkout
-//     wrapper (getScratch, getWideBlock) — its callers own the value;
+//     wrapper (getBlock) — its callers own the value, so a call to a
+//     same-package checkout wrapper counts as a Get at the call site;
 //   - a Get whose result is passed to a same-package function that
 //     Puts the corresponding parameter is handed off;
 //   - anything else — a dropped Get, or a Get discarded as an
@@ -40,8 +41,10 @@ var PoolSafe = &Analyzer{
 
 func runPoolSafe(pass *Pass) error {
 	// Pass A: which parameters of which functions are Put (making the
-	// function a put-wrapper a caller can hand a pooled value to).
+	// function a put-wrapper a caller can hand a pooled value to), and
+	// which functions return a Get result (checkout wrappers).
 	putParams := make(map[*types.Func]map[int]bool)
+	checkouts := make(map[*types.Func]bool)
 	decls := funcDecls(pass.Files)
 	for _, fd := range decls {
 		fn, _ := pass.Info.Defs[fd.Name].(*types.Func)
@@ -49,7 +52,24 @@ func runPoolSafe(pass *Pass) error {
 			continue
 		}
 		params := paramObjs(pass.Info, fd)
+		gets := make(map[types.Object]bool)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if len(n.Rhs) == 1 && getCallOf(pass.Info, n.Rhs[0]) != nil {
+					if obj := pass.Info.ObjectOf(identOf(n.Lhs[0])); obj != nil {
+						gets[obj] = true
+					}
+				}
+				return true
+			case *ast.ReturnStmt:
+				for _, res := range n.Results {
+					if gets[pass.Info.ObjectOf(identOf(res))] {
+						checkouts[fn] = true
+					}
+				}
+				return true
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -106,19 +126,28 @@ func runPoolSafe(pass *Pass) error {
 						pass.Reportf(call.Pos(), "result of sync.Pool.Get is discarded; the pooled value leaks")
 						return false
 					}
+					if fn := callee(pass.Info, call); checkouts[fn] {
+						pass.Reportf(call.Pos(), "result of checkout wrapper %s is discarded; the pooled value leaks", fn.Name())
+						return false
+					}
 				}
 			case *ast.AssignStmt:
 				if len(n.Rhs) == 1 {
-					if call := getCallOf(pass.Info, n.Rhs[0]); call != nil {
+					call := getCallOf(pass.Info, n.Rhs[0])
+					if call != nil {
 						_, poolObj := poolCall(pass.Info, call)
 						touched = true
 						stateOf(poolObj).hasGet = true
+					} else if c, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok && checkouts[callee(pass.Info, c)] {
+						call = c
+					}
+					if call != nil {
 						if id, ok := n.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
 							if obj := pass.Info.ObjectOf(id); obj != nil {
 								pooled[obj] = call
 							}
 						} else {
-							pass.Reportf(call.Pos(), "result of sync.Pool.Get is not bound to a variable; the pooled value leaks")
+							pass.Reportf(call.Pos(), "pooled value is not bound to a variable; it leaks")
 						}
 						return true
 					}
@@ -168,7 +197,8 @@ func runPoolSafe(pass *Pass) error {
 				case *ast.GoStmt:
 					if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
 						for obj, get := range pooled {
-							if usesObj(pass.Info, lit.Body, obj) {
+							inside := lit.Pos() <= get.Pos() && get.Pos() < lit.End()
+							if !inside && usesObj(pass.Info, lit.Body, obj) {
 								pass.Reportf(get.Pos(),
 									"pooled value %s is captured by a goroutine launched in the same function; it may be Put (and re-Gotten) while the goroutine still uses it",
 									obj.Name())
@@ -181,7 +211,7 @@ func runPoolSafe(pass *Pass) error {
 			for obj, get := range pooled {
 				if !released[obj] {
 					pass.Reportf(get.Pos(),
-						"sync.Pool.Get of %s has no reachable Put: not put back, not returned, not handed to a putting function",
+						"pooled value %s has no reachable Put: not put back, not returned, not handed to a putting function",
 						obj.Name())
 				}
 			}

@@ -41,6 +41,20 @@ func handoff() {
 	use(sc)
 }
 
+// dropCheckout takes a value from the checkout wrapper and drops it:
+// the call counts as a Get here, and nothing releases it.
+func dropCheckout() {
+	sc := checkout() // want `no reachable Put`
+	use(sc)
+}
+
+// putCheckout puts the checked-out value back itself.
+func putCheckout() {
+	sc := checkout()
+	defer pool.Put(sc)
+	use(sc)
+}
+
 // leak Gets and never releases on any path.
 func leak() {
 	sc := pool.Get().(*scratch) // want `no reachable Put`

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"sortnets"
-	"sortnets/internal/streamtab"
 )
 
 // Config sizes the service.
@@ -37,12 +36,6 @@ type Config struct {
 	// requests (fault detectability sweeps the 2ⁿ universe per
 	// fault); ≤ 0 means 12.
 	MaxFaultLines int
-	// StreamTabDir, when non-empty, is a directory of persisted
-	// minimal-test-stream tables (package streamtab); properties with
-	// a valid table on disk replay its pre-enumerated stream instead
-	// of live enumeration. Missing or invalid tables fall back
-	// transparently.
-	StreamTabDir string
 	// MaxInflight bounds the requests admitted past the HTTP layer at
 	// once (the in-flight gate's slot count); ≤ 0 means
 	// max(64, 8 × workers). Callers beyond the bound wait up to
@@ -78,9 +71,8 @@ type Config struct {
 // encoding, it only keeps the count of requests that never reached
 // the Session (wrong method, malformed body or line).
 type Service struct {
-	cfg    Config
-	sess   *sortnets.Session
-	tables *streamtab.Dir // non-nil iff cfg.StreamTabDir was set
+	cfg  Config
+	sess *sortnets.Session
 
 	// httpRejected counts requests rejected before Session.Do; /stats
 	// reports them as verify requests, the op a body defaults to.
@@ -116,12 +108,7 @@ func NewService(cfg Config) *Service {
 	if cfg.OnCompute != nil {
 		opts = append(opts, sortnets.WithComputeHook(cfg.OnCompute))
 	}
-	var tables *streamtab.Dir
-	if cfg.StreamTabDir != "" {
-		tables = streamtab.OpenDir(cfg.StreamTabDir)
-		opts = append(opts, sortnets.WithStreamTables(tables))
-	}
-	s := &Service{cfg: cfg, tables: tables}
+	s := &Service{cfg: cfg}
 	// The fill hook closes over s, so peers wire up before the Session
 	// is built (the hook is only ever invoked by Session computes).
 	s.initPeers()
@@ -148,14 +135,9 @@ func NewService(cfg Config) *Service {
 // in-process caller would use).
 func (s *Service) Session() *sortnets.Session { return s.sess }
 
-// Close stops the Session's pool workers and releases any stream-
-// table mappings. No requests may be in flight.
-func (s *Service) Close() {
-	s.sess.Close()
-	if s.tables != nil {
-		s.tables.Close()
-	}
-}
+// Close stops the Session's pool workers. No requests may be in
+// flight.
+func (s *Service) Close() { s.sess.Close() }
 
 // EndpointSnapshot is one op's counters in the /stats "endpoints"
 // map, which is keyed by the op named in the request body.

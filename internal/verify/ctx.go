@@ -100,20 +100,21 @@ func VerdictPermsCtx(ctx context.Context, w *network.Network, p Property) (PermR
 // already-compiled program of any width with the paper's polynomial
 // test set (n²/4 vectors for the merger, Σᵢ₌₀..k C(n,i) − k − 1 for the
 // (k,n)-selector) — the regime beyond 64 lines where a zero-one sweep
-// is physically impossible. The test set streams as rows into the same
-// block engine and word-parallel judges as every other verdict.
+// is physically impossible. The test set is the one every other
+// verdict path runs, in the same order, staged as rows into the same
+// block engine and word-parallel judges.
 // workers: 0 = automatic, 1 = sequential, k > 1 = k engine workers.
 // Any other property panics: only these two have polynomial families.
 func VerdictWideProgramCtx(ctx context.Context, prog *eval.Program, p Property, workers int) (WideResult, error) {
 	if prog.N() != p.Lines() {
 		panic(fmt.Sprintf("verify: program has %d lines, property wants %d", prog.N(), p.Lines()))
 	}
-	var tests eval.RowStream
+	var tests eval.RowSource
 	switch q := p.(type) {
 	case Merger:
-		tests = core.MergerWideTests(q.N)
+		tests = core.MergerBinaryTests(q.N)
 	case Selector:
-		tests = core.SelectorWideTests(q.N, q.K)
+		tests = core.SelectorBinaryTests(q.N, q.K)
 	default:
 		panic(fmt.Sprintf("verify: wide certification needs a merger or selector property, got %s", p.Name()))
 	}

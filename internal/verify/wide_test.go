@@ -15,25 +15,23 @@ import (
 	"sortnets/internal/widevec"
 )
 
-// wideRows drains a row stream of n-line vectors.
-func wideRows(n int, it eval.RowStream) [][]uint64 {
-	var rows [][]uint64
-	for {
-		row := make([]uint64, (n+63)/64)
-		if !it.NextRow(row) {
-			return rows
-		}
-		rows = append(rows, row)
+// countRows drains a row source of n-line vectors.
+func countRows(n int, src eval.RowSource) int {
+	row := make([]uint64, (n+63)/64)
+	c := 0
+	for src.FillRows(row, 1) == 1 {
+		c++
 	}
+	return c
 }
 
 // wideTests is p's polynomial wide test family.
-func wideTests(p Property) eval.RowStream {
+func wideTests(p Property) eval.RowSource {
 	if m, ok := p.(Merger); ok {
-		return core.MergerWideTests(m.N)
+		return core.MergerBinaryTests(m.N)
 	}
 	s := p.(Selector)
-	return core.SelectorWideTests(s.N, s.K)
+	return core.SelectorBinaryTests(s.N, s.K)
 }
 
 // referenceRun is the scalar reference for wide verdicts: each row
@@ -43,11 +41,11 @@ func wideTests(p Property) eval.RowStream {
 // in contract); for the (k,n)-selector, output line i < k carries 1
 // exactly when i is at least the input's zero count — stopping at the
 // first failure in stream order.
-func referenceRun(w *network.Network, p Property, tests eval.RowStream) WideResult {
+func referenceRun(w *network.Network, p Property, tests eval.RowSource) WideResult {
 	row := make([]uint64, (w.N+63)/64)
 	v := make([]int, w.N)
 	i := 0
-	for ; tests.NextRow(row); i++ {
+	for ; tests.FillRows(row, 1) == 1; i++ {
 		zeros := 0
 		for line := range v {
 			v[line] = int(row[line>>6] >> uint(line&63) & 1)
@@ -76,13 +74,13 @@ func referenceRun(w *network.Network, p Property, tests eval.RowStream) WideResu
 // oneRow streams a single row.
 type oneRow []uint64
 
-func (r *oneRow) NextRow(row []uint64) bool {
-	if *r == nil {
-		return false
+func (r *oneRow) FillRows(dst []uint64, lim int) int {
+	if *r == nil || lim == 0 {
+		return 0
 	}
-	copy(row, *r)
+	copy(dst, *r)
 	*r = nil
-	return true
+	return 1
 }
 
 // TestWideVerdictsMatchReference: merger and (k,n)-selector verdicts,
@@ -158,62 +156,19 @@ func wideVerdict(t *testing.T, w *network.Network, p Property) WideResult {
 func TestWideTestSetSizesMatchFormulas(t *testing.T) {
 	for _, n := range []int{64, 100, 128} {
 		if n%2 == 0 {
-			got := int64(core.CountWide(n, core.MergerWideTests(n)))
+			got := int64(countRows(n, core.MergerBinaryTests(n)))
 			want := comb.MergerBinaryTestSetSize(n)
 			if want.Cmp(big.NewInt(got)) != 0 {
 				t.Errorf("merger n=%d: %d tests, want %s", n, got, want)
 			}
 		}
 		for k := 1; k <= 3; k++ {
-			got := int64(core.CountWide(n, core.SelectorWideTests(n, k)))
+			got := int64(countRows(n, core.SelectorBinaryTests(n, k)))
 			want := comb.SelectorBinaryTestSetSize(n, k)
 			if want.Cmp(big.NewInt(got)) != 0 {
 				t.Errorf("selector n=%d k=%d: %d tests, want %s", n, k, got, want)
 			}
 		}
-	}
-}
-
-func TestWideTestSetsAgreeWithNarrowOnes(t *testing.T) {
-	// At n ≤ 64 the wide iterators must produce exactly the narrow
-	// test sets (as strings).
-	n := 12
-	narrow := map[string]bool{}
-	it := core.MergerBinaryTests(n)
-	for {
-		v, ok := it.Next()
-		if !ok {
-			break
-		}
-		narrow[v.String()] = true
-	}
-	wide := wideRows(n, core.MergerWideTests(n))
-	for _, row := range wide {
-		if v := widevec.FromWords(n, row); !narrow[v.String()] {
-			t.Errorf("wide merger test %s not in narrow set", v)
-		}
-	}
-	if len(wide) != len(narrow) {
-		t.Errorf("wide %d vs narrow %d", len(wide), len(narrow))
-	}
-
-	narrowSel := map[string]bool{}
-	sit := core.SelectorBinaryTests(n, 2)
-	for {
-		v, ok := sit.Next()
-		if !ok {
-			break
-		}
-		narrowSel[v.String()] = true
-	}
-	wide = wideRows(n, core.SelectorWideTests(n, 2))
-	for _, row := range wide {
-		if v := widevec.FromWords(n, row); !narrowSel[v.String()] {
-			t.Errorf("wide selector test %s not in narrow set", v)
-		}
-	}
-	if len(wide) != len(narrowSel) {
-		t.Errorf("wide selector %d vs narrow %d", len(wide), len(narrowSel))
 	}
 }
 
@@ -247,7 +202,7 @@ func TestWideMergerCatchesMutants(t *testing.T) {
 			// A redundant comparator is possible in principle; verify
 			// redundancy by a full merge pattern sweep on the
 			// integer path.
-			if !referenceRun(mutant, Merger{N: n}, core.MergerWideTests(n)).Holds {
+			if !referenceRun(mutant, Merger{N: n}, core.MergerBinaryTests(n)).Holds {
 				t.Fatalf("mutant %d broken but verdict holds", i)
 			}
 		}

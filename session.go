@@ -13,7 +13,6 @@ import (
 	"sortnets/internal/eval"
 	"sortnets/internal/faults"
 	"sortnets/internal/network"
-	"sortnets/internal/streamtab"
 	"sortnets/internal/verify"
 )
 
@@ -60,7 +59,6 @@ type Session struct {
 	faultMode     faults.DetectMode
 	streamTag     string
 	stream        func(Property) VecIterator
-	tables        *streamtab.Dir
 	computeHook   func()
 	fill          func(ctx context.Context, reqs []Request) []*Verdict
 
@@ -118,20 +116,6 @@ func WithTestStream(tag string, factory func(p Property) VecIterator) Option {
 		s.streamTag = tag
 		s.stream = factory
 	}
-}
-
-// WithStreamTables points the Session at a directory of persisted
-// minimal-test-stream tables (package streamtab). When the selector
-// or merger property of a verify, faults or minset request has a
-// table on disk, its pre-enumerated (mmap-backed) stream replaces
-// live enumeration — same vectors, same order, so verdicts and cache
-// keys are unchanged; properties without a table fall back
-// transparently. Sorter tables are not read: the live sorter test set
-// is a span of the universe, which the engine loads wholesale, faster
-// than it can stage and transpose a table's rows. An explicit
-// WithTestStream override always wins over tables.
-func WithStreamTables(d *streamtab.Dir) Option {
-	return func(s *Session) { s.tables = d }
 }
 
 // WithComputeHook installs a function invoked on the pool worker
@@ -525,64 +509,27 @@ func minsetKey(digest string, p verify.Property, mode faults.DetectMode, exact b
 	return "minset|" + digest + "|" + p.Name() + "|" + mode.String() + "|exact=" + strconv.FormatBool(exact)
 }
 
-// tableFor maps a selector or merger property to its persisted
-// stream table, when the session has a table directory and the
-// directory has the table. The sorter property has none to read (see
-// WithStreamTables).
-func (s *Session) tableFor(p Property) (*streamtab.Table, bool) {
-	if s.tables == nil {
-		return nil, false
-	}
-	switch q := p.(type) {
-	case verify.Selector:
-		return s.tables.Lookup("selector", q.N, q.K)
-	case verify.Merger:
-		return s.tables.Lookup("merger", q.N, 0)
-	}
-	return nil, false
-}
-
 // binaryTests picks the minimal binary test stream for p: an explicit
-// WithTestStream override first, then a persisted stream table, then
-// live enumeration. Tables hold exactly the live stream in exactly
-// stream order, so the choice never changes a verdict.
+// WithTestStream override, else the property's own test set.
 func (s *Session) binaryTests(p Property) VecIterator {
 	if s.stream != nil {
 		return s.stream(p)
 	}
-	if t, ok := s.tableFor(p); ok {
-		return t.Iter()
-	}
 	return p.BinaryTests()
 }
 
-// binaryTestsFactory is binaryTests as a restartable factory, for the
-// fault paths: Measure draws the stream once per chunk of the fault
-// list (at most NumCPU chunks, each judging all its fault variants
-// against one load of every block), the detection matrix once per
-// request. WithTestStream overrides deliberately do NOT apply here
-// (they never have: the option scores alternative VERIFY streams;
-// fault coverage is defined over the paper's minimal test set), but
-// tables do, so those draws replay a table instead of re-enumerating.
-func (s *Session) binaryTestsFactory(p Property) func() VecIterator {
-	if t, ok := s.tableFor(p); ok {
-		return t.Iter
-	}
-	return p.BinaryTests
-}
-
 // checkProgram runs the verify engine for one compiled program:
-// minimal test set (table-backed when available, or the session's
-// stream override) or the exhaustive universe.
+// minimal test set (or the session's stream override) or the
+// exhaustive universe.
 func (s *Session) checkProgram(ctx context.Context, prog *eval.Program, p Property, exhaustive bool) (Result, error) {
 	if exhaustive {
 		return verify.GroundTruthProgramCtx(ctx, prog, p)
 	}
-	if s.stream != nil || s.tables != nil {
+	if s.stream != nil {
 		if prog.N() != p.Lines() {
 			panic(fmt.Sprintf("sortnets: program has %d lines, property wants %d", prog.N(), p.Lines()))
 		}
-		v, err := eval.New(prog, 1).RunCtx(ctx, s.binaryTests(p), verify.JudgeFor(p))
+		v, err := eval.New(prog, 1).RunCtx(ctx, s.stream(p), verify.JudgeFor(p))
 		if err != nil {
 			return Result{}, err
 		}
@@ -636,7 +583,7 @@ func (s *Session) doFaults(ctx context.Context, req *Request, ctrs *opCounters) 
 func (s *Session) doFaultsResolved(ctx context.Context, ctrs *opCounters, req *Request, w *network.Network, digest string, p verify.Property, mode faults.DetectMode) (*Verdict, error) {
 	key := faultsKey(digest, p, mode)
 	return s.cached(ctx, ctrs, key, s.withPeerFill(ctrs, req, OpFaults, digest, func(cctx context.Context) (*Verdict, error) {
-		rep, err := faults.MeasureCtx(cctx, w, s.program(digest, w), faults.Enumerate(w), s.binaryTestsFactory(p), mode)
+		rep, err := faults.MeasureCtx(cctx, w, s.program(digest, w), faults.Enumerate(w), p.BinaryTests, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -667,7 +614,7 @@ func (s *Session) doMinset(ctx context.Context, req *Request, ctrs *opCounters) 
 func (s *Session) doMinsetResolved(ctx context.Context, ctrs *opCounters, req *Request, w *network.Network, digest string, p verify.Property, mode faults.DetectMode, exactReq bool) (*Verdict, error) {
 	key := minsetKey(digest, p, mode, exactReq)
 	return s.cached(ctx, ctrs, key, s.withPeerFill(ctrs, req, OpMinset, digest, func(cctx context.Context) (*Verdict, error) {
-		m, err := faults.DetectionMatrixCtx(cctx, w, s.program(digest, w), faults.Enumerate(w), s.binaryTestsFactory(p), mode)
+		m, err := faults.DetectionMatrixCtx(cctx, w, s.program(digest, w), faults.Enumerate(w), p.BinaryTests, mode)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package sortnets
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -499,5 +500,50 @@ func TestFacadeWideCertification(t *testing.T) {
 	}
 	if wide(t, sess, SelectionNetwork(96, 1), sel, 1).Holds {
 		t.Error("under-provisioned wide selector accepted")
+	}
+}
+
+// TestWideMatchesCheck: Wide on one worker and Check run one test set
+// in one order, so they agree on every verdict — Holds, TestsRun,
+// counterexample and output, compared as strings — for the intact
+// network and every single-comparator-deletion mutant of the
+// (k,n)-selection networks, k = 1..4, and of the Batcher merger, at
+// n = 8, 12, 16 and 64.
+func TestWideMatchesCheck(t *testing.T) {
+	ctx := context.Background()
+	sess := NewSession()
+	defer sess.Close()
+	for _, n := range []int{8, 12, 16, 64} {
+		type netCase struct {
+			w *Network
+			p Property
+		}
+		cases := []netCase{{BatcherMerger(n), MergerProp{N: n}}}
+		for k := 1; k <= 4; k++ {
+			cases = append(cases, netCase{SelectionNetwork(n, k), SelectorProp{N: n, K: k}})
+		}
+		for _, c := range cases {
+			for drop := -1; drop < c.w.Size(); drop++ {
+				w := NewNetwork(n)
+				for j, cmp := range c.w.Comps {
+					if j != drop {
+						w.AddPair(cmp.A, cmp.B)
+					}
+				}
+				r, err := sess.Check(ctx, w, c.p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wr, err := sess.Wide(ctx, w, c.p, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check := fmt.Sprintf("holds %v after %d tests, %q -> %q", r.Holds, r.TestsRun, r.Counterexample, r.Output)
+				wide := fmt.Sprintf("holds %v after %d tests, %q -> %q", wr.Holds, wr.TestsRun, wr.Counterexample, wr.Output)
+				if check != wide {
+					t.Errorf("%s without comparator %d: Check %s, Wide %s", c.p.Name(), drop, check, wide)
+				}
+			}
+		}
 	}
 }
