@@ -88,19 +88,22 @@ func TestResolveAllocs(t *testing.T) {
 // merge sorter's 65,519 tests load as a span, and so do those of a
 // RunManyCtx pass over five 16-line sorters (the batch path). The
 // sorter's 39,194 (8,16)-selector tests and the 64-line merger's
-// 1,024 tests are row sources that fill a block of rows per call. A
-// verdict allocates a fixed handful (the stream, the judge, the
-// engine; the pass's verdict and active slices) and nothing per
-// vector or per block: on go1.24 the wide merger costs 4, the sorter
-// 3, the selector 4, the 64-line merger 3 and the pass 4. Each bound
-// is its measured count plus 2, so a block that is checked out of the
-// pool and never put back (4 more allocations per verdict) fails the
-// guard.
+// 1,024 tests are row sources that fill a block of rows per call. The
+// 12-line sorter's 923 permutation tests are a line source that reads
+// the memoized family in place. A verdict allocates a fixed handful
+// (the stream, the judge, the engine; the pass's verdict and active
+// slices) and nothing per vector, per block or per permutation: on
+// go1.24 the wide merger costs 4, the sorter 3, the selector 4, the
+// 64-line merger 3, the permutation verdict 2 and the pass 4. Each
+// bound is its measured count plus 2, so a block that is checked out
+// of the pool and never put back (4 more allocations per verdict), or
+// a copy of the permutation family (2 more), fails the guard.
 func TestWideVerdictAllocs(t *testing.T) {
 	ctx := context.Background()
 	merger := eval.Compile(gen.HalfMerger(256))
 	sorter := eval.Compile(gen.OddEvenMergeSort(16))
 	merger64 := eval.Compile(gen.HalfMerger(64))
+	sorter12 := eval.Compile(gen.OddEvenMergeSort(12))
 	rng := rand.New(rand.NewSource(20))
 	fleet := make([]*eval.Program, 5)
 	for i := range fleet {
@@ -126,6 +129,10 @@ func TestWideVerdictAllocs(t *testing.T) {
 		}},
 		{"merger verdict (n = 64)", 1024, 5, func() (bool, int, error) {
 			r, err := verify.VerdictProgramCtx(ctx, merger64, verify.Merger{N: 64})
+			return r.Holds, r.TestsRun, err
+		}},
+		{"sorter permutation verdict (n = 12)", 923, 4, func() (bool, int, error) {
+			r, err := verify.VerdictPermsCtx(ctx, sorter12, verify.Sorter{N: 12})
 			return r.Holds, r.TestsRun, err
 		}},
 		{"sorter group pass (n = 16, 5 programs)", 1<<16 - 17, 6, func() (bool, int, error) {

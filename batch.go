@@ -71,7 +71,7 @@ type batchEntry struct {
 	digest string
 	p      verify.Property
 	mode   faults.DetectMode // faults/minset only
-	key    string            // cache key; "" = uncacheable
+	key    string            // cache key
 	dupOf  int               // index of the earlier entry with the same key, or -1
 }
 
@@ -117,26 +117,23 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request) ([]*Verdict, erro
 		work = append(work, e)
 	}
 
-	// Phase 2: intra-batch dedup on cache keys (cacheable entries
-	// only — distinct uncacheable requests must never share), then
-	// verdict-cache hits for the representatives.
+	// Phase 2: intra-batch dedup on cache keys, then verdict-cache
+	// hits for the representatives.
 	byKey := make(map[string]*batchEntry, len(work))
 	var pending []*batchEntry
 	for _, e := range work {
-		if e.key != "" {
-			if rep, ok := byKey[e.key]; ok {
-				e.dupOf = rep.idx
-				s.stats.batch.deduped.Add(1)
+		if rep, ok := byKey[e.key]; ok {
+			e.dupOf = rep.idx
+			s.stats.batch.deduped.Add(1)
+			continue
+		}
+		byKey[e.key] = e
+		if s.results != nil {
+			if v, ok := s.results.Get(e.key); ok {
+				e.ctrs.hits.Add(1)
+				verdicts[e.idx] = withSource(v.(*Verdict), "hit")
+				stampID(verdicts[e.idx], e.req.ID)
 				continue
-			}
-			byKey[e.key] = e
-			if s.results != nil {
-				if v, ok := s.results.Get(e.key); ok {
-					e.ctrs.hits.Add(1)
-					verdicts[e.idx] = withSource(v.(*Verdict), "hit")
-					stampID(verdicts[e.idx], e.req.ID)
-					continue
-				}
 			}
 		}
 		pending = append(pending, e)
@@ -321,7 +318,7 @@ func (s *Session) resolveEntry(e *batchEntry) error {
 			return fail(err)
 		}
 		e.w, e.digest, e.p = w, digest, p
-		e.key = s.verifyKey(digest, p.Name(), e.req.Exhaustive)
+		e.key = verifyKey(digest, p.Name(), e.req.Exhaustive)
 	default: // OpFaults, OpMinset
 		w, digest, p, mode, err := s.faultArgs(e.req)
 		if err != nil {
@@ -343,9 +340,8 @@ func (s *Session) resolveEntry(e *batchEntry) error {
 // entries are cached, answered with Source "miss" and counted as the
 // misses they are, with no compute; the unanswered rest is returned
 // for grouping and fallback, which never offer it to the hook again.
-// Stream overrides skip fill (see withPeerFill).
 func (s *Session) fillBatch(ctx context.Context, pending []*batchEntry, verdicts []*Verdict) []*batchEntry {
-	if s.fill == nil || s.stream != nil || len(pending) == 0 {
+	if s.fill == nil || len(pending) == 0 {
 		return pending
 	}
 	probes := make([]Request, len(pending))
@@ -403,7 +399,7 @@ func (s *Session) computeGroup(ctx context.Context, members []*batchEntry, verdi
 	// A unique key: group passes never coalesce with each other (two
 	// identical concurrent groups would waste, not corrupt — verdicts
 	// are deterministic — and distinct batches rarely align anyway).
-	key := "!group|" + strconv.FormatInt(s.uncached.Add(1), 10)
+	key := "!group|" + strconv.FormatInt(s.groupSeq.Add(1), 10)
 	_, _, err := s.startPool().do(ctx, key, func(cctx context.Context) (*Verdict, error) {
 		for _, m := range members {
 			m.ctrs.misses.Add(1)
@@ -414,7 +410,7 @@ func (s *Session) computeGroup(ctx context.Context, members []*batchEntry, verdi
 		if s.computeHook != nil {
 			s.computeHook()
 		}
-		evs, err := eval.RunManyCtx(cctx, progs, s.binaryTests(p), verify.JudgeFor(p))
+		evs, err := eval.RunManyCtx(cctx, progs, p.BinaryTests(), verify.JudgeFor(p))
 		if err != nil {
 			return nil, err
 		}
@@ -426,7 +422,7 @@ func (s *Session) computeGroup(ctx context.Context, members []*batchEntry, verdi
 				Counterexample: evs[i].In,
 				Output:         evs[i].Out,
 			})
-			if s.results != nil && m.key != "" {
+			if s.results != nil {
 				s.results.Add(m.key, group[i])
 			}
 		}

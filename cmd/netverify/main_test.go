@@ -49,15 +49,22 @@ func TestRunSorterFail(t *testing.T) {
 	}
 }
 
+// TestRunPermInputs: -inputs perm on a sorter, and on the Figure-1
+// non-sorter, whose first failing chain permutation and its output
+// are pinned with the test count and the exit code.
 func TestRunPermInputs(t *testing.T) {
-	path := writeNet(t, "n=4: [1,2][3,4][1,3][2,4][2,3]")
-	var sb strings.Builder
-	code, err := run(&sb, path, "sorter", 1, "perm", 1, 0, false, false, false)
-	if err != nil || code != 0 {
-		t.Fatalf("code=%d err=%v", code, err)
-	}
-	if !strings.Contains(sb.String(), "permutation tests") {
-		t.Errorf("missing perm verdict:\n%s", sb.String())
+	for _, tc := range []struct {
+		net, want string
+		code      int
+	}{
+		{"n=4: [1,2][3,4][1,3][2,4][2,3]", "sorter: holds (5 permutation tests)\n", 0},
+		{"n=4: [1,3][2,4][1,2][3,4]", "sorter: fails on (2 4 1 3) -> [1 3 2 4] (after 2 tests)\n", 1},
+	} {
+		var sb strings.Builder
+		code, err := run(&sb, writeNet(t, tc.net), "sorter", 1, "perm", 1, 0, false, false, false)
+		if err != nil || code != tc.code || sb.String() != tc.want {
+			t.Errorf("%s: code=%d err=%v output %q, want code %d output %q", tc.net, code, err, sb.String(), tc.code, tc.want)
+		}
 	}
 }
 

@@ -31,14 +31,14 @@ import (
 // cached compiled program, deterministically (stream-order
 // counterexample). The error is non-nil only when ctx is cancelled.
 func (s *Session) Check(ctx context.Context, w *Network, p Property) (Result, error) {
-	_, digest, prog := s.resolveNetwork(w)
+	digest, prog := s.resolveNetwork(w)
 	name, builtin := wireProperty(p)
 	if !builtin {
-		return s.checkProgram(ctx, prog, p, false)
+		return checkProgram(ctx, prog, p, false)
 	}
-	key := s.verifyKey(digest, name, false)
+	key := verifyKey(digest, name, false)
 	v, err := s.cachedInline(ctx, key, func(cctx context.Context) (any, error) {
-		r, err := s.checkProgram(cctx, prog, p, false)
+		r, err := checkProgram(cctx, prog, p, false)
 		if err != nil {
 			return nil, err
 		}
@@ -79,10 +79,10 @@ func (s *Session) CheckMany(ctx context.Context, ws []*Network, p Property) ([]R
 		if w.N != p.Lines() {
 			panic(fmt.Sprintf("sortnets: network has %d lines, property wants %d", w.N, p.Lines()))
 		}
-		_, digest, prog := s.resolveNetwork(w)
+		digest, prog := s.resolveNetwork(w)
 		key := ""
 		if builtin {
-			key = s.verifyKey(digest, name, false)
+			key = verifyKey(digest, name, false)
 		}
 		if key != "" {
 			if s.results != nil {
@@ -109,7 +109,7 @@ func (s *Session) CheckMany(ctx context.Context, ws []*Network, p Property) ([]R
 	for i, pe := range order {
 		progs[i] = pe.prog
 	}
-	evs, err := eval.RunManyCtx(ctx, progs, s.binaryTests(p), verify.JudgeFor(p))
+	evs, err := eval.RunManyCtx(ctx, progs, p.BinaryTests(), verify.JudgeFor(p))
 	if err != nil {
 		return nil, err
 	}
@@ -129,12 +129,12 @@ func (s *Session) CheckMany(ctx context.Context, ws []*Network, p Property) ([]R
 // universe — the exhaustive baseline the minimal test sets are
 // measured against — deterministically, on a cached program.
 func (s *Session) GroundTruth(ctx context.Context, w *Network, p Property) (Result, error) {
-	_, digest, prog := s.resolveNetwork(w)
+	digest, prog := s.resolveNetwork(w)
 	name, builtin := wireProperty(p)
 	if !builtin {
 		return verify.GroundTruthProgramCtx(ctx, prog, p)
 	}
-	key := s.verifyKey(digest, name, true)
+	key := verifyKey(digest, name, true)
 	v, err := s.cachedInline(ctx, key, func(cctx context.Context) (any, error) {
 		r, err := verify.GroundTruthProgramCtx(cctx, prog, p)
 		if err != nil {
@@ -163,16 +163,17 @@ func (s *Session) GroundTruthParallel(ctx context.Context, w *Network, p Propert
 }
 
 // CheckPerms decides the property with its minimal permutation test
-// set (deterministic, cached for built-in properties).
+// set on a cached compiled program (deterministic, cached for
+// built-in properties).
 func (s *Session) CheckPerms(ctx context.Context, w *Network, p Property) (PermResult, error) {
-	c, digest, _ := s.resolveNetwork(w)
+	digest, prog := s.resolveNetwork(w)
 	name, builtin := wireProperty(p)
-	if !builtin || s.stream != nil {
-		return verify.VerdictPermsCtx(ctx, w, p)
+	if !builtin {
+		return verify.VerdictPermsCtx(ctx, prog, p)
 	}
 	key := fmt.Sprintf("perms|%s|%s", digest, name)
 	v, err := s.cachedInline(ctx, key, func(cctx context.Context) (any, error) {
-		return verify.VerdictPermsCtx(cctx, c, p)
+		return verify.VerdictPermsCtx(cctx, prog, p)
 	})
 	if err != nil {
 		return PermResult{}, err
@@ -191,7 +192,7 @@ func (s *Session) CheckPerms(ctx context.Context, w *Network, p Property) (PermR
 // be a MergerProp or SelectorProp (the regimes with polynomial
 // families); workers follows the one rule (0 = automatic).
 func (s *Session) Wide(ctx context.Context, w *Network, p Property, workers int) (WideResult, error) {
-	_, _, prog := s.resolveNetwork(w)
+	_, prog := s.resolveNetwork(w)
 	return verify.VerdictWideProgramCtx(ctx, prog, p, workers)
 }
 
@@ -204,7 +205,7 @@ func (s *Session) Wide(ctx context.Context, w *Network, p Property, workers int)
 // canonical digest. The healthy golden program is still shared
 // through the digest-keyed program cache (it is function-level).
 func (s *Session) FaultCoverage(ctx context.Context, w *Network) (FaultReport, error) {
-	_, _, golden := s.resolveNetwork(w)
+	_, golden := s.resolveNetwork(w)
 	p := verify.Sorter{N: w.N}
 	mode := s.faultMode
 	key := fmt.Sprintf("faults|exact:%s|%s|%s", w.Format(), p.Name(), mode)
@@ -226,7 +227,7 @@ func (s *Session) FaultCoverage(ctx context.Context, w *Network) (FaultReport, e
 // test-set selection on the same machinery that verifies test sets.
 // Like FaultCoverage, it evaluates the network exactly as written.
 func (s *Session) MinSet(ctx context.Context, w *Network) ([]Vec, error) {
-	_, _, golden := s.resolveNetwork(w)
+	_, golden := s.resolveNetwork(w)
 	p := verify.Sorter{N: w.N}
 	mode := s.faultMode
 	key := fmt.Sprintf("minset|exact:%s|%s|%s", w.Format(), p.Name(), mode)

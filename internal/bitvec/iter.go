@@ -44,13 +44,14 @@ func All(n int) *Span { return &Span{n: n, to: uint64(Universe(n))} }
 // Span enumerates the consecutive words [next, to) of the n-line
 // universe in increasing order, optionally minus its sorted words
 // (NotSorted). Besides one vector at a time through Next, a span can
-// be taken a block of consecutive words at a time (Take), which lets
-// the evaluation engine load it wholesale instead of enumerating and
-// transposing it.
+// be written a block of consecutive words at a time straight into line
+// words (FillLines), which lets the evaluation engine load it
+// wholesale instead of enumerating and transposing it.
 type Span struct {
 	n        int
 	next, to uint64
-	unsorted bool // the sorted words are not in the stream
+	unsorted bool   // the sorted words are not in the stream
+	base     uint64 // the first word of the block FillLines last wrote
 }
 
 // Next yields the span's next word. A word x < 2ⁿ is sorted iff
@@ -84,28 +85,69 @@ func (s *Span) Len() int {
 	return k
 }
 
-// Take advances the span past its next block, for wholesale loading:
-// the consecutive words [base, base+lanes), where base is the span's
-// next word rounded down to a multiple of 64 and lanes ≤ lim (lim ≥
-// 64). It sets holes (at least ⌈lanes/64⌉ words, bit j for word
-// base+j) to the block's words that are not in the stream: those
-// before the span's next word, and the sorted ones when the span
-// drops them. tests counts the rest, the block's stream vectors.
-// lanes is 0 once the span is exhausted.
-func (s *Span) Take(lim int, holes []uint64) (base uint64, lanes, tests int) {
-	base = s.next &^ 63
+// FillLines advances the span past its next block and writes it into
+// dst, the evaluation engine's wholesale load (a line source): the
+// consecutive words [base, base+lanes), where base is the span's next
+// word rounded down to a multiple of 64 and lanes ≤ lim (lim ≥ 64),
+// line-major at W = ⌈lanes/64⌉ words per line (LoadConsecutive). It
+// sets holes[:W] (bit j for word base+j) to the block's words that are
+// not in the stream: those before the span's next word, and the
+// sorted ones when the span drops them. tests counts the rest, the
+// block's stream vectors. lanes is 0 once the span is exhausted.
+func (s *Span) FillLines(dst []uint64, lim int, holes []uint64) (lanes, tests int) {
 	if s.next >= s.to {
-		return base, 0, 0
+		return 0, 0
 	}
-	lanes = int(min(s.to-base, uint64(lim)))
+	s.base = s.next &^ 63
+	lanes = int(min(s.to-s.base, uint64(lim)))
 	clear(holes[:(lanes+63)/64])
-	holes[0] = 1<<(s.next-base) - 1
-	tests = lanes - int(s.next-base)
+	holes[0] = 1<<(s.next-s.base) - 1
+	tests = lanes - int(s.next-s.base)
 	if s.unsorted {
-		tests -= sortedWords(s.n, s.next, base+uint64(lanes), base, holes)
+		tests -= sortedWords(s.n, s.next, s.base+uint64(lanes), s.base, holes)
 	}
-	s.next = base + uint64(lanes)
-	return base, lanes, tests
+	s.next = s.base + uint64(lanes)
+	LoadConsecutive(dst, s.n, s.base, lanes)
+	return lanes, tests
+}
+
+// Lane returns the word on lane j of the block FillLines last wrote.
+func (s *Span) Lane(j int) Vec { return Vec{N: s.n, Bits: s.base + uint64(j)} }
+
+// laneMasks[i] is the bit pattern of line i across the words
+// base..base+63 when base is a multiple of 64, for i < 6.
+var laneMasks = [6]uint64{
+	0xAAAAAAAAAAAAAAAA, // line 0 alternates every word
+	0xCCCCCCCCCCCCCCCC,
+	0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00,
+	0xFFFF0000FFFF0000,
+	0xFFFFFFFF00000000,
+}
+
+// LoadConsecutive writes the k n-line words base, base+1, …,
+// base+k−1 (base a multiple of 64) line-major into dst at
+// W = ⌈k/64⌉ words per line, without per-lane transposition: lane j
+// of word g holds base+64g+j, whose line-i bit pattern across the
+// word is one of six fixed masks (i < 6) or constant (i ≥ 6). dst must
+// hold n·W words.
+//
+//sortnets:hotpath
+func LoadConsecutive(dst []uint64, n int, base uint64, k int) {
+	W := (k + 63) / 64
+	for i := 0; i < n; i++ {
+		row := dst[i*W : i*W+W]
+		for g := range row {
+			switch {
+			case i < 6:
+				row[g] = laneMasks[i]
+			case (base+uint64(g)*64)>>uint(i)&1 == 1:
+				row[g] = ^uint64(0)
+			default:
+				row[g] = 0
+			}
+		}
+	}
 }
 
 // sortedWords counts the sorted n-line words in [lo, hi) — 2ⁿ − 2ᵃ

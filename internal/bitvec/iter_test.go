@@ -116,10 +116,11 @@ func TestSpanMatchesFilter(t *testing.T) {
 	}
 }
 
-// TestSpanTakeMatchesNext: the blocks Take hands out cover exactly the
-// words Next would yield — every other lane marked a hole, tests
-// counting the rest — for the universe and its non-sorted words, from
-// any starting point, and Len counts the same words.
+// TestSpanTakeMatchesNext: the blocks FillLines takes cover exactly
+// the words Next would yield — every other lane marked a hole, tests
+// counting the rest, each lane's line bits and Lane reading the word —
+// for the universe and its non-sorted words, from any starting point,
+// and Len counts the same words.
 func TestSpanTakeMatchesNext(t *testing.T) {
 	for n := 0; n <= 10; n++ {
 		for _, drawn := range []int{0, 1, 5, 63, 64, 65, 200} {
@@ -141,18 +142,28 @@ func TestSpanTakeMatchesNext(t *testing.T) {
 				}
 				var got []Vec
 				var holes [4]uint64
+				dst := make([]uint64, 4*n)
 				for lim := 64; ; lim = min(2*lim, 256) {
-					base, lanes, tests := sp.Take(lim, holes[:])
+					lanes, tests := sp.FillLines(dst, lim, holes[:])
 					if lanes == 0 {
 						break
 					}
+					base := sp.Lane(0).Bits
 					if base%64 != 0 || lanes > lim {
 						t.Fatalf("n=%d: block of %d lanes from %d under lim %d", n, lanes, base, lim)
 					}
+					W := (lanes + 63) / 64
 					kept := 0
 					for j := 0; j < lanes; j++ {
+						var x uint64
+						for i := 0; i < n; i++ {
+							x |= (dst[i*W+j/64] >> uint(j%64) & 1) << uint(i)
+						}
+						if x != base+uint64(j) || sp.Lane(j).Bits != x {
+							t.Fatalf("n=%d: lane %d of the block from %d holds %b, Lane reads %s", n, j, base, x, sp.Lane(j))
+						}
 						if holes[j/64]>>uint(j%64)&1 == 0 {
-							got = append(got, Vec{N: n, Bits: base + uint64(j)})
+							got = append(got, Vec{N: n, Bits: x})
 							kept++
 						}
 					}

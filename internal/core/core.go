@@ -44,8 +44,9 @@ func SorterBinaryTests(n int) bitvec.Iterator {
 // a full symmetric-chain decomposition, so verdict paths that certify
 // many networks of the same width would otherwise rebuild the family
 // per call (it dominated the permutation-verdict profile). Values are
-// the canonical families; cachedPerms hands out arena-backed deep
-// copies so callers stay free to mutate what they receive.
+// the canonical families and are never written: the *PermThresholds
+// sources read them in place, and the *PermTests functions hand out
+// deep copies.
 var permFamilyCache sync.Map // permFamilyKey -> []perm.P
 
 type permFamilyKey struct {
@@ -53,22 +54,13 @@ type permFamilyKey struct {
 	n, k int
 }
 
-func cachedPerms(key permFamilyKey, build func() []perm.P) []perm.P {
+// permFamily is the threshold stream of the family memoized under key.
+func permFamily(key permFamilyKey, build func() []perm.P) *PermThresholds {
 	v, ok := permFamilyCache.Load(key)
 	if !ok {
 		v, _ = permFamilyCache.LoadOrStore(key, build())
 	}
-	master := v.([]perm.P)
-	// Deep copy in two allocations: one backing array for all values,
-	// one slice of headers.
-	values := make([]int, len(master)*key.n)
-	out := make([]perm.P, len(master))
-	for i, p := range master {
-		row := values[i*key.n : (i+1)*key.n]
-		copy(row, p)
-		out[i] = row
-	}
-	return out
+	return &PermThresholds{fam: v.([]perm.P), n: key.n}
 }
 
 // SorterPermTests returns the minimal permutation test set for sorting:
@@ -76,8 +68,11 @@ func cachedPerms(key permFamilyKey, build func() []perm.P) []perm.P {
 // symmetric chain decomposition with the identity chain dropped.
 // Families are memoized per n; the returned slice is the caller's own
 // copy.
-func SorterPermTests(n int) []perm.P {
-	return cachedPerms(permFamilyKey{"sorter", n, 0}, func() []perm.P {
+func SorterPermTests(n int) []perm.P { return SorterPermThresholds(n).perms() }
+
+// SorterPermThresholds streams the thresholds of SorterPermTests(n).
+func SorterPermThresholds(n int) *PermThresholds {
+	return permFamily(permFamilyKey{"sorter", n, 0}, func() []perm.P {
 		return chains.SorterPermutations(n)
 	})
 }
@@ -86,11 +81,15 @@ func SorterPermTests(n int) []perm.P {
 // (k,n)-selector property: C(n,min(k,⌊n/2⌋)) − 1 permutations
 // (Theorem 2.4(ii)). Families are memoized per (n,k); the returned
 // slice is the caller's own copy.
-func SelectorPermTests(n, k int) []perm.P {
+func SelectorPermTests(n, k int) []perm.P { return SelectorPermThresholds(n, k).perms() }
+
+// SelectorPermThresholds streams the thresholds of
+// SelectorPermTests(n, k).
+func SelectorPermThresholds(n, k int) *PermThresholds {
 	if k < 1 || k > n {
 		panic(fmt.Sprintf("core: selector arity k=%d out of range 1..%d", k, n))
 	}
-	return cachedPerms(permFamilyKey{"selector", n, k}, func() []perm.P {
+	return permFamily(permFamilyKey{"selector", n, k}, func() []perm.P {
 		return chains.SelectorPermutations(n, k)
 	})
 }
@@ -99,8 +98,11 @@ func SelectorPermTests(n, k int) []perm.P {
 // (n/2,n/2)-merger property: the n/2 permutations τ₀..τ_{n/2−1}
 // (Theorem 2.5(ii)). Families are memoized per n; the returned slice
 // is the caller's own copy.
-func MergerPermTests(n int) []perm.P {
-	return cachedPerms(permFamilyKey{"merger", n, 0}, func() []perm.P {
+func MergerPermTests(n int) []perm.P { return MergerPermThresholds(n).perms() }
+
+// MergerPermThresholds streams the thresholds of MergerPermTests(n).
+func MergerPermThresholds(n int) *PermThresholds {
+	return permFamily(permFamilyKey{"merger", n, 0}, func() []perm.P {
 		return chains.MergerPermutations(n)
 	})
 }

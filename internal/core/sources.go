@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"sortnets/internal/bitvec"
+	"sortnets/internal/perm"
 )
 
 // The selector and merger test sets are row sources: each call of
@@ -194,6 +195,93 @@ func (s *MergerTests) Next() (bitvec.Vec, bool) {
 		return bitvec.Vec{}, false
 	}
 	return bitvec.Vec{N: 2 * s.h, Bits: row[0]}, true
+}
+
+// The permutation test sets are line sources (eval.LineSource): a
+// permutation p stands for its n−1 nontrivial threshold vectors
+// p.Threshold(t), t = 1..n−1 in that order, which the paper's
+// properties judge exactly as they judge p (see package verify).
+// FillLines packs ⌊64/(n−1)⌋ whole permutations into each 64-lane
+// word, lane q·(n−1)+t−1 carrying threshold t of the word's q-th
+// permutation, so line i of a permutation with value v is set on that
+// permutation's top v−1 lanes: one bit run, written straight from the
+// value. The lanes left over at the top of each word are holes.
+
+// PermThresholds is the threshold stream of a memoized permutation
+// family, read in place. FillLines (for 2 ≤ n ≤ 64) and Next draw from
+// one cursor: a block that starts inside a permutation Next has begun
+// marks its drawn thresholds as holes.
+type PermThresholds struct {
+	fam   []perm.P // the memoized family, never written
+	n     int
+	pos   int // stream vectors drawn
+	block int // the first permutation of the block FillLines last wrote
+}
+
+// FillLines implements eval.LineSource.
+//
+//sortnets:hotpath
+func (s *PermThresholds) FillLines(dst []uint64, lim int, holes []uint64) (lanes, tests int) {
+	n, spread := s.n, s.n-1
+	per := 64 / spread
+	s.block = s.pos / spread
+	rest := len(s.fam) - s.block
+	if rest == 0 {
+		return 0, 0
+	}
+	W := min(lim/64, (rest+per-1)/per)
+	lines := dst[:n*W]
+	clear(lines)
+	run := onesBelow(spread)
+	for g := 0; g < W; g++ {
+		first := s.block + g*per
+		perms := s.fam[first:min(first+per, len(s.fam))]
+		holes[g] = ^onesBelow(len(perms) * spread)
+		for q, p := range perms {
+			for i, v := range p {
+				lines[i*W+g] |= (run &^ onesBelow(n-v)) << uint(q*spread)
+			}
+		}
+	}
+	drawn := s.pos % spread
+	holes[0] |= onesBelow(drawn)
+	tests = min(rest, W*per)*spread - drawn
+	s.pos += tests
+	return 64 * W, tests
+}
+
+// Lane implements eval.LineSource.
+func (s *PermThresholds) Lane(j int) bitvec.Vec {
+	spread := s.n - 1
+	l := j % 64
+	return s.fam[s.block+j/64*(64/spread)+l/spread].Threshold(l%spread + 1)
+}
+
+// Next implements bitvec.Iterator.
+func (s *PermThresholds) Next() (bitvec.Vec, bool) {
+	spread := s.n - 1
+	if s.pos >= len(s.fam)*spread {
+		return bitvec.Vec{}, false
+	}
+	v := s.fam[s.pos/spread].Threshold(s.pos%spread + 1)
+	s.pos++
+	return v, true
+}
+
+// Perm returns a copy of the family's permutation i, whose thresholds
+// are the stream vectors i·(n−1) through i·(n−1)+n−2.
+func (s *PermThresholds) Perm(i int) perm.P { return append(perm.P(nil), s.fam[i]...) }
+
+// perms returns a deep copy of the family, in two allocations: one
+// backing array for all values, one slice of headers.
+func (s *PermThresholds) perms() []perm.P {
+	values := make([]int, len(s.fam)*s.n)
+	out := make([]perm.P, len(s.fam))
+	for i, p := range s.fam {
+		out[i] = values[i*s.n : (i+1)*s.n]
+		copy(out[i], p)
+	}
+	return out
 }
 
 // onesIn is the word whose bits from..to−1 are set, both clamped to

@@ -6,6 +6,7 @@ import (
 
 	"sortnets/internal/bitvec"
 	"sortnets/internal/comb"
+	"sortnets/internal/perm"
 	"sortnets/internal/widevec"
 )
 
@@ -219,6 +220,79 @@ func TestMergerWideTestsBeyond64Lines(t *testing.T) {
 			}
 			if v.Bit(line) != want {
 				t.Fatalf("test %d (i=%d k=%d) = %s", j, i, k, v)
+			}
+		}
+	}
+}
+
+// TestPermThresholdsMatchFamilies: the blocks a permutation threshold
+// source writes hold, lane by lane outside their holes, exactly the
+// thresholds t = 1..n−1 of each permutation of the family in order,
+// which Lane reads back too — at widths where n−1 divides 64 and where
+// it does not, from the start and after Next has drawn some of them.
+func TestPermThresholdsMatchFamilies(t *testing.T) {
+	type family struct {
+		name  string
+		perms []perm.P
+		src   func() *PermThresholds
+	}
+	var fams []family
+	for _, n := range []int{2, 3, 4, 5, 8, 9, 12, 13} {
+		fams = append(fams, family{"sorter", SorterPermTests(n), func() *PermThresholds { return SorterPermThresholds(n) }})
+	}
+	for _, n := range []int{7, 9, 16, 17} {
+		fams = append(fams, family{"selector", SelectorPermTests(n, 2), func() *PermThresholds { return SelectorPermThresholds(n, 2) }})
+	}
+	for _, n := range []int{2, 6, 18, 64} {
+		fams = append(fams, family{"merger", MergerPermTests(n), func() *PermThresholds { return MergerPermThresholds(n) }})
+	}
+	for _, f := range fams {
+		n := len(f.perms[0])
+		var want []bitvec.Vec
+		for _, p := range f.perms {
+			for th := 1; th < n; th++ {
+				want = append(want, p.Threshold(th))
+			}
+		}
+		for _, drawn := range []int{0, 1, n - 1, 2*n + 1} {
+			src := f.src()
+			for range drawn {
+				src.Next()
+			}
+			var got []bitvec.Vec
+			dst := make([]uint64, n*4)
+			var holes [4]uint64
+			for lim := 64; ; lim = min(2*lim, 256) {
+				lanes, tests := src.FillLines(dst, lim, holes[:])
+				if lanes == 0 {
+					break
+				}
+				W := (lanes + 63) / 64
+				if lanes > lim {
+					t.Fatalf("%s n=%d: %d lanes under lim %d", f.name, n, lanes, lim)
+				}
+				kept := 0
+				for j := 0; j < lanes; j++ {
+					if holes[j/64]>>uint(j%64)&1 == 1 {
+						continue
+					}
+					var x uint64
+					for i := 0; i < n; i++ {
+						x |= (dst[i*W+j/64] >> uint(j%64) & 1) << uint(i)
+					}
+					v := bitvec.Vec{N: n, Bits: x}
+					if lv := src.Lane(j); lv != v {
+						t.Fatalf("%s n=%d drawn %d: lane %d holds %s, Lane reads %s", f.name, n, drawn, j, v, lv)
+					}
+					got = append(got, v)
+					kept++
+				}
+				if kept != tests {
+					t.Fatalf("%s n=%d drawn %d: block counts %d tests, has %d non-hole lanes", f.name, n, drawn, tests, kept)
+				}
+			}
+			if !slices.Equal(got, want[min(drawn, len(want)):]) {
+				t.Fatalf("%s n=%d drawn %d: blocks hold %d vectors, want the family's %d thresholds after %d", f.name, n, drawn, len(got), len(want), drawn)
 			}
 		}
 	}

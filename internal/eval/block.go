@@ -21,23 +21,38 @@ type RowSource interface {
 	FillRows(dst []uint64, lim int) int
 }
 
-// stream is a run's vector source: a span of the universe, loaded
-// wholesale, or rows already staged (auto mode's probe) followed by a
-// row source or a plain bitvec iterator.
-type stream struct {
-	span *bitvec.Span
-	head []uint64
-	rows RowSource
-	vecs bitvec.Iterator
+// LineSource is a test-vector stream that writes a block's line words
+// itself, with no staging rows or transpose. FillLines writes its next
+// block of at most lim lanes (lim a multiple of 64) into dst, line i's
+// word g at dst[i·W+g] with W = ⌈lanes/64⌉, and sets holes[:W] to the
+// block's lanes that are not stream vectors, which the judge never
+// rejects. It returns the lanes written, 0 once the stream is
+// exhausted, and how many of them are stream vectors. Lane returns the
+// vector on lane j of the block last written. A bitvec.Span and the
+// permutation thresholds of package core are line sources; RunCtx and
+// RunManyCtx pick one up from a bitvec.Iterator that implements it.
+type LineSource interface {
+	FillLines(dst []uint64, lim int, holes []uint64) (lanes, tests int)
+	Lane(j int) bitvec.Vec
 }
 
-// vecStream is the stream of a bitvec iterator: a span when it is
-// one, so the block engine loads it wholesale, and a row source when
-// it is one, so its rows are staged in bulk.
+// stream is a run's vector source: a line source, loaded a block at a
+// time, or rows already staged (auto mode's probe) followed by a row
+// source or a plain bitvec iterator.
+type stream struct {
+	lines LineSource
+	head  []uint64
+	rows  RowSource
+	vecs  bitvec.Iterator
+}
+
+// vecStream is the stream of a bitvec iterator: a line source when it
+// is one, so the block engine loads it wholesale, and a row source
+// when it is one, so its rows are staged in bulk.
 func vecStream(it bitvec.Iterator) stream {
 	switch s := it.(type) {
-	case *bitvec.Span:
-		return stream{span: s}
+	case LineSource:
+		return stream{lines: s}
 	case RowSource:
 		return stream{rows: s}
 	}
@@ -47,8 +62,8 @@ func vecStream(it bitvec.Iterator) stream {
 // fill stages up to lim vectors of R words each into dst and returns
 // how many it staged; fewer than lim means the stream is exhausted.
 // It is how every row-staging path (the block step, the pool's
-// producer, Sweep) draws vectors; a span's vectors reach it only
-// through Next.
+// producer, Sweep) draws vectors; a line source's vectors reach it
+// only through Next.
 //
 //sortnets:hotpath
 func (s *stream) fill(dst []uint64, R, lim int) int {
@@ -84,11 +99,10 @@ type block struct {
 	t       [network.LanesPerWord]uint64
 	in, out network.Batch
 	bad     [maxWords]uint64
-	// A span block (span set) holds the consecutive words from base,
-	// lane j carrying word base+j; holes marks its lanes that are not
-	// in the stream, which the judge never rejects.
-	span  bool
-	base  uint64
+	// A line-source block (lines set) was written by lines, which
+	// reads its lanes back; holes marks its lanes that are not in the
+	// stream, which the judge never rejects.
+	lines LineSource
 	holes [maxWords]uint64
 }
 
@@ -118,19 +132,22 @@ func getBlock(n int) *block {
 }
 
 // step loads the stream's next block of at most lim lanes (lim ≥
-// 64): a span's words wholesale (LoadConsecutive, no enumeration or
+// 64): a line source's line words as it writes them (a span's words
+// wholesale, through LoadConsecutive, with no enumeration or
 // transpose), any other stream's vectors staged as rows and
 // transposed. It returns the lanes loaded, 0 once the stream is
 // exhausted, and how many of them are stream vectors (lanes minus a
-// span block's holes). It is the one load step of runSeq and RunMany.
+// line-source block's holes). It is the one load step of runSeq and
+// RunMany.
 //
 //sortnets:hotpath
 func (b *block) step(src *stream, lim int, needsInput bool) (lanes, tests int) {
-	if sp := src.span; sp != nil {
-		b.base, lanes, tests = sp.Take(lim, b.holes[:])
+	if ls := src.lines; ls != nil {
+		lanes, tests = ls.FillLines(b.out.Lines[:cap(b.out.Lines)], lim, b.holes[:])
 		if lanes > 0 {
-			b.span = true
-			b.out.LoadConsecutive(b.base, lanes)
+			W := (lanes + network.LanesPerWord - 1) / network.LanesPerWord
+			b.out.W, b.out.Lanes, b.out.Lines = W, lanes, b.out.Lines[:b.out.N*W]
+			b.lines = ls
 			if needsInput {
 				b.mirror()
 			}
@@ -176,7 +193,7 @@ func (b *block) load(rows []uint64, k int, needsInput bool) {
 		}
 	}
 	b.out.W, b.out.Lanes, b.out.Lines = W, k, lines
-	b.span = false
+	b.lines = nil
 	if needsInput {
 		b.mirror()
 	}
@@ -205,7 +222,7 @@ func (b *block) judge(p *Program, j *Judge) int {
 		j.Rejects(&b.in, &b.out, bad)
 	}
 	network.MaskLanes(bad, b.out.Lanes)
-	if b.span {
+	if b.lines != nil {
 		for g := range bad {
 			bad[g] &^= b.holes[g]
 		}
@@ -227,19 +244,19 @@ type outcome struct {
 }
 
 // failure is the outcome for a failing lane of the judged block
-// loaded from rows, after tests earlier vectors: the lane's stream
-// position is its index minus the holes below it, and its input is
-// base+lane for a span block, else read back from its staged row
-// (as a wide vector beyond 64 lines).
+// loaded from rows, after tests earlier vectors: for a line-source
+// block the lane's stream position is its index minus the holes below
+// it and its input is the source's Lane; else its input is read back
+// from its staged row (as a wide vector beyond 64 lines).
 func (b *block) failure(rows []uint64, lane, tests int) outcome {
 	n := b.out.N
-	if b.span {
+	if b.lines != nil {
 		g, s := lane/network.LanesPerWord, uint(lane%network.LanesPerWord)
 		below := bits.OnesCount64(b.holes[g] & (1<<s - 1))
 		for _, h := range b.holes[:g] {
 			below += bits.OnesCount64(h)
 		}
-		return outcome{Verdict: Verdict{TestsRun: tests + lane - below + 1, In: bitvec.Vec{N: n, Bits: b.base + uint64(lane)}, Out: b.out.Lane(lane)}}
+		return outcome{Verdict: Verdict{TestsRun: tests + lane - below + 1, In: b.lines.Lane(lane), Out: b.out.Lane(lane)}}
 	}
 	if n <= bitvec.MaxN {
 		return outcome{Verdict: Verdict{TestsRun: tests + lane + 1, In: bitvec.Vec{N: n, Bits: rows[lane]}, Out: b.out.Lane(lane)}}

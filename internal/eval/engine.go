@@ -102,7 +102,8 @@ const chunkLanes = 16 * maxLanes
 // rejected lane. With one worker the counterexample is the first
 // failure in stream order. With a pool, a span (bitvec.All, or
 // NotSorted of it) still reports the first failure in stream order;
-// any other stream reports the first failure some worker found, with
+// any other line source runs on one worker whatever the setting; any
+// other stream reports the first failure some worker found, with
 // TestsRun counting the vectors handed out before the pool drained.
 // bitvec vectors hold at most 64 lines, so Run needs n ≤ 64;
 // RunWideCtx is the same run over row sources of any width.
@@ -140,17 +141,22 @@ func (e *Engine) RunWideCtx(ctx context.Context, src RowSource, judge Judge) (Wi
 
 // run picks the block loop for the engine's worker setting: one
 // worker runs runSeq, a pool runs a span by slabs (spanPool) and any
-// other stream through runPool.
+// other stream but a line source through runPool. Every other line
+// source runs on one worker.
 func (e *Engine) run(ctx context.Context, src *stream, judge Judge) (outcome, error) {
+	sp, _ := src.lines.(*bitvec.Span)
 	workers := e.workers
-	if workers == 0 {
-		workers = e.autoWorkers(src)
+	switch {
+	case src.lines != nil && sp == nil:
+		workers = 1
+	case workers == 0:
+		workers = e.autoWorkers(src, sp)
 	}
 	switch {
 	case workers == 1:
 		return e.runSeq(ctx, src, judge)
-	case src.span != nil:
-		return e.spanPool(ctx, src.span, judge, workers)
+	case sp != nil:
+		return e.spanPool(ctx, sp, judge, workers)
 	default:
 		return e.runPool(ctx, src, judge, workers)
 	}
@@ -160,11 +166,11 @@ func (e *Engine) run(ctx context.Context, src *stream, judge Judge) (outcome, er
 // than the work threshold, NumCPU for a longer one. A span knows its
 // length; any other stream is staged until it crosses the threshold
 // or ends, and the staged rows are replayed ahead of its live tail.
-func (e *Engine) autoWorkers(src *stream) int {
+func (e *Engine) autoWorkers(src *stream, sp *bitvec.Span) int {
 	budget := autoWorkThreshold/max(len(e.p.ops), 1) + 1
 	k := 0
-	if src.span != nil {
-		k = min(src.span.Len(), budget)
+	if sp != nil {
+		k = min(sp.Len(), budget)
 	} else {
 		R := rowWords(e.p.n)
 		staged := make([]uint64, budget*R)
@@ -288,7 +294,7 @@ func (e *Engine) RunUniverseCtx(ctx context.Context, judge Judge) (Verdict, erro
 	if n := e.p.n; n > 30 {
 		panic(fmt.Sprintf("eval: RunUniverse sweeps 2^%d inputs; n is too wide", n))
 	}
-	o, err := e.run(ctx, &stream{span: bitvec.All(e.p.n)}, judge)
+	o, err := e.run(ctx, &stream{lines: bitvec.All(e.p.n)}, judge)
 	return o.Verdict, err
 }
 
@@ -314,7 +320,7 @@ func (e *Engine) spanPool(ctx context.Context, sp *bitvec.Span, judge Judge, wor
 	foundSlab := slabs
 	hit, err := ForEachUntilCtx(ctx, slabs, workers, func(i int) bool {
 		part := sp.Sub(slabStart(i), min(to, slabStart(i+1)))
-		o, err := e.runSeq(ctx, &stream{span: &part}, judge)
+		o, err := e.runSeq(ctx, &stream{lines: &part}, judge)
 		if err != nil || o.Holds {
 			return false
 		}

@@ -14,10 +14,10 @@ import (
 // variant of one circuit — the shared work, getting the stream into
 // the word layout, is identical for every program. RunMany and Sweep
 // do that work ONCE per block and feed the block to every program, so
-// k programs pay one load instead of k. RunMany loads a span
-// wholesale; Sweep stages every stream as rows, because its visit
-// offsets count 64-lane words of the stream, which a span block's
-// holes would shift.
+// k programs pay one load instead of k. RunMany loads a line source
+// (a span) wholesale; Sweep stages every stream as rows, because its
+// visit offsets count 64-lane words of the stream, which a
+// line-source block's holes would shift.
 
 // RunMany streams the iterator's vectors once through every program,
 // judging each block against all programs that have not yet failed.

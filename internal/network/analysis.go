@@ -28,8 +28,8 @@ func Equivalent(a, b *Network) bool {
 	ba, bb := NewBatch(n, 1), NewBatch(n, 1)
 	for base := uint64(0); base < total; base += LanesPerWord {
 		k := min(int(total-base), LanesPerWord)
-		ba.LoadConsecutive(base, k)
-		bb.LoadConsecutive(base, k)
+		bitvec.LoadConsecutive(ba.Lines, n, base, k)
+		bitvec.LoadConsecutive(bb.Lines, n, base, k)
 		a.ApplyBatch(ba)
 		b.ApplyBatch(bb)
 		for i := 0; i < n; i++ {
@@ -59,7 +59,7 @@ func (w *Network) ExerciseCounts() []int {
 	b := NewBatch(n, 1)
 	for base := uint64(0); base < total; base += LanesPerWord {
 		k := min(int(total-base), LanesPerWord)
-		b.LoadConsecutive(base, k)
+		bitvec.LoadConsecutive(b.Lines, n, base, k)
 		laneMask := ^uint64(0)
 		if k < LanesPerWord {
 			laneMask = uint64(1)<<uint(k) - 1

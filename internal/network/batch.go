@@ -144,47 +144,10 @@ func MaskLanes(mask []uint64, lanes int) {
 	}
 }
 
-// laneMasks[i] is the bit pattern of input-bit i across inputs
-// base..base+63 when base is a multiple of 64, for i < 6.
-var laneMasks = [6]uint64{
-	0xAAAAAAAAAAAAAAAA, // bit 0 alternates every input
-	0xCCCCCCCCCCCCCCCC,
-	0xF0F0F0F0F0F0F0F0,
-	0xFF00FF00FF00FF00,
-	0xFFFF0000FFFF0000,
-	0xFFFFFFFF00000000,
-}
-
-// LoadConsecutive fills the batch with the k binary inputs base,
-// base+1, …, base+k−1 (base a multiple of 64) at ⌈k/64⌉ words per
-// line, without per-lane transposition: lane j of word g holds input
-// base+64g+j, whose line-i bit pattern across the word is one of six
-// fixed masks (i < 6) or constant (i ≥ 6). Lines must have capacity
-// for N·⌈k/64⌉ words.
-//
-//sortnets:hotpath
-func (b *Batch) LoadConsecutive(base uint64, k int) {
-	W := (k + LanesPerWord - 1) / LanesPerWord
-	b.W, b.Lanes, b.Lines = W, k, b.Lines[:b.N*W]
-	for i := 0; i < b.N; i++ {
-		row := b.Lines[i*W : i*W+W]
-		for g := range row {
-			switch {
-			case i < 6:
-				row[g] = laneMasks[i]
-			case (base+uint64(g)*LanesPerWord)>>uint(i)&1 == 1:
-				row[g] = ^uint64(0)
-			default:
-				row[g] = 0
-			}
-		}
-	}
-}
-
 // SortsAllBinary reports whether the network sorts every one of the 2^n
 // binary inputs — the zero-one-principle criterion for being a sorter —
 // by sweeping the universe 64 lanes at a time with wholesale lane
-// loading (LoadConsecutive).
+// loading (bitvec.LoadConsecutive).
 func (w *Network) SortsAllBinary() bool {
 	return w.FirstBinaryFailure() == (bitvec.Vec{N: -1})
 }
@@ -217,7 +180,8 @@ func (w *Network) BinaryFailures(max int) []bitvec.Vec {
 	b := NewBatch(n, 1)
 	var viol [1]uint64
 	for base := uint64(0); base < total; base += LanesPerWord {
-		b.LoadConsecutive(base, min(int(total-base), LanesPerWord))
+		b.Lanes = min(int(total-base), LanesPerWord)
+		bitvec.LoadConsecutive(b.Lines, n, base, b.Lanes)
 		w.ApplyBatch(b)
 		b.UnsortedLanes(viol[:])
 		for v := viol[0]; v != 0; v &= v - 1 {

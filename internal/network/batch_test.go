@@ -150,8 +150,9 @@ func TestMaskLanes(t *testing.T) {
 }
 
 // TestLoadConsecutive: wholesale loading of inputs base..base+k−1
-// must equal installing each input lane by lane, at every word count
-// a block can take, ragged last words included.
+// (bitvec.LoadConsecutive) must equal installing each input lane by
+// lane, at every word count a block can take, ragged last words
+// included.
 func TestLoadConsecutive(t *testing.T) {
 	for _, n := range []int{1, 5, 6, 9, 12} {
 		total := 1 << uint(n)
@@ -161,14 +162,11 @@ func TestLoadConsecutive(t *testing.T) {
 					continue
 				}
 				w := (k + 63) / 64
-				got := NewBatch(n, 4)
-				got.LoadConsecutive(uint64(base), k)
+				got := NewBatch(n, w)
+				bitvec.LoadConsecutive(got.Lines, n, uint64(base), k)
 				want := NewBatch(n, w)
 				for lane := 0; lane < k; lane++ {
 					want.SetLane(lane, bitvec.New(n, uint64(base+lane)))
-				}
-				if got.W != w || got.Lanes != k {
-					t.Fatalf("n=%d base=%d k=%d: W=%d Lanes=%d, want %d, %d", n, base, k, got.W, got.Lanes, w, k)
 				}
 				for lane := 0; lane < k; lane++ {
 					if got.Lane(lane) != want.Lane(lane) {

@@ -80,22 +80,6 @@ func groundTruthEngineCtx(ctx context.Context, e *eval.Engine, n int, p Property
 	return fromVerdict(v), nil
 }
 
-// VerdictPermsCtx is VerdictPerms under a context, checked between
-// permutation batches (batch path) or between permutations (scalar
-// fallback).
-func VerdictPermsCtx(ctx context.Context, w *network.Network, p Property) (PermResult, error) {
-	if w.N != p.Lines() {
-		panic(fmt.Sprintf("verify: network has %d lines, property wants %d", w.N, p.Lines()))
-	}
-	if w.N-1 <= network.LanesPerWord && w.N > 1 {
-		switch p.(type) {
-		case Sorter, Selector, Merger:
-			return verdictPermsBatch(ctx, w, p)
-		}
-	}
-	return verdictPermsScalar(ctx, w, p)
-}
-
 // VerdictWideProgramCtx certifies a merger or selector property on an
 // already-compiled program of any width with the paper's polynomial
 // test set (n²/4 vectors for the merger, Σᵢ₌₀..k C(n,i) − k − 1 for the

@@ -13,9 +13,9 @@ import (
 // fall back to the per-lane adapter (the network evaluation — the
 // expensive part — stays word-parallel either way).
 
-// JudgeFor exposes the lowering for callers that stream custom test
-// families through an engine themselves (the Session's test-stream
-// override).
+// JudgeFor exposes the lowering for callers that stream a test
+// family through an engine themselves (the Session's shared
+// eval.RunManyCtx passes).
 func JudgeFor(p Property) eval.Judge { return judgeFor(p) }
 
 func judgeFor(p Property) eval.Judge {

@@ -275,26 +275,3 @@ func TestPeerFillSingleRequestAdapter(t *testing.T) {
 		t.Errorf("single hook asked\n%+v\nwant the batch hook's probes one by one\n%+v", asked, flat)
 	}
 }
-
-// TestPeerFillSkippedUnderStreamOverride: an overridden test stream's
-// verdicts are not the peers' verdicts, so neither DoBatch nor Do
-// consults the hook.
-func TestPeerFillSkippedUnderStreamOverride(t *testing.T) {
-	fp := newFakePeer()
-	defer fp.peer.Close()
-	sess := NewSession(
-		WithTestStream("single", func(p Property) VecIterator { return SliceIterator([]Vec{MustVec("1010")}) }),
-		WithPeerFillBatch(fp.batch),
-	)
-	defer sess.Close()
-	ctx := context.Background()
-	if _, err := sess.DoBatch(ctx, []Request{{Network: sessSorter4}, {Network: fillAbsent}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Do(ctx, Request{Network: fillWrongO}); err != nil {
-		t.Fatal(err)
-	}
-	if calls := fp.takeCalls(); len(calls) != 0 {
-		t.Fatalf("hook consulted %d times under a stream override", len(calls))
-	}
-}

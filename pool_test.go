@@ -73,7 +73,7 @@ func sameShardRequests(t *testing.T, sess *Session) (Request, Request) {
 			continue
 		}
 		seen[digest] = true
-		sh := p.shardFor(sess.verifyKey(digest, prop.Name(), false))
+		sh := p.shardFor(verifyKey(digest, prop.Name(), false))
 		if r, ok := first[sh]; ok {
 			return r, req
 		}

@@ -3,7 +3,6 @@ package sortnets
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"strconv"
 	"sync"
@@ -57,8 +56,6 @@ type Session struct {
 	maxLines      int
 	maxFaultLines int
 	faultMode     faults.DetectMode
-	streamTag     string
-	stream        func(Property) VecIterator
 	computeHook   func()
 	fill          func(ctx context.Context, reqs []Request) []*Verdict
 
@@ -69,7 +66,7 @@ type Session struct {
 	poolOnce sync.Once
 	pool     *pool
 
-	uncached atomic.Int64 // unique-key source for uncacheable requests
+	groupSeq atomic.Int64 // unique-key source for DoBatch group passes
 	stats    sessionCounters
 }
 
@@ -105,19 +102,6 @@ func WithMaxFaultLines(n int) Option { return func(s *Session) { s.maxFaultLines
 // is ByProperty (the paper's observation model).
 func WithFaultMode(m DetectMode) Option { return func(s *Session) { s.faultMode = m } }
 
-// WithTestStream overrides the binary test stream the Session's
-// verify paths run, replacing each property's minimal test set with
-// factory(p). tag names the stream in cache keys, so verdicts under
-// different streams never alias; an empty tag disables verdict
-// caching for the overridden stream. Use it to score alternative
-// test families (e.g. a fault-selected subset) on the same engines.
-func WithTestStream(tag string, factory func(p Property) VecIterator) Option {
-	return func(s *Session) {
-		s.streamTag = tag
-		s.stream = factory
-	}
-}
-
 // WithComputeHook installs a function invoked on the pool worker
 // immediately before each underlying Do computation — an
 // instrumentation/test seam (hold it open to observe coalescing).
@@ -141,9 +125,8 @@ func WithComputeHook(fn func()) Option { return func(s *Session) { s.computeHook
 // call, so concurrent identical misses trigger at most ONE
 // consultation; that context is the compute context, detached from
 // any one caller. Either way the hook must bound its own network
-// budget. Typed conveniences and explicit stream overrides never
-// consult the hook; internal/serve installs it when sortnetd runs
-// with -peers.
+// budget. Typed conveniences never consult the hook; internal/serve
+// installs it when sortnetd runs with -peers.
 func WithPeerFillBatch(fill func(ctx context.Context, reqs []Request) []*Verdict) Option {
 	return func(s *Session) { s.fill = fill }
 }
@@ -476,9 +459,9 @@ func (s *Session) doVerify(ctx context.Context, req *Request, ctrs *opCounters) 
 // req is the wire request to offer the cluster fill hook; nil skips
 // fill (DoBatch has already consulted it for the whole batch).
 func (s *Session) doVerifyResolved(ctx context.Context, ctrs *opCounters, req *Request, w *network.Network, digest string, p verify.Property, exhaustive bool) (*Verdict, error) {
-	key := s.verifyKey(digest, p.Name(), exhaustive)
+	key := verifyKey(digest, p.Name(), exhaustive)
 	return s.cached(ctx, ctrs, key, s.withPeerFill(ctrs, req, OpVerify, digest, func(cctx context.Context) (*Verdict, error) {
-		r, err := s.checkProgram(cctx, s.program(digest, w), p, exhaustive)
+		r, err := checkProgram(cctx, s.program(digest, w), p, exhaustive)
 		if err != nil {
 			return nil, err
 		}
@@ -490,15 +473,8 @@ func (s *Session) doVerifyResolved(ctx context.Context, ctrs *opCounters, req *R
 // historical fmt.Sprintf forms, without the reflection allocations —
 // they are built once per request on the serve hot path).
 
-func (s *Session) verifyKey(digest, prop string, exhaustive bool) string {
-	key := "verify|" + digest + "|" + prop + "|exhaustive=" + strconv.FormatBool(exhaustive)
-	if s.stream != nil {
-		if s.streamTag == "" {
-			return "" // unnamed override: uncacheable
-		}
-		key += "|stream=" + s.streamTag
-	}
-	return key
+func verifyKey(digest, prop string, exhaustive bool) string {
+	return "verify|" + digest + "|" + prop + "|exhaustive=" + strconv.FormatBool(exhaustive)
 }
 
 func faultsKey(digest string, p verify.Property, mode faults.DetectMode) string {
@@ -509,31 +485,11 @@ func minsetKey(digest string, p verify.Property, mode faults.DetectMode, exact b
 	return "minset|" + digest + "|" + p.Name() + "|" + mode.String() + "|exact=" + strconv.FormatBool(exact)
 }
 
-// binaryTests picks the minimal binary test stream for p: an explicit
-// WithTestStream override, else the property's own test set.
-func (s *Session) binaryTests(p Property) VecIterator {
-	if s.stream != nil {
-		return s.stream(p)
-	}
-	return p.BinaryTests()
-}
-
-// checkProgram runs the verify engine for one compiled program:
-// minimal test set (or the session's stream override) or the
-// exhaustive universe.
-func (s *Session) checkProgram(ctx context.Context, prog *eval.Program, p Property, exhaustive bool) (Result, error) {
+// checkProgram runs the verify engine for one compiled program: the
+// minimal test set or the exhaustive universe.
+func checkProgram(ctx context.Context, prog *eval.Program, p Property, exhaustive bool) (Result, error) {
 	if exhaustive {
 		return verify.GroundTruthProgramCtx(ctx, prog, p)
-	}
-	if s.stream != nil {
-		if prog.N() != p.Lines() {
-			panic(fmt.Sprintf("sortnets: program has %d lines, property wants %d", prog.N(), p.Lines()))
-		}
-		v, err := eval.New(prog, 1).RunCtx(ctx, s.stream(p), verify.JudgeFor(p))
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Holds: v.Holds, TestsRun: v.TestsRun, Counterexample: v.In, Output: v.Out}, nil
 	}
 	return verify.VerdictProgramCtx(ctx, prog, p)
 }
@@ -653,10 +609,9 @@ func (s *Session) doMinsetResolved(ctx context.Context, ctrs *opCounters, req *R
 // HERE, on the local branch, so an adopted verdict is a miss that
 // cost no compute — the property the cluster's "sum of per-shard
 // computes == distinct work" accounting rests on. Fill is skipped
-// without a hook, without a wire request to forward, or under a
-// stream override (an overridden stream's verdicts are not the peers'
-// verdicts). Runs inside the pooled call, so the cache re-check, the
-// cache fill, and single-flight all apply unchanged.
+// without a hook or without a wire request to forward. Runs inside
+// the pooled call, so the cache re-check, the cache fill, and
+// single-flight all apply unchanged.
 func (s *Session) withPeerFill(ctrs *opCounters, req *Request, op, digest string, compute func(context.Context) (*Verdict, error)) func(context.Context) (*Verdict, error) {
 	counted := func(cctx context.Context) (*Verdict, error) {
 		ctrs.computes.Add(1)
@@ -665,7 +620,7 @@ func (s *Session) withPeerFill(ctrs *opCounters, req *Request, op, digest string
 		}
 		return compute(cctx)
 	}
-	if s.fill == nil || req == nil || s.stream != nil {
+	if s.fill == nil || req == nil {
 		return counted
 	}
 	return func(cctx context.Context) (*Verdict, error) {
@@ -729,7 +684,7 @@ func (s *Session) Lookup(req Request) (*Verdict, bool) {
 		if err != nil {
 			return nil, false
 		}
-		key = s.verifyKey(digest, p.Name(), req.Exhaustive)
+		key = verifyKey(digest, p.Name(), req.Exhaustive)
 	case OpFaults, OpMinset:
 		_, digest, p, mode, err := s.faultArgs(&req)
 		if err != nil {
@@ -743,9 +698,6 @@ func (s *Session) Lookup(req Request) (*Verdict, bool) {
 	default:
 		return nil, false
 	}
-	if key == "" {
-		return nil, false
-	}
 	if v, ok := s.results.Get(key); ok {
 		if verdict, ok := v.(*Verdict); ok {
 			return withSource(verdict, "hit"), true
@@ -756,29 +708,21 @@ func (s *Session) Lookup(req Request) (*Verdict, bool) {
 
 // cached runs the cache → coalesce → compute pipeline for one Do
 // request. compute must be deterministic: its verdict is stored and
-// replayed (and, over the wire, marshals byte-identically). An empty
-// key skips the cache AND coalescing (distinct uncacheable requests
-// must never share an in-flight result) but still runs on the pool.
+// replayed (and, over the wire, marshals byte-identically).
 func (s *Session) cached(ctx context.Context, ctrs *opCounters, key string, compute func(context.Context) (*Verdict, error)) (*Verdict, error) {
-	cacheable := key != ""
-	if !cacheable {
-		// A unique key: uncacheable requests run on the pool but must
-		// never coalesce with each other.
-		key = "!uncached|" + strconv.FormatInt(s.uncached.Add(1), 10)
-	}
-	if s.results != nil && cacheable {
+	if s.results != nil {
 		if v, ok := s.results.Get(key); ok {
 			ctrs.hits.Add(1)
 			return withSource(v.(*Verdict), "hit"), nil
 		}
 	}
 	ctrs.misses.Add(1)
-	return s.pooled(ctx, ctrs, key, cacheable, compute)
+	return s.pooled(ctx, ctrs, key, compute)
 }
 
 // pooled is cached's coalesce → compute tail, re-entered on the rare
 // abandoned-submission retry.
-func (s *Session) pooled(ctx context.Context, ctrs *opCounters, key string, cacheable bool, compute func(context.Context) (*Verdict, error)) (*Verdict, error) {
+func (s *Session) pooled(ctx context.Context, ctrs *opCounters, key string, compute func(context.Context) (*Verdict, error)) (*Verdict, error) {
 	v, coalesced, err := s.startPool().do(ctx, key, func(cctx context.Context) (*Verdict, error) {
 		// Re-check the cache from inside the registered call: a twin
 		// that was in flight during our lookup may have filled the
@@ -787,7 +731,7 @@ func (s *Session) pooled(ctx context.Context, ctrs *opCounters, key string, cach
 		// if we registered fresh, the result is already visible here —
 		// without this, two "concurrent identical" requests could both
 		// compute.
-		if s.results != nil && cacheable {
+		if s.results != nil {
 			if v, ok := s.results.Get(key); ok {
 				return v.(*Verdict), nil
 			}
@@ -796,7 +740,7 @@ func (s *Session) pooled(ctx context.Context, ctrs *opCounters, key string, cach
 		// withPeerFill wrapper): a peer-filled verdict is a miss that
 		// cost no local compute.
 		v, err := compute(cctx)
-		if err == nil && s.results != nil && cacheable {
+		if err == nil && s.results != nil {
 			// Fill the cache on the pool worker, before the in-flight
 			// entry is dropped, so there is no window where neither
 			// the cache nor the inflight table knows the result.
@@ -815,7 +759,7 @@ func (s *Session) pooled(ctx context.Context, ctrs *opCounters, key string, cach
 			// We coalesced onto a call whose submitter abandoned it
 			// before a worker picked it up; our context is fine, so
 			// resubmit (the dead call has left the inflight table).
-			return s.pooled(ctx, ctrs, key, cacheable, compute)
+			return s.pooled(ctx, ctrs, key, compute)
 		}
 		return nil, err
 	}
@@ -847,12 +791,12 @@ func (s *Session) program(digest string, w *network.Network) *eval.Program {
 }
 
 // resolveNetwork canonicalizes a trusted in-process network and
-// returns its cached program: the convenience-path counterpart of
-// Request.resolve (no line caps — the caller already holds the
-// network).
-func (s *Session) resolveNetwork(w *network.Network) (*network.Network, string, *eval.Program) {
+// returns its digest and cached program: the convenience-path
+// counterpart of Request.resolve (no line caps — the caller already
+// holds the network).
+func (s *Session) resolveNetwork(w *network.Network) (string, *eval.Program) {
 	c, digest := canon.Canonicalize(w)
-	return c, digest, s.program(digest, c)
+	return digest, s.program(digest, c)
 }
 
 // MarshalVerdict renders the wire body of a Verdict (the exact bytes

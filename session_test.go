@@ -211,73 +211,6 @@ func TestSessionDoerSwap(t *testing.T) {
 	}
 }
 
-// TestTestStreamOverride: WithTestStream replaces the minimal family
-// and keys the cache by the stream tag.
-func TestTestStreamOverride(t *testing.T) {
-	// A stream of just the all-ones-descending counterexample 1010:
-	// the override must change TestsRun and still find the failure.
-	sess := NewSession(WithTestStream("single", func(p Property) VecIterator {
-		return SliceIterator([]Vec{MustVec("1010")})
-	}))
-	defer sess.Close()
-	v, err := sess.Do(context.Background(), Request{Network: "n=4: [1,2][3,4]"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Check.Holds || v.Check.TestsRun != 1 || v.Check.Counterexample != "1010" {
-		t.Fatalf("override not applied: %+v", v.Check)
-	}
-}
-
-// TestUncacheableRequestsNeverCoalesce: with an unnamed stream
-// override every verdict is uncacheable — two concurrent DIFFERENT
-// requests must still compute independently, never share an
-// in-flight result.
-func TestUncacheableRequestsNeverCoalesce(t *testing.T) {
-	started := make(chan struct{}, 2)
-	gate := make(chan struct{})
-	sess := NewSession(
-		WithWorkers(2),
-		WithTestStream("", func(p Property) VecIterator { return SliceIterator([]Vec{MustVec("1010")}) }),
-		WithComputeHook(func() { started <- struct{}{}; <-gate }),
-	)
-	defer sess.Close()
-
-	nets := []string{"n=4: [1,2][3,4]", "n=4: [1,3][2,4]"}
-	verdicts := make(chan *Verdict, 2)
-	for _, net := range nets {
-		go func(net string) {
-			v, err := sess.Do(context.Background(), Request{Network: net})
-			if err != nil {
-				t.Errorf("%s: %v", net, err)
-				verdicts <- nil
-				return
-			}
-			verdicts <- v
-		}(net)
-	}
-	// Both computations must START concurrently: a coalesced second
-	// request would subscribe to the first instead, and this wait
-	// would time out.
-	for i := 0; i < 2; i++ {
-		select {
-		case <-started:
-		case <-time.After(5 * time.Second):
-			t.Fatal("second uncacheable request coalesced instead of computing")
-		}
-	}
-	close(gate)
-	digests := map[string]bool{}
-	for i := 0; i < 2; i++ {
-		if v := <-verdicts; v != nil {
-			digests[v.Digest] = true
-		}
-	}
-	if len(digests) != 2 {
-		t.Fatalf("distinct requests shared a verdict: digests %v", digests)
-	}
-}
-
 // TestUnknownOpRejected: Do validates the op before any work.
 func TestUnknownOpRejected(t *testing.T) {
 	sess := NewSession()

@@ -102,7 +102,7 @@ func ParseVec(s string) (Vec, error) { return bitvec.FromString(s) }
 func MustVec(s string) Vec { return bitvec.MustFromString(s) }
 
 // SliceIterator adapts a materialized vector slice to the streaming
-// iterator the engines (and WithTestStream overrides) consume.
+// iterator the engines consume.
 func SliceIterator(vs []Vec) VecIterator { return bitvec.Slice(vs) }
 
 // ParsePerm reads a permutation such as "(4 1 3 2)".
