@@ -24,6 +24,26 @@ func New(n int) *Set {
 	return &Set{n: n, words: make([]uint64, (n+63)/64)}
 }
 
+// NewSlab returns k empty sets of capacity n that are views over one
+// shared slab of words, which it also returns: set i owns
+// slab[i*w : (i+1)*w] with w = (n+63)/64. It makes three allocations
+// whatever k is. Bulk writers may fill the sets a word at a time
+// through the slab, keeping every bit at or above n clear.
+func NewSlab(k, n int) ([]*Set, []uint64) {
+	if k < 0 || n < 0 {
+		panic(fmt.Sprintf("bitset: negative slab shape %d×%d", k, n))
+	}
+	w := (n + 63) / 64
+	slab := make([]uint64, k*w)
+	sets := make([]Set, k)
+	ptrs := make([]*Set, k)
+	for i := range sets {
+		sets[i] = Set{n: n, words: slab[i*w : (i+1)*w : (i+1)*w]}
+		ptrs[i] = &sets[i]
+	}
+	return ptrs, slab
+}
+
 // FromIndices builds a set containing exactly the given elements.
 func FromIndices(n int, idx ...int) *Set {
 	s := New(n)
@@ -179,9 +199,9 @@ func (s *Set) First() int {
 
 // Words exposes the backing 64-bit words (element i lives at bit i&63
 // of word i>>6). The slice is owned by the set: callers must treat it
-// as read-only. It exists so bulk consumers (the search solver, the
-// fault detection matrix) can run word-parallel subset/popcount loops
-// without going through per-element callbacks.
+// as read-only. It exists so bulk consumers (the search solver's word
+// rows) can run word-parallel subset/popcount loops without going
+// through per-element callbacks.
 func (s *Set) Words() []uint64 { return s.words }
 
 // Key returns a string usable as a map key (content-identical sets of

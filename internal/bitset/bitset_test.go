@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -27,6 +28,40 @@ func TestAddRemoveContains(t *testing.T) {
 	s.Remove(64) // idempotent
 	if s.Count() != 5 {
 		t.Error("double remove changed count")
+	}
+}
+
+// TestNewSlab: the sets of a slab are independent sets of the given
+// capacity, laid out in order over the returned words, and building
+// them costs the same three allocations for any k.
+func TestNewSlab(t *testing.T) {
+	for _, n := range []int{0, 5, 64, 65, 200} {
+		sets, slab := NewSlab(5, n)
+		w := (n + 63) / 64
+		if len(sets) != 5 || len(slab) != 5*w {
+			t.Fatalf("n=%d: %d sets over %d words, want 5 over %d", n, len(sets), len(slab), 5*w)
+		}
+		for i, s := range sets {
+			if s.Len() != n || !s.Empty() {
+				t.Fatalf("n=%d: set %d has capacity %d, empty %v", n, i, s.Len(), s.Empty())
+			}
+			if n > 0 {
+				s.Add(n - 1 - i)
+			}
+		}
+		for i, s := range sets {
+			if n > 0 && (s.Count() != 1 || !s.Contains(n-1-i)) {
+				t.Fatalf("n=%d: set %d is %s, want {%d}", n, i, s, n-1-i)
+			}
+			if words := slab[i*w : (i+1)*w]; !slices.Equal(words, s.Words()) {
+				t.Fatalf("n=%d: set %d words %v, slab %v", n, i, s.Words(), words)
+			}
+		}
+	}
+	for _, k := range []int{1, 10, 1000} {
+		if allocs := testing.AllocsPerRun(20, func() { NewSlab(k, 100) }); allocs != 3 {
+			t.Errorf("NewSlab(%d, 100) makes %.0f allocations, want 3", k, allocs)
+		}
 	}
 }
 

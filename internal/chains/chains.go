@@ -74,10 +74,19 @@ func Decompose(n int) []Chain {
 	if n < 0 {
 		panic(fmt.Sprintf("chains: negative n %d", n))
 	}
+	return decompose(n, n)
+}
+
+// decompose returns the chains of Decompose(n) whose bottom sits at
+// level ≤ k, in the same order. A chain's bottom level never falls
+// down the recursion — the long child keeps its parent's bottom and
+// the short child raises it by one — so the recursion is pruned to
+// bottom ≤ k at every level and costs the chains kept, not 2ⁿ.
+func decompose(n, k int) []Chain {
 	if n == 0 {
 		return []Chain{{bitvec.AllZeros(0)}}
 	}
-	prev := Decompose(n - 1)
+	prev := decompose(n-1, k)
 	out := make([]Chain, 0, len(prev)*2)
 	for _, c := range prev {
 		// prepend0(x) keeps bits in place (new line 0 carries 0);
@@ -88,7 +97,7 @@ func Decompose(n int) []Chain {
 		}
 		long = append(long, prepend(c.Top(), 1))
 		out = append(out, long)
-		if len(c) > 1 {
+		if len(c) > 1 && c.Bottom().Ones() < k {
 			short := make(Chain, 0, len(c)-1)
 			for _, v := range c[:len(c)-1] {
 				short = append(short, prepend(v, 1))
@@ -206,10 +215,7 @@ func SelectorPermutations(n, k int) []perm.P {
 
 func chainFamilyPerms(n, k int) []perm.P {
 	var out []perm.P
-	for _, c := range Decompose(n) {
-		if c.Bottom().Ones() > k {
-			continue
-		}
+	for _, c := range decompose(n, k) {
 		if IsSortedChain(c) {
 			continue // the identity permutation: covers only sorted strings
 		}

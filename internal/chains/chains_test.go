@@ -274,3 +274,65 @@ func TestMergerPermutationsPaperExample(t *testing.T) {
 		t.Errorf("τ₀ = %s, want (4 5 6 1 2 3)", got)
 	}
 }
+
+// filteredFamilyPerms is the selector family built from the whole
+// decomposition: every chain of Decompose(n) that starts at level ≤ k,
+// the sorted chain dropped.
+func filteredFamilyPerms(n, k int) []perm.P {
+	var out []perm.P
+	for _, c := range Decompose(n) {
+		if c.Bottom().Ones() > k || IsSortedChain(c) {
+			continue
+		}
+		p, err := ToPermutation(ExtendMaximal(c))
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// TestPrunedDecompositionMatchesFiltered pins the pruned recursion to
+// the filtered whole decomposition: for every n ≤ 14 and k ≤ n the
+// same chains, vector for vector, and the same permutations, in the
+// same order.
+func TestPrunedDecompositionMatchesFiltered(t *testing.T) {
+	for n := 0; n <= 14; n++ {
+		full := Decompose(n)
+		for k := 0; k <= n; k++ {
+			var want []Chain
+			for _, c := range full {
+				if c.Bottom().Ones() <= k {
+					want = append(want, c)
+				}
+			}
+			got := decompose(n, k)
+			if len(got) != len(want) {
+				t.Fatalf("n=%d k=%d: %d chains, filtered decomposition has %d", n, k, len(got), len(want))
+			}
+			for i := range got {
+				if len(got[i]) != len(want[i]) {
+					t.Fatalf("n=%d k=%d chain %d: %v, want %v", n, k, i, got[i], want[i])
+				}
+				for j := range got[i] {
+					if got[i][j] != want[i][j] {
+						t.Fatalf("n=%d k=%d chain %d: %v, want %v", n, k, i, got[i], want[i])
+					}
+				}
+			}
+			if k == 0 {
+				continue
+			}
+			gotPerms, wantPerms := chainFamilyPerms(n, k), filteredFamilyPerms(n, k)
+			if len(gotPerms) != len(wantPerms) {
+				t.Fatalf("n=%d k=%d: %d permutations, filtered family has %d", n, k, len(gotPerms), len(wantPerms))
+			}
+			for i := range gotPerms {
+				if !gotPerms[i].Equal(wantPerms[i]) {
+					t.Fatalf("n=%d k=%d permutation %d: %v, want %v", n, k, i, gotPerms[i], wantPerms[i])
+				}
+			}
+		}
+	}
+}

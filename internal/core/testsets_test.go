@@ -3,6 +3,7 @@ package core
 import (
 	"math/big"
 	"testing"
+	"time"
 
 	"sortnets/internal/bitvec"
 	"sortnets/internal/comb"
@@ -158,6 +159,26 @@ func TestSelectorPermTestsSize(t *testing.T) {
 			if want.Cmp(big.NewInt(got)) != 0 {
 				t.Errorf("n=%d k=%d: %d perms, want %s", n, k, got, want)
 			}
+		}
+	}
+}
+
+// TestSelectorPermTestsWide: a small selector family on a wide network
+// costs its own chains, not the 2ⁿ strings of the whole decomposition:
+// the (2,33)-selector's C(33,2) − 1 = 527 permutations come back in
+// well under a second (about 5 ms on a 2-core Xeon).
+func TestSelectorPermTestsWide(t *testing.T) {
+	start := time.Now()
+	ps := SelectorPermTests(33, 2)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("SelectorPermTests(33, 2) took %v", elapsed)
+	}
+	if len(ps) != 527 {
+		t.Fatalf("%d permutations, want C(33,2) − 1 = 527", len(ps))
+	}
+	for _, p := range ps {
+		if len(p) != 33 || p.IsSorted() {
+			t.Fatalf("permutation %v is not an unsorted permutation of 33", p)
 		}
 	}
 }

@@ -362,3 +362,32 @@ func transpose64(a *[64]uint64) {
 		m ^= m << (j >> 1)
 	}
 }
+
+// TransposeRows writes into dst the transpose of the k×n bit matrix
+// src, 64×64 bits at a time through transpose64: row i of src is
+// src[i*⌈n/64⌉ : (i+1)*⌈n/64⌉], column j of src becomes row j of dst,
+// dst[j*⌈k/64⌉ : (j+1)*⌈k/64⌉], and bit i of that row is bit j of src
+// row i. Every word of dst is written. The fault detection matrix turns
+// its per-fault rows into per-test signatures with it, and the
+// hitting-set solver its families' element masks into each element's
+// family cover.
+func TransposeRows(dst, src []uint64, k, n int) {
+	sw, dw := (n+63)/64, (k+63)/64
+	var block [64]uint64
+	for rb := 0; rb < dw; rb++ {
+		for cb := 0; cb < sw; cb++ {
+			for r := range block {
+				block[r] = 0
+				if i := rb<<6 + r; i < k {
+					block[r] = src[i*sw+cb]
+				}
+			}
+			transpose64(&block)
+			for c, w := range block {
+				if j := cb<<6 + c; j < n {
+					dst[j*dw+rb] = w
+				}
+			}
+		}
+	}
+}

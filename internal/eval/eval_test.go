@@ -56,6 +56,41 @@ func TestTranspose64Involution(t *testing.T) {
 	}
 }
 
+// TestTransposeRowsMatchesBits: every bit of a k×n matrix lands at
+// its transposed place, for shapes on and off 64-bit boundaries, and
+// stale words in dst are overwritten.
+func TestTransposeRowsMatchesBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, shape := range [][2]int{{1, 1}, {3, 200}, {64, 64}, {65, 129}, {130, 63}, {100, 247}} {
+		k, n := shape[0], shape[1]
+		sw, dw := (n+63)/64, (k+63)/64
+		src := make([]uint64, k*sw)
+		for i := 0; i < k; i++ {
+			for j := 0; j < n; j++ {
+				if rng.Intn(3) == 0 {
+					src[i*sw+j>>6] |= 1 << uint(j&63)
+				}
+			}
+		}
+		dst := make([]uint64, n*dw)
+		for i := range dst {
+			dst[i] = rng.Uint64()
+		}
+		TransposeRows(dst, src, k, n)
+		for j := 0; j < n; j++ {
+			for i := 0; i < dw*64; i++ {
+				want := uint64(0)
+				if i < k {
+					want = src[i*sw+j>>6] >> uint(j&63) & 1
+				}
+				if got := dst[j*dw+i>>6] >> uint(i&63) & 1; got != want {
+					t.Fatalf("%d×%d: transposed bit (%d, %d) is %d, source bit is %d", k, n, j, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestCompiledApplyMatchesNetwork(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {

@@ -3,7 +3,6 @@ package faults
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"sortnets/internal/bitset"
@@ -21,7 +20,10 @@ import (
 // the chunk's fault variants, with the chunks spread over the shared
 // worker pool — so test-set *selection* for stuck-at coverage runs on
 // exactly the same compiled-program machinery as test-set
-// verification.
+// verification. The per-fault rows and the per-test signatures are
+// views over two slabs of words: the sweep ORs each 64-lane verdict
+// word into its row, and the signatures are the rows' word-level
+// transpose.
 type Matrix struct {
 	Tests      []bitvec.Vec  // the materialized test stream, in order
 	Faults     []Fault       // the injected fault universe
@@ -49,9 +51,11 @@ func DetectionMatrix(w *network.Network, fs []Fault, tests func() bitvec.Iterato
 // returns the context's error with a nil matrix.
 func DetectionMatrixCtx(ctx context.Context, w *network.Network, golden *eval.Program, fs []Fault, tests func() bitvec.Iterator, mode DetectMode) (*Matrix, error) {
 	vecs := bitvec.Collect(tests())
-	// One row (bitset over tests) per detectable fault, built by the
-	// chunks concurrently; the row-to-column transpose into per-test
-	// signatures is sequential and cheap.
+	// One row (bitset over tests) per fault, all over one slab that
+	// the chunks fill concurrently, each its own faults' rows; rows of
+	// undetectable faults stay nil.
+	all, rowWords := bitset.NewSlab(len(fs), len(vecs))
+	rw := (len(vecs) + 63) / 64 // words per row
 	rows := make([]*bitset.Set, len(fs))
 	err := forChunks(ctx, w, golden, fs, mode, func(c chunk) {
 		idx, progs, err := c.detectable(ctx)
@@ -59,41 +63,36 @@ func DetectionMatrixCtx(ctx context.Context, w *network.Network, golden *eval.Pr
 			return
 		}
 		for _, f := range idx {
-			rows[f] = bitset.New(len(vecs))
+			rows[f] = all[f]
 		}
-		// A cancelled sweep leaves its rows partial; forChunks then
-		// returns the context's error and the rows are dropped.
+		// Sweep offsets are 64-aligned, so each verdict word is one
+		// row word. A cancelled sweep leaves its rows partial;
+		// forChunks then returns the context's error and the rows
+		// are dropped.
 		_, _ = eval.SweepCtx(ctx, progs, bitvec.Slice(vecs), c.judge, func(j, off int, bad uint64) {
-			row := rows[idx[j]]
-			for w := bad; w != 0; w &= w - 1 {
-				row.Add(off + bits.TrailingZeros64(w))
-			}
+			rowWords[idx[j]*rw+off>>6] |= bad
 		})
 	})
 	if err != nil {
 		return nil, err
 	}
+	sigs, sigWords := bitset.NewSlab(len(vecs), len(fs))
 	m := &Matrix{
 		Tests:      vecs,
 		Faults:     fs,
-		Sigs:       make([]*bitset.Set, len(vecs)),
+		Sigs:       sigs,
 		Detectable: bitset.New(len(fs)),
 		Mode:       mode,
 		rows:       rows,
 	}
-	for t := range m.Sigs {
-		m.Sigs[t] = bitset.New(len(fs))
-	}
 	for f, row := range rows {
-		if row == nil {
-			continue
+		if row != nil {
+			m.Detectable.Add(f)
 		}
-		m.Detectable.Add(f)
-		row.ForEach(func(t int) bool {
-			m.Sigs[t].Add(f)
-			return true
-		})
 	}
+	// The signatures are the rows' transpose. Undetectable faults'
+	// rows were never written, so they are zero.
+	eval.TransposeRows(sigWords, rowWords, len(fs), len(vecs))
 	return m, nil
 }
 
@@ -159,7 +158,7 @@ func (m *Matrix) MinimalDetectingSet() []int {
 // cancellation and a cancelled run returns the context's error. The
 // returned indices (into Tests) are sorted ascending.
 func (m *Matrix) ExactMinimalDetectingSetCtx(ctx context.Context, nodeBudget, workers int) ([]int, bool, error) {
-	var fams []*bitset.Set
+	fams := make([]*bitset.Set, 0, len(m.rows))
 	for _, row := range m.rows {
 		if row != nil && !row.Empty() {
 			fams = append(fams, row)

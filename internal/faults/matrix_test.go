@@ -223,3 +223,43 @@ func TestMatrixString(t *testing.T) {
 		t.Error("empty string")
 	}
 }
+
+// Allocations of one exact minset computation on prefixedSorter8
+// (go1.24): a fixed part — the collected tests, the two slabs, the
+// signatures' transpose and the exact solve — and at most
+// minsetChunkAllocs per chunk of the fault pass (its programs' share,
+// one universe pass and one sweep, the chunk's detectable list),
+// measured at 1 to 8 chunks (93 allocations at one chunk, 112 at two,
+// 179 at eight).
+const (
+	minsetFixedAllocs = 74
+	minsetChunkAllocs = 19
+)
+
+// TestMinsetAllocs guards the word-level minset path: the detection
+// matrix and its exact minimum detecting set cost a bounded handful of
+// allocations, not one bitset per test and one element list per fault
+// (945 at the list-based parent). The pass runs on eval.Workers(0)
+// chunks, so the bound is the measured count plus 2 per chunk.
+func TestMinsetAllocs(t *testing.T) {
+	w := prefixedSorter8()
+	golden, fs, ctx := eval.Compile(w), Enumerate(w), context.Background()
+	if !golden.SortsAll() {
+		t.Fatal("the prefixed sorter does not sort")
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		m, err := DetectionMatrixCtx(ctx, w, golden, fs, sorterTests8, ByProperty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, exact, err := m.ExactMinimalDetectingSetCtx(ctx, minsetBenchBudget, 1); err != nil || !exact {
+			t.Fatalf("exact solve: exact=%v, err=%v", exact, err)
+		}
+	})
+	chunks := min(eval.Workers(0), len(fs))
+	bound := minsetFixedAllocs + (minsetChunkAllocs+2)*chunks
+	t.Logf("minset on %d chunks: %.0f allocations (bound %d)", chunks, allocs, bound)
+	if allocs > float64(bound) {
+		t.Fatalf("matrix + exact minset allocate %.0f times on %d chunks, bound %d: the word-level path has regressed", allocs, chunks, bound)
+	}
+}

@@ -55,8 +55,8 @@ func MinHittingSetWorkers(family []uint64, workers int) uint64 {
 			panic("search: empty set can never be hit")
 		}
 	}
-	fam := pruneSupersets(family)
-	elems, _, _ := solveHitting(context.Background(), maskElemLists(fam), 0, workers)
+	fam := pruneSupersets(slices.Clone(family))
+	elems, _, _ := solveHitting(context.Background(), maskRows(fam), 0, workers)
 	var out uint64
 	for _, e := range elems {
 		out |= 1 << uint(e)
@@ -151,7 +151,7 @@ func MinimumTestSetCtx(ctx context.Context, n, h int, accepts Acceptance, opt Op
 		return TestSetResult{}, err
 	}
 	fam := pruneSupersets(masks)
-	elems, exact, err := solveHitting(ctx, maskElemLists(fam), int64(opt.NodeBudget), solverWorkers(opt.Workers))
+	elems, exact, err := solveHitting(ctx, maskRows(fam), int64(opt.NodeBudget), solverWorkers(opt.Workers))
 	if err != nil {
 		return TestSetResult{}, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"reflect"
+	"slices"
 
 	"sortnets/internal/bitset"
 	"sortnets/internal/eval"
@@ -191,10 +192,10 @@ func permInputBytes(n int) [][]byte {
 	return rows
 }
 
-// permFailureRows computes the deduplicated failure rows (bitsets
-// over the n! input ranks, as raw words) of every incorrect behaviour
-// in the store, fanning behaviours out to workers in contiguous
-// chunks.
+// permFailureRows computes the failure rows (bitsets over the n!
+// input ranks, as raw words) of every incorrect behaviour in the
+// store, fanning behaviours out to workers in contiguous chunks. A
+// row occurs at most once per chunk.
 func (st *behaviorStore) permFailureRows(ctx context.Context, n int, accepts PermAcceptance, workers int) ([]maskRow, error) {
 	inBytes := permInputBytes(n)
 	nw := wordsFor(len(inBytes))
@@ -282,28 +283,9 @@ func (st *behaviorStore) permFailureRows(ctx context.Context, n int, accepts Per
 	if err != nil {
 		return nil, err
 	}
-	rows := locals[0]
-	if len(locals) > 1 {
-		// Merge the chunks, dropping cross-chunk duplicates (each
-		// chunk is internally deduplicated already).
-		seen := make(map[string]struct{}, len(rows)*2)
-		key := make([]byte, 0, nw*8)
-		rows = rows[:0]
-		for _, local := range locals {
-			for _, r := range local {
-				key = appendWordsKey(key[:0], r.words)
-				if _, ok := seen[string(key)]; ok {
-					continue
-				}
-				seen[string(key)] = struct{}{}
-				rows = append(rows, r)
-			}
-		}
-	}
-	for i := range rows {
-		rows[i].src = i
-	}
-	return rows, nil
+	// Each chunk is deduplicated; duplicates across chunks are left to
+	// pruneSupersetRows, which drops them as neighbours after its sort.
+	return slices.Concat(locals...), nil
 }
 
 // PermFailureFamily computes the deduplicated, superset-pruned family
@@ -368,15 +350,7 @@ func MinHittingSetBitsCtx(ctx context.Context, universe int, family []*bitset.Se
 			panic("search: empty set can never be hit")
 		}
 	}
-	pruned := pruneSupersetSets(family)
-	lists := make([][]int32, len(pruned))
-	for i, s := range pruned {
-		s.ForEach(func(e int) bool {
-			lists[i] = append(lists[i], int32(e))
-			return true
-		})
-	}
-	elems, exact, err := solveHitting(ctx, lists, int64(nodeBudget), workers)
+	elems, exact, err := solveHitting(ctx, pruneSupersetRows(setRows(family)), int64(nodeBudget), workers)
 	if err != nil {
 		return HittingSetResult{}, err
 	}
@@ -472,7 +446,7 @@ func MinimumPermTestSetCtx(ctx context.Context, n, h int, accepts PermAcceptance
 	if err != nil {
 		return PermTestSetResult{}, err
 	}
-	rows := pruneSupersetRows(raw, false)
+	rows := pruneSupersetRows(raw)
 	// 0 keeps the historical 5M-node default for the (deeper) perm
 	// search; a negative budget requests a genuinely unlimited run.
 	budget := int64(opt.NodeBudget)
@@ -481,7 +455,7 @@ func MinimumPermTestSetCtx(ctx context.Context, n, h int, accepts PermAcceptance
 	} else if budget < 0 {
 		budget = 0
 	}
-	elems, exact, err := solveHitting(ctx, rowElemLists(rows), budget, solverWorkers(opt.Workers))
+	elems, exact, err := solveHitting(ctx, rows, budget, solverWorkers(opt.Workers))
 	if err != nil {
 		return PermTestSetResult{}, err
 	}

@@ -7,30 +7,23 @@ import (
 	"sortnets/internal/bitset"
 )
 
-// Superset pruning, popcount-bucketed. After deduplication a set can
-// only be dominated by one of strictly smaller cardinality, so each
-// candidate — taken in ascending (popcount, content) order — is
-// checked against the survivors of strictly smaller popcount only,
-// with the singleton bucket collapsed into a single union mask
-// (membership test instead of a scan). The quadratic all-pairs sweep
-// this replaces compared every set against every other. Output is in
-// canonical (popcount, content) order, so downstream solving does not
-// depend on closure enumeration order.
+// Superset pruning, popcount-bucketed. Each family is first sorted
+// into canonical (popcount, content) order, which puts duplicates next
+// to each other, so deduplication is one comparison with the previous
+// member. A set can then only be dominated by one of strictly smaller
+// cardinality, so each candidate is checked against the survivors of
+// strictly smaller popcount only (for one-word masks, with the
+// singleton bucket collapsed into a single union mask: a membership
+// test instead of a scan). Output is in canonical order, so downstream
+// solving does not depend on closure enumeration order.
 
-// pruneSupersets prunes a family of single-word masks.
+// pruneSupersets prunes a family of single-word masks, sorting fam in
+// place.
 func pruneSupersets(fam []uint64) []uint64 {
 	if len(fam) == 0 {
 		return nil
 	}
-	uniq := make([]uint64, 0, len(fam))
-	seen := make(map[uint64]struct{}, len(fam))
-	for _, m := range fam {
-		if _, ok := seen[m]; !ok {
-			seen[m] = struct{}{}
-			uniq = append(uniq, m)
-		}
-	}
-	slices.SortFunc(uniq, func(a, b uint64) int {
+	slices.SortFunc(fam, func(a, b uint64) int {
 		if pa, pb := bits.OnesCount64(a), bits.OnesCount64(b); pa != pb {
 			return pa - pb
 		}
@@ -43,8 +36,11 @@ func pruneSupersets(fam []uint64) []uint64 {
 		return 0
 	})
 	var singles uint64
-	out := make([]uint64, 0, len(uniq))
-	for _, m := range uniq {
+	out := make([]uint64, 0, len(fam))
+	for i, m := range fam {
+		if i > 0 && m == fam[i-1] {
+			continue
+		}
 		pc := bits.OnesCount64(m)
 		if pc == 1 {
 			singles |= m
@@ -73,7 +69,7 @@ func pruneSupersets(fam []uint64) []uint64 {
 }
 
 // appendWordsKey serializes words into key (little-endian bytes) for
-// use as a dedupe map key — the one encoding every dedupe site shares.
+// use as a dedupe map key.
 func appendWordsKey(key []byte, words []uint64) []byte {
 	for _, w := range words {
 		for b := 0; b < 8; b++ {
@@ -83,64 +79,74 @@ func appendWordsKey(key []byte, words []uint64) []byte {
 	return key
 }
 
-// maskRow pairs a multi-word mask with its cached popcount and the
-// index of the object it came from.
+// maskRow is one family member as a row of 64-bit words (element e at
+// bit e&63 of word e>>6), with its cached popcount and the index of
+// the object it came from. It is the one family representation of the
+// hitting-set pipeline.
 type maskRow struct {
 	words []uint64
 	pc    int
 	src   int
 }
 
-// pruneSupersetRows prunes multi-word rows in place of the bitset
-// sweep; returns the surviving rows in canonical order. With dedupe
-// set, duplicates (by content) keep the first occurrence; callers
-// whose rows are already distinct skip that map pass.
-func pruneSupersetRows(rows []maskRow, dedupe bool) []maskRow {
-	uniq := rows
-	if dedupe {
-		seen := make(map[string]struct{}, len(rows))
-		key := make([]byte, 0, 64)
-		uniq = rows[:0]
-		for _, r := range rows {
-			key = appendWordsKey(key[:0], r.words)
-			if _, ok := seen[string(key)]; ok {
-				continue
-			}
-			seen[string(key)] = struct{}{}
-			uniq = append(uniq, r)
-		}
+// maskRows views single-word masks as one-word rows.
+func maskRows(fam []uint64) []maskRow {
+	rows := make([]maskRow, len(fam))
+	for i := range fam {
+		rows[i] = maskRow{words: fam[i : i+1 : i+1], pc: bits.OnesCount64(fam[i]), src: i}
 	}
-	// Rows are distinct here, so (pc, content) is a total order and a
-	// plain (unstable) sort is canonical.
-	slices.SortFunc(uniq, func(x, y maskRow) int {
-		if x.pc != y.pc {
-			return x.pc - y.pc
+	return rows
+}
+
+// setRows views bitsets as rows over their backing words.
+func setRows(fam []*bitset.Set) []maskRow {
+	rows := make([]maskRow, len(fam))
+	for i, s := range fam {
+		rows[i] = maskRow{words: s.Words(), pc: s.Count(), src: i}
+	}
+	return rows
+}
+
+// pruneSupersetRows prunes multi-word rows; it returns the surviving
+// rows, without duplicates, in canonical (popcount, content) order. The
+// sort moves pointer-free keys, not the rows.
+func pruneSupersetRows(rows []maskRow) []maskRow {
+	type rowKey struct{ pc, i int32 }
+	keys := make([]rowKey, len(rows))
+	for i, r := range rows {
+		keys[i] = rowKey{int32(r.pc), int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b rowKey) int {
+		if a.pc != b.pc {
+			return int(a.pc - b.pc)
 		}
-		for k := range x.words {
-			switch {
-			case x.words[k] < y.words[k]:
-				return -1
-			case x.words[k] > y.words[k]:
-				return 1
-			}
-		}
-		return 0
+		return slices.Compare(rows[a.i].words, rows[b.i].words)
 	})
-	out := uniq[:0]
-	for _, r := range uniq {
+	kept := keys[:0] // overwrites only keys the scan has passed
+	var prev []uint64
+	for _, k := range keys {
+		r := rows[k.i].words
+		if prev != nil && slices.Equal(r, prev) {
+			continue
+		}
+		prev = r
 		dominated := false
-		for _, s := range out {
-			if s.pc >= r.pc {
+		for _, s := range kept {
+			if s.pc >= k.pc {
 				break
 			}
-			if subsetWords(s.words, r.words) {
+			if subsetWords(rows[s.i].words, r) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
-			out = append(out, r)
+			kept = append(kept, k)
 		}
+	}
+	out := make([]maskRow, len(kept))
+	for j, k := range kept {
+		out[j] = rows[k.i]
 	}
 	return out
 }
@@ -149,11 +155,7 @@ func pruneSupersetRows(rows []maskRow, dedupe bool) []maskRow {
 // path); survivors are returned in canonical (popcount, content)
 // order.
 func pruneSupersetSets(fam []*bitset.Set) []*bitset.Set {
-	rows := make([]maskRow, len(fam))
-	for i, s := range fam {
-		rows[i] = maskRow{words: s.Words(), pc: s.Count(), src: i}
-	}
-	kept := pruneSupersetRows(rows, true)
+	kept := pruneSupersetRows(setRows(fam))
 	out := make([]*bitset.Set, len(kept))
 	for i, r := range kept {
 		out[i] = fam[r.src]

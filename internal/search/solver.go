@@ -6,140 +6,197 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"sortnets/internal/eval"
 )
 
-// The exact hitting-set core shared by MinHittingSet (word masks) and
-// MinHittingSetBits (bitset families). The instance is reduced to a
-// covering problem over a compressed element space: each element
-// carries a precomputed bitset of the families containing it, so a
+// The exact hitting-set core shared by MinHittingSet and
+// MinimumTestSet (one-word masks), MinHittingSetBits (bitset families,
+// among them the fault detection matrix's rows) and
+// MinimumPermTestSet (multi-word rows). Every entry point hands the
+// same representation to solveHitting: superset-pruned rows of 64-bit
+// words (maskRow), reduced with word operations only — no maps and no
+// per-family element lists. The instance becomes a covering problem
+// over a compressed element space: each element carries a
+// precomputed bitset of the families containing it, so a
 // branch-and-bound node extends coverage with one OR instead of
 // re-intersecting every family against the chosen set, and never
 // sorts or allocates — all state lives in per-worker scratch stacks.
 //
 // Reductions before branching: forced singletons (a one-element
 // failure set forces that element — exactly the Lemma 2.1 argument),
-// canonical family ordering (size, then content — so results do not
-// depend on closure enumeration order), and element dominance (an
-// element whose family coverage is a subset of another's can be
-// dropped; cf. the pruning-driven search of Renz & Nebel). The bound
-// is the pairwise-disjoint-family count; the incumbent starts from a
-// deterministic greedy cover and is re-polished greedily at depth
-// every polishPeriod nodes (incumbent sharing in the spirit of
-// Goldberg's IC3 convergence work). With workers > 1 the tree is
-// carved into frontier tasks claimed dynamically by a worker pool
-// that prunes against a shared atomic incumbent; the minimum
-// cardinality is deterministic either way (only the identity of the
-// witness can vary across parallel schedules).
+// collected in a word mask; compression of the element ids that occur
+// to their rank in the union of the rows, a word at a time, with the
+// element covers as the compressed families' 64×64-bit transpose;
+// canonical family ordering (size, then ascending element list — so
+// results do not depend on closure enumeration order); and element
+// dominance (an element whose family coverage is a subset of
+// another's can be dropped; cf. the pruning-driven search of Renz &
+// Nebel), checked against the kept covers only, largest first, so
+// equal covers collapse to their lowest id. The bound is the
+// pairwise-disjoint-family count; the
+// incumbent starts from a deterministic greedy cover and is
+// re-polished greedily at depth every polishPeriod nodes (incumbent
+// sharing in the spirit of Goldberg's IC3 convergence work). With
+// workers > 1 the tree is carved into frontier tasks claimed
+// dynamically by a worker pool that prunes against a shared atomic
+// incumbent; the minimum cardinality is deterministic either way (only
+// the identity of the witness can vary across parallel schedules).
 
 // coverProblem is the reduced instance. Elements are compressed to
 // indices 0..len(elems)-1; elems maps back to original element ids.
 type coverProblem struct {
-	nf       int        // families
-	fw       int        // words per family-space bitset
-	tailMask uint64     // valid bits of the last family word
-	elems    []int32    // reduced element ids, ascending
-	cover    [][]uint64 // per element index: families containing it
-	aliveIdx []int32    // element indices surviving dominance, ascending
-	famElems [][]int32  // per family: element indices, ascending
-	famMask  [][]uint64 // per family: mask over element-index space
-	ew       int        // words per element-space bitset
+	nf       int      // families
+	fw       int      // words per family-space bitset
+	tailMask uint64   // valid bits of the last family word
+	elems    []int32  // reduced element ids, ascending
+	cover    []uint64 // per element index, fw words: families containing it
+	aliveIdx []int32  // element indices surviving dominance, ascending
+	famMask  []uint64 // per family, ew words: its surviving element indices
+	ew       int      // words per element-space bitset
 }
+
+// coverOf is element e's family cover.
+func (p *coverProblem) coverOf(e int) []uint64 { return p.cover[e*p.fw : (e+1)*p.fw] }
+
+// famOf is family f's mask over the element-index space.
+func (p *coverProblem) famOf(f int) []uint64 { return p.famMask[f*p.ew : (f+1)*p.ew] }
 
 func wordsFor(n int) int { return (n + 63) / 64 }
 
-// newCoverProblem compresses and canonicalizes a family list (element
-// lists over original ids; all non-empty) and applies element
-// dominance. Families are sorted by (size, content) so everything
-// downstream is independent of enumeration order.
-func newCoverProblem(fams [][]int32) *coverProblem {
-	slices.SortFunc(fams, func(a, b []int32) int {
-		if len(a) != len(b) {
-			return len(a) - len(b)
-		}
-		for k := range a {
-			if a[k] != b[k] {
-				return int(a[k]) - int(b[k])
+// compareCanonical orders rows by size, then by ascending element
+// list: of two equal-size rows, the one holding their lowest
+// differing bit comes first.
+func compareCanonical(a, b maskRow) int {
+	if a.pc != b.pc {
+		return a.pc - b.pc
+	}
+	for k, x := range a.words {
+		if d := x ^ b.words[k]; d != 0 {
+			if x&(d&-d) != 0 {
+				return -1
 			}
-		}
-		return 0
-	})
-
-	// Compress the element space to the ids that actually occur.
-	idx := make(map[int32]int32)
-	var elems []int32
-	for _, f := range fams {
-		for _, e := range f {
-			if _, ok := idx[e]; !ok {
-				idx[e] = 0
-				elems = append(elems, e)
-			}
+			return 1
 		}
 	}
-	slices.Sort(elems)
-	for i, e := range elems {
-		idx[e] = int32(i)
+	return 0
+}
+
+// pext packs the bits of x at the set positions of m into the low
+// bits, in order: a software parallel bit extract that moves each run
+// of m's ones as one field.
+func pext(x, m uint64) uint64 {
+	var out uint64
+	at := 0
+	for m != 0 {
+		lo := bits.TrailingZeros64(m)
+		run := bits.TrailingZeros64(^(m >> uint(lo)))
+		field := uint64(1)<<uint(run) - 1
+		out |= (x >> uint(lo) & field) << uint(at)
+		at += run
+		m &^= field << uint(lo)
+	}
+	return out
+}
+
+// newCoverProblem compresses and canonicalizes a family of non-empty
+// rows over one word width, sorting fams in place, and applies element
+// dominance. Families are sorted by (size, element list) so everything
+// downstream is independent of enumeration order.
+func newCoverProblem(fams []maskRow) *coverProblem {
+	slices.SortFunc(fams, compareCanonical)
+
+	// Compress the element space to the ids that occur: an element's
+	// index is its rank in the union of the rows.
+	nw := len(fams[0].words)
+	union := make([]uint64, nw)
+	for _, f := range fams {
+		for k, w := range f.words {
+			union[k] |= w
+		}
+	}
+	ne := countWords(union)
+	elems := make([]int32, 0, ne)
+	for k, u := range union {
+		for ; u != 0; u &= u - 1 {
+			elems = append(elems, int32(k<<6+bits.TrailingZeros64(u)))
+		}
 	}
 
 	p := &coverProblem{
 		nf:    len(fams),
 		fw:    wordsFor(len(fams)),
 		elems: elems,
-		ew:    wordsFor(len(elems)),
+		ew:    wordsFor(ne),
 	}
 	p.tailMask = ^uint64(0)
 	if r := p.nf & 63; r != 0 {
 		p.tailMask = uint64(1)<<uint(r) - 1
 	}
-	coverArena := make([]uint64, len(elems)*p.fw)
-	p.cover = make([][]uint64, len(elems))
-	for i := range p.cover {
-		p.cover[i] = coverArena[i*p.fw : (i+1)*p.fw]
-	}
+	// A family's compressed mask packs each row word under its union
+	// word and places it at the rank of that word's first element; the
+	// element covers are the masks' transpose.
+	p.famMask = make([]uint64, p.nf*p.ew)
 	for fi, f := range fams {
-		for _, e := range f {
-			ei := idx[e]
-			p.cover[ei][fi>>6] |= 1 << uint(fi&63)
+		fm := p.famOf(fi)
+		at := 0
+		for k, w := range f.words {
+			packed := pext(w, union[k])
+			fm[at>>6] |= packed << uint(at&63)
+			if hi := packed >> uint(64-at&63); hi != 0 {
+				fm[at>>6+1] |= hi
+			}
+			at += bits.OnesCount64(union[k])
 		}
 	}
+	p.cover = make([]uint64, ne*p.fw)
+	eval.TransposeRows(p.cover, p.famMask, p.nf, ne)
 
-	// Element dominance: drop e when cover[e] ⊆ cover[d] for some
-	// other kept element d (ties keep the lowest element id, i.e. the
-	// lowest index — elems is ascending).
-	alive := make([]bool, len(elems))
-	for i := range alive {
-		alive[i] = true
+	// Element dominance keeps exactly the elements whose cover no other
+	// cover strictly contains and no lower element's cover equals. Taken
+	// by decreasing cover size, lowest index first, an element is
+	// dropped when the cover of an element kept before it contains its
+	// own: equal covers collapse to their lowest index, and a strictly
+	// larger cover was taken earlier, as was the kept cover containing
+	// it.
+	size := make([]int, ne)
+	first := make([]int, p.nf+2) // per size, its first slot in order
+	for e := range size {
+		size[e] = countWords(p.coverOf(e))
+		first[size[e]]++
 	}
-	for i := range elems {
-		for j := range elems {
-			if i == j || !alive[i] || !alive[j] {
-				continue
-			}
-			if subsetWords(p.cover[i], p.cover[j]) && (j < i || !subsetWords(p.cover[j], p.cover[i])) {
-				alive[i] = false
+	for sz, slot := p.nf, 0; sz >= 0; sz-- {
+		first[sz], slot = slot, slot+first[sz]
+	}
+	order := make([]int32, ne)
+	for e, sz := range size {
+		order[first[sz]] = int32(e)
+		first[sz]++
+	}
+	alive := make([]uint64, p.ew)
+	kept := order[:0] // overwrites only slots the scan has passed
+	for _, e := range order {
+		ce := p.coverOf(int(e))
+		dominated := false
+		for _, k := range kept {
+			if subsetWords(ce, p.coverOf(int(k))) {
+				dominated = true
 				break
 			}
 		}
-	}
-
-	for i := range elems {
-		if alive[i] {
-			p.aliveIdx = append(p.aliveIdx, int32(i))
+		if !dominated {
+			kept = append(kept, e)
+			alive[e>>6] |= 1 << uint(e&63)
 		}
 	}
-	p.famElems = make([][]int32, len(fams))
-	maskArena := make([]uint64, len(fams)*p.ew)
-	p.famMask = make([][]uint64, len(fams))
-	for fi, f := range fams {
-		p.famMask[fi] = maskArena[fi*p.ew : (fi+1)*p.ew]
-		for _, e := range f {
-			ei := idx[e]
-			if !alive[ei] {
-				continue
-			}
-			p.famElems[fi] = append(p.famElems[fi], ei)
-			p.famMask[fi][ei>>6] |= 1 << uint(ei&63)
+	p.aliveIdx = make([]int32, 0, len(kept))
+	for wi, a := range alive {
+		for ; a != 0; a &= a - 1 {
+			p.aliveIdx = append(p.aliveIdx, int32(wi<<6+bits.TrailingZeros64(a)))
 		}
-		slices.Sort(p.famElems[fi])
+	}
+	for i := range p.famMask {
+		p.famMask[i] &= alive[i%p.ew]
 	}
 	return p
 }
@@ -190,11 +247,11 @@ func (p *coverProblem) disjointLB(cov, used []uint64, cutoff int) int {
 		if cov[i>>6]>>uint(i&63)&1 == 1 {
 			continue
 		}
-		if intersectsWords(p.famMask[i], used) {
+		if intersectsWords(p.famOf(i), used) {
 			continue
 		}
 		lb++
-		for w, m := range p.famMask[i] {
+		for w, m := range p.famOf(i) {
 			used[w] |= m
 		}
 	}
@@ -218,7 +275,7 @@ func (p *coverProblem) greedyComplete(cov, scratch []uint64, dst []int32, maxPic
 		bestE, bestC := -1, 0
 		for _, e := range p.aliveIdx {
 			c := 0
-			for wi, w := range p.cover[e] {
+			for wi, w := range p.coverOf(int(e)) {
 				c += bits.OnesCount64(w &^ scratch[wi])
 			}
 			if c > bestC {
@@ -230,7 +287,7 @@ func (p *coverProblem) greedyComplete(cov, scratch []uint64, dst []int32, maxPic
 			// non-empty and containing at least one live element).
 			panic("search: greedy cover stalled")
 		}
-		for wi, w := range p.cover[bestE] {
+		for wi, w := range p.coverOf(bestE) {
 			scratch[wi] |= w
 		}
 		dst = append(dst, int32(bestE))
@@ -350,15 +407,18 @@ func (w *hsWorker) dfs(depth int) {
 	}
 	child := w.cov(depth + 1)
 	cov = w.covStack[depth] // cov may have been re-staged by growth
-	for _, e := range w.p.famElems[fi] {
-		for wi, m := range w.p.cover[e] {
-			child[wi] = cov[wi] | m
-		}
-		w.chosen = append(w.chosen, e)
-		w.dfs(depth + 1)
-		w.chosen = w.chosen[:depth]
-		if w.aborted {
-			return
+	for fwi, fm := range w.p.famOf(fi) {
+		for ; fm != 0; fm &= fm - 1 {
+			e := int32(fwi<<6 + bits.TrailingZeros64(fm))
+			for wi, m := range w.p.coverOf(int(e)) {
+				child[wi] = cov[wi] | m
+			}
+			w.chosen = append(w.chosen, e)
+			w.dfs(depth + 1)
+			w.chosen = w.chosen[:depth]
+			if w.aborted {
+				return
+			}
 		}
 	}
 }
@@ -437,15 +497,18 @@ func solveCover(ctx context.Context, p *coverProblem, budget int64, workers int)
 		if bound-depth <= 1 || depth+p.disjointLB(t.cov, scout.lbUsed, bound-depth) >= bound {
 			continue
 		}
-		for _, e := range p.famElems[fi] {
-			cov := make([]uint64, p.fw)
-			for wi, m := range p.cover[e] {
-				cov[wi] = t.cov[wi] | m
+		for fwi, fm := range p.famOf(fi) {
+			for ; fm != 0; fm &= fm - 1 {
+				e := int32(fwi<<6 + bits.TrailingZeros64(fm))
+				cov := make([]uint64, p.fw)
+				for wi, m := range p.coverOf(int(e)) {
+					cov[wi] = t.cov[wi] | m
+				}
+				tasks = append(tasks, hsTask{
+					chosen: append(append(make([]int32, 0, depth+1), t.chosen...), e),
+					cov:    cov,
+				})
 			}
-			tasks = append(tasks, hsTask{
-				chosen: append(append(make([]int32, 0, depth+1), t.chosen...), e),
-				cov:    cov,
-			})
 		}
 	}
 
@@ -486,56 +549,57 @@ func solveCover(ctx context.Context, p *coverProblem, budget int64, workers int)
 	return best.set, !exhausted.Load(), nil
 }
 
-// maskElemLists converts single-word family masks to the element-id
-// lists solveHitting consumes (ascending unique ids per family).
-func maskElemLists(fam []uint64) [][]int32 {
-	lists := make([][]int32, len(fam))
-	for i, m := range fam {
-		for w := m; w != 0; w &= w - 1 {
-			lists[i] = append(lists[i], int32(bits.TrailingZeros64(w)))
+// solveHitting is the full pipeline over a superset-pruned family of
+// non-empty rows of one word width: forced singletons, reduction,
+// greedy bound, branch and bound. It reorders fams in place and never
+// writes their words. It returns the chosen original element ids
+// (ascending) and whether the result is certified optimal. A
+// cancelled context returns the context's error and no witness.
+func solveHitting(ctx context.Context, fams []maskRow, budget int64, workers int) ([]int32, bool, error) {
+	if len(fams) == 0 {
+		return nil, true, nil
+	}
+	fams, forced := forceSingletons(fams)
+	var idxs []int32
+	var p *coverProblem
+	exact := true
+	if len(fams) > 0 {
+		p = newCoverProblem(fams)
+		var err error
+		if idxs, exact, err = solveCover(ctx, p, budget, workers); err != nil {
+			return nil, false, err
 		}
 	}
-	return lists
-}
-
-// rowElemLists is maskElemLists for multi-word rows.
-func rowElemLists(rows []maskRow) [][]int32 {
-	lists := make([][]int32, len(rows))
-	for i, r := range rows {
-		for wi, w := range r.words {
-			for ; w != 0; w &= w - 1 {
-				lists[i] = append(lists[i], int32(wi<<6+bits.TrailingZeros64(w)))
-			}
+	out := make([]int32, 0, len(idxs)+countWords(forced))
+	for k, w := range forced {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, int32(k<<6+bits.TrailingZeros64(w)))
 		}
 	}
-	return lists
+	for _, ei := range idxs {
+		out = append(out, p.elems[ei])
+	}
+	slices.Sort(out)
+	return out, exact, nil
 }
 
-// solveHitting is the full pipeline over families given as element-id
-// lists: forced singletons, reduction, greedy bound, branch and bound.
-// It returns the chosen original element ids (ascending) and whether
-// the result is certified optimal. A cancelled context returns the
-// context's error and no witness.
-func solveHitting(ctx context.Context, fams [][]int32, budget int64, workers int) ([]int32, bool, error) {
-	var forced []int32
-	forcedSet := make(map[int32]bool)
+// forceSingletons takes every element a one-element family forces
+// into the mask forced and drops the families it hits, repeating
+// until no singleton is left; it returns the remaining families, in
+// their order, over fams' backing array.
+func forceSingletons(fams []maskRow) (rest []maskRow, forced []uint64) {
+	forced = make([]uint64, len(fams[0].words))
 	for {
 		progress := false
-		rest := fams[:0]
+		rest = fams[:0]
 		for _, f := range fams {
-			hit := false
-			for _, e := range f {
-				if forcedSet[e] {
-					hit = true
-					break
-				}
-			}
-			if hit {
+			if intersectsWords(f.words, forced) {
 				continue
 			}
-			if len(f) == 1 {
-				forcedSet[f[0]] = true
-				forced = append(forced, f[0])
+			if f.pc == 1 {
+				for k, w := range f.words {
+					forced[k] |= w
+				}
 				progress = true
 				continue
 			}
@@ -543,23 +607,15 @@ func solveHitting(ctx context.Context, fams [][]int32, budget int64, workers int
 		}
 		fams = rest
 		if !progress {
-			break
+			return rest, forced
 		}
 	}
-	if len(fams) == 0 {
-		slices.Sort(forced)
-		return forced, true, nil
-	}
+}
 
-	p := newCoverProblem(fams)
-	idxs, exact, err := solveCover(ctx, p, budget, workers)
-	if err != nil {
-		return nil, false, err
+func countWords(ws []uint64) int {
+	c := 0
+	for _, w := range ws {
+		c += bits.OnesCount64(w)
 	}
-	out := forced
-	for _, ei := range idxs {
-		out = append(out, p.elems[ei])
-	}
-	slices.Sort(out)
-	return out, exact, nil
+	return c
 }

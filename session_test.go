@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sortnets/internal/faults"
+	"sortnets/internal/gen"
 	"sortnets/internal/network"
 	"sortnets/internal/verify"
 )
@@ -279,6 +280,21 @@ func TestFacadeSelectorAndMerger(t *testing.T) {
 	// A merger is not a sorter; the sorter test set must catch it.
 	if check(t, sess, BatcherMerger(8), SorterProp{N: 8}).Holds {
 		t.Error("merger accepted as sorter")
+	}
+}
+
+// TestCheckPermsWideSelector: a permutation verdict for a (2,33)
+// selector completes and judges all C(33,2) − 1 = 527 permutations of
+// the family; its cost follows the family, not the 2³³ strings of the
+// whole chain decomposition.
+func TestCheckPermsWideSelector(t *testing.T) {
+	sess := NewSession()
+	defer sess.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	r, err := sess.CheckPerms(ctx, gen.Selection(33, 2), SelectorProp{N: 33, K: 2})
+	if err != nil || !r.Holds || r.TestsRun != 527 {
+		t.Fatalf("(2,33)-selector permutation verdict: %s, %v; want holds after 527 tests", r, err)
 	}
 }
 
