@@ -47,6 +47,7 @@ func BenchmarkMinsetMatrix(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			golden, fs, ctx := eval.Compile(c.w), Enumerate(c.w), context.Background()
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := DetectionMatrixCtx(ctx, c.w, golden, fs, sorterTests8, ByProperty); err != nil {
 					b.Fatal(err)
@@ -67,6 +68,7 @@ func BenchmarkMinsetExact(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, exact, err := m.ExactMinimalDetectingSetCtx(ctx, minsetBenchBudget, 1); err != nil || !exact {
 					b.Fatalf("exact solve: exact=%v, err=%v", exact, err)
@@ -83,6 +85,7 @@ func BenchmarkFaultsMeasure(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			golden, fs, ctx := eval.Compile(c.w), Enumerate(c.w), context.Background()
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := MeasureCtx(ctx, c.w, golden, fs, sorterTests8, ByProperty); err != nil {
 					b.Fatal(err)
