@@ -237,10 +237,10 @@ const (
 )
 
 // TestMinsetAllocs guards the word-level minset path: the detection
-// matrix and its exact minimum detecting set cost a bounded handful of
-// allocations, not one bitset per test and one element list per fault
-// (945 at the list-based parent). The pass runs on eval.Workers(0)
-// chunks, so the bound is the measured count plus 2 per chunk.
+// matrix and its exact minimum detecting set cost a fixed handful of
+// allocations plus a few per fault chunk, none per test, fault or
+// family member. The pass runs on eval.Workers(0) chunks, so the bound
+// is the measured count plus 2 per chunk.
 func TestMinsetAllocs(t *testing.T) {
 	w := prefixedSorter8()
 	golden, fs, ctx := eval.Compile(w), Enumerate(w), context.Background()
