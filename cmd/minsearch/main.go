@@ -10,16 +10,17 @@
 //	minsearch -n 4 -inputs perm         # permutation inputs
 //	minsearch -n 4 -prop selector -k 2
 //	minsearch -n 4 -prop merger -show   # print the witness test set
-//	minsearch -n 5 -height 2 -workers 8 # parallel closure/family/solve
+//	minsearch -n 5 -height 2 -workers 8 # branch and bound on 8 workers
 //	minsearch -n 5 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Profiling and parallelism flags:
 //
-//	-workers N     worker count for the pipeline; 0 (default) runs the
-//	               closure BFS and failure-family build on GOMAXPROCS
-//	               workers with a deterministic sequential solve, 1
-//	               pins every stage sequential, N > 1 also parallelizes
-//	               the branch and bound (same minimum, witness may vary)
+//	-workers N     branch-and-bound workers; N ≤ 1 (default 0) runs
+//	               the whole search sequentially with a reproducible
+//	               witness, N > 1 spreads the branch and bound over N
+//	               workers (same minimum, witness may vary); the
+//	               closure BFS and failure-family build are always
+//	               sequential
 //	-cpuprofile F  write a pprof CPU profile of the search to F
 //	-memprofile F  write a pprof heap profile (taken after the search,
 //	               post-GC) to F
@@ -44,7 +45,7 @@ func main() {
 	inputs := flag.String("inputs", "binary", "input model: binary | perm")
 	limit := flag.Int("limit", 20_000_000, "behaviour closure cap")
 	show := flag.Bool("show", false, "print the minimum test set itself")
-	workers := flag.Int("workers", 0, "pipeline workers: 0 = automatic (parallel closure + deterministic solve), 1 = fully sequential, k > 1 also parallelizes the solver")
+	workers := flag.Int("workers", 0, "branch-and-bound workers: ≤ 1 = sequential (reproducible witness), k > 1 = a pool of k")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	flag.Parse()

@@ -72,7 +72,7 @@ type WideVerdict struct {
 // engine-owned worker pool. The workers parameter fixes the pool
 // size: 1 pins strictly sequential, stream-order execution; k > 1
 // forces k workers; 0 ("auto") runs sequentially below a work
-// threshold and with runtime.NumCPU() workers above it, so small
+// threshold and with runtime.GOMAXPROCS(0) workers above it, so small
 // verdicts never pay goroutine overhead and large sweeps never leave
 // cores idle.
 type Engine struct {
@@ -163,9 +163,10 @@ func (e *Engine) run(ctx context.Context, src *stream, judge Judge) (outcome, er
 }
 
 // autoWorkers is auto mode's worker count: 1 for a stream shorter
-// than the work threshold, NumCPU for a longer one. A span knows its
-// length; any other stream is staged until it crosses the threshold
-// or ends, and the staged rows are replayed ahead of its live tail.
+// than the work threshold, GOMAXPROCS for a longer one. A span knows
+// its length; any other stream is staged until it crosses the
+// threshold or ends, and the staged rows are replayed ahead of its
+// live tail.
 func (e *Engine) autoWorkers(src *stream, sp *bitvec.Span) int {
 	budget := autoWorkThreshold/max(len(e.p.ops), 1) + 1
 	k := 0
@@ -180,7 +181,7 @@ func (e *Engine) autoWorkers(src *stream, sp *bitvec.Span) int {
 	if k < budget {
 		return 1
 	}
-	return runtime.NumCPU()
+	return runtime.GOMAXPROCS(0)
 }
 
 // runSeq is the sequential block loop. Block sizes ramp 64 → 128 →

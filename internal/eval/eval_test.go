@@ -2,10 +2,12 @@ package eval
 
 import (
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"sortnets/internal/bitvec"
+	"sortnets/internal/gen"
 	"sortnets/internal/network"
 )
 
@@ -332,6 +334,28 @@ func TestForEachVisitsEverything(t *testing.T) {
 	for i := range visited {
 		if visited[i].v.Load() != 1 {
 			t.Fatalf("index %d visited %d times", i, visited[i].v.Load())
+		}
+	}
+}
+
+// TestAutoWorkersFollowGOMAXPROCS: automatic means as many workers as
+// the runtime runs goroutines at once, not the machine's CPU count, for
+// plain pools and for an auto engine over a span past the work
+// threshold alike.
+func TestAutoWorkersFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	e := New(Compile(gen.Sorter(16)), 0)
+	sp := bitvec.All(16)
+	if sp.Len() <= autoWorkThreshold/len(e.p.ops)+1 {
+		t.Fatalf("a %d-vector span is under the work threshold", sp.Len())
+	}
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		if got := Workers(0); got != procs {
+			t.Errorf("GOMAXPROCS=%d: Workers(0) = %d", procs, got)
+		}
+		if got := e.autoWorkers(&stream{lines: sp}, sp); got != procs {
+			t.Errorf("GOMAXPROCS=%d: an auto engine over the 16-line universe runs %d workers", procs, got)
 		}
 	}
 }

@@ -9,19 +9,20 @@ import (
 
 // Workers resolves a worker-count request under the repository-wide
 // rule — workers ≤ 0 means "automatic" — for plain worker pools,
-// where automatic is runtime.NumCPU(). (The streaming Engine applies
-// the same rule with a work threshold: automatic means sequential
-// below it, all cores above.) Every pooled client in the repository
+// where automatic is runtime.GOMAXPROCS(0), the number of goroutines
+// the runtime runs at once. (The streaming Engine applies the same
+// rule with a work threshold: automatic means sequential below it,
+// GOMAXPROCS workers above.) Every pooled client in the repository
 // routes through this so 0 means the same thing everywhere.
 func Workers(w int) int {
 	if w <= 0 {
-		return runtime.NumCPU()
+		return runtime.GOMAXPROCS(0)
 	}
 	return w
 }
 
 // ForEachUntil runs fn(i) for i in [0, n) on a pool of the given size
-// (≤ 0 means automatic = NumCPU), stopping early once some call
+// (≤ 0 means automatic = GOMAXPROCS), stopping early once some call
 // returns true. It returns the SMALLEST index for which fn returned
 // true, or -1 if none did — deterministically, even under the pool:
 // indices are claimed in order, in-flight lower indices always
@@ -102,7 +103,7 @@ func ForEachUntilCtx(ctx context.Context, n, workers int, fn func(i int) bool) (
 }
 
 // ForEach runs fn(i) for every i in [0, n) on a pool of the given
-// size (≤ 0 means automatic = NumCPU). It always completes all n
+// size (≤ 0 means automatic = GOMAXPROCS). It always completes all n
 // calls; use it for aggregation sweeps with no early exit.
 func ForEach(n, workers int, fn func(i int)) {
 	ForEachUntil(n, workers, func(i int) bool { fn(i); return false })

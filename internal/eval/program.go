@@ -11,7 +11,7 @@
 // source, such as the selector and merger test sets, writes a block
 // of rows per call), loaded by one 64×64 transpose per row word. The
 // engine owns the worker pool (sequential under a work threshold,
-// NumCPU workers above it).
+// GOMAXPROCS workers above it).
 //
 // Programs are op sequences rather than comparator sequences so that
 // the fault models of package faults compile to program *variants*

@@ -70,7 +70,7 @@ type chunk struct {
 }
 
 // forChunks compiles fs into one op arena and runs fn on at most
-// NumCPU contiguous, non-empty chunks of it on the shared worker
+// GOMAXPROCS contiguous, non-empty chunks of it on the shared worker
 // pool. A cancelled context stops the pass and returns ctx.Err(); fn's
 // partial results must then be discarded. Every pass sweeps the 2ⁿ
 // universe, so like eval's RunUniverse it refuses n > 30 — here, on
@@ -96,8 +96,8 @@ func (c chunk) detectable(ctx context.Context) ([]int, []*eval.Program, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var idx []int
-	var progs []*eval.Program
+	idx := make([]int, 0, len(vs))
+	progs := make([]*eval.Program, 0, len(vs))
 	for i, v := range vs {
 		if !v.Holds {
 			idx = append(idx, c.lo+i)
@@ -159,7 +159,7 @@ func (r Report) String() string {
 
 // Measure injects every fault in fs into w and checks which ones the
 // test set exposes. The faults compile into one op arena, split into
-// at most NumCPU contiguous chunks on the shared worker pool; each
+// at most GOMAXPROCS contiguous chunks on the shared worker pool; each
 // chunk judges all its variants against one load of each block, first
 // of the 2ⁿ universe (which faults are detectable at all), then of
 // the test stream (which of those the tests detect). tests is called

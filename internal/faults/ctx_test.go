@@ -109,7 +109,7 @@ func TestFaultPassCancelStopsWithinOneBlock(t *testing.T) {
 	fs := Enumerate(w)
 	golden := eval.Compile(w)
 	vecs := paddedTests(n, 15)
-	chunks := int64(min(runtime.NumCPU(), len(fs)))
+	chunks := int64(min(eval.Workers(0), len(fs)))
 	maxLate := 2*chunks + 1
 	wantRep := Measure(w, fs, func() bitvec.Iterator { return bitvec.Slice(vecs) }, ByProperty)
 	wantMatrix := DetectionMatrix(w, fs, func() bitvec.Iterator { return bitvec.Slice(vecs) }, ByProperty).Report()

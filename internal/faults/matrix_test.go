@@ -228,26 +228,29 @@ func TestMatrixString(t *testing.T) {
 // (go1.24): a fixed part — the collected tests, the two slabs, the
 // signatures' transpose and the exact solve — and at most
 // minsetChunkAllocs per chunk of the fault pass (its programs' share,
-// one universe pass and one sweep, the chunk's detectable list),
-// measured at 1 to 8 chunks (93 allocations at one chunk, 112 at two,
-// 179 at eight).
+// one universe pass and one sweep, the chunk's two detectable lists),
+// measured at 1 to 8 chunks (79 allocations at one chunk, 90 at two,
+// 131 at eight).
 const (
-	minsetFixedAllocs = 74
-	minsetChunkAllocs = 19
+	minsetFixedAllocs = 68
+	minsetChunkAllocs = 11
 )
 
 // TestMinsetAllocs guards the word-level minset path: the detection
 // matrix and its exact minimum detecting set cost a fixed handful of
 // allocations plus a few per fault chunk, none per test, fault or
-// family member. The pass runs on eval.Workers(0) chunks, so the bound
-// is the measured count plus 2 per chunk.
+// family member. The pass runs on eval.Workers(0) chunks, counted
+// inside the measurement because testing.AllocsPerRun sets GOMAXPROCS
+// to 1, so the bound is the measured count plus 2 per chunk.
 func TestMinsetAllocs(t *testing.T) {
 	w := prefixedSorter8()
 	golden, fs, ctx := eval.Compile(w), Enumerate(w), context.Background()
 	if !golden.SortsAll() {
 		t.Fatal("the prefixed sorter does not sort")
 	}
+	chunks := 0
 	allocs := testing.AllocsPerRun(50, func() {
+		chunks = min(eval.Workers(0), len(fs))
 		m, err := DetectionMatrixCtx(ctx, w, golden, fs, sorterTests8, ByProperty)
 		if err != nil {
 			t.Fatal(err)
@@ -256,7 +259,6 @@ func TestMinsetAllocs(t *testing.T) {
 			t.Fatalf("exact solve: exact=%v, err=%v", exact, err)
 		}
 	})
-	chunks := min(eval.Workers(0), len(fs))
 	bound := minsetFixedAllocs + (minsetChunkAllocs+2)*chunks
 	t.Logf("minset on %d chunks: %.0f allocations (bound %d)", chunks, allocs, bound)
 	if allocs > float64(bound) {

@@ -14,11 +14,12 @@
 // minimum hitting set over those failure sets, computed exactly by
 // branch and bound in hitting.go.
 //
-// The pipeline is organized for speed: the closure BFS runs on a dense
-// byte arena with a sharded interning table (closure.go) and expands
-// its frontier in parallel, failure masks are built in parallel over
-// the dense store, superset pruning is popcount-bucketed, and the
-// hitting-set branch and bound (solver.go) uses per-worker scratch and
+// The pipeline is one deterministic pass up to the branch and bound:
+// the closure BFS runs on a dense byte arena with an open-addressing
+// interning table (closure.go), one scan of the arena builds the
+// failure masks, superset pruning sorts them, drops duplicates and
+// buckets by popcount (prune.go), and the hitting-set branch and bound
+// (solver.go) uses per-worker scratch and, with more than one worker,
 // a shared incumbent.
 package search
 
@@ -28,7 +29,6 @@ import (
 	"fmt"
 
 	"sortnets/internal/bitvec"
-	"sortnets/internal/eval"
 	"sortnets/internal/network"
 )
 
@@ -113,22 +113,21 @@ func Comparators(n, h int) []network.Comparator {
 }
 
 // binaryClosureStore enumerates the closure on the dense store.
-func binaryClosureStore(ctx context.Context, n int, alphabet []network.Comparator, limit, workers int) (*behaviorStore, error) {
+func binaryClosureStore(ctx context.Context, n int, alphabet []network.Comparator, limit int) (*behaviorStore, error) {
 	seed := identityTable(n)
 	return closureStore(ctx, len(seed), seed, len(alphabet), func(dst, src []byte, c int) {
 		applyComparatorTable(dst, src, alphabet[c])
-	}, limit, workers)
+	}, limit)
 }
 
 // Closure enumerates every behaviour reachable by networks over the
 // given comparator alphabet, by BFS from the identity. limit caps the
 // number of behaviours explored (0 means unlimited); exceeding it
 // returns an error so callers never silently truncate a universe they
-// meant to exhaust. The BFS runs on the dense closure engine with one
-// worker, preserving this legacy API's deterministic enumeration
-// order; the Opts pipelines parallelize the frontier internally.
+// meant to exhaust. The BFS runs on the dense closure engine, whose
+// enumeration order is the same on every run.
 func Closure(n int, alphabet []network.Comparator, limit int) ([]Behavior, error) {
-	st, err := binaryClosureStore(context.Background(), n, alphabet, limit, 1)
+	st, err := binaryClosureStore(context.Background(), n, alphabet, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -203,56 +202,28 @@ func FailureMask(n int, b Behavior, accepts Acceptance) uint64 {
 	return mask
 }
 
-// failureMasks computes the deduplicated failure-mask family over the
-// dense store, fanning behaviours out to workers in contiguous chunks
-// (each with a local dedupe map, merged at the end). A cancelled
-// context stops the chunk scans and returns the context's error.
-func (st *behaviorStore) failureMasks(ctx context.Context, n int, accepts Acceptance, workers int) ([]uint64, error) {
+// failureMasks computes the failure mask of every incorrect behaviour
+// in the dense store, in store order and with duplicates kept:
+// pruneSupersets drops them as neighbours after its sort. A cancelled
+// context stops the scan and returns the context's error.
+func (st *behaviorStore) failureMasks(ctx context.Context, n int, accepts Acceptance) ([]uint64, error) {
 	if bitvec.Universe(n) > 64 {
 		panic(fmt.Sprintf("search: failure masks need 2^%d ≤ 64 inputs", n))
 	}
 	rej := rejectTable(n, accepts)
-	workers = closureWorkers(workers)
-	const minChunk = 256
-	if workers > 1 && st.count/workers < minChunk {
-		workers = st.count/minChunk + 1
-	}
-	locals := make([][]uint64, workers)
-	err := eval.ForEachCtx(ctx, workers, workers, func(w int) {
-		lo := st.count * w / workers
-		hi := st.count * (w + 1) / workers
-		seen := make(map[uint64]struct{}, 64)
-		var out []uint64
-		for i := lo; i < hi; i++ {
-			if i&1023 == 0 && ctx.Err() != nil {
-				return
-			}
-			tab := st.at(i)
-			var mask uint64
-			for x, o := range tab {
-				mask |= (rej[x] >> uint(o) & 1) << uint(x)
-			}
-			if mask == 0 {
-				continue
-			}
-			if _, ok := seen[mask]; !ok {
-				seen[mask] = struct{}{}
-				out = append(out, mask)
+	var fam []uint64
+	for i := 0; i < st.count; i++ {
+		if i&1023 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
 		}
-		locals[w] = out
-	})
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[uint64]struct{}, 256)
-	var fam []uint64
-	for _, local := range locals {
-		for _, m := range local {
-			if _, ok := seen[m]; !ok {
-				seen[m] = struct{}{}
-				fam = append(fam, m)
-			}
+		var mask uint64
+		for x, o := range st.at(i) {
+			mask |= (rej[x] >> uint(o) & 1) << uint(x)
+		}
+		if mask != 0 {
+			fam = append(fam, mask)
 		}
 	}
 	return fam, nil

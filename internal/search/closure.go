@@ -4,22 +4,15 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
-
-	"sortnets/internal/eval"
 )
 
 // The closure engine behind Closure and PermClosure: a reachability
 // BFS over behaviour tables, stored as one flat byte arena of
 // fixed-stride entries with dense IDs 0..Count()-1 instead of a
-// map[struct]bool of large keys. Dense storage is what lets the
-// failure-family pass walk behaviours as contiguous bytes (no string
-// re-slicing, no map iteration) and what makes the frontier
-// parallelizable: workers expand disjoint slices of the current
-// frontier concurrently and dedupe through a sharded interning table,
-// so no single map (or its rehash of multi-hundred-byte keys) is the
-// bottleneck.
+// map[struct]bool of large keys, and deduplicated through an
+// open-addressing table that probes straight into the arena. Dense
+// storage is what lets the failure-family passes walk behaviours as
+// contiguous bytes, with no string re-slicing and no map iteration.
 
 // behaviorStore holds a behaviour closure as a flat arena of
 // fixed-stride tables. Entry i occupies arena[i*stride:(i+1)*stride];
@@ -48,21 +41,12 @@ func errClosureLimit(limit int) error {
 	return fmt.Errorf("search: behaviour closure exceeds limit %d", limit)
 }
 
-// closureWorkers resolves a worker-count request through the one
-// rule the whole repository uses (eval.Workers: ≤ 0 means NumCPU), so
-// a single-core box never pays goroutine or lock overhead on the
-// sequential path and the search stages agree with the eval pool.
-func closureWorkers(w int) int { return eval.Workers(w) }
-
 // closureStore enumerates the closure of seed under degree expansion
-// rules by BFS. limit caps the number of behaviours (0 = unlimited);
-// exceeding it returns an error so callers never silently truncate a
-// universe they meant to exhaust. With workers == 1 the enumeration
-// order is the classical deterministic BFS order; with more workers
-// each BFS level is expanded concurrently and the order within a level
-// depends on scheduling (the closure is the same set either way —
-// downstream consumers canonicalize).
-func closureStore(ctx context.Context, stride int, seed []byte, degree int, expand expandFunc, limit, workers int) (*behaviorStore, error) {
+// rules by BFS, in the classical deterministic BFS order. limit caps
+// the number of behaviours (0 = unlimited); exceeding it returns an
+// error so callers never silently truncate a universe they meant to
+// exhaust.
+func closureStore(ctx context.Context, stride int, seed []byte, degree int, expand expandFunc, limit int) (*behaviorStore, error) {
 	if len(seed) != stride {
 		panic(fmt.Sprintf("search: seed has %d bytes, stride is %d", len(seed), stride))
 	}
@@ -73,11 +57,7 @@ func closureStore(ctx context.Context, stride int, seed []byte, degree int, expa
 		parentOf: []int32{-1},
 		ruleOf:   []int32{-1},
 	}
-	workers = closureWorkers(workers)
-	if workers == 1 || degree == 0 {
-		return st, st.bfsSeq(ctx, degree, expand, limit)
-	}
-	return st, st.bfsPar(ctx, degree, expand, limit, workers)
+	return st, st.bfsSeq(ctx, degree, expand, limit)
 }
 
 // internTable is an open-addressing dedupe index over the arena: slots
@@ -150,9 +130,10 @@ func (t *internTable) grow(st *behaviorStore) {
 	}
 }
 
-// bfsSeq is the lock-free single-worker path: one intern table, queue
-// order identical to the legacy map-backed BFS. Cancellation is
-// checked once per dequeued behaviour (a block of degree expansions).
+// bfsSeq expands behaviours in queue order through one intern table,
+// so IDs and parent edges are the same on every run. Cancellation is
+// checked once every 256 dequeued behaviours (each a block of degree
+// expansions).
 func (st *behaviorStore) bfsSeq(ctx context.Context, degree int, expand expandFunc, limit int) error {
 	seen := newInternTable()
 	seen.lookupOrClaim(st, st.at(0), 0)
@@ -179,111 +160,6 @@ func (st *behaviorStore) bfsSeq(ctx context.Context, degree int, expand expandFu
 			st.count++
 			st.parentOf = append(st.parentOf, int32(head))
 			st.ruleOf = append(st.ruleOf, int32(c))
-		}
-	}
-	return nil
-}
-
-// internShards is the shard count of the parallel dedupe table. Power
-// of two; 64 shards keep lock contention negligible for any worker
-// count a single machine offers.
-const internShards = 64
-
-type internShard struct {
-	mu sync.Mutex
-	m  map[string]struct{}
-}
-
-// shardOf maps a behaviour table to its dedupe shard, reusing the
-// word-at-a-time hashBytes instead of a second byte-wise pass.
-func shardOf(key []byte) uint32 {
-	return uint32(hashBytes(key) % internShards)
-}
-
-// bfsPar expands the closure level by level: workers claim frontier
-// entries through an atomic cursor, expand them against the full
-// alphabet, and dedupe candidates through the sharded interning table
-// (first claimant wins). New behaviours are buffered per worker and
-// merged into the arena at the level barrier, where they receive their
-// dense IDs and form the next frontier. Workers only read the arena
-// while it is frozen, so expansion runs without any global lock.
-func (st *behaviorStore) bfsPar(ctx context.Context, degree int, expand expandFunc, limit, workers int) error {
-	var shards [internShards]internShard
-	for i := range shards {
-		shards[i].m = make(map[string]struct{}, 16)
-	}
-	shards[shardOf(st.at(0))].m[string(st.at(0))] = struct{}{}
-
-	type find struct {
-		key    string
-		parent int32
-		rule   int32
-	}
-	frontier := []int32{0}
-	// known counts every behaviour claimed so far (arena + in-flight
-	// level claims): the limit is enforced mid-level too, so a frontier
-	// that explodes stops allocating near the cap instead of
-	// materializing a whole oversized level before the barrier check.
-	known := atomic.Int64{}
-	known.Store(int64(st.count))
-	for len(frontier) > 0 {
-		locals := make([][]find, workers)
-		var cursor atomic.Int64
-		var overflow atomic.Bool
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				scratch := make([]byte, st.stride)
-				for {
-					i := cursor.Add(1) - 1
-					if i >= int64(len(frontier)) || overflow.Load() || ctx.Err() != nil {
-						return
-					}
-					src := st.at(int(frontier[i]))
-					for c := 0; c < degree; c++ {
-						expand(scratch, src, c)
-						sh := &shards[shardOf(scratch)]
-						sh.mu.Lock()
-						_, seen := sh.m[string(scratch)]
-						if !seen {
-							key := string(scratch)
-							sh.m[key] = struct{}{}
-							locals[w] = append(locals[w], find{key, frontier[i], int32(c)})
-						}
-						sh.mu.Unlock()
-						if !seen && limit > 0 && known.Add(1) > int64(limit) {
-							overflow.Store(true)
-							return
-						}
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		if overflow.Load() {
-			return errClosureLimit(limit)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-
-		// Barrier: merge the workers' finds into the arena in worker
-		// order, assigning dense IDs.
-		frontier = frontier[:0]
-		for _, found := range locals {
-			for _, f := range found {
-				if limit > 0 && st.count >= limit {
-					return errClosureLimit(limit)
-				}
-				id := int32(st.count)
-				st.arena = append(st.arena, f.key...)
-				st.count++
-				st.parentOf = append(st.parentOf, f.parent)
-				st.ruleOf = append(st.ruleOf, f.rule)
-				frontier = append(frontier, id)
-			}
 		}
 	}
 	return nil

@@ -38,37 +38,30 @@ func searchCheckNoLeak(t *testing.T, before int) {
 }
 
 func TestMinimumTestSetCtxCancelled(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		before := runtime.NumGoroutine()
-		start := time.Now()
-		_, err := MinimumTestSetCtx(searchCancelledCtx(), 6, 5, SorterAccepts, Options{Workers: workers})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: want context.Canceled, got %v", workers, err)
-		}
-		if d := time.Since(start); d > 100*time.Millisecond {
-			t.Errorf("workers=%d: cancelled pipeline took %v", workers, d)
-		}
-		searchCheckNoLeak(t, before)
+	before := runtime.NumGoroutine()
+	start := time.Now()
+	_, err := MinimumTestSetCtx(searchCancelledCtx(), 6, 5, SorterAccepts, Options{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("cancelled pipeline took %v", d)
+	}
+	searchCheckNoLeak(t, before)
 }
 
 func TestClosureBFSDeadline(t *testing.T) {
 	// The unrestricted n=6 closure takes seconds; a 5ms deadline must
-	// stop the BFS mid-enumeration on both the sequential and the
-	// frontier-parallel path.
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		before := runtime.NumGoroutine()
-		start := time.Now()
-		_, err := binaryClosureStore(ctx, 6, Comparators(6, 5), 0, workers)
-		cancel()
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("workers=%d: want a context error, got %v", workers, err)
-		}
-		if d := time.Since(start); d > 2*time.Second {
-			t.Errorf("workers=%d: deadline honored only after %v", workers, d)
-		}
-		searchCheckNoLeak(t, before)
+	// stop the BFS mid-enumeration.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := binaryClosureStore(ctx, 6, Comparators(6, 5), 0)
+	if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want a context error, got %v", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("deadline honored only after %v", d)
 	}
 }
 

@@ -12,20 +12,18 @@ import (
 	"sortnets/internal/network"
 )
 
-// Options tunes the search pipeline. The zero value means: no closure
-// limit, no node cap, GOMAXPROCS workers for the closure BFS and the
-// failure-family build (whose results are order-independent — the
-// family is canonically sorted), and a SEQUENTIAL branch and bound,
-// so the returned witness test set is reproducible run-to-run by
-// default. Setting Workers > 1 additionally spreads the branch and
-// bound over that many workers: the minimum cardinality is unchanged
-// (cross-checked in the tests), but the identity of an equal-size
-// witness may then vary with scheduling. Workers == 1 pins every
-// stage strictly sequential.
+// Options tunes the search pipeline. The closure BFS and the
+// failure-family build always run sequentially; Workers sets only the
+// branch and bound's worker count. The zero value means: no closure
+// limit, no node cap and a sequential branch and bound, so the
+// returned witness test set is reproducible run-to-run. Workers > 1
+// spreads the branch and bound over that many workers: the minimum
+// cardinality is unchanged (cross-checked in the tests), but the
+// identity of an equal-size witness may then vary with scheduling.
 type Options struct {
 	Limit      int // behaviour-closure cap (0 = unlimited)
 	NodeBudget int // node cap: 0 = default (binary: unlimited; perm: 5M), < 0 = unlimited
-	Workers    int // 0 = parallel closure/family + sequential solve
+	Workers    int // branch-and-bound workers: ≤ 1 = sequential, k > 1 = a pool of k
 }
 
 // solverWorkers resolves Options.Workers for the branch and bound:
@@ -142,11 +140,11 @@ func MinimumTestSetCtx(ctx context.Context, n, h int, accepts Acceptance, opt Op
 	if bitvec.Universe(n) > 64 {
 		return TestSetResult{}, fmt.Errorf("search: n=%d too large for mask-based search", n)
 	}
-	st, err := binaryClosureStore(ctx, n, Comparators(n, h), opt.Limit, opt.Workers)
+	st, err := binaryClosureStore(ctx, n, Comparators(n, h), opt.Limit)
 	if err != nil {
 		return TestSetResult{}, err
 	}
-	masks, err := st.failureMasks(ctx, n, accepts, opt.Workers)
+	masks, err := st.failureMasks(ctx, n, accepts)
 	if err != nil {
 		return TestSetResult{}, err
 	}

@@ -3,12 +3,9 @@ package search
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"reflect"
-	"slices"
 
 	"sortnets/internal/bitset"
-	"sortnets/internal/eval"
 	"sortnets/internal/network"
 	"sortnets/internal/perm"
 )
@@ -24,9 +21,8 @@ import (
 // order = lexicographic rank. Failure sets live in an n!-element
 // universe, so they are multi-word bitsets rather than machine words.
 // Like the binary path, the pipeline runs on the dense closure store:
-// tables live in a flat arena, failure rows are built in parallel over
-// contiguous chunks, and the hitting set is solved by the shared
-// branch-and-bound core.
+// tables live in a flat arena, one scan of it builds the failure rows,
+// and the hitting set is solved by the shared branch-and-bound core.
 
 // PermBehavior is the full input-output table over permutations:
 // n bytes of output values per input, inputs in lexicographic rank
@@ -94,11 +90,11 @@ func (b PermBehavior) Output(n, rank int) []byte {
 // replaying the BFS spanning tree — exactly ONE comparator
 // application per behaviour instead of one per (behaviour, alphabet
 // rule) candidate.
-func permClosureStore(ctx context.Context, n int, alphabet []network.Comparator, limit, workers int) (*behaviorStore, error) {
+func permClosureStore(ctx context.Context, n int, alphabet []network.Comparator, limit int) (*behaviorStore, error) {
 	if n < 1 || n > MaxPermLines {
 		panic(fmt.Sprintf("search: n=%d out of range 1..%d", n, MaxPermLines))
 	}
-	bst, err := binaryClosureStore(ctx, n, alphabet, limit, workers)
+	bst, err := binaryClosureStore(ctx, n, alphabet, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -124,10 +120,10 @@ func permClosureStore(ctx context.Context, n int, alphabet []network.Comparator,
 // the comparator alphabet, by BFS from the identity. Because a
 // network's action on permutations is determined by its action on 0/1
 // vectors (Floyd), this closure is in bijection with the binary one —
-// asserted in the tests. Like Closure, this legacy API runs one BFS
-// worker so its enumeration order stays deterministic.
+// asserted in the tests. Like Closure's, its enumeration order is the
+// same on every run.
 func PermClosure(n int, alphabet []network.Comparator, limit int) ([]PermBehavior, error) {
-	st, err := permClosureStore(context.Background(), n, alphabet, limit, 1)
+	st, err := permClosureStore(context.Background(), n, alphabet, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -192,11 +188,12 @@ func permInputBytes(n int) [][]byte {
 	return rows
 }
 
-// permFailureRows computes the failure rows (bitsets over the n!
+// permFailureRows computes the failure row (a bitset over the n!
 // input ranks, as raw words) of every incorrect behaviour in the
-// store, fanning behaviours out to workers in contiguous chunks. A
-// row occurs at most once per chunk.
-func (st *behaviorStore) permFailureRows(ctx context.Context, n int, accepts PermAcceptance, workers int) ([]maskRow, error) {
+// store, in store order and with duplicates kept: pruneSupersetRows
+// drops them as neighbours after its sort. A cancelled context stops
+// the scan and returns the context's error.
+func (st *behaviorStore) permFailureRows(ctx context.Context, n int, accepts PermAcceptance) ([]maskRow, error) {
 	inBytes := permInputBytes(n)
 	nw := wordsFor(len(inBytes))
 	// Devirtualized fast path for the sorting property (the pipeline's
@@ -204,88 +201,45 @@ func (st *behaviorStore) permFailureRows(ctx context.Context, n int, accepts Per
 	// closure call and slice-header setup are the dominant cost of the
 	// generic loop.
 	sorterFast := reflect.ValueOf(accepts).Pointer() == reflect.ValueOf(PermSorterAccepts).Pointer()
-	workers = closureWorkers(workers)
-	const minChunk = 64
-	if workers > 1 && st.count/workers < minChunk {
-		workers = st.count/minChunk + 1
-	}
-	locals := make([][]maskRow, workers)
-	err := eval.ForEachCtx(ctx, workers, workers, func(w int) {
-		lo := st.count * w / workers
-		hi := st.count * (w + 1) / workers
-		// Dedupe keys: one uint64 when the rank universe fits a word
-		// (n ≤ 4), a packed byte string beyond.
-		seenWord := make(map[uint64]struct{}, 64)
-		var seenKey map[string]struct{}
-		if nw > 1 {
-			seenKey = make(map[string]struct{}, 64)
+	scratch := make([]uint64, nw)
+	var words []uint64 // the rows, nw words each
+	for i := 0; i < st.count; i++ {
+		if i&255 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 		}
-		scratch := make([]uint64, nw)
-		key := make([]byte, 0, nw*8)
-		var wordArena []uint64 // row storage, chunk-allocated
-		var out []maskRow
-		for i := lo; i < hi; i++ {
-			if i&255 == 0 && ctx.Err() != nil {
-				return
-			}
-			tab := st.at(i)
-			empty := true
-			for w := range scratch {
-				scratch[w] = 0
-			}
-			if sorterFast {
-				for r, base := 0, 0; r < len(inBytes); r, base = r+1, base+n {
-					for j := base + 1; j < base+n; j++ {
-						if tab[j-1] > tab[j] {
-							scratch[r>>6] |= 1 << uint(r&63)
-							empty = false
-							break
-						}
-					}
-				}
-			} else {
-				for r := range inBytes {
-					if !accepts(n, inBytes[r], tab[r*n:(r+1)*n]) {
+		tab := st.at(i)
+		empty := true
+		clear(scratch)
+		if sorterFast {
+			for r, base := 0, 0; r < len(inBytes); r, base = r+1, base+n {
+				for j := base + 1; j < base+n; j++ {
+					if tab[j-1] > tab[j] {
 						scratch[r>>6] |= 1 << uint(r&63)
 						empty = false
+						break
 					}
 				}
 			}
-			if empty {
-				continue
-			}
-			if nw == 1 {
-				if _, ok := seenWord[scratch[0]]; ok {
-					continue
+		} else {
+			for r := range inBytes {
+				if !accepts(n, inBytes[r], tab[r*n:(r+1)*n]) {
+					scratch[r>>6] |= 1 << uint(r&63)
+					empty = false
 				}
-				seenWord[scratch[0]] = struct{}{}
-			} else {
-				key = appendWordsKey(key[:0], scratch)
-				if _, ok := seenKey[string(key)]; ok {
-					continue
-				}
-				seenKey[string(key)] = struct{}{}
 			}
-			if len(wordArena)+nw > cap(wordArena) {
-				wordArena = make([]uint64, 0, 64*nw)
-			}
-			row := wordArena[len(wordArena) : len(wordArena)+nw : len(wordArena)+nw]
-			wordArena = wordArena[:len(wordArena)+nw]
-			pc := 0
-			for w, v := range scratch {
-				row[w] = v
-				pc += bits.OnesCount64(v)
-			}
-			out = append(out, maskRow{words: row, pc: pc})
 		}
-		locals[w] = out
-	})
-	if err != nil {
-		return nil, err
+		if !empty {
+			words = append(words, scratch...)
+		}
 	}
-	// Each chunk is deduplicated; duplicates across chunks are left to
-	// pruneSupersetRows, which drops them as neighbours after its sort.
-	return slices.Concat(locals...), nil
+	rows := make([]maskRow, len(words)/nw)
+	for j := range rows {
+		row := words[j*nw : (j+1)*nw : (j+1)*nw]
+		rows[j] = maskRow{words: row, pc: countWords(row)}
+	}
+	return rows, nil
 }
 
 // PermFailureFamily computes the deduplicated, superset-pruned family
@@ -438,11 +392,11 @@ func MinimumPermTestSetCtx(ctx context.Context, n, h int, accepts PermAcceptance
 	if n > MaxPermLines {
 		return PermTestSetResult{}, fmt.Errorf("search: n=%d too large for permutation-space search", n)
 	}
-	st, err := permClosureStore(ctx, n, Comparators(n, h), opt.Limit, opt.Workers)
+	st, err := permClosureStore(ctx, n, Comparators(n, h), opt.Limit)
 	if err != nil {
 		return PermTestSetResult{}, err
 	}
-	raw, err := st.permFailureRows(ctx, n, accepts, opt.Workers)
+	raw, err := st.permFailureRows(ctx, n, accepts)
 	if err != nil {
 		return PermTestSetResult{}, err
 	}

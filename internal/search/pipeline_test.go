@@ -1,7 +1,6 @@
 package search
 
 import (
-	"context"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -290,42 +289,6 @@ func TestMinHittingSetBitsWorkers(t *testing.T) {
 				t.Fatalf("trial %d: parallel set %s misses %s", trial, par.Elements, s)
 			}
 		}
-	}
-}
-
-// TestParallelClosureMatchesSequential: the frontier-parallel BFS must
-// enumerate exactly the sequential closure (as a set).
-func TestParallelClosureMatchesSequential(t *testing.T) {
-	for n := 2; n <= 5; n++ {
-		for h := 1; h < n; h++ {
-			seqSt, err := binaryClosureStore(context.Background(), n, Comparators(n, h), 0, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parSt, err := binaryClosureStore(context.Background(), n, Comparators(n, h), 0, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seqSt.count != parSt.count {
-				t.Fatalf("n=%d h=%d: parallel closure %d, sequential %d", n, h, parSt.count, seqSt.count)
-			}
-			seen := make(map[string]bool, seqSt.count)
-			for i := 0; i < seqSt.count; i++ {
-				seen[string(seqSt.at(i))] = true
-			}
-			for i := 0; i < parSt.count; i++ {
-				if !seen[string(parSt.at(i))] {
-					t.Fatalf("n=%d h=%d: parallel closure found behaviour outside sequential closure", n, h)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelClosureLimit: the limit must trip under the pool too.
-func TestParallelClosureLimit(t *testing.T) {
-	if _, err := binaryClosureStore(context.Background(), 4, Comparators(4, 3), 10, 4); err == nil {
-		t.Error("limit should trip with workers")
 	}
 }
 

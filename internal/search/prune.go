@@ -68,17 +68,6 @@ func pruneSupersets(fam []uint64) []uint64 {
 	return out
 }
 
-// appendWordsKey serializes words into key (little-endian bytes) for
-// use as a dedupe map key.
-func appendWordsKey(key []byte, words []uint64) []byte {
-	for _, w := range words {
-		for b := 0; b < 8; b++ {
-			key = append(key, byte(w>>uint(8*b)))
-		}
-	}
-	return key
-}
-
 // maskRow is one family member as a row of 64-bit words (element e at
 // bit e&63 of word e>>6), with its cached popcount and the index of
 // the object it came from. It is the one family representation of the

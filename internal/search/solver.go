@@ -469,7 +469,7 @@ func solveCover(ctx context.Context, p *coverProblem, budget int64, workers int)
 		return nil, false, err
 	}
 
-	workers = closureWorkers(workers)
+	workers = eval.Workers(workers)
 	if workers == 1 {
 		w := newHsWorker(ctx, p, best, budget, nil)
 		w.cov(0) // stage the (all-zero) root coverage

@@ -46,10 +46,10 @@ import (
 //
 // Worker semantics (the ONE rule, used by every option, flag and
 // function in the repository): 0 or negative means AUTOMATIC — a
-// plain worker pool uses all cores, the streaming engine stays
-// sequential below its work threshold and uses all cores above it; 1
-// pins strictly sequential, deterministic execution; k > 1 forces
-// exactly k workers.
+// plain worker pool uses GOMAXPROCS workers, the streaming engine
+// stays sequential below its work threshold and uses GOMAXPROCS
+// workers above it; 1 pins strictly sequential, deterministic
+// execution; k > 1 forces exactly k workers.
 type Session struct {
 	workers       int
 	cacheSize     int
@@ -76,7 +76,7 @@ type Option func(*Session)
 // WithWorkers sets the size of the Session's compute pool — how many
 // verdicts may compute concurrently through Do (each on a
 // deterministic single-worker engine). 0 or negative means automatic
-// (all cores); 1 serializes; k > 1 forces exactly k. The typed
+// (GOMAXPROCS); 1 serializes; k > 1 forces exactly k. The typed
 // conveniences compute on the caller's goroutine and are not bounded
 // by the pool.
 func WithWorkers(n int) Option { return func(s *Session) { s.workers = n } }

@@ -222,20 +222,20 @@ func Equivalent(a, b *Network) bool { return network.Equivalent(a, b) }
 // --- Exact search (Section 3) ---------------------------------------------
 
 // SearchOptions tunes the exact-search pipeline: closure limit,
-// branch-and-bound node budget, and the worker count. Workers == 0
-// (the default) runs the closure BFS and failure-family build on
-// GOMAXPROCS workers with a deterministic sequential solve (witness
-// test sets reproducible run-to-run); Workers > 1 also parallelizes
-// the branch and bound (same minimum cardinality, witness identity
-// may vary with scheduling); Workers == 1 pins every stage
-// sequential.
+// branch-and-bound node budget, and the branch and bound's worker
+// count. The closure BFS and the failure-family build always run
+// sequentially. Workers ≤ 1 (the default is 0) keeps the branch and
+// bound sequential too, so witness test sets are reproducible
+// run-to-run; Workers > 1 spreads it over that many workers (same
+// minimum cardinality, witness identity may vary with scheduling).
 type SearchOptions = search.Options
 
 // ExactMinimumTestSet computes, by behaviour-space exhaustion, the
 // exact minimum 0/1 test set size for the sorting property over
 // networks of comparator height ≤ h on n lines (h ≥ n−1 means
-// unrestricted). Feasible for small n only. The pipeline runs with
-// GOMAXPROCS workers; use ExactMinimumTestSetOpts to pin it.
+// unrestricted). Feasible for small n only. The whole pipeline runs
+// sequentially; use ExactMinimumTestSetOpts to spread the branch and
+// bound over a worker pool.
 func ExactMinimumTestSet(n, h int) (search.TestSetResult, error) {
 	return search.MinimumTestSet(n, h, search.SorterAccepts, 50_000_000)
 }
