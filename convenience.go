@@ -202,15 +202,13 @@ func (s *Session) Wide(ctx context.Context, w *Network, p Property, workers int)
 // evaluate the network EXACTLY as written — fault-injected circuits
 // (bridges in particular) are not invariant under within-layer
 // reordering, so the cache key is the exact text form, not the
-// canonical digest. The healthy golden program is still shared
-// through the digest-keyed program cache (it is function-level).
+// canonical digest.
 func (s *Session) FaultCoverage(ctx context.Context, w *Network) (FaultReport, error) {
-	_, golden := s.resolveNetwork(w)
 	p := verify.Sorter{N: w.N}
 	mode := s.faultMode
 	key := fmt.Sprintf("faults|exact:%s|%s|%s", w.Format(), p.Name(), mode)
 	v, err := s.cachedInline(ctx, key, func(cctx context.Context) (any, error) {
-		rep, err := faults.MeasureCtx(cctx, w, golden, faults.Enumerate(w), p.BinaryTests, mode)
+		rep, err := faults.MeasureCtx(cctx, w, nil, faults.Enumerate(w), p.BinaryTests, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -227,12 +225,11 @@ func (s *Session) FaultCoverage(ctx context.Context, w *Network) (FaultReport, e
 // test-set selection on the same machinery that verifies test sets.
 // Like FaultCoverage, it evaluates the network exactly as written.
 func (s *Session) MinSet(ctx context.Context, w *Network) ([]Vec, error) {
-	_, golden := s.resolveNetwork(w)
 	p := verify.Sorter{N: w.N}
 	mode := s.faultMode
 	key := fmt.Sprintf("minset|exact:%s|%s|%s", w.Format(), p.Name(), mode)
 	v, err := s.cachedInline(ctx, key, func(cctx context.Context) (any, error) {
-		m, err := faults.DetectionMatrixCtx(cctx, w, golden, faults.Enumerate(w), p.BinaryTests, mode)
+		m, err := faults.DetectionMatrixCtx(cctx, w, nil, faults.Enumerate(w), p.BinaryTests, mode)
 		if err != nil {
 			return nil, err
 		}

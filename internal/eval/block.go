@@ -90,9 +90,9 @@ func rowWords(n int) int { return max(1, (n+network.LanesPerWord-1)/network.Lane
 // block is a worker's reusable evaluation state: a staging area of up
 // to maxLanes rows, the transpose scratch, the in/out batches and the
 // rejected-lane mask. Every run path (Run's and RunWideCtx's
-// sequential loop and pool, Sweep, RunUniverse, RunMany) loads,
-// evaluates and judges through it, so there is one block schedule and
-// one first-failure rule at every width.
+// sequential loop and pool, RunUniverse, RunMany, the fault pass)
+// loads, evaluates and judges through it, so there is one block
+// schedule and one first-failure rule at every width.
 type block struct {
 	R       int      // words per staged row, ⌈n/64⌉
 	rows    []uint64 // staged vectors, row j at [j·R, (j+1)·R)
@@ -104,6 +104,10 @@ type block struct {
 	// stream, which the judge never rejects.
 	lines LineSource
 	holes [maxWords]uint64
+	// The fault pass's scratch: the healthy run's line states and the
+	// faults still in the pass.
+	saved  []uint64
+	active []int
 }
 
 // blockPool recycles blocks: a block is a few KiB plus its batches,
@@ -207,19 +211,27 @@ func (b *block) mirror() {
 	b.in.Lines = append(b.in.Lines[:0], b.out.Lines...)
 }
 
-// judge evaluates the loaded out batch through p and judges it,
-// leaving the rejected-lane mask (masked to the occupied lanes) in
-// b.bad[:W]. It returns the lowest rejected lane — the first failure
-// in stream order — or -1.
+// judge evaluates the loaded out batch through p and judges it (see
+// reject).
 //
 //sortnets:hotpath
 func (b *block) judge(p *Program, j *Judge) int {
 	p.ApplyBatch(&b.out)
+	return b.reject(&b.in, j)
+}
+
+// reject judges the evaluated out batch, with in as the judge's in
+// batch, leaving the rejected-lane mask (masked to the occupied lanes
+// and the stream's vectors) in b.bad[:W]. It returns the lowest
+// rejected lane — the first failure in stream order — or -1.
+//
+//sortnets:hotpath
+func (b *block) reject(in *network.Batch, j *Judge) int {
 	bad := b.bad[:b.out.W]
 	if j.sorted {
 		b.out.UnsortedLanes(bad)
 	} else {
-		j.Rejects(&b.in, &b.out, bad)
+		j.Rejects(in, &b.out, bad)
 	}
 	network.MaskLanes(bad, b.out.Lanes)
 	if b.lines != nil {

@@ -112,11 +112,13 @@ func TestRunWideCtxCancelled(t *testing.T) {
 	}
 }
 
-func TestSweepCtxCancelled(t *testing.T) {
-	progs := []*Program{Compile(gen.OddEvenMergeSort(16))}
-	n, err := SweepCtx(cancelledCtx(), progs, bitvec.All(16), SortedJudge(), func(int, int, uint64) {})
-	if !errors.Is(err, context.Canceled) || n != 0 {
-		t.Fatalf("want (0, context.Canceled), got (%d, %v)", n, err)
+func TestFaultPassCtxCancelled(t *testing.T) {
+	w := gen.OddEvenMergeSort(16)
+	set := newSet(w, [][]Edit{nil, {{At: 0, Op: Op{Kind: OpClamp1, A: 3}}}})
+	it := bitvec.All(16)
+	err := set.RunCtx(cancelledCtx(), []int{0, 1}, it, SortedJudge(), func(int, int, []uint64) bool { return false })
+	if next, _ := it.Words(); !errors.Is(err, context.Canceled) || next != 0 {
+		t.Fatalf("want context.Canceled before the first block, got %v after %d words", err, next)
 	}
 }
 

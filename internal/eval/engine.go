@@ -16,7 +16,8 @@ import (
 // lanes, len(bad) = out.W) with the mask of REJECTED lanes; the engine
 // masks it to the occupied lanes. in holds the pre-evaluation lane
 // contents and is only loaded when NeedsInput is set (the sorter judge
-// never looks at it, so the engine skips the copy entirely).
+// never looks at it, so the engine skips the copy entirely); in the
+// fault pass it holds the healthy circuit's outputs instead.
 type Judge struct {
 	NeedsInput bool
 	Rejects    func(in, out *network.Batch, bad []uint64)

@@ -185,45 +185,6 @@ func TestImpureOpsScalarAgainstBatch(t *testing.T) {
 	}
 }
 
-// TestNewProgramsOverArena: each program over an arena range runs
-// exactly its range — the same verdicts and purity as NewProgram on a
-// copy of the range — and aliases the arena instead of copying it.
-func TestNewProgramsOverArena(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	kinds := []OpKind{OpCmp, OpNop, OpSwap, OpRevCmp, OpClamp0, OpClamp1, OpShortOR, OpShortAND}
-	const n = 6
-	var arena []Op
-	ends := make([]int, 8)
-	for i := range ends {
-		for j := rng.Intn(10); j > 0; j-- { // empty ranges included
-			a := rng.Intn(n - 1)
-			k := OpCmp
-			if i%2 == 1 { // even ranges stay pure
-				k = kinds[rng.Intn(len(kinds))]
-			}
-			arena = append(arena, Op{Kind: k, A: uint16(a), B: uint16(a + 1 + rng.Intn(n-1-a))})
-		}
-		ends[i] = len(arena)
-	}
-	progs := NewPrograms(n, arena, ends)
-	start := 0
-	for i, p := range progs {
-		solo := NewProgram(n, arena[start:ends[i]])
-		if p.Size() != ends[i]-start || p.Pure() != solo.Pure() {
-			t.Fatalf("program %d: size %d pure %v, want %d %v", i, p.Size(), p.Pure(), ends[i]-start, solo.Pure())
-		}
-		if p.Size() > 0 && &p.ops[0] != &arena[start] {
-			t.Fatalf("program %d copies its range instead of aliasing the arena", i)
-		}
-		for x := uint64(0); x < 1<<n; x++ {
-			if v := bitvec.New(n, x); p.Apply(v) != solo.Apply(v) {
-				t.Fatalf("program %d diverges from NewProgram on %s", i, v)
-			}
-		}
-		start = ends[i]
-	}
-}
-
 func TestEngineRunMatchesScalarJudgment(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 150; trial++ {

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"context"
 	"slices"
 	"testing"
 
@@ -12,14 +11,15 @@ import (
 // FuzzEngine is the differential fuzz target for the compiled engine.
 // On random networks and random inputs, every compiled path — the
 // scalar Apply, the transpose/block path behind Run (sequential and
-// pooled) and Sweep, and the wholesale-loading RunUniverse — must
-// agree bit-for-bit with the scalar reference evaluator
-// network.ApplyVec, which shares no code with the engine's batch
-// machinery. The same bytes, read as (opcode, line, line) triples,
-// also build an impure program over all eight opcodes — the form the
-// fault models lower to — whose block paths must agree with its
-// scalar interpreter Program.Apply. For n ≤ 10 both also run the
-// sorter span and the universe. A wide leg reads the bytes again
+// pooled), and the wholesale-loading RunUniverse — must agree
+// bit-for-bit with the scalar reference evaluator network.ApplyVec,
+// which shares no code with the engine's batch machinery. The same
+// bytes, read as (opcode, line, line) triples, also build an impure
+// program over all eight opcodes, whose block paths must agree with
+// its scalar interpreter Program.Apply. For n ≤ 10 both also run the
+// sorter span and the universe. Both byte strings, read as edits to
+// the network, are faults the fault pass must judge exactly like
+// their scalar reference programs. A wide leg reads the bytes again
 // as a network of 65..200 lines and rows derived from the vector
 // bytes, and RunWideCtx must match the scalar wide reference
 // applyComparators.
@@ -65,6 +65,7 @@ func FuzzEngine(f *testing.F) {
 		checkBlockPaths(t, prog, vecs, w.ApplyVec, w.Format())
 		impure := NewProgram(n, fuzzOps(n, compBytes))
 		checkBlockPaths(t, impure, vecs, impure.Apply, "impure program")
+		checkFaultPass(t, w, vecs, [][]Edit{nil, fuzzEdits(w, compBytes), fuzzEdits(w, vecBytes)}, "fuzzed faults")
 		checkWidePaths(t, 65+int(nByte)*135/255, compBytes, vecBytes)
 	})
 }
@@ -131,13 +132,39 @@ func fuzzOps(n int, raw []byte) []Op {
 	return ops
 }
 
+// fuzzEdits reads bytes as (opcode, line, line) triples into a
+// fault's edits to w, in firing order: a comparator-shaped opcode
+// replaces the comparator the second byte names, on its own lines; a
+// clamp or short is inserted before the comparator the third byte
+// names, or at the end.
+func fuzzEdits(w *network.Network, raw []byte) []Edit {
+	n, C := w.N, len(w.Comps)
+	var edits []Edit
+	for i := 0; i+2 < len(raw) && len(edits) < 16; i += 3 {
+		kind := OpKind(raw[i] % 8)
+		if kind <= OpRevCmp {
+			if C > 0 {
+				at := int(raw[i+1]) % C
+				c := w.Comps[at]
+				edits = append(edits, Edit{At: int32(at), Op: Op{Kind: kind, A: uint16(c.A), B: uint16(c.B)}})
+			}
+			continue
+		}
+		a, b := int(raw[i+1])%n, int(raw[i+2])%n
+		if a == b {
+			b = (a + 1) % n
+		}
+		edits = append(edits, Edit{At: int32(int(raw[i+2]) % (C + 1)), Op: Op{Kind: kind, A: uint16(min(a, b)), B: uint16(max(a, b))}})
+	}
+	return orderEdits(edits)
+}
+
 // checkBlockPaths drives prog's block paths against ref, its scalar
 // reference. A judge that rejects any lane whose engine output differs
-// from the reference output forces Run and Sweep to exercise the
-// transpose + word-parallel evaluation and prove it equals the
-// reference on every streamed lane; the vector count is rarely a
-// multiple of 64, so the final blocks are ragged on almost every
-// input. RunUniverse (kept to small n so the 2ⁿ sweep stays cheap)
+// from the reference output forces Run to exercise the transpose +
+// word-parallel evaluation and prove it equals the reference on every
+// streamed lane; the vector count is rarely a multiple of 64, so the
+// final blocks are ragged on almost every input. RunUniverse (kept to small n so the 2ⁿ sweep stays cheap)
 // must report the first unsorted output of a reference scan, and so
 // must Run over the sorter span, the non-sorted words loaded
 // wholesale.
@@ -150,15 +177,6 @@ func checkBlockPaths(t *testing.T, prog *Program, vecs []bitvec.Vec, ref func(bi
 				workers, v.In, v.Out, ref(v.In), desc)
 		}
 	}
-	SweepCtx(context.Background(), []*Program{prog}, bitvec.Slice(vecs), SortedJudge(), func(_, off int, rejected uint64) {
-		for lane := 0; lane < 64 && off+lane < len(vecs); lane++ {
-			in := vecs[off+lane]
-			if got, want := rejected>>uint(lane)&1 == 1, !ref(in).IsSorted(); got != want {
-				t.Fatalf("Sweep rejects %s: %v, reference unsorted %v (%s)", in, got, want, desc)
-			}
-		}
-	})
-
 	n := prog.N()
 	if n > 10 {
 		return

@@ -35,16 +35,24 @@ func (p *Program) ApplyBatch(b *network.Batch) {
 		panic(fmt.Sprintf("eval: batch has %d lines, program wants %d", b.N, p.n))
 	}
 	if !p.pure {
-		applyOps(p.ops, b.Lines, b.W)
+		for _, op := range p.ops {
+			applyOp(op, b.Lines, b.W)
+		}
 		return
 	}
-	switch b.W {
+	applyComps(p.comps, b.Lines, b.W)
+}
+
+// applyComps runs standard comparators over lines at W words per
+// line, through the kernel for W.
+func applyComps(comps []network.Comparator, lines []uint64, W int) {
+	switch W {
 	case 1:
-		applyPure1(p.comps, b.Lines)
+		applyPure1(comps, lines)
 	case 4:
-		applyPure4(p.comps, b.Lines)
+		applyPure4(comps, lines)
 	default:
-		applyPureW(p.comps, b.Lines, b.W)
+		applyPureW(comps, lines, W)
 	}
 }
 
@@ -86,52 +94,50 @@ func applyPureW(comps []network.Comparator, lines []uint64, W int) {
 	}
 }
 
-// applyOps evaluates an op sequence (fault-injected programs
-// included) at W words per line.
-func applyOps(ops []Op, lines []uint64, W int) {
-	for _, op := range ops {
-		a, b := int(op.A)*W, int(op.B)*W
-		la := lines[a : a+W]
-		var lb []uint64
-		if op.Kind != OpClamp0 && op.Kind != OpClamp1 {
-			lb = lines[b : b+W]
+// applyOp evaluates one op of any kind (a step of a fault-injected
+// program, or a fault pass edit) at W words per line.
+func applyOp(op Op, lines []uint64, W int) {
+	a, b := int(op.A)*W, int(op.B)*W
+	la := lines[a : a+W]
+	var lb []uint64
+	if op.Kind != OpClamp0 && op.Kind != OpClamp1 {
+		lb = lines[b : b+W]
+	}
+	switch op.Kind {
+	case OpCmp:
+		for g := range la {
+			x, y := la[g], lb[g]
+			la[g] = x & y
+			lb[g] = x | y
 		}
-		switch op.Kind {
-		case OpCmp:
-			for g := range la {
-				x, y := la[g], lb[g]
-				la[g] = x & y
-				lb[g] = x | y
-			}
-		case OpNop:
-		case OpSwap:
-			for g := range la {
-				la[g], lb[g] = lb[g], la[g]
-			}
-		case OpRevCmp:
-			for g := range la {
-				x, y := la[g], lb[g]
-				la[g] = x | y
-				lb[g] = x & y
-			}
-		case OpClamp0:
-			for g := range la {
-				la[g] = 0
-			}
-		case OpClamp1:
-			for g := range la {
-				la[g] = ^uint64(0)
-			}
-		case OpShortOR:
-			for g := range la {
-				s := la[g] | lb[g]
-				la[g], lb[g] = s, s
-			}
-		case OpShortAND:
-			for g := range la {
-				s := la[g] & lb[g]
-				la[g], lb[g] = s, s
-			}
+	case OpNop:
+	case OpSwap:
+		for g := range la {
+			la[g], lb[g] = lb[g], la[g]
+		}
+	case OpRevCmp:
+		for g := range la {
+			x, y := la[g], lb[g]
+			la[g] = x | y
+			lb[g] = x & y
+		}
+	case OpClamp0:
+		for g := range la {
+			la[g] = 0
+		}
+	case OpClamp1:
+		for g := range la {
+			la[g] = ^uint64(0)
+		}
+	case OpShortOR:
+		for g := range la {
+			s := la[g] | lb[g]
+			la[g], lb[g] = s, s
+		}
+	case OpShortAND:
+		for g := range la {
+			s := la[g] & lb[g]
+			la[g], lb[g] = s, s
 		}
 	}
 }

@@ -5,19 +5,16 @@ import (
 	"fmt"
 
 	"sortnets/internal/bitvec"
-	"sortnets/internal/network"
 )
 
-// The multi-program passes of the batch-first request model: when
-// many programs of one width are judged against one stream — a fleet
-// of candidate networks checked against one property, or every fault
-// variant of one circuit — the shared work, getting the stream into
-// the word layout, is identical for every program. RunMany and Sweep
-// do that work ONCE per block and feed the block to every program, so
-// k programs pay one load instead of k. RunMany loads a line source
-// (a span) wholesale; Sweep stages every stream as rows, because its
-// visit offsets count 64-lane words of the stream, which a
-// line-source block's holes would shift.
+// The multi-program pass of the batch-first request model: when many
+// programs of one width are judged against one stream — a fleet of
+// candidate networks checked against one property — the shared work,
+// getting the stream into the word layout, is identical for every
+// program. RunMany does that work ONCE per block and feeds the block
+// to every program, so k programs pay one load instead of k. (The
+// fault variants of one circuit share more than the load; they run
+// through the fault pass, FaultSet.RunCtx.)
 
 // RunMany streams the iterator's vectors once through every program,
 // judging each block against all programs that have not yet failed.
@@ -80,47 +77,6 @@ func RunManyCtx(ctx context.Context, progs []*Program, it bitvec.Iterator, judge
 		verdicts[pi] = Verdict{Holds: true, TestsRun: tests}
 	}
 	return verdicts, nil
-}
-
-// SweepCtx streams the iterator's vectors once through every program
-// like RunMany, but never early-exits: visit is called for every
-// program and every judged 64-lane word, with the program's index in
-// progs, the stream offset of the word's first vector and its
-// rejected-lane mask (already masked to the occupied lanes). Within a
-// block the programs are visited in order, each word by word. It
-// returns the number of vectors swept. This is the full-matrix
-// counterpart of RunMany — fault signature extraction wants every
-// (test, verdict) bit, not just the first failure. The context is
-// checked once per block; on cancellation it returns the vectors
-// swept so far and ctx.Err().
-//
-//sortnets:ctxloop
-func SweepCtx(ctx context.Context, progs []*Program, it bitvec.Iterator, judge Judge, visit func(prog, offset int, rejected uint64)) (int, error) {
-	if len(progs) == 0 {
-		return 0, nil
-	}
-	b := getBlock(fleetWidth(progs, "Sweep"))
-	defer blockPool.Put(b)
-	src := stream{vecs: it}
-	tests := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return tests, err
-		}
-		k := src.fill(b.rows, 1, maxLanes)
-		if k == 0 {
-			return tests, nil
-		}
-		b.load(b.rows, k, true)
-		for pi, p := range progs {
-			copy(b.out.Lines, b.in.Lines)
-			b.judge(p, &judge)
-			for g, bad := range b.bad[:b.out.W] {
-				visit(pi, tests+g*network.LanesPerWord, bad)
-			}
-		}
-		tests += k
-	}
 }
 
 // fleetWidth returns the one width n ≤ 64 every program of a

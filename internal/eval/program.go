@@ -13,12 +13,15 @@
 // engine owns the worker pool (sequential under a work threshold,
 // GOMAXPROCS workers above it).
 //
-// Programs are op sequences rather than comparator sequences so that
-// the fault models of package faults compile to program *variants*
-// (a bypassed comparator is a no-op, a stuck line is a clamp op, a
-// bridge is a short op) and inherit the same word-parallel batch
-// evaluation as healthy circuits, instead of each client re-wiring
-// the scalar/batch/wide dispatch by hand.
+// Fault simulation is the fault pass (FaultSet.RunCtx). A fault of
+// package faults is a few edits to the healthy circuit's firing order
+// (a bypassed comparator is replaced by a no-op, a stuck line adds
+// clamp ops, a bridge short ops). The pass runs the healthy circuit
+// once per block, keeping the line state before each comparator, and
+// simulates each fault from the state at its first edit with the
+// same word-parallel kernels. Programs are op sequences rather than
+// comparator sequences so that one fault can also be built as a
+// whole program (EditProgram) for the scalar path.
 package eval
 
 import (
@@ -33,8 +36,9 @@ import (
 type OpKind uint8
 
 // Program opcodes. OpCmp is the only opcode a healthy network
-// compiles to; the rest exist so fault-injected circuits are compiled
-// program variants rather than per-fault evaluation loops.
+// compiles to; the rest are the fault models' edits (see Edit). The
+// comparator-shaped opcodes come first, through OpRevCmp: an edit
+// with one of them replaces a comparator.
 const (
 	OpCmp      OpKind = iota // standard compare-exchange: min on A, max on B
 	OpNop                    // bypassed comparator: values pass through
@@ -47,7 +51,7 @@ const (
 )
 
 // Op is one program step on lines A (and, for two-line ops, B). It
-// is 6 bytes: a fault universe compiles into one arena of them.
+// is 6 bytes.
 type Op struct {
 	Kind OpKind
 	A, B uint16
@@ -122,41 +126,24 @@ func Compile(w *network.Network) *Program {
 // NewProgram builds a program from an explicit op sequence. Ops are
 // executed in the given order — no layer reordering, because clamp
 // and short ops do not commute the way standard comparators do. The
-// op slice is copied. It is the one-range case of NewPrograms.
+// op slice is copied.
 func NewProgram(n int, ops []Op) *Program {
-	return NewPrograms(n, slices.Clone(ops), []int{len(ops)})[0]
-}
-
-// NewPrograms builds one program per range of an op arena (the fault
-// compilation path: a whole fault universe compiles into one arena):
-// program i runs arena[ends[i-1]:ends[i]], with ends[-1] = 0, in
-// order, exactly like NewProgram. The programs alias the arena
-// instead of copying it, so the caller must not modify it afterwards.
-func NewPrograms(n int, arena []Op, ends []int) []*Program {
-	progs := make([]Program, len(ends))
-	out := make([]*Program, len(ends))
-	start := 0
-	for i, end := range ends {
-		p := &progs[i]
-		*p = Program{n: n, ops: arena[start:end:end], pure: true}
-		for _, op := range p.ops {
-			if err := checkOp(n, op); err != nil {
-				panic(err.Error())
-			}
-			if op.Kind != OpCmp {
-				p.pure = false
-			}
+	p := &Program{n: n, ops: slices.Clone(ops), pure: true}
+	for _, op := range p.ops {
+		if err := checkOp(n, op); err != nil {
+			panic(err.Error())
 		}
-		if p.pure {
-			p.comps = make([]network.Comparator, len(p.ops))
-			for j, op := range p.ops {
-				p.comps[j] = network.Comparator{A: int(op.A), B: int(op.B)}
-			}
+		if op.Kind != OpCmp {
+			p.pure = false
 		}
-		out[i] = p
-		start = end
 	}
-	return out
+	if p.pure {
+		p.comps = make([]network.Comparator, len(p.ops))
+		for j, op := range p.ops {
+			p.comps[j] = network.Comparator{A: int(op.A), B: int(op.B)}
+		}
+	}
+	return p
 }
 
 func checkOp(n int, op Op) error {

@@ -12,9 +12,9 @@ import (
 
 // streamLengths are chosen so the final block of every path lands on
 // each word count 1–4: Run ramps 64 → 128 → 256 lanes (final blocks
-// of 1,1,1,2,1,2,3,4,1,4 words here), Sweep and RunMany run 256-lane
-// blocks from the start (1,1,2,3,4,1,2,3,4,3 words). 5000 spans more
-// than one pool chunk.
+// of 1,1,1,2,1,2,3,4,1,4 words here), RunMany and the fault pass run
+// 256-lane blocks from the start (1,1,2,3,4,1,2,3,4,3 words). 5000
+// spans more than one pool chunk.
 var streamLengths = []int{1, 64, 65, 192, 193, 300, 342, 400, 449, 5000}
 
 // scalarRun is the reference the block engine must match: one vector
@@ -81,10 +81,11 @@ func judgeCase(n, trial int, rng *rand.Rand) (Judge, func(in, out bitvec.Vec) bo
 // Holds, TestsRun, counterexample in/out — of the sequential Run and
 // of RunUniverse must equal the scalar per-vector reference, whatever
 // words the blocks carry; the pooled Run must agree on Holds and
-// report a genuine counterexample; Sweep must report exactly the
-// scalar failures, once per 64-lane word.
+// report a genuine counterexample; the fault pass over the network
+// and random faults on it must reject exactly the scalar failures.
 func TestVerdictsByteIdenticalAcrossWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
+	frng := rand.New(rand.NewSource(14)) // the faults' edits
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + rng.Intn(11)
 		w := randomNet(n, rng.Intn(5*n), rng)
@@ -105,7 +106,8 @@ func TestVerdictsByteIdenticalAcrossWidths(t *testing.T) {
 				(!got.Holds && (got.Out != prog.Apply(got.In) || accepts(got.In, got.Out))) {
 				t.Fatalf("trial %d n=%d len=%d: pooled Run %+v, scalar %+v", trial, n, length, got, want)
 			}
-			checkSweep(t, []*Program{prog}, tests, judge, accepts)
+			faults := [][]Edit{nil, randomEdits(w, 4, frng), randomEdits(w, 4, frng)}
+			checkFaultPass(t, w, tests, faults, "widths")
 		}
 
 		wantU := scalarRun(prog, bitvec.Collect(bitvec.All(n)), accepts)
@@ -117,43 +119,13 @@ func TestVerdictsByteIdenticalAcrossWidths(t *testing.T) {
 	}
 }
 
-// checkSweep: Sweep visits every 64-lane word of every program once,
-// in stream order per program, with exactly the lanes the scalar
-// reference rejects.
-func checkSweep(t *testing.T, progs []*Program, tests []bitvec.Vec, judge Judge, accepts func(in, out bitvec.Vec) bool) {
-	t.Helper()
-	next := make([]int, len(progs))
-	swept, err := SweepCtx(context.Background(), progs, bitvec.Slice(tests), judge, func(pi, off int, rejected uint64) {
-		if off != next[pi] {
-			t.Fatalf("Sweep visited program %d offset %d, want %d", pi, off, next[pi])
-		}
-		var want uint64
-		for lane := 0; lane < 64 && off+lane < len(tests); lane++ {
-			if v := tests[off+lane]; !accepts(v, progs[pi].Apply(v)) {
-				want |= 1 << uint(lane)
-			}
-		}
-		if rejected != want {
-			t.Fatalf("Sweep program %d offset %d: rejected %016x, scalar %016x", pi, off, rejected, want)
-		}
-		next[pi] += 64
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pi, visited := range next {
-		if swept != len(tests) || visited < len(tests) {
-			t.Fatalf("Sweep swept %d of %d vectors, visited program %d up to %d", swept, len(tests), pi, visited)
-		}
-	}
-}
-
 // TestRunManyByteIdenticalAcrossWidths: every verdict of the fleet
 // pass must equal the scalar per-vector reference for that program,
-// at every final-block word count, and the fleet's Sweep must report
-// exactly each program's scalar failures.
+// at every final-block word count, and a fault pass over as many
+// faults must report exactly each fault's scalar failures.
 func TestRunManyByteIdenticalAcrossWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
+	frng := rand.New(rand.NewSource(30)) // the fault pass's circuit and edits
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(9)
 		progs := make([]*Program, 1+rng.Intn(7))
@@ -165,6 +137,11 @@ func TestRunManyByteIdenticalAcrossWidths(t *testing.T) {
 			}
 		}
 		judge, accepts := judgeCase(n, trial, rng)
+		w := nearSorter(n, frng)
+		faults := make([][]Edit, len(progs))
+		for i := range faults {
+			faults[i] = randomEdits(w, 3, frng)
+		}
 		for _, length := range streamLengths {
 			tests := randomStream(n, length, rng)
 			got, err := RunManyCtx(context.Background(), progs, bitvec.Slice(tests), judge)
@@ -177,7 +154,7 @@ func TestRunManyByteIdenticalAcrossWidths(t *testing.T) {
 						trial, n, length, i, got[i], want)
 				}
 			}
-			checkSweep(t, progs, tests, judge, accepts)
+			checkFaultPass(t, w, tests, faults, "fleet")
 		}
 	}
 }
@@ -226,8 +203,8 @@ func TestWideCancelMidBlock(t *testing.T) {
 }
 
 // TestManyCancelMidStream: the multi-program passes over an endless
-// stream end only by cancellation — RunManyCtx with nil verdicts,
-// SweepCtx after the block in which the cancellation was raised.
+// stream end only by cancellation — RunManyCtx with nil verdicts, the
+// fault pass after the block in which the cancellation was raised.
 func TestManyCancelMidStream(t *testing.T) {
 	n := 8
 	rng := rand.New(rand.NewSource(6))
@@ -241,10 +218,13 @@ func TestManyCancelMidStream(t *testing.T) {
 			t.Fatalf("after %d: RunManyCtx = (%v, %v), want (nil, context.Canceled)", after, vs, err)
 		}
 		ctx, cancel = context.WithCancel(context.Background())
-		swept, err := SweepCtx(ctx, progs, &cancellingIter{n: n, after: after, cancel: cancel}, accept, func(int, int, uint64) {})
+		w := randomNet(n, 3*n, rng)
+		set := newSet(w, [][]Edit{nil, randomEdits(w, 3, rng)})
+		it := &cancellingIter{n: n, after: after, cancel: cancel}
+		err = set.RunCtx(ctx, []int{0, 1}, it, accept, func(int, int, []uint64) bool { return false })
 		cancel()
-		if err != context.Canceled || swept <= after || swept > after+maxLanes {
-			t.Fatalf("after %d: SweepCtx = (%d, %v), want the cancelling block and context.Canceled", after, swept, err)
+		if err != context.Canceled || it.count <= after || it.count > after+maxLanes {
+			t.Fatalf("after %d: fault pass drew %d vectors and returned %v, want the cancelling block and context.Canceled", after, it.count, err)
 		}
 	}
 }
@@ -279,8 +259,8 @@ func shapes(parts ...[]blockShape) []blockShape {
 
 // TestBlockWidthPolicy pins how blocks size themselves from the
 // stream: Run, RunWideCtx and RunUniverse ramp 64 → 128 → 256 lanes
-// (1, 2, 4, 4, … words), Sweep and RunMany start at 256, and every
-// last block carries ⌈tail/64⌉ words. 247 and 4083 are the minimal
+// (1, 2, 4, 4, … words), RunMany and the fault pass start at 256, and
+// every last block carries ⌈tail/64⌉ words. 247 and 4083 are the minimal
 // sorter test sets for n = 8 and n = 12.
 func TestBlockWidthPolicy(t *testing.T) {
 	ramp := []blockShape{{1, 64}, {2, 128}}
@@ -330,8 +310,11 @@ func TestBlockWidthPolicy(t *testing.T) {
 
 	full := []blockShape{{4, 247}}
 	var got []blockShape
-	SweepCtx(context.Background(), []*Program{prog}, bitvec.Slice(tests[:247]), recordingJudge(&got), func(int, int, uint64) {})
-	checkShapes(t, "Sweep", 247, got, full)
+	set := newSet(gen.OddEvenMergeSort(12), [][]Edit{nil})
+	if err := set.RunCtx(context.Background(), []int{0}, bitvec.Slice(tests[:247]), recordingJudge(&got), func(int, int, []uint64) bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+	checkShapes(t, "fault pass", 247, got, full)
 	got = nil
 	RunMany([]*Program{prog}, bitvec.Slice(tests[:247]), recordingJudge(&got))
 	checkShapes(t, "RunMany", 247, got, full)

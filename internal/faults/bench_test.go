@@ -38,18 +38,42 @@ func minsetBenchNets() []struct {
 	}
 }
 
+// faultBenchCase is one fault-pass benchmark case.
+type faultBenchCase struct {
+	name string
+	w    *network.Network
+	mode DetectMode
+}
+
+// faultBenchCases are the fault-pass benchmark cases: each circuit of
+// minsetBenchNets by property, the mode of sorter requests, and then
+// by golden reference, the mode selector and merger requests take.
+func faultBenchCases() []faultBenchCase {
+	var cases []faultBenchCase
+	for _, mode := range []DetectMode{ByProperty, ByGolden} {
+		for _, c := range minsetBenchNets() {
+			name := c.name
+			if mode == ByGolden {
+				name += "-by-golden"
+			}
+			cases = append(cases, faultBenchCase{name, c.w, mode})
+		}
+	}
+	return cases
+}
+
 func sorterTests8() bitvec.Iterator { return core.SorterBinaryTests(8) }
 
-// BenchmarkMinsetMatrix times the detection matrix of a by-property
-// minset request: both engine passes plus the row and signature fill.
+// BenchmarkMinsetMatrix times the detection matrix of a minset
+// request: both fault passes plus the row and signature fill.
 func BenchmarkMinsetMatrix(b *testing.B) {
-	for _, c := range minsetBenchNets() {
+	for _, c := range faultBenchCases() {
 		b.Run(c.name, func(b *testing.B) {
 			golden, fs, ctx := eval.Compile(c.w), Enumerate(c.w), context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := DetectionMatrixCtx(ctx, c.w, golden, fs, sorterTests8, ByProperty); err != nil {
+				if _, err := DetectionMatrixCtx(ctx, c.w, golden, fs, sorterTests8, c.mode); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -78,16 +102,16 @@ func BenchmarkMinsetExact(b *testing.B) {
 	}
 }
 
-// BenchmarkFaultsMeasure times the coverage report of a by-property
-// faults request, the other half of the mixed fault workload.
+// BenchmarkFaultsMeasure times the coverage report of a faults
+// request, the other half of the mixed fault workload.
 func BenchmarkFaultsMeasure(b *testing.B) {
-	for _, c := range minsetBenchNets() {
+	for _, c := range faultBenchCases() {
 		b.Run(c.name, func(b *testing.B) {
 			golden, fs, ctx := eval.Compile(c.w), Enumerate(c.w), context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := MeasureCtx(ctx, c.w, golden, fs, sorterTests8, ByProperty); err != nil {
+				if _, err := MeasureCtx(ctx, c.w, golden, fs, sorterTests8, c.mode); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -34,85 +34,76 @@ func (m DetectMode) String() string {
 	return "by-golden"
 }
 
-// judgeFor returns the detection judge of mode: the sorted-output
-// judge for ByProperty; for ByGolden, a judge that recomputes each
-// block's fault-free outputs through golden (eval.Compile(w)) and
-// rejects the lanes whose faulty outputs differ. A ByGolden judge
-// owns a scratch batch, so each goroutine needs its own.
-func judgeFor(golden *eval.Program, mode DetectMode) eval.Judge {
+// judgeFor returns the fault pass's detection judge for mode: the
+// sorted-output judge for ByProperty; for ByGolden, a judge that
+// rejects the lanes whose faulty outputs differ from the healthy
+// circuit's, which the pass hands it as its in batch.
+func judgeFor(mode DetectMode) eval.Judge {
 	if mode != ByGolden {
 		return eval.SortedJudge()
 	}
-	var s network.Batch // golden outputs, recomputed per block
-	return eval.Judge{
-		NeedsInput: true,
-		Rejects: func(in, out *network.Batch, bad []uint64) {
-			s.N, s.W, s.Lanes = in.N, in.W, in.Lanes
-			s.Lines = append(s.Lines[:0], in.Lines...)
-			golden.ApplyBatch(&s)
-			clear(bad)
-			for i := 0; i < len(s.Lines); i += s.W {
-				for g := range bad {
-					bad[g] |= s.Lines[i+g] ^ out.Lines[i+g]
-				}
+	return eval.Judge{Rejects: func(healthy, out *network.Batch, bad []uint64) {
+		clear(bad)
+		for i := 0; i < len(out.Lines); i += out.W {
+			for g := range bad {
+				bad[g] |= healthy.Lines[i+g] ^ out.Lines[i+g]
 			}
-		},
-	}
+		}
+	}}
 }
 
-// chunk is one worker's share of a fault pass: the programs of the
-// contiguous faults lo, lo+1, … of the list, and a detection judge of
-// its own.
+// chunk is one worker's share of a fault pass: the contiguous faults
+// lo, lo+1, …, hi-1 of the list, judged by judge.
 type chunk struct {
-	lo    int
-	progs []*eval.Program
-	judge eval.Judge
+	set    *eval.FaultSet
+	lo, hi int
+	judge  eval.Judge
 }
 
-// forChunks compiles fs into one op arena and runs fn on at most
-// GOMAXPROCS contiguous, non-empty chunks of it on the shared worker
-// pool. A cancelled context stops the pass and returns ctx.Err(); fn's
-// partial results must then be discarded. Every pass sweeps the 2ⁿ
-// universe, so like eval's RunUniverse it refuses n > 30 — here, on
-// the caller's goroutine rather than a pool worker's.
-func forChunks(ctx context.Context, w *network.Network, golden *eval.Program, fs []Fault, mode DetectMode, fn func(c chunk)) error {
+// forChunks reports the edits of fs into one fault set and runs fn on
+// at most GOMAXPROCS contiguous, non-empty chunks of it on the shared
+// worker pool. A cancelled context stops the pass and returns
+// ctx.Err(); fn's partial results must then be discarded. Every pass
+// sweeps the 2ⁿ universe, so like eval's RunUniverse it refuses n >
+// 30 — here, on the caller's goroutine rather than a pool worker's.
+func forChunks(ctx context.Context, w *network.Network, fs []Fault, mode DetectMode, fn func(c chunk)) error {
 	if w.N > 30 {
 		panic(fmt.Sprintf("faults: detectability sweeps 2^%d inputs; n is too wide", w.N))
 	}
-	progs := compileAll(w, fs)
+	set, judge := faultSet(w, fs), judgeFor(mode)
 	chunks := min(eval.Workers(0), len(fs))
 	return eval.ForEachCtx(ctx, chunks, chunks, func(i int) {
-		lo, hi := i*len(fs)/chunks, (i+1)*len(fs)/chunks
-		fn(chunk{lo: lo, progs: progs[lo:hi], judge: judgeFor(golden, mode)})
+		fn(chunk{set: set, lo: i * len(fs) / chunks, hi: (i + 1) * len(fs) / chunks, judge: judge})
 	})
 }
 
-// detectable judges the chunk's programs against the whole 2ⁿ binary
-// universe, in one pass that loads each block once for all of them,
-// and returns the faults some input detects: their indices into the
-// fault list and their programs.
-func (c chunk) detectable(ctx context.Context) ([]int, []*eval.Program, error) {
-	vs, err := eval.RunManyCtx(ctx, c.progs, bitvec.All(c.progs[0].N()), c.judge)
+// detectable judges the chunk's faults against the whole 2ⁿ binary
+// universe in one fault pass and returns the indices into the fault
+// list of those some input detects, in the order the pass found them.
+func (c chunk) detectable(ctx context.Context) ([]int, error) {
+	idx := make([]int, c.hi-c.lo)
+	for i := range idx {
+		idx[i] = c.lo + i
+	}
+	// The pass reads idx once, before its first block, so the
+	// detected faults may overwrite it.
+	det := idx[:0]
+	err := c.set.RunCtx(ctx, idx, bitvec.All(c.set.N()), c.judge, func(f, _ int, _ []uint64) bool {
+		det = append(det, f)
+		return true
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	idx := make([]int, 0, len(vs))
-	progs := make([]*eval.Program, 0, len(vs))
-	for i, v := range vs {
-		if !v.Holds {
-			idx = append(idx, c.lo+i)
-			progs = append(progs, c.progs[i])
-		}
-	}
-	return idx, progs, nil
+	return det, nil
 }
 
 // detectability reports, per fault of fs, whether any binary input
 // at all detects it.
-func detectability(ctx context.Context, w *network.Network, golden *eval.Program, fs []Fault, mode DetectMode) ([]bool, error) {
+func detectability(ctx context.Context, w *network.Network, fs []Fault, mode DetectMode) ([]bool, error) {
 	det := make([]bool, len(fs))
-	err := forChunks(ctx, w, golden, fs, mode, func(c chunk) {
-		idx, _, _ := c.detectable(ctx) // on cancellation forChunks returns the error
+	err := forChunks(ctx, w, fs, mode, func(c chunk) {
+		idx, _ := c.detectable(ctx) // on cancellation forChunks returns the error
 		for _, f := range idx {
 			det[f] = true
 		}
@@ -122,8 +113,13 @@ func detectability(ctx context.Context, w *network.Network, golden *eval.Program
 
 // Detects reports whether the test vector τ detects fault f on w.
 func Detects(w *network.Network, f Fault, tau bitvec.Vec, mode DetectMode) bool {
-	vs := eval.RunMany([]*eval.Program{Compile(w, f)}, bitvec.Slice([]bitvec.Vec{tau}), judgeFor(eval.Compile(w), mode))
-	return !vs[0].Holds
+	detected := false
+	// A background pass over one vector cannot be cancelled.
+	_ = faultSet(w, []Fault{f}).RunCtx(context.Background(), []int{0}, bitvec.Slice([]bitvec.Vec{tau}), judgeFor(mode), func(int, int, []uint64) bool {
+		detected = true
+		return true
+	})
+	return detected
 }
 
 // Detectable reports whether any binary input at all detects the fault
@@ -131,7 +127,7 @@ func Detects(w *network.Network, f Fault, tau bitvec.Vec, mode DetectMode) bool 
 // bypassed redundant comparator) and excluded from coverage
 // denominators.
 func Detectable(w *network.Network, f Fault, mode DetectMode) bool {
-	det, _ := detectability(context.Background(), w, eval.Compile(w), []Fault{f}, mode)
+	det, _ := detectability(context.Background(), w, []Fault{f}, mode)
 	return det[0]
 }
 
@@ -158,42 +154,40 @@ func (r Report) String() string {
 }
 
 // Measure injects every fault in fs into w and checks which ones the
-// test set exposes. The faults compile into one op arena, split into
-// at most GOMAXPROCS contiguous chunks on the shared worker pool; each
-// chunk judges all its variants against one load of each block, first
-// of the 2ⁿ universe (which faults are detectable at all), then of
-// the test stream (which of those the tests detect). tests is called
-// once per chunk, so the factory must be safe for concurrent calls
-// (all the package core test-set factories are: each call returns a
-// fresh iterator).
+// test set exposes. The faults report their edits into one fault set,
+// split into at most GOMAXPROCS contiguous chunks on the shared worker
+// pool; each chunk runs the fault pass twice, first over the 2ⁿ
+// universe (which faults are detectable at all), then over the test
+// stream (which of those the tests detect), and drops each fault at
+// its first detecting block. tests is called once per chunk, so the
+// factory must be safe for concurrent calls (all the package core
+// test-set factories are: each call returns a fresh iterator).
 func Measure(w *network.Network, fs []Fault, tests func() bitvec.Iterator, mode DetectMode) Report {
-	rep, _ := MeasureCtx(context.Background(), w, eval.Compile(w), fs, tests, mode)
+	rep, _ := MeasureCtx(context.Background(), w, nil, fs, tests, mode)
 	return rep
 }
 
-// MeasureCtx is Measure under a context, with a caller-supplied
-// compiled healthy program — the cache-aware entry point: a caller
-// holding w's program already (the Session keeps one per canonical
-// digest) skips the recompilation. golden must be eval.Compile(w)
-// (programs are immutable, so sharing one across calls and goroutines
-// is safe). Every shared pass checks the context once per block, and
-// a cancelled run returns the context's error with a zero report.
+// MeasureCtx is Measure under a context. golden is unused and may be
+// nil: the fault pass runs the healthy circuit itself, and ByGolden
+// compares each fault's outputs with that run's. Every pass checks the
+// context once per block, and a cancelled run returns the context's
+// error with a zero report.
 func MeasureCtx(ctx context.Context, w *network.Network, golden *eval.Program, fs []Fault, tests func() bitvec.Iterator, mode DetectMode) (Report, error) {
 	detectable := make([]bool, len(fs))
 	detected := make([]bool, len(fs))
-	err := forChunks(ctx, w, golden, fs, mode, func(c chunk) {
-		idx, progs, err := c.detectable(ctx)
+	err := forChunks(ctx, w, fs, mode, func(c chunk) {
+		idx, err := c.detectable(ctx)
 		if err != nil || len(idx) == 0 {
 			return
 		}
-		vs, err := eval.RunManyCtx(ctx, progs, tests(), c.judge)
-		if err != nil {
-			return
-		}
-		for j, f := range idx {
+		for _, f := range idx {
 			detectable[f] = true
-			detected[f] = !vs[j].Holds
 		}
+		// On cancellation forChunks returns the error.
+		_ = c.set.RunCtx(ctx, idx, tests(), c.judge, func(f, _ int, _ []uint64) bool {
+			detected[f] = true
+			return true
+		})
 	})
 	if err != nil {
 		return Report{}, err

@@ -29,20 +29,19 @@ func (f DoubleComp) Describe() string {
 	return fmt.Sprintf("%s + %s", f.First.Describe(), f.Second.Describe())
 }
 
-// AppendOps implements Fault: both comparator modes apply in one
-// pass.
-func (f DoubleComp) AppendOps(dst []eval.Op, w *network.Network) []eval.Op {
-	for i, c := range w.Comps {
-		kind := eval.OpCmp
-		switch i {
-		case f.First.Index:
-			kind = opFor(f.First.Mode)
-		case f.Second.Index:
-			kind = opFor(f.Second.Mode)
-		}
-		dst = append(dst, eval.Op{Kind: kind, A: uint16(c.A), B: uint16(c.B)})
+// AppendEdits implements Fault: both comparator modes apply in one
+// pass, their edits in firing order. With equal indices First's mode
+// applies.
+func (f DoubleComp) AppendEdits(dst []eval.Edit, w *network.Network) []eval.Edit {
+	first, second := f.First, f.Second
+	if second.Index < first.Index {
+		first, second = second, first
 	}
-	return dst
+	dst = first.AppendEdits(dst, w)
+	if second.Index == first.Index {
+		return dst
+	}
+	return second.AppendEdits(dst, w)
 }
 
 // Eval implements Fault.
@@ -92,9 +91,10 @@ func (r MaskingReport) String() string {
 }
 
 // MeasureMasking examines double-comparator faults for masking under
-// the given detection mode: every pair and both its components
-// compile into one op arena and are judged for detectability in one
-// shared 2ⁿ universe pass per chunk on the shared worker pool.
+// the given detection mode: every pair and both its components report
+// their edits into one fault set and are judged for detectability in
+// one fault pass over the 2ⁿ universe per chunk on the shared worker
+// pool.
 // Entries of pairs that are not DoubleComp are counted but not
 // examined.
 func MeasureMasking(w *network.Network, pairs []Fault, mode DetectMode) MaskingReport {
@@ -105,7 +105,7 @@ func MeasureMasking(w *network.Network, pairs []Fault, mode DetectMode) MaskingR
 			fs = append(fs, d.First, d.Second, d)
 		}
 	}
-	det, _ := detectability(context.Background(), w, eval.Compile(w), fs, mode)
+	det, _ := detectability(context.Background(), w, fs, mode)
 	rep := MaskingReport{Pairs: len(pairs)}
 	for i := 0; i < len(fs); i += 3 {
 		if det[i] && det[i+1] {

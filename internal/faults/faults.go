@@ -21,15 +21,20 @@
 // is what makes measured fault coverage (experiment E12) informative
 // rather than trivially 100%.
 //
-// Faulty circuits are not evaluated by a per-fault interpreter loop:
-// each fault COMPILES, via AppendOps, to an eval.Program variant of
-// the healthy circuit (a bypassed comparator is a no-op, a stuck line
-// a clamp op, a bridge a short op), so fault simulation inherits the
-// word-parallel block engine for free. A whole fault list compiles
-// into one op arena, and Measure, DetectionMatrix and MeasureMasking
-// judge every variant against a single load of each test block —
-// one multi-program pass per chunk of the list, not one engine pass
-// per fault.
+// Faulty circuits are simulated as differences from the healthy one,
+// not compiled one program per fault. Each fault reports, via
+// AppendEdits, its edits to the healthy circuit's firing order (a
+// bypassed comparator is replaced by a no-op, a stuck line is clamped
+// and a bridge shorted before the first comparator touching its lines
+// and after every one), and a whole fault list reports into one edit
+// buffer. Measure, DetectionMatrix and MeasureMasking run eval's fault
+// pass over it: per block of tests the healthy circuit runs once,
+// keeping the line state before each comparator, and each fault runs
+// from the state at its first edit with the word-parallel kernels. So
+// a fault list costs memory linear in the comparators, and a
+// comparator fault about half a healthy run. The list is split into
+// at most GOMAXPROCS contiguous chunks on the shared worker pool, one
+// pass each.
 package faults
 
 import (
@@ -45,39 +50,38 @@ import (
 type Fault interface {
 	// Describe renders a short human-readable label.
 	Describe() string
-	// AppendOps compiles the faulty circuit to an eval op sequence,
-	// appended to dst.
-	AppendOps(dst []eval.Op, w *network.Network) []eval.Op
+	// AppendEdits appends the fault's edits to w's healthy firing
+	// order (see eval.Edit) to dst, in firing order.
+	AppendEdits(dst []eval.Edit, w *network.Network) []eval.Edit
 	// Eval runs the faulty circuit on a binary input. It compiles on
 	// the fly; hot paths should compile once via faults.Compile.
 	Eval(w *network.Network, v bitvec.Vec) bitvec.Vec
 }
 
-// Compile builds the compiled program of the faulty circuit. The
-// program evaluates on all of eval's paths — scalar and block —
-// exactly like a healthy network's program.
+// Compile builds the whole program of the faulty circuit: the
+// healthy firing order with the fault's edits applied. The program
+// evaluates on all of eval's paths — scalar and block — exactly like a
+// healthy network's program.
 func Compile(w *network.Network, f Fault) *eval.Program {
-	return compileAll(w, []Fault{f})[0]
+	return eval.EditProgram(w, f.AppendEdits(nil, w))
 }
 
-// compileAll compiles every fault of fs into one op arena and returns
-// the programs over its ranges, indexed like fs. A first pass through
-// a scratch buffer sizes the arena exactly, so it is allocated once:
-// stuck lines and bridges add ops after every comparator touching
-// their lines.
-func compileAll(w *network.Network, fs []Fault) []*eval.Program {
-	size, scratch := 0, make([]eval.Op, 0, 2*len(w.Comps)+1)
+// faultSet reports the edits of every fault of fs into one buffer and
+// returns the fault set over it, indexed like fs. A first pass through
+// a scratch buffer sizes the buffer exactly, so it is allocated once.
+func faultSet(w *network.Network, fs []Fault) *eval.FaultSet {
+	size, scratch := 0, make([]eval.Edit, 0, len(w.Comps)+1)
 	for _, f := range fs {
-		scratch = f.AppendOps(scratch[:0], w)
+		scratch = f.AppendEdits(scratch[:0], w)
 		size += len(scratch)
 	}
-	arena := make([]eval.Op, 0, size)
+	edits := make([]eval.Edit, 0, size)
 	ends := make([]int, len(fs))
 	for i, f := range fs {
-		arena = f.AppendOps(arena, w)
-		ends[i] = len(arena)
+		edits = f.AppendEdits(edits, w)
+		ends[i] = len(edits)
 	}
-	return eval.NewPrograms(w.N, arena, ends)
+	return eval.NewFaultSet(w, edits, ends)
 }
 
 // CompMode selects how a comparator misbehaves.
@@ -127,17 +131,15 @@ func (f CompFault) Describe() string {
 	return fmt.Sprintf("comparator %d %s", f.Index, f.Mode)
 }
 
-// AppendOps implements Fault: comparator Index fires in its fault
-// mode, the rest are standard.
-func (f CompFault) AppendOps(dst []eval.Op, w *network.Network) []eval.Op {
-	for i, c := range w.Comps {
-		kind := eval.OpCmp
-		if i == f.Index {
-			kind = opFor(f.Mode)
-		}
-		dst = append(dst, eval.Op{Kind: kind, A: uint16(c.A), B: uint16(c.B)})
+// AppendEdits implements Fault: comparator Index fires in its fault
+// mode, the rest are standard. An Index outside the network never
+// triggers, so the fault has no edits.
+func (f CompFault) AppendEdits(dst []eval.Edit, w *network.Network) []eval.Edit {
+	if f.Index < 0 || f.Index >= len(w.Comps) {
+		return dst
 	}
-	return dst
+	c := w.Comps[f.Index]
+	return append(dst, eval.Edit{At: int32(f.Index), Op: eval.Op{Kind: opFor(f.Mode), A: uint16(c.A), B: uint16(c.B)}})
 }
 
 // Eval implements Fault.
@@ -156,20 +158,36 @@ func (f StuckLine) Describe() string {
 	return fmt.Sprintf("line %d stuck-at-%d", f.Line+1, f.Value)
 }
 
-// AppendOps implements Fault: the clamp is enforced at the input and
-// after every comparator touching the line (a defective wire segment
-// along the entire line).
-func (f StuckLine) AppendOps(dst []eval.Op, w *network.Network) []eval.Op {
+// AppendEdits implements Fault: the clamp holds along the entire line
+// (a defective wire segment), enforced by appendAlong.
+func (f StuckLine) AppendEdits(dst []eval.Edit, w *network.Network) []eval.Edit {
 	clamp := eval.Op{Kind: eval.OpClamp0, A: uint16(f.Line)}
 	if f.Value == 1 {
 		clamp.Kind = eval.OpClamp1
 	}
-	dst = append(dst, clamp)
-	for _, c := range w.Comps {
-		dst = append(dst, eval.Op{Kind: eval.OpCmp, A: uint16(c.A), B: uint16(c.B)})
-		if c.A == f.Line || c.B == f.Line {
-			dst = append(dst, clamp)
+	return appendAlong(dst, w, clamp, f.Line, f.Line)
+}
+
+// appendAlong appends the edits that enforce op, a clamp or short,
+// along lines a and b for the whole circuit: just before the first
+// comparator touching either line and after every one, or once after
+// the last comparator when none touches them. Comparators on other
+// lines commute with op, so this equals enforcing it at the input and
+// after every touching comparator.
+func appendAlong(dst []eval.Edit, w *network.Network, op eval.Op, a, b int) []eval.Edit {
+	touched := false
+	for i, c := range w.Comps {
+		if c.A != a && c.A != b && c.B != a && c.B != b {
+			continue
 		}
+		if !touched {
+			dst = append(dst, eval.Edit{At: int32(i), Op: op})
+			touched = true
+		}
+		dst = append(dst, eval.Edit{At: int32(i + 1), Op: op})
+	}
+	if !touched {
+		dst = append(dst, eval.Edit{At: int32(len(w.Comps)), Op: op})
 	}
 	return dst
 }
@@ -207,21 +225,14 @@ func (f Bridge) Describe() string {
 	return fmt.Sprintf("bridge %d~%d %s", f.A+1, f.B+1, f.Mode)
 }
 
-// AppendOps implements Fault: the short is enforced at the input and
-// after every comparator touching either line.
-func (f Bridge) AppendOps(dst []eval.Op, w *network.Network) []eval.Op {
+// AppendEdits implements Fault: the short holds along both lines for
+// the whole circuit, enforced by appendAlong.
+func (f Bridge) AppendEdits(dst []eval.Edit, w *network.Network) []eval.Edit {
 	short := eval.Op{Kind: eval.OpShortOR, A: uint16(f.A), B: uint16(f.B)}
 	if f.Mode == WiredAND {
 		short.Kind = eval.OpShortAND
 	}
-	dst = append(dst, short)
-	for _, c := range w.Comps {
-		dst = append(dst, eval.Op{Kind: eval.OpCmp, A: uint16(c.A), B: uint16(c.B)})
-		if c.A == f.A || c.A == f.B || c.B == f.A || c.B == f.B {
-			dst = append(dst, short)
-		}
-	}
-	return dst
+	return appendAlong(dst, w, short, f.A, f.B)
 }
 
 // Eval implements Fault.
@@ -231,20 +242,35 @@ func (f Bridge) Eval(w *network.Network, v bitvec.Vec) bitvec.Vec {
 
 // Enumerate lists the standard single-fault universe for a network:
 // three modes per comparator, two stuck values per line, and two bridge
-// modes per adjacent line pair.
+// modes per adjacent line pair, 3C + 2n + 2(n−1) faults in all. Each
+// kind is boxed from one backing array, so the faults are a
+// *CompFault, *StuckLine or *Bridge, and the list costs at most four
+// allocations whatever its length.
 func Enumerate(w *network.Network) []Fault {
-	var out []Fault
+	comps := make([]CompFault, 0, 3*len(w.Comps))
 	for i := range w.Comps {
-		out = append(out, CompFault{Index: i, Mode: Bypass},
+		comps = append(comps, CompFault{Index: i, Mode: Bypass},
 			CompFault{Index: i, Mode: AlwaysSwap},
 			CompFault{Index: i, Mode: Reverse})
 	}
+	stuck := make([]StuckLine, 0, 2*w.N)
 	for l := 0; l < w.N; l++ {
-		out = append(out, StuckLine{Line: l, Value: 0}, StuckLine{Line: l, Value: 1})
+		stuck = append(stuck, StuckLine{Line: l, Value: 0}, StuckLine{Line: l, Value: 1})
 	}
+	bridges := make([]Bridge, 0, 2*max(w.N-1, 0))
 	for l := 0; l+1 < w.N; l++ {
-		out = append(out, Bridge{A: l, B: l + 1, Mode: WiredOR},
+		bridges = append(bridges, Bridge{A: l, B: l + 1, Mode: WiredOR},
 			Bridge{A: l, B: l + 1, Mode: WiredAND})
+	}
+	out := make([]Fault, 0, len(comps)+len(stuck)+len(bridges))
+	for i := range comps {
+		out = append(out, &comps[i])
+	}
+	for i := range stuck {
+		out = append(out, &stuck[i])
+	}
+	for i := range bridges {
+		out = append(out, &bridges[i])
 	}
 	return out
 }

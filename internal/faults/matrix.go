@@ -15,15 +15,14 @@ import (
 // Matrix is the full test × fault detection table for one circuit
 // under one detection mode: Sigs[t] is the fault signature of test t —
 // the set of fault indices that test exposes. It is built in one
-// multi-program sweep per chunk of the fault list (no early exit,
-// every verdict bit kept), each loading every test block once for all
-// the chunk's fault variants, with the chunks spread over the shared
-// worker pool — so test-set *selection* for stuck-at coverage runs on
-// exactly the same compiled-program machinery as test-set
-// verification. The per-fault rows and the per-test signatures are
-// views over two slabs of words: the sweep ORs each 64-lane verdict
-// word into its row, and the signatures are the rows' word-level
-// transpose.
+// fault pass per chunk of the fault list (no early exit, every verdict
+// bit kept), each loading every test block once for all the chunk's
+// faults, with the chunks spread over the shared worker pool — so
+// test-set *selection* for stuck-at coverage runs on the same block
+// engine and kernels as test-set verification. The per-fault rows and
+// the per-test signatures are views over two slabs of words: the pass
+// ORs each 64-lane verdict word into its row, and the signatures are
+// the rows' word-level transpose.
 type Matrix struct {
 	Tests      []bitvec.Vec  // the materialized test stream, in order
 	Faults     []Fault       // the injected fault universe
@@ -41,14 +40,14 @@ type Matrix struct {
 // collected vectors are swept once per chunk of the fault list — so
 // it need not be safe for concurrent calls.
 func DetectionMatrix(w *network.Network, fs []Fault, tests func() bitvec.Iterator, mode DetectMode) *Matrix {
-	m, _ := DetectionMatrixCtx(context.Background(), w, eval.Compile(w), fs, tests, mode)
+	m, _ := DetectionMatrixCtx(context.Background(), w, nil, fs, tests, mode)
 	return m
 }
 
-// DetectionMatrixCtx is DetectionMatrix under a context, with a
-// caller-supplied compiled healthy program (see MeasureCtx): the
-// shared passes check the context once per block and a cancelled run
-// returns the context's error with a nil matrix.
+// DetectionMatrixCtx is DetectionMatrix under a context. golden is
+// unused and may be nil (see MeasureCtx). The passes check the context
+// once per block, and a cancelled run returns the context's error with
+// a nil matrix.
 func DetectionMatrixCtx(ctx context.Context, w *network.Network, golden *eval.Program, fs []Fault, tests func() bitvec.Iterator, mode DetectMode) (*Matrix, error) {
 	vecs := bitvec.Collect(tests())
 	// One row (bitset over tests) per fault, all over one slab that
@@ -57,20 +56,25 @@ func DetectionMatrixCtx(ctx context.Context, w *network.Network, golden *eval.Pr
 	all, rowWords := bitset.NewSlab(len(fs), len(vecs))
 	rw := (len(vecs) + 63) / 64 // words per row
 	rows := make([]*bitset.Set, len(fs))
-	err := forChunks(ctx, w, golden, fs, mode, func(c chunk) {
-		idx, progs, err := c.detectable(ctx)
+	err := forChunks(ctx, w, fs, mode, func(c chunk) {
+		idx, err := c.detectable(ctx)
 		if err != nil || len(idx) == 0 {
 			return
 		}
 		for _, f := range idx {
 			rows[f] = all[f]
 		}
-		// Sweep offsets are 64-aligned, so each verdict word is one
-		// row word. A cancelled sweep leaves its rows partial;
-		// forChunks then returns the context's error and the rows
-		// are dropped.
-		_, _ = eval.SweepCtx(ctx, progs, bitvec.Slice(vecs), c.judge, func(j, off int, bad uint64) {
-			rowWords[idx[j]*rw+off>>6] |= bad
+		// A slice of vectors is not a line source, so every block but
+		// the last holds 256 tests: tests is 64-aligned and each
+		// verdict word is one row word. A cancelled pass leaves its
+		// rows partial; forChunks then returns the context's error
+		// and the rows are dropped.
+		_ = c.set.RunCtx(ctx, idx, bitvec.Slice(vecs), c.judge, func(f, tests int, bad []uint64) bool {
+			row := rowWords[f*rw+tests>>6:]
+			for g, word := range bad {
+				row[g] |= word
+			}
+			return false
 		})
 	})
 	if err != nil {

@@ -93,16 +93,18 @@ func (it *lexIter) Next() (P, bool) {
 		it.fresh = false
 		return it.cur.Clone(), true
 	}
-	if !nextLex(it.cur) {
+	if !NextLex(it.cur) {
 		it.done = true
 		return nil, false
 	}
 	return it.cur.Clone(), true
 }
 
-// nextLex advances p to its lexicographic successor in place, returning
-// false when p was the last (descending) permutation.
-func nextLex(p P) bool {
+// NextLex advances p to its lexicographic successor in place, returning
+// false when p was the last (descending) permutation. Stepping one
+// permutation from Identity visits all n! in AllLex's order without
+// allocating.
+func NextLex(p P) bool {
 	n := len(p)
 	i := n - 2
 	for i >= 0 && p[i] >= p[i+1] {

@@ -33,29 +33,31 @@ type PermBehavior string
 // n·n! bytes and the closure is enumerated explicitly.
 const MaxPermLines = 6
 
-// permInputs returns all n! permutations in lexicographic order.
-func permInputs(n int) []perm.P {
-	return perm.Collect(perm.AllLex(n))
-}
-
-// permIdentityTable returns the empty network's behaviour as raw
-// bytes.
-func permIdentityTable(n int) []byte {
+// permInputTable tabulates the n! permutation inputs in lexicographic
+// order as n-byte rows of one arena, row r the input of rank r, by
+// stepping one permutation with perm.NextLex. It is also the empty
+// network's behaviour. A search builds it once and shares it.
+func permInputTable(n int) []byte {
 	if n < 1 || n > MaxPermLines {
 		panic(fmt.Sprintf("search: n=%d out of range 1..%d", n, MaxPermLines))
 	}
-	inputs := permInputs(n)
-	table := make([]byte, 0, n*len(inputs))
-	for _, p := range inputs {
+	rows := 1
+	for i := 2; i <= n; i++ {
+		rows *= i
+	}
+	table := make([]byte, 0, n*rows)
+	for p := perm.Identity(n); ; {
 		for _, v := range p {
 			table = append(table, byte(v))
 		}
+		if !perm.NextLex(p) {
+			return table
+		}
 	}
-	return table
 }
 
 // PermIdentity returns the empty network's permutation behaviour.
-func PermIdentity(n int) PermBehavior { return PermBehavior(permIdentityTable(n)) }
+func PermIdentity(n int) PermBehavior { return PermBehavior(permInputTable(n)) }
 
 // applyComparatorPermTable routes every tabulated output of src
 // through the comparator, writing to dst.
@@ -89,16 +91,14 @@ func (b PermBehavior) Output(n, rank int) []byte {
 // 6–48x fewer bytes), and the permutation tables are reconstructed by
 // replaying the BFS spanning tree — exactly ONE comparator
 // application per behaviour instead of one per (behaviour, alphabet
-// rule) candidate.
-func permClosureStore(ctx context.Context, n int, alphabet []network.Comparator, limit int) (*behaviorStore, error) {
-	if n < 1 || n > MaxPermLines {
-		panic(fmt.Sprintf("search: n=%d out of range 1..%d", n, MaxPermLines))
-	}
+// rule) candidate. inputs is permInputTable(n), the identity
+// behaviour the replay starts from.
+func permClosureStore(ctx context.Context, n int, inputs []byte, alphabet []network.Comparator, limit int) (*behaviorStore, error) {
 	bst, err := binaryClosureStore(ctx, n, alphabet, limit)
 	if err != nil {
 		return nil, err
 	}
-	seed := permIdentityTable(n)
+	seed := inputs
 	stride := len(seed)
 	st := &behaviorStore{
 		stride:   stride,
@@ -123,7 +123,7 @@ func permClosureStore(ctx context.Context, n int, alphabet []network.Comparator,
 // asserted in the tests. Like Closure's, its enumeration order is the
 // same on every run.
 func PermClosure(n int, alphabet []network.Comparator, limit int) ([]PermBehavior, error) {
-	st, err := permClosureStore(context.Background(), n, alphabet, limit)
+	st, err := permClosureStore(context.Background(), n, permInputTable(n), alphabet, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -173,29 +173,15 @@ func bytesSorted(b []byte) bool {
 	return true
 }
 
-// permInputBytes tabulates the n! inputs as byte rows once.
-func permInputBytes(n int) [][]byte {
-	inputs := permInputs(n)
-	arena := make([]byte, n*len(inputs))
-	rows := make([][]byte, len(inputs))
-	for i, p := range inputs {
-		row := arena[i*n : (i+1)*n]
-		for j, v := range p {
-			row[j] = byte(v)
-		}
-		rows[i] = row
-	}
-	return rows
-}
-
 // permFailureRows computes the failure row (a bitset over the n!
 // input ranks, as raw words) of every incorrect behaviour in the
 // store, in store order and with duplicates kept: pruneSupersetRows
 // drops them as neighbours after its sort. A cancelled context stops
-// the scan and returns the context's error.
-func (st *behaviorStore) permFailureRows(ctx context.Context, n int, accepts PermAcceptance) ([]maskRow, error) {
-	inBytes := permInputBytes(n)
-	nw := wordsFor(len(inBytes))
+// the scan and returns the context's error. inputs is
+// permInputTable(n).
+func (st *behaviorStore) permFailureRows(ctx context.Context, n int, inputs []byte, accepts PermAcceptance) ([]maskRow, error) {
+	ranks := len(inputs) / n
+	nw := wordsFor(ranks)
 	// Devirtualized fast path for the sorting property (the pipeline's
 	// primary workload), mirroring eval.SortedJudge: the per-rank
 	// closure call and slice-header setup are the dominant cost of the
@@ -213,7 +199,7 @@ func (st *behaviorStore) permFailureRows(ctx context.Context, n int, accepts Per
 		empty := true
 		clear(scratch)
 		if sorterFast {
-			for r, base := 0, 0; r < len(inBytes); r, base = r+1, base+n {
+			for r, base := 0, 0; r < ranks; r, base = r+1, base+n {
 				for j := base + 1; j < base+n; j++ {
 					if tab[j-1] > tab[j] {
 						scratch[r>>6] |= 1 << uint(r&63)
@@ -223,8 +209,8 @@ func (st *behaviorStore) permFailureRows(ctx context.Context, n int, accepts Per
 				}
 			}
 		} else {
-			for r := range inBytes {
-				if !accepts(n, inBytes[r], tab[r*n:(r+1)*n]) {
+			for r := 0; r < ranks; r++ {
+				if !accepts(n, inputs[r*n:(r+1)*n], tab[r*n:(r+1)*n]) {
 					scratch[r>>6] |= 1 << uint(r&63)
 					empty = false
 				}
@@ -246,14 +232,15 @@ func (st *behaviorStore) permFailureRows(ctx context.Context, n int, accepts Per
 // of failure sets (over the n!-element input universe) of every
 // incorrect behaviour, in canonical (popcount, content) order.
 func PermFailureFamily(n int, behaviors []PermBehavior, accepts PermAcceptance) []*bitset.Set {
-	inBytes := permInputBytes(n)
+	inputs := permInputTable(n)
+	ranks := len(inputs) / n
 	seen := map[string]bool{}
 	var fam []*bitset.Set
 	for _, b := range behaviors {
 		tab := []byte(string(b))
-		s := bitset.New(len(inBytes))
-		for r := range inBytes {
-			if !accepts(n, inBytes[r], tab[r*n:(r+1)*n]) {
+		s := bitset.New(ranks)
+		for r := 0; r < ranks; r++ {
+			if !accepts(n, inputs[r*n:(r+1)*n], tab[r*n:(r+1)*n]) {
 				s.Add(r)
 			}
 		}
@@ -392,11 +379,12 @@ func MinimumPermTestSetCtx(ctx context.Context, n, h int, accepts PermAcceptance
 	if n > MaxPermLines {
 		return PermTestSetResult{}, fmt.Errorf("search: n=%d too large for permutation-space search", n)
 	}
-	st, err := permClosureStore(ctx, n, Comparators(n, h), opt.Limit)
+	inputs := permInputTable(n)
+	st, err := permClosureStore(ctx, n, inputs, Comparators(n, h), opt.Limit)
 	if err != nil {
 		return PermTestSetResult{}, err
 	}
-	raw, err := st.permFailureRows(ctx, n, accepts)
+	raw, err := st.permFailureRows(ctx, n, inputs, accepts)
 	if err != nil {
 		return PermTestSetResult{}, err
 	}
@@ -413,7 +401,6 @@ func MinimumPermTestSetCtx(ctx context.Context, n, h int, accepts PermAcceptance
 	if err != nil {
 		return PermTestSetResult{}, err
 	}
-	inputs := permInputs(n)
 	res := PermTestSetResult{
 		N: n, Height: h,
 		Behaviors: st.count,
@@ -421,8 +408,13 @@ func MinimumPermTestSetCtx(ctx context.Context, n, h int, accepts PermAcceptance
 		Size:      len(elems),
 		Exact:     exact,
 	}
-	for _, e := range elems {
-		res.Tests = append(res.Tests, inputs[e])
+	vals := make([]int, len(elems)*n)
+	for i, e := range elems {
+		p := vals[i*n : (i+1)*n : (i+1)*n]
+		for j, v := range inputs[int(e)*n : (int(e)+1)*n] {
+			p[j] = int(v)
+		}
+		res.Tests = append(res.Tests, p)
 	}
 	return res, nil
 }

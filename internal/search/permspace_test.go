@@ -245,6 +245,22 @@ func TestPermTestSetResultString(t *testing.T) {
 	}
 }
 
+// permInputs reads permInputTable(n) back as permutations.
+func permInputs(n int) []perm.P {
+	table := permInputTable(n)
+	out := make([]perm.P, 0, len(table)/n)
+	for r := 0; r < len(table); r += n {
+		p := make(perm.P, n)
+		for j, v := range table[r : r+n] {
+			p[j] = int(v)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// TestPermInputsLexOrder: the input table's rows are the n!
+// permutations in rank order.
 func TestPermInputsLexOrder(t *testing.T) {
 	inputs := permInputs(4)
 	if len(inputs) != 24 {

@@ -136,7 +136,8 @@ func TestPruneSupersetSetsEdgeCases(t *testing.T) {
 }
 
 // TestPruneSupersetsAgainstBruteForce cross-checks the bucketed pruning
-// against the quadratic definition on random families.
+// against the quadratic definition on random families, and checks
+// that the survivors come in canonical (popcount, value) order.
 func TestPruneSupersetsAgainstBruteForce(t *testing.T) {
 	brute := func(fam []uint64) map[uint64]bool {
 		seen := map[uint64]bool{}
@@ -175,9 +176,15 @@ func TestPruneSupersetsAgainstBruteForce(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("family %b: got %b, want %v", fam, got, want)
 		}
-		for _, m := range got {
+		for i, m := range got {
 			if !want[m] {
 				t.Fatalf("family %b: spurious survivor %b", fam, m)
+			}
+			if i > 0 {
+				p, q := bits.OnesCount64(got[i-1]), bits.OnesCount64(m)
+				if p > q || p == q && got[i-1] >= m {
+					t.Fatalf("family %b: survivors %b out of canonical order", fam, got)
+				}
 			}
 		}
 	}

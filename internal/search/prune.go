@@ -17,52 +17,62 @@ import (
 // test instead of a scan). Output is in canonical order, so downstream
 // solving does not depend on closure enumeration order.
 
-// pruneSupersets prunes a family of single-word masks, sorting fam in
-// place.
+// pruneSupersets prunes a family of single-word masks. A counting
+// pass over the popcounts buckets the masks into canonical order, each
+// bucket then sorted by value, so no comparison recomputes a popcount
+// and a candidate is checked only against the multi-line survivors of
+// the buckets before its own. The survivors overwrite fam's prefix.
 func pruneSupersets(fam []uint64) []uint64 {
 	if len(fam) == 0 {
 		return nil
 	}
-	slices.SortFunc(fam, func(a, b uint64) int {
-		if pa, pb := bits.OnesCount64(a), bits.OnesCount64(b); pa != pb {
-			return pa - pb
-		}
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	})
-	var singles uint64
-	out := make([]uint64, 0, len(fam))
-	for i, m := range fam {
-		if i > 0 && m == fam[i-1] {
-			continue
-		}
+	// start[pc] is where popcount pc's bucket begins in sorted.
+	var start [66]int
+	for _, m := range fam {
+		start[bits.OnesCount64(m)+1]++
+	}
+	for pc := 1; pc < len(start); pc++ {
+		start[pc] += start[pc-1]
+	}
+	sorted := make([]uint64, len(fam))
+	next := start
+	for _, m := range fam {
 		pc := bits.OnesCount64(m)
-		if pc == 1 {
-			singles |= m
-			out = append(out, m)
-			continue
+		sorted[next[pc]] = m
+		next[pc]++
+	}
+	var singles uint64
+	out := fam[:0]
+	multi := 0 // out[multi:] are the survivors of popcount ≥ 2
+	for pc := 0; pc <= 64; pc++ {
+		bucket := sorted[start[pc]:start[pc+1]]
+		slices.Sort(bucket)
+		if pc == 2 {
+			multi = len(out)
 		}
-		if m&singles != 0 {
-			continue // contains a singleton survivor
-		}
-		dominated := false
-		for _, s := range out {
-			spc := bits.OnesCount64(s)
-			if spc >= pc {
-				break // survivors are popcount-sorted; no subset beyond
+		smaller := out[multi:]
+		for i, m := range bucket {
+			if i > 0 && m == bucket[i-1] {
+				continue
 			}
-			if spc > 1 && s&^m == 0 {
-				dominated = true
-				break
+			if pc == 1 {
+				singles |= m
+				out = append(out, m)
+				continue
 			}
-		}
-		if !dominated {
-			out = append(out, m)
+			if m&singles != 0 {
+				continue // contains a singleton survivor
+			}
+			dominated := false
+			for _, s := range smaller {
+				if s&^m == 0 {
+					dominated = true
+					break
+				}
+			}
+			if !dominated {
+				out = append(out, m)
+			}
 		}
 	}
 	return out

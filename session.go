@@ -539,7 +539,7 @@ func (s *Session) doFaults(ctx context.Context, req *Request, ctrs *opCounters) 
 func (s *Session) doFaultsResolved(ctx context.Context, ctrs *opCounters, req *Request, w *network.Network, digest string, p verify.Property, mode faults.DetectMode) (*Verdict, error) {
 	key := faultsKey(digest, p, mode)
 	return s.cached(ctx, ctrs, key, s.withPeerFill(ctrs, req, OpFaults, digest, func(cctx context.Context) (*Verdict, error) {
-		rep, err := faults.MeasureCtx(cctx, w, s.program(digest, w), faults.Enumerate(w), p.BinaryTests, mode)
+		rep, err := faults.MeasureCtx(cctx, w, nil, faults.Enumerate(w), p.BinaryTests, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -570,7 +570,7 @@ func (s *Session) doMinset(ctx context.Context, req *Request, ctrs *opCounters) 
 func (s *Session) doMinsetResolved(ctx context.Context, ctrs *opCounters, req *Request, w *network.Network, digest string, p verify.Property, mode faults.DetectMode, exactReq bool) (*Verdict, error) {
 	key := minsetKey(digest, p, mode, exactReq)
 	return s.cached(ctx, ctrs, key, s.withPeerFill(ctrs, req, OpMinset, digest, func(cctx context.Context) (*Verdict, error) {
-		m, err := faults.DetectionMatrixCtx(cctx, w, s.program(digest, w), faults.Enumerate(w), p.BinaryTests, mode)
+		m, err := faults.DetectionMatrixCtx(cctx, w, nil, faults.Enumerate(w), p.BinaryTests, mode)
 		if err != nil {
 			return nil, err
 		}
