@@ -225,15 +225,14 @@ func TestMatrixString(t *testing.T) {
 }
 
 // Allocations of one exact minset computation on prefixedSorter8
-// (go1.24): a fixed part — the collected tests, the two slabs, the
-// signatures' transpose and the exact solve — and at most
-// minsetChunkAllocs per chunk of the fault pass (its programs' share,
-// one universe pass and one sweep, the chunk's two detectable lists),
-// measured at 1 to 8 chunks (79 allocations at one chunk, 90 at two,
-// 131 at eight).
+// (go1.24): a fixed part — the fault set, the collected tests, the two
+// slabs, the signatures' transpose and the exact solve — and at most
+// minsetChunkAllocs per chunk of the fault pass (the chunk's index
+// list, its universe pass and its test pass), measured at 1 to 8
+// chunks (77 allocations at one chunk, 87 at two, 122 at eight).
 const (
 	minsetFixedAllocs = 68
-	minsetChunkAllocs = 11
+	minsetChunkAllocs = 9
 )
 
 // TestMinsetAllocs guards the word-level minset path: the detection
