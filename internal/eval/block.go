@@ -104,10 +104,12 @@ type block struct {
 	// stream, which the judge never rejects.
 	lines LineSource
 	holes [maxWords]uint64
-	// The fault pass's scratch: the healthy run's line states and the
-	// faults still in the pass.
-	saved  []uint64
-	active []int
+	// The fault pass's scratch: the healthy run's line states, its
+	// outputs as a batch over the last of them, and the faults still
+	// in the pass.
+	saved   []uint64
+	healthy network.Batch
+	active  []int
 }
 
 // blockPool recycles blocks: a block is a few KiB plus its batches,

@@ -111,9 +111,6 @@ func EditProgram(w *network.Network, edits []Edit) *Program {
 // N returns the line count.
 func (s *FaultSet) N() int { return s.n }
 
-// Len returns the number of faults.
-func (s *FaultSet) Len() int { return len(s.ends) }
-
 // RunCtx is the fault pass. It streams it once, in blocks of up to
 // 256 lanes, through the healthy circuit and every fault listed in
 // faults (indices into the set); faults is read once, before the
@@ -151,11 +148,11 @@ func (s *FaultSet) RunCtx(ctx context.Context, faults []int, it bitvec.Iterator,
 		W := b.out.W
 		S := s.n * W // words per line state
 		saved := b.checkpoint(s.comps)
-		healthy := network.Batch{N: s.n, W: W, Lanes: b.out.Lanes, Lines: saved[C*S : (C+1)*S]}
+		b.healthy = network.Batch{N: s.n, W: W, Lanes: b.out.Lanes, Lines: saved[C*S : (C+1)*S]}
 		keep := b.active[:0]
 		for _, f := range b.active {
 			s.apply(f, saved, b.out.Lines, W)
-			if b.reject(&healthy, &judge) >= 0 && visit(f, tests, b.bad[:W]) {
+			if b.reject(&b.healthy, &judge) >= 0 && visit(f, tests, b.bad[:W]) {
 				continue
 			}
 			keep = append(keep, f)

@@ -246,8 +246,8 @@ func TestFaultPassRunsEachEditRange(t *testing.T) {
 		}
 	}
 	set := newSet(w, faults)
-	if set.Len() != len(faults) || set.N() != n {
-		t.Fatalf("set of %d faults on %d lines, want %d on %d", set.Len(), set.N(), len(faults), n)
+	if len(set.ends) != len(faults) || set.N() != n {
+		t.Fatalf("set of %d faults on %d lines, want %d on %d", len(set.ends), set.N(), len(faults), n)
 	}
 	if edits := set.edits; len(edits) > 0 && &NewFaultSet(w, edits, set.ends).edits[0] != &edits[0] {
 		t.Fatal("NewFaultSet copies the edit buffer instead of keeping it")

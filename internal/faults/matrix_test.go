@@ -229,10 +229,10 @@ func TestMatrixString(t *testing.T) {
 // slabs, the signatures' transpose and the exact solve — and at most
 // minsetChunkAllocs per chunk of the fault pass (the chunk's index
 // list, its universe pass and its test pass), measured at 1 to 8
-// chunks (77 allocations at one chunk, 87 at two, 122 at eight).
+// chunks (75 allocations at one chunk, 83 at two, 107 at eight).
 const (
 	minsetFixedAllocs = 68
-	minsetChunkAllocs = 9
+	minsetChunkAllocs = 7
 )
 
 // TestMinsetAllocs guards the word-level minset path: the detection
