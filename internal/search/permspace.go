@@ -98,8 +98,7 @@ func permClosureStore(ctx context.Context, n int, inputs []byte, alphabet []netw
 	if err != nil {
 		return nil, err
 	}
-	seed := inputs
-	stride := len(seed)
+	stride := len(inputs)
 	st := &behaviorStore{
 		stride:   stride,
 		arena:    make([]byte, bst.count*stride),
@@ -107,7 +106,7 @@ func permClosureStore(ctx context.Context, n int, inputs []byte, alphabet []netw
 		parentOf: bst.parentOf,
 		ruleOf:   bst.ruleOf,
 	}
-	copy(st.at(0), seed)
+	copy(st.at(0), inputs)
 	for id := 1; id < st.count; id++ {
 		// Parents precede children in BFS order, so at(parent) is
 		// already reconstructed.
