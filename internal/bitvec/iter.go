@@ -25,9 +25,13 @@ func Count(it Iterator) int {
 	}
 }
 
-// Collect drains an iterator into a slice.
+// Collect drains an iterator into a slice, sized once up front when
+// the iterator reports its length (as a Span does).
 func Collect(it Iterator) []Vec {
 	var out []Vec
+	if l, ok := it.(interface{ Len() int }); ok {
+		out = make([]Vec, 0, l.Len())
+	}
 	for {
 		v, ok := it.Next()
 		if !ok {
@@ -90,25 +94,44 @@ func (s *Span) Len() int {
 // consecutive words [base, base+lanes), where base is the span's next
 // word rounded down to a multiple of 64 and lanes ≤ lim (lim ≥ 64),
 // line-major at W = ⌈lanes/64⌉ words per line (LoadConsecutive). It
-// sets holes[:W] (bit j for word base+j) to the block's words that are
-// not in the stream: those before the span's next word, and the
-// sorted ones when the span drops them. tests counts the rest, the
-// block's stream vectors. lanes is 0 once the span is exhausted.
+// sets holes[:W] to the block's words that are not in the stream
+// (Holes). tests counts the rest, the block's stream vectors. lanes is
+// 0 once the span is exhausted.
 func (s *Span) FillLines(dst []uint64, lim int, holes []uint64) (lanes, tests int) {
 	if s.next >= s.to {
 		return 0, 0
 	}
 	s.base = s.next &^ 63
 	lanes = int(min(s.to-s.base, uint64(lim)))
-	clear(holes[:(lanes+63)/64])
-	holes[0] = 1<<(s.next-s.base) - 1
-	tests = lanes - int(s.next-s.base)
-	if s.unsorted {
-		tests -= sortedWords(s.n, s.next, s.base+uint64(lanes), s.base, holes)
-	}
+	tests = s.Holes(s.base, lanes, holes)
 	s.next = s.base + uint64(lanes)
 	LoadConsecutive(dst, s.n, s.base, lanes)
 	return lanes, tests
+}
+
+// Holes sets holes[:⌈lanes/64⌉] (bit j for word base+j) to the words
+// of [base, base+lanes) that are not in the span's stream: those before
+// its next word, and the sorted ones when the span drops them. base is
+// a multiple of 64 and base+lanes is at most the span's end. It returns
+// how many of the words are in the stream.
+func (s *Span) Holes(base uint64, lanes int, holes []uint64) (tests int) {
+	end := base + uint64(lanes)
+	lo := min(max(s.next, base), end) // the first word that can be in the stream
+	for g := range holes[:(lanes+63)/64] {
+		switch w := base + uint64(64*g); {
+		case lo >= w+64:
+			holes[g] = ^uint64(0)
+		case lo > w:
+			holes[g] = 1<<(lo-w) - 1
+		default:
+			holes[g] = 0
+		}
+	}
+	tests = int(end - lo)
+	if s.unsorted {
+		tests -= sortedWords(s.n, lo, end, base, holes)
+	}
+	return tests
 }
 
 // Lane returns the word on lane j of the block FillLines last wrote.

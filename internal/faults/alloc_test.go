@@ -8,6 +8,7 @@ import (
 
 	"sortnets/internal/bitvec"
 	"sortnets/internal/core"
+	"sortnets/internal/eval"
 	"sortnets/internal/network"
 )
 
@@ -41,6 +42,74 @@ func TestFaultMemoryLinear(t *testing.T) {
 	if alloc > faultPassAllocBound {
 		t.Fatalf("MeasureCtx allocated %.1f MB on %d comparators, bound %d MB: the fault pass is no longer linear in the comparators",
 			float64(alloc)/(1<<20), w.Size(), faultPassAllocBound>>20)
+	}
+}
+
+// faultPassWorkBound caps the comparators one fault pass over the 2ⁿ
+// universe applies, per comparator of the circuit and per block, in
+// TestFaultPassWorkLinear: 215, 183 and 138 on its random 12-line
+// networks of 512, 1,024 and 2,048 comparators, where running every
+// fault to the end applies about 3C/2 per comparator and block (1,581
+// at 1,024 comparators).
+const faultPassWorkBound = 250
+
+// TestFaultPassWorkLinear: a fault pass leaves each fault where it
+// rejoins the healthy run, so the comparators it applies grow linearly
+// with the circuit, not quadratically. The pass keeps every fault for
+// every block, as a detection matrix's does.
+func TestFaultPassWorkLinear(t *testing.T) {
+	for _, comps := range []int{512, 1024, 2048} {
+		w := network.Random(12, comps, rand.New(rand.NewSource(int64(comps))))
+		fs := Enumerate(w)
+		set := faultSet(w, fs)
+		all := make([]int, len(fs))
+		for i := range all {
+			all[i] = i
+		}
+		err := set.RunCtx(context.Background(), all, bitvec.All(w.N), judgeFor(ByProperty), func(int, int, []uint64) bool { return false })
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := (bitvec.Universe(w.N) + eval.KernelLanes() - 1) / eval.KernelLanes()
+		per := float64(set.Applied()) / float64(comps*blocks)
+		t.Logf("%d faults on %d comparators: %d comparators applied, %.0f per comparator and block (bound %d)", len(fs), comps, set.Applied(), per, faultPassWorkBound)
+		if per > faultPassWorkBound {
+			t.Errorf("%d comparators: the pass applied %.0f comparators per comparator and block, bound %d: faults no longer leave where they rejoin", comps, per, faultPassWorkBound)
+		}
+	}
+}
+
+// TestSorterTestsJudgedInOnePass: a sorter's tests are a span of the
+// universe, so a chunk's pass judges each universe block once for both
+// detectability and detection, applying exactly the comparators of one
+// pass over the universe; the same tests as a slice take a universe
+// pass and then a test pass.
+func TestSorterTestsJudgedInOnePass(t *testing.T) {
+	ctx := context.Background()
+	w := prefixedSorter8()
+	fs := Enumerate(w)
+	all := make([]int, len(fs))
+	for i := range all {
+		all[i] = i
+	}
+	keep := func(int, int, []uint64) bool { return false }
+	universe := faultSet(w, fs)
+	if err := universe.RunCtx(ctx, all, bitvec.All(w.N), judgeFor(ByProperty), keep); err != nil {
+		t.Fatal(err)
+	}
+	applied := func(tests bitvec.Iterator) int64 {
+		c := chunk{set: faultSet(w, fs), lo: 0, hi: len(fs), judge: judgeFor(ByProperty)}
+		if err := c.pass(ctx, tests, make([]bool, len(fs)), keep); err != nil {
+			t.Fatal(err)
+		}
+		return c.set.Applied()
+	}
+	if got, want := applied(sorterTests8()), universe.Applied(); got != want {
+		t.Errorf("the pass over the sorter's test span applied %d comparators, one pass over the universe %d", got, want)
+	}
+	slice := bitvec.Slice(bitvec.Collect(sorterTests8()))
+	if got, once := applied(slice), universe.Applied(); got <= once {
+		t.Errorf("the pass over the sorter's tests as a slice applied %d comparators, no more than one universe pass's %d", got, once)
 	}
 }
 

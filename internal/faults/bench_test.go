@@ -103,15 +103,22 @@ func BenchmarkMinsetExact(b *testing.B) {
 }
 
 // BenchmarkFaultsMeasure times the coverage report of a faults
-// request, the other half of the mixed fault workload.
+// request, the other half of the mixed fault workload, and of one on a
+// random 12-line, 1,024-comparator network: 16 universe blocks and
+// faults whose differences die out long before the last comparator,
+// so a pass leaves most faults where they rejoin the healthy run and
+// spreads over the cores.
 func BenchmarkFaultsMeasure(b *testing.B) {
-	for _, c := range faultBenchCases() {
+	cases := append(faultBenchCases(), faultBenchCase{"random-12x1024", network.Random(12, 1024, rand.New(rand.NewSource(12))), ByProperty})
+	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			golden, fs, ctx := eval.Compile(c.w), Enumerate(c.w), context.Background()
+			n := c.w.N
+			tests := func() bitvec.Iterator { return core.SorterBinaryTests(n) }
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := MeasureCtx(ctx, c.w, golden, fs, sorterTests8, c.mode); err != nil {
+				if _, err := MeasureCtx(ctx, c.w, golden, fs, tests, c.mode); err != nil {
 					b.Fatal(err)
 				}
 			}

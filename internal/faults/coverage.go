@@ -3,6 +3,7 @@ package faults
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"sortnets/internal/bitvec"
 	"sortnets/internal/eval"
@@ -52,6 +53,24 @@ func judgeFor(mode DetectMode) eval.Judge {
 	}}
 }
 
+// chunkWork is the fault-pass work per chunk, counted as faults ×
+// comparators × blocks of the 2ⁿ universe: a pass takes a second chunk,
+// with its own goroutine and its own run of the healthy circuit, at
+// twice this work. Measured at GOMAXPROCS=2 on an idle 2-core box, a
+// detection matrix of a random network ran 21% slower on two chunks
+// than on one at a work of 2,808 (an 8-line, 26-comparator request of
+// 108 faults and one block), even at 14,208 and 17% faster at 52,992.
+const chunkWork = 1 << 14
+
+// chunkCount is the number of chunks a fault pass over faults faults
+// on w runs on: one per chunkWork of its work, at least one, and at
+// most GOMAXPROCS and the fault count.
+func chunkCount(w *network.Network, faults int) int {
+	blocks := (bitvec.Universe(w.N) + eval.KernelLanes() - 1) / eval.KernelLanes()
+	work := faults * len(w.Comps) * blocks
+	return min(eval.Workers(0), faults, max(1, work/chunkWork))
+}
+
 // chunk is one worker's share of a fault pass: the contiguous faults
 // lo, lo+1, …, hi-1 of the list, judged by judge.
 type chunk struct {
@@ -61,41 +80,150 @@ type chunk struct {
 }
 
 // forChunks reports the edits of fs into one fault set and runs fn on
-// at most GOMAXPROCS contiguous, non-empty chunks of it on the shared
-// worker pool. A cancelled context stops the pass and returns
-// ctx.Err(); fn's partial results must then be discarded. Every pass
-// sweeps the 2ⁿ universe, so like eval's RunUniverse it refuses n >
-// 30 — here, on the caller's goroutine rather than a pool worker's.
+// chunkCount contiguous, non-empty chunks of it, each on a goroutine of
+// its own when there are several and on the caller's when there is
+// one. A cancelled context stops the pass and returns ctx.Err(); fn's
+// partial results must then be discarded. Every pass sweeps the 2ⁿ
+// universe, so like eval's RunUniverse it refuses n > 30 — here, on
+// the caller's goroutine rather than a worker's.
 func forChunks(ctx context.Context, w *network.Network, fs []Fault, mode DetectMode, fn func(c chunk)) error {
 	if w.N > 30 {
 		panic(fmt.Sprintf("faults: detectability sweeps 2^%d inputs; n is too wide", w.N))
 	}
 	set, judge := faultSet(w, fs), judgeFor(mode)
-	chunks := min(eval.Workers(0), len(fs))
+	chunks := chunkCount(w, len(fs))
 	return eval.ForEachCtx(ctx, chunks, chunks, func(i int) {
 		fn(chunk{set: set, lo: i * len(fs) / chunks, hi: (i + 1) * len(fs) / chunks, judge: judge})
 	})
 }
 
-// detectable judges the chunk's faults against the whole 2ⁿ binary
-// universe in one fault pass and returns the indices into the fault
-// list of those some input detects, in the order the pass found them.
-func (c chunk) detectable(ctx context.Context) ([]int, error) {
+// pass judges the chunk's faults on the binary universe and on tests.
+// It sets det[f] for each fault some binary input detects, and calls
+// hit for each fault and block in which a test detects it, with the
+// index of the block's first test and the block's detecting tests as
+// bits from there (bit k of bits for test first+k, valid only during
+// the call); when hit returns true the fault leaves the pass. When the
+// tests are a span of the whole universe, as a sorter's are, one pass
+// over the universe judges each block once: every lane counts for
+// detectability, and the lanes outside the span's holes, in test order,
+// are the tests. Otherwise a pass over the universe comes first, and
+// only the faults it finds detectable go on to a pass over tests. A
+// span of tests is only read, never advanced.
+func (c chunk) pass(ctx context.Context, tests bitvec.Iterator, det []bool, hit func(f, first int, bits []uint64) bool) error {
+	n := c.set.N()
 	idx := make([]int, c.hi-c.lo)
 	for i := range idx {
 		idx[i] = c.lo + i
 	}
-	// The pass reads idx once, before its first block, so the
-	// detected faults may overwrite it.
-	det := idx[:0]
-	err := c.set.RunCtx(ctx, idx, bitvec.All(c.set.N()), c.judge, func(f, _ int, _ []uint64) bool {
-		det = append(det, f)
-		return true
-	})
-	if err != nil {
-		return nil, err
+	span := universeSpan(tests, n)
+	if span == nil {
+		// The pass reads idx once, before its first block, so the
+		// detectable faults may overwrite it.
+		found := idx[:0]
+		err := c.set.RunCtx(ctx, idx, bitvec.All(n), c.judge, func(f, _ int, _ []uint64) bool {
+			det[f] = true
+			found = append(found, f)
+			return true
+		})
+		if err != nil {
+			return err
+		}
+		idx = found
+	} else {
+		tests = bitvec.All(n)
 	}
-	return det, nil
+	m := testMap{span: span, n: n, base: -1}
+	return c.set.RunCtx(ctx, idx, tests, c.judge, func(f, lanes int, bad []uint64) bool {
+		if span != nil {
+			det[f] = true
+		}
+		first, detecting := m.tests(lanes, bad)
+		return detecting != nil && hit(f, first, detecting)
+	})
+}
+
+// universeSpan returns it as a span when it is a span of the whole
+// n-line universe, sorted words dropped or not, and nil otherwise.
+func universeSpan(it bitvec.Iterator, n int) *bitvec.Span {
+	span, ok := it.(*bitvec.Span)
+	if !ok {
+		return nil
+	}
+	if next, to := span.Words(); next != 0 || to != uint64(bitvec.Universe(n)) {
+		return nil
+	}
+	return span
+}
+
+// testMap maps a pass block's rejected lanes to tests. Over the tests
+// themselves, lane j of the block after lanes stream vectors is test
+// lanes+j. Over the universe in place of a span of n-line tests, lane
+// j of the block at word base is word base+j, and the tests are the
+// words outside the span's holes, so the lanes are compacted past the
+// holes.
+type testMap struct {
+	span  *bitvec.Span // the tests when the pass runs over the universe
+	n     int
+	base  int      // the block holes and first describe, -1 for none
+	first int      // the tests before it
+	holes []uint64 // its words that are not tests
+	out   []uint64 // the compacted lanes
+}
+
+// tests returns the index of the first test of the block after lanes
+// pass vectors and its detecting tests as bits from there, or nil
+// when bad rejects no test.
+func (m *testMap) tests(lanes int, bad []uint64) (first int, out []uint64) {
+	if m.span == nil {
+		if !anyBit(bad) {
+			return 0, nil
+		}
+		return lanes, bad
+	}
+	if m.base != lanes {
+		if m.holes == nil {
+			words := make([]uint64, 2*eval.KernelLanes()/64)
+			m.holes, m.out = words[:len(words)/2], words[len(words)/2:]
+		}
+		m.span.Holes(uint64(lanes), min(eval.KernelLanes(), bitvec.Universe(m.n)-lanes), m.holes)
+		before := m.span.Sub(0, uint64(lanes))
+		m.base, m.first = lanes, before.Len()
+	}
+	out = m.out[:len(bad)]
+	clear(out)
+	pos := 0
+	for g, x := range bad {
+		h := m.holes[g]
+		x &^= h
+		// Drop the hole bits from the top down, so the lower ones
+		// keep their places.
+		for r := h; r != 0; {
+			top := 63 - bits.LeadingZeros64(r)
+			x = x&(1<<top-1) | x>>(top+1)<<top
+			r &^= 1 << top
+		}
+		if x != 0 {
+			out[pos>>6] |= x << (pos & 63)
+			if pos&63 != 0 && pos>>6+1 < len(out) {
+				out[pos>>6+1] |= x >> (64 - pos&63)
+			}
+		}
+		pos += 64 - bits.OnesCount64(h)
+	}
+	if !anyBit(out) {
+		return 0, nil
+	}
+	return m.first, out
+}
+
+// anyBit reports whether some word of ws is nonzero.
+func anyBit(ws []uint64) bool {
+	for _, w := range ws {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // detectability reports, per fault of fs, whether any binary input
@@ -103,10 +231,8 @@ func (c chunk) detectable(ctx context.Context) ([]int, error) {
 func detectability(ctx context.Context, w *network.Network, fs []Fault, mode DetectMode) ([]bool, error) {
 	det := make([]bool, len(fs))
 	err := forChunks(ctx, w, fs, mode, func(c chunk) {
-		idx, _ := c.detectable(ctx) // on cancellation forChunks returns the error
-		for _, f := range idx {
-			det[f] = true
-		}
+		// On cancellation forChunks returns the error.
+		_ = c.pass(ctx, bitvec.All(w.N), det, func(int, int, []uint64) bool { return true })
 	})
 	return det, err
 }
@@ -155,13 +281,14 @@ func (r Report) String() string {
 
 // Measure injects every fault in fs into w and checks which ones the
 // test set exposes. The faults report their edits into one fault set,
-// split into at most GOMAXPROCS contiguous chunks on the shared worker
-// pool; each chunk runs the fault pass twice, first over the 2ⁿ
-// universe (which faults are detectable at all), then over the test
-// stream (which of those the tests detect), and drops each fault at
-// its first detecting block. tests is called once per chunk, so the
-// factory must be safe for concurrent calls (all the package core
-// test-set factories are: each call returns a fresh iterator).
+// and each chunk of it (see forChunks) runs the fault pass: one pass
+// over the 2ⁿ universe when the tests are a span of it, as a sorter's
+// are, else a pass over the universe (which faults are detectable at
+// all) and then one over the test stream (which of those the tests
+// detect). A fault leaves the pass at its first detecting block.
+// tests is called once per chunk, so the factory must be safe for
+// concurrent calls (all the package core test-set factories are: each
+// call returns a fresh iterator).
 func Measure(w *network.Network, fs []Fault, tests func() bitvec.Iterator, mode DetectMode) Report {
 	rep, _ := MeasureCtx(context.Background(), w, nil, fs, tests, mode)
 	return rep
@@ -176,15 +303,8 @@ func MeasureCtx(ctx context.Context, w *network.Network, golden *eval.Program, f
 	detectable := make([]bool, len(fs))
 	detected := make([]bool, len(fs))
 	err := forChunks(ctx, w, fs, mode, func(c chunk) {
-		idx, err := c.detectable(ctx)
-		if err != nil || len(idx) == 0 {
-			return
-		}
-		for _, f := range idx {
-			detectable[f] = true
-		}
 		// On cancellation forChunks returns the error.
-		_ = c.set.RunCtx(ctx, idx, tests(), c.judge, func(f, _ int, _ []uint64) bool {
+		_ = c.pass(ctx, tests(), detectable, func(f, _ int, _ []uint64) bool {
 			detected[f] = true
 			return true
 		})

@@ -44,6 +44,9 @@ func (f DoubleComp) AppendEdits(dst []eval.Edit, w *network.Network) []eval.Edit
 	return second.AppendEdits(dst, w)
 }
 
+// editBound implements editBounder: at most two replacements.
+func (f DoubleComp) editBound([]int) int { return 2 }
+
 // Eval implements Fault.
 func (f DoubleComp) Eval(w *network.Network, v bitvec.Vec) bitvec.Vec {
 	return Compile(w, f).Apply(v)
@@ -93,8 +96,7 @@ func (r MaskingReport) String() string {
 // MeasureMasking examines double-comparator faults for masking under
 // the given detection mode: every pair and both its components report
 // their edits into one fault set and are judged for detectability in
-// one fault pass over the 2ⁿ universe per chunk on the shared worker
-// pool.
+// one fault pass over the 2ⁿ universe per chunk (see forChunks).
 // Entries of pairs that are not DoubleComp are counted but not
 // examined.
 func MeasureMasking(w *network.Network, pairs []Fault, mode DetectMode) MaskingReport {

@@ -64,20 +64,6 @@ func refDoubleEval(w *network.Network, f DoubleComp, v bitvec.Vec) bitvec.Vec {
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func TestEnumerateDoubleCompCounts(t *testing.T) {
 	w := gen.Sorter(4) // 5 comparators
 	all := EnumerateDoubleComp(w, 0, nil)

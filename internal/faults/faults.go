@@ -28,13 +28,18 @@
 // and a bridge shorted before the first comparator touching its lines
 // and after every one), and a whole fault list reports into one edit
 // buffer. Measure, DetectionMatrix and MeasureMasking run eval's fault
-// pass over it: per block of tests the healthy circuit runs once,
-// keeping the line state before each comparator, and each fault runs
-// from the state at its first edit with the word-parallel kernels. So
-// a fault list costs memory linear in the comparators, and a
-// comparator fault about half a healthy run. The list is split into
-// at most GOMAXPROCS contiguous chunks on the shared worker pool, one
-// pass each.
+// pass over it: per block the healthy circuit runs once, keeping the
+// line state before each comparator, and each fault runs from the
+// state at its first edit with the word-parallel kernels; on a long
+// circuit it leaves the pass where it rejoins the healthy run. So a
+// fault list costs memory linear in the comparators, and time about
+// linear too. When the tests are a span of the 2ⁿ universe, as a
+// sorter's are, one pass over the universe gives both which faults
+// any input detects and which the tests detect; other tests take a
+// pass over the universe and then one over the tests. The list is
+// split into contiguous chunks by the pass's work (chunkCount): a
+// small request runs on its caller's goroutine, a large one on up to
+// GOMAXPROCS goroutines, one pass each.
 package faults
 
 import (
@@ -67,13 +72,22 @@ func Compile(w *network.Network, f Fault) *eval.Program {
 }
 
 // faultSet reports the edits of every fault of fs into one buffer and
-// returns the fault set over it, indexed like fs. A first pass through
-// a scratch buffer sizes the buffer exactly, so it is allocated once.
+// returns the fault set over it, indexed like fs. Each fault's
+// AppendEdits runs once. The buffer is sized first from the faults'
+// edit bounds (editBounder), from one count of the comparators
+// touching each line, so for this package's faults it is allocated
+// once; other faults grow it.
 func faultSet(w *network.Network, fs []Fault) *eval.FaultSet {
-	size, scratch := 0, make([]eval.Edit, 0, len(w.Comps)+1)
+	touches := make([]int, w.N)
+	for _, c := range w.Comps {
+		touches[c.A]++
+		touches[c.B]++
+	}
+	size := 0
 	for _, f := range fs {
-		scratch = f.AppendEdits(scratch[:0], w)
-		size += len(scratch)
+		if b, ok := f.(editBounder); ok {
+			size += b.editBound(touches)
+		}
 	}
 	edits := make([]eval.Edit, 0, size)
 	ends := make([]int, len(fs))
@@ -82,6 +96,12 @@ func faultSet(w *network.Network, fs []Fault) *eval.FaultSet {
 		ends[i] = len(edits)
 	}
 	return eval.NewFaultSet(w, edits, ends)
+}
+
+// editBounder is a fault that bounds its edit count without listing
+// its edits: touches[l] is the number of comparators touching line l.
+type editBounder interface {
+	editBound(touches []int) int
 }
 
 // CompMode selects how a comparator misbehaves.
@@ -142,6 +162,9 @@ func (f CompFault) AppendEdits(dst []eval.Edit, w *network.Network) []eval.Edit 
 	return append(dst, eval.Edit{At: int32(f.Index), Op: eval.Op{Kind: opFor(f.Mode), A: uint16(c.A), B: uint16(c.B)}})
 }
 
+// editBound implements editBounder: at most one replacement.
+func (f CompFault) editBound([]int) int { return 1 }
+
 // Eval implements Fault.
 func (f CompFault) Eval(w *network.Network, v bitvec.Vec) bitvec.Vec {
 	return Compile(w, f).Apply(v)
@@ -192,6 +215,10 @@ func appendAlong(dst []eval.Edit, w *network.Network, op eval.Op, a, b int) []ev
 	return dst
 }
 
+// editBound implements editBounder: a clamp before the first
+// comparator touching the line and after each one (see appendAlong).
+func (f StuckLine) editBound(touches []int) int { return touches[f.Line] + 1 }
+
 // Eval implements Fault.
 func (f StuckLine) Eval(w *network.Network, v bitvec.Vec) bitvec.Vec {
 	return Compile(w, f).Apply(v)
@@ -234,6 +261,11 @@ func (f Bridge) AppendEdits(dst []eval.Edit, w *network.Network) []eval.Edit {
 	}
 	return appendAlong(dst, w, short, f.A, f.B)
 }
+
+// editBound implements editBounder: a short before the first
+// comparator touching either line and after each one (see
+// appendAlong), counting a comparator across both lines twice.
+func (f Bridge) editBound(touches []int) int { return touches[f.A] + touches[f.B] + 1 }
 
 // Eval implements Fault.
 func (f Bridge) Eval(w *network.Network, v bitvec.Vec) bitvec.Vec {

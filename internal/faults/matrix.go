@@ -14,15 +14,15 @@ import (
 
 // Matrix is the full test × fault detection table for one circuit
 // under one detection mode: Sigs[t] is the fault signature of test t —
-// the set of fault indices that test exposes. It is built in one
-// fault pass per chunk of the fault list (no early exit, every verdict
-// bit kept), each loading every test block once for all the chunk's
-// faults, with the chunks spread over the shared worker pool — so
-// test-set *selection* for stuck-at coverage runs on the same block
-// engine and kernels as test-set verification. The per-fault rows and
-// the per-test signatures are views over two slabs of words: the pass
-// ORs each 64-lane verdict word into its row, and the signatures are
-// the rows' word-level transpose.
+// the set of fault indices that test exposes. It is built by the fault
+// pass of each chunk of the fault list (see forChunks), with no early
+// exit and every verdict bit kept, each loading every block once for
+// all the chunk's faults — so test-set *selection* for stuck-at
+// coverage runs on the same block engine and kernels as test-set
+// verification. The per-fault rows and the per-test signatures are
+// views over two slabs of words: the pass ORs each block's detecting
+// tests into its row, and the signatures are the rows' word-level
+// transpose.
 type Matrix struct {
 	Tests      []bitvec.Vec  // the materialized test stream, in order
 	Faults     []Fault       // the injected fault universe
@@ -37,8 +37,9 @@ type Matrix struct {
 // input at all can expose are excluded from signatures (they are
 // functionally benign and would poison coverage denominators). Unlike
 // Measure, the factory is consumed exactly once, up front — the
-// collected vectors are swept once per chunk of the fault list — so
-// it need not be safe for concurrent calls.
+// collected vectors, or the span they came from, are swept once per
+// chunk of the fault list — so it need not be safe for concurrent
+// calls.
 func DetectionMatrix(w *network.Network, fs []Fault, tests func() bitvec.Iterator, mode DetectMode) *Matrix {
 	m, _ := DetectionMatrixCtx(context.Background(), w, nil, fs, tests, mode)
 	return m
@@ -49,31 +50,28 @@ func DetectionMatrix(w *network.Network, fs []Fault, tests func() bitvec.Iterato
 // once per block, and a cancelled run returns the context's error with
 // a nil matrix.
 func DetectionMatrixCtx(ctx context.Context, w *network.Network, golden *eval.Program, fs []Fault, tests func() bitvec.Iterator, mode DetectMode) (*Matrix, error) {
-	vecs := bitvec.Collect(tests())
+	it := tests()
+	var span *bitvec.Span // the tests, when they are a span of the universe
+	if s := universeSpan(it, w.N); s != nil {
+		copied := *s
+		span = &copied
+	}
+	vecs := bitvec.Collect(it)
 	// One row (bitset over tests) per fault, all over one slab that
 	// the chunks fill concurrently, each its own faults' rows; rows of
 	// undetectable faults stay nil.
 	all, rowWords := bitset.NewSlab(len(fs), len(vecs))
 	rw := (len(vecs) + 63) / 64 // words per row
-	rows := make([]*bitset.Set, len(fs))
+	det := make([]bool, len(fs))
 	err := forChunks(ctx, w, fs, mode, func(c chunk) {
-		idx, err := c.detectable(ctx)
-		if err != nil || len(idx) == 0 {
-			return
+		var chunkTests bitvec.Iterator = span
+		if span == nil {
+			chunkTests = bitvec.Slice(vecs)
 		}
-		for _, f := range idx {
-			rows[f] = all[f]
-		}
-		// A slice of vectors is not a line source, so every block but
-		// the last holds 256 tests: tests is 64-aligned and each
-		// verdict word is one row word. A cancelled pass leaves its
-		// rows partial; forChunks then returns the context's error
-		// and the rows are dropped.
-		_ = c.set.RunCtx(ctx, idx, bitvec.Slice(vecs), c.judge, func(f, tests int, bad []uint64) bool {
-			row := rowWords[f*rw+tests>>6:]
-			for g, word := range bad {
-				row[g] |= word
-			}
+		// A cancelled pass leaves its rows partial; forChunks then
+		// returns the context's error and the rows are dropped.
+		_ = c.pass(ctx, chunkTests, det, func(f, first int, bits []uint64) bool {
+			orBits(rowWords[f*rw:(f+1)*rw], first, bits)
 			return false
 		})
 	})
@@ -87,17 +85,34 @@ func DetectionMatrixCtx(ctx context.Context, w *network.Network, golden *eval.Pr
 		Sigs:       sigs,
 		Detectable: bitset.New(len(fs)),
 		Mode:       mode,
-		rows:       rows,
+		rows:       make([]*bitset.Set, len(fs)),
 	}
-	for f, row := range rows {
-		if row != nil {
+	for f, d := range det {
+		if d {
 			m.Detectable.Add(f)
+			m.rows[f] = all[f]
 		}
 	}
 	// The signatures are the rows' transpose. Undetectable faults'
 	// rows were never written, so they are zero.
 	eval.TransposeRows(sigWords, rowWords, len(fs), len(vecs))
 	return m, nil
+}
+
+// orBits ORs bits into row from bit at on: bit k of bits into bit
+// at+k of row. Bits past the row's end must be zero.
+func orBits(row []uint64, at int, bits []uint64) {
+	s := uint(at & 63)
+	for k, x := range bits {
+		if x == 0 {
+			continue
+		}
+		i := at>>6 + k
+		row[i] |= x << s
+		if s != 0 && i+1 < len(row) {
+			row[i+1] |= x >> (64 - s)
+		}
+	}
 }
 
 // Detected returns the set of faults at least one test exposes.

@@ -66,75 +66,115 @@ func scalarDetects(w *network.Network, faulty *eval.Program, tau bitvec.Vec, mod
 	return !out.IsSorted()
 }
 
+// scalarCase is one circuit, test stream and detection modes that
+// TestMatrixAndMeasureMatchScalarEval pins to the scalar reference.
+type scalarCase struct {
+	name  string
+	w     *network.Network
+	tests func() bitvec.Iterator
+	modes []DetectMode
+}
+
+// scalarCases are the circuits and test streams of
+// TestMatrixAndMeasureMatchScalarEval. Both fault-pass routes are
+// covered: the sorter test set is a span of the whole universe, judged
+// in one pass whose sorted-word holes give detectability but no test;
+// the (2,n)-selector and merger sets, which sorter requests never use
+// and which the daemon judges by golden reference, and a slice of
+// vectors, sorted ones and repeats included, are not spans, so the
+// universe pass runs before the test pass.
+func scalarCases() []scalarCase {
+	var cases []scalarCase
+	both := []DetectMode{ByProperty, ByGolden}
+	golden := []DetectMode{ByGolden}
+	for _, c := range []struct {
+		n, comps int // lines, and comparators of the random circuit
+		modes    []DetectMode
+	}{
+		// n = 3..5: the universe is narrower than a word; n = 6 fills
+		// exactly one word of a block.
+		{3, 4, both}, {4, 6, both}, {5, 9, both}, {6, 12, both},
+		{8, 20, both},
+		{10, 30, both},
+		{12, 40, []DetectMode{ByProperty}},
+	} {
+		n := c.n
+		tests := func() bitvec.Iterator { return core.SorterBinaryTests(n) }
+		random := network.Random(n, c.comps, rand.New(rand.NewSource(int64(n))))
+		cases = append(cases,
+			scalarCase{fmt.Sprintf("n=%d sorter", n), gen.Sorter(n), tests, c.modes},
+			scalarCase{fmt.Sprintf("n=%d random", n), random, tests, c.modes})
+	}
+	selector := func() bitvec.Iterator { return core.SelectorBinaryTests(9, 2) }
+	merger := func() bitvec.Iterator { return core.MergerBinaryTests(10) }
+	rng := rand.New(rand.NewSource(9))
+	vecs := make([]bitvec.Vec, 300)
+	for i := range vecs {
+		vecs[i] = bitvec.Vec{N: 9, Bits: uint64(rng.Intn(bitvec.Universe(9)))}
+	}
+	vecs[7], vecs[8], vecs[260] = bitvec.AllZeros(9), bitvec.SortedWithOnes(9, 4), vecs[3]
+	slice := func() bitvec.Iterator { return bitvec.Slice(vecs) }
+	return append(cases,
+		scalarCase{"(2,9)-selector", gen.Selection(9, 2), selector, golden},
+		scalarCase{"(2,9)-selector random", network.Random(9, 24, rand.New(rand.NewSource(92))), selector, golden},
+		scalarCase{"10-merger", gen.HalfMerger(10), merger, golden},
+		scalarCase{"10-merger random", network.Random(10, 24, rand.New(rand.NewSource(10))), merger, golden},
+		scalarCase{"slice sorter", gen.Sorter(9), slice, both},
+		scalarCase{"slice random", network.Random(9, 24, rand.New(rand.NewSource(19))), slice, both},
+	)
+}
+
 // TestMatrixAndMeasureMatchScalarEval: every Matrix cell and the
 // Measure report must equal the scalar per-vector reference, in the
-// given detection modes. At n = 8 the 247 minimal sorter tests fill
-// one ragged block; at n = 10 and 12 the 2ⁿ universes span 4 and 16
-// full 256-lane blocks and the 1013- and 4083-vector test streams
-// several blocks ending in a ragged one, so the shared universe pass,
-// RunMany and the multi-program Sweep all cross block boundaries. The
+// given detection modes. At n ≤ 7 the universe is one block narrower
+// than 256 lanes; at n = 8 the 247 minimal sorter tests fill one
+// ragged block; at n = 10 and 12 the 2ⁿ universes span 4 and 16 full
+// 256-lane blocks and the 1013- and 4083-vector test streams several
+// blocks ending in a ragged one, so the passes cross block boundaries
+// and the matrix rows of the one-pass route cross the holes. The
 // exact minset picks, solved from the matrix's kept per-fault rows,
 // must equal the picks solved from the per-fault families re-scanned
 // out of the signatures.
 func TestMatrixAndMeasureMatchScalarEval(t *testing.T) {
-	cases := []struct {
-		n     int
-		comps int // comparators of the random circuit
-		modes []DetectMode
-	}{
-		{8, 20, []DetectMode{ByProperty, ByGolden}},
-		{10, 30, []DetectMode{ByProperty, ByGolden}},
-		{12, 40, []DetectMode{ByProperty}},
-	}
-	for _, c := range cases {
-		n := c.n
-		nets := map[string]*network.Network{
-			"sorter": gen.Sorter(n),
-			"random": network.Random(n, c.comps, rand.New(rand.NewSource(int64(n)))),
-		}
-		tests := func() bitvec.Iterator { return core.SorterBinaryTests(n) }
-		universe := bitvec.Collect(bitvec.All(n))
-		for name, w := range nets {
-			fs := Enumerate(w)
-			for _, mode := range c.modes {
-				m := DetectionMatrix(w, fs, tests, mode)
-				if want := bitvec.Universe(n) - (n + 1); len(m.Tests) != want {
-					t.Fatalf("n=%d %s: %d tests, want %d", n, name, len(m.Tests), want)
-				}
-				want := Report{Faults: len(fs)}
-				for fi, f := range fs {
-					faulty := Compile(w, f)
-					detectable := false
-					for _, tau := range universe {
-						if scalarDetects(w, faulty, tau, mode) {
-							detectable = true
-							break
-						}
-					}
-					if detectable {
-						want.Detectable++
-					}
-					detected := false
-					for ti, tau := range m.Tests {
-						cell := detectable && scalarDetects(w, faulty, tau, mode)
-						detected = detected || cell
-						if got := m.Sigs[ti].Contains(fi); got != cell {
-							t.Fatalf("n=%d %s %s cell (test %d %s, fault %s): matrix %v, scalar %v",
-								n, name, mode, ti, tau, f.Describe(), got, cell)
-						}
-					}
-					if detected {
-						want.Detected++
-					}
-				}
-				if got := Measure(w, fs, tests, mode); got != want {
-					t.Errorf("n=%d %s %s: Measure %+v, scalar %+v", n, name, mode, got, want)
-				}
-				if got := m.Report(); got != want {
-					t.Errorf("n=%d %s %s: matrix report %+v, scalar %+v", n, name, mode, got, want)
-				}
-				checkExactPicks(t, fmt.Sprintf("n=%d %s %s", n, name, mode), m)
+	for _, c := range scalarCases() {
+		w, tests := c.w, c.tests
+		universe := bitvec.Collect(bitvec.All(w.N))
+		stream := bitvec.Collect(tests())
+		fs := Enumerate(w)
+		for _, mode := range c.modes {
+			m := DetectionMatrix(w, fs, tests, mode)
+			if !slices.Equal(m.Tests, stream) {
+				t.Fatalf("%s: matrix tests %v, stream %v", c.name, m.Tests, stream)
 			}
+			want := Report{Faults: len(fs)}
+			for fi, f := range fs {
+				faulty := Compile(w, f)
+				detectable := slices.ContainsFunc(universe, func(tau bitvec.Vec) bool {
+					return scalarDetects(w, faulty, tau, mode)
+				})
+				if detectable {
+					want.Detectable++
+				}
+				detected := false
+				for ti, tau := range m.Tests {
+					cell := detectable && scalarDetects(w, faulty, tau, mode)
+					detected = detected || cell
+					if got := m.Sigs[ti].Contains(fi); got != cell {
+						t.Fatalf("%s %s cell (test %d %s, fault %s): matrix %v, scalar %v",
+							c.name, mode, ti, tau, f.Describe(), got, cell)
+					}
+				}
+				if detected {
+					want.Detected++
+				}
+			}
+			if got := Measure(w, fs, tests, mode); got != want {
+				t.Errorf("%s %s: Measure %+v, scalar %+v", c.name, mode, got, want)
+			}
+			if got := m.Report(); got != want {
+				t.Errorf("%s %s: matrix report %+v, scalar %+v", c.name, mode, got, want)
+			}
+			checkExactPicks(t, fmt.Sprintf("%s %s", c.name, mode), m)
 		}
 	}
 }
@@ -228,19 +268,22 @@ func TestMatrixString(t *testing.T) {
 // (go1.24): a fixed part — the fault set, the collected tests, the two
 // slabs, the signatures' transpose and the exact solve — and at most
 // minsetChunkAllocs per chunk of the fault pass (the chunk's index
-// list, its universe pass and its test pass), measured at 1 to 8
-// chunks (75 allocations at one chunk, 83 at two, 107 at eight).
+// list, its universe iterator and its test map, and a goroutine's
+// start when there are several), measured by forcing 1, 2, 4 and 8
+// chunks under GOMAXPROCS of the same count (69, 77, 86 and 101
+// allocations).
 const (
-	minsetFixedAllocs = 68
-	minsetChunkAllocs = 7
+	minsetFixedAllocs = 63
+	minsetChunkAllocs = 6
 )
 
 // TestMinsetAllocs guards the word-level minset path: the detection
 // matrix and its exact minimum detecting set cost a fixed handful of
 // allocations plus a few per fault chunk, none per test, fault or
-// family member. The pass runs on eval.Workers(0) chunks, counted
-// inside the measurement because testing.AllocsPerRun sets GOMAXPROCS
-// to 1, so the bound is the measured count plus 2 per chunk.
+// family member. The pass runs on the chunks its own sizing rule
+// (chunkCount) gives, counted inside the measurement because
+// testing.AllocsPerRun sets GOMAXPROCS to 1, so the bound is the
+// measured count plus 2 per chunk.
 func TestMinsetAllocs(t *testing.T) {
 	w := prefixedSorter8()
 	golden, fs, ctx := eval.Compile(w), Enumerate(w), context.Background()
@@ -249,7 +292,7 @@ func TestMinsetAllocs(t *testing.T) {
 	}
 	chunks := 0
 	allocs := testing.AllocsPerRun(50, func() {
-		chunks = min(eval.Workers(0), len(fs))
+		chunks = chunkCount(w, len(fs))
 		m, err := DetectionMatrixCtx(ctx, w, golden, fs, sorterTests8, ByProperty)
 		if err != nil {
 			t.Fatal(err)

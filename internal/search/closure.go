@@ -14,13 +14,15 @@ import (
 // storage is what lets the failure-family passes walk behaviours as
 // contiguous bytes, with no string re-slicing and no map iteration.
 
-// behaviorStore holds a behaviour closure as a flat arena of
-// fixed-stride tables. Entry i occupies arena[i*stride:(i+1)*stride];
-// entry 0 is always the seed (identity) behaviour. Entries are
-// immutable once appended.
+// behaviorStore holds a behaviour closure as an arena of fixed-stride
+// tables in chunks of closureChunk entries: entry i occupies
+// at(i), in chunk i/closureChunk. Entry 0 is always the seed
+// (identity) behaviour. Entries are immutable once appended, and a
+// full chunk is never copied, so a closure holds its entries' bytes
+// plus at most one chunk, not an append slice's doubling.
 type behaviorStore struct {
 	stride int
-	arena  []byte
+	chunks [][]byte
 	count  int
 	// BFS spanning-tree edges: entry i > 0 was first reached by
 	// applying rule ruleOf[i] to entry parentOf[i] (< i). They let a
@@ -30,7 +32,43 @@ type behaviorStore struct {
 	ruleOf   []int32
 }
 
-func (s *behaviorStore) at(i int) []byte { return s.arena[i*s.stride : (i+1)*s.stride] }
+// closureChunk is the entries per arena chunk, a power of two: 64 KB
+// of 6-line tables.
+const closureChunk = 1 << 10
+
+func (s *behaviorStore) at(i int) []byte {
+	o := (i & (closureChunk - 1)) * s.stride
+	return s.chunks[i/closureChunk][o : o+s.stride]
+}
+
+// add appends an entry to a store of at most limit entries
+// (0 = unlimited) and returns it for the caller to fill. Chunks are
+// allocated whole, but never past the limit; without one, the first
+// chunk grows by doubling until it is full, so a small closure stays
+// small.
+func (s *behaviorStore) add(limit int) []byte {
+	k := s.count / closureChunk
+	if k == len(s.chunks) {
+		size := closureChunk
+		if limit > 0 {
+			size = min(size, limit-s.count)
+		} else if k == 0 {
+			size = 1
+		}
+		s.chunks = append(s.chunks, make([]byte, 0, size*s.stride))
+	}
+	c := s.chunks[k]
+	if len(c) == cap(c) {
+		size := min(2*len(c)/s.stride, closureChunk)
+		if limit > 0 {
+			size = min(size, limit-k*closureChunk)
+		}
+		c = append(make([]byte, 0, size*s.stride), c...)
+	}
+	s.chunks[k] = c[:len(c)+s.stride]
+	s.count++
+	return s.chunks[k][len(c):]
+}
 
 // expandFunc applies rule c (a comparator index into the alphabet) to
 // the behaviour table src, writing the successor table to dst. dst and
@@ -52,11 +90,10 @@ func closureStore(ctx context.Context, stride int, seed []byte, degree int, expa
 	}
 	st := &behaviorStore{
 		stride:   stride,
-		arena:    append([]byte(nil), seed...),
-		count:    1,
 		parentOf: []int32{-1},
 		ruleOf:   []int32{-1},
 	}
+	copy(st.add(0), seed)
 	return st, st.bfsSeq(ctx, degree, expand, limit)
 }
 
@@ -144,7 +181,7 @@ func (st *behaviorStore) bfsSeq(ctx context.Context, degree int, expand expandFu
 				return err
 			}
 		}
-		// The arena may be re-sliced by append below; entries already
+		// The first chunk may be copied by add below; entries already
 		// written stay valid in the old backing array, so src needs no
 		// refresh inside the inner loop.
 		src := st.at(head)
@@ -156,8 +193,7 @@ func (st *behaviorStore) bfsSeq(ctx context.Context, degree int, expand expandFu
 			if limit > 0 && st.count >= limit {
 				return errClosureLimit(limit)
 			}
-			st.arena = append(st.arena, scratch...)
-			st.count++
+			copy(st.add(limit), scratch)
 			st.parentOf = append(st.parentOf, int32(head))
 			st.ruleOf = append(st.ruleOf, int32(c))
 		}

@@ -98,19 +98,16 @@ func permClosureStore(ctx context.Context, n int, inputs []byte, alphabet []netw
 	if err != nil {
 		return nil, err
 	}
-	stride := len(inputs)
 	st := &behaviorStore{
-		stride:   stride,
-		arena:    make([]byte, bst.count*stride),
-		count:    bst.count,
+		stride:   len(inputs),
 		parentOf: bst.parentOf,
 		ruleOf:   bst.ruleOf,
 	}
-	copy(st.at(0), inputs)
-	for id := 1; id < st.count; id++ {
+	copy(st.add(bst.count), inputs)
+	for id := 1; id < bst.count; id++ {
 		// Parents precede children in BFS order, so at(parent) is
 		// already reconstructed.
-		applyComparatorPermTable(st.at(id), st.at(int(bst.parentOf[id])), n, alphabet[bst.ruleOf[id]])
+		applyComparatorPermTable(st.add(bst.count), st.at(int(bst.parentOf[id])), n, alphabet[bst.ruleOf[id]])
 	}
 	return st, nil
 }
