@@ -92,14 +92,14 @@ func TestSorterTestsJudgedInOnePass(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	keep := func(int, int, []uint64) bool { return false }
+	keepAll := func(int, int, []uint64) bool { return false }
 	universe := faultSet(w, fs)
-	if err := universe.RunCtx(ctx, all, bitvec.All(w.N), judgeFor(ByProperty), keep); err != nil {
+	if err := universe.RunCtx(ctx, all, bitvec.All(w.N), judgeFor(ByProperty), keepAll); err != nil {
 		t.Fatal(err)
 	}
 	applied := func(tests bitvec.Iterator) int64 {
 		c := chunk{set: faultSet(w, fs), lo: 0, hi: len(fs), judge: judgeFor(ByProperty)}
-		if err := c.pass(ctx, tests, make([]bool, len(fs)), keep); err != nil {
+		if err := c.pass(ctx, tests, make([]bool, len(fs)), func(int, int, []uint64, []uint64) bool { return false }); err != nil {
 			t.Fatal(err)
 		}
 		return c.set.Applied()

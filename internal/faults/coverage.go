@@ -3,7 +3,6 @@ package faults
 import (
 	"context"
 	"fmt"
-	"math/bits"
 
 	"sortnets/internal/bitvec"
 	"sortnets/internal/eval"
@@ -100,16 +99,17 @@ func forChunks(ctx context.Context, w *network.Network, fs []Fault, mode DetectM
 // pass judges the chunk's faults on the binary universe and on tests.
 // It sets det[f] for each fault some binary input detects, and calls
 // hit for each fault and block in which a test detects it, with the
-// index of the block's first test and the block's detecting tests as
-// bits from there (bit k of bits for test first+k, valid only during
-// the call); when hit returns true the fault leaves the pass. When the
-// tests are a span of the whole universe, as a sorter's are, one pass
-// over the universe judges each block once: every lane counts for
-// detectability, and the lanes outside the span's holes, in test order,
-// are the tests. Otherwise a pass over the universe comes first, and
-// only the faults it finds detectable go on to a pass over tests. A
-// span of tests is only read, never advanced.
-func (c chunk) pass(ctx context.Context, tests bitvec.Iterator, det []bool, hit func(f, first int, bits []uint64) bool) error {
+// index of the block's first test, the block's rejected lanes that
+// are tests, and its lanes that are not tests (holes, nil for none),
+// valid only during the call: a test lane j is test first+j minus the
+// holes below j (see orTests). When hit returns true the fault leaves
+// the pass. When the tests are a span of the whole universe, as a
+// sorter's are, one pass over the universe judges each block once:
+// every lane counts for detectability, and the lanes outside the
+// span's holes are the tests. Otherwise a pass over the universe comes
+// first, and only the faults it finds detectable go on to a pass over
+// tests. A span of tests is only read, never advanced.
+func (c chunk) pass(ctx context.Context, tests bitvec.Iterator, det []bool, hit func(f, first int, lanes, holes []uint64) bool) error {
 	n := c.set.N()
 	idx := make([]int, c.hi-c.lo)
 	for i := range idx {
@@ -132,13 +132,19 @@ func (c chunk) pass(ctx context.Context, tests bitvec.Iterator, det []bool, hit 
 	} else {
 		tests = bitvec.All(n)
 	}
-	m := testMap{span: span, n: n, base: -1}
+	b := spanBlock{span: span, n: n, base: -1}
 	return c.set.RunCtx(ctx, idx, tests, c.judge, func(f, lanes int, bad []uint64) bool {
-		if span != nil {
-			det[f] = true
+		if span == nil {
+			return hit(f, lanes, bad, nil)
 		}
-		first, detecting := m.tests(lanes, bad)
-		return detecting != nil && hit(f, first, detecting)
+		det[f] = true
+		holes := b.holesAt(lanes)
+		stream, rejected := b.lanes[:len(bad)], uint64(0)
+		for g, x := range bad {
+			stream[g] = x &^ holes[g]
+			rejected |= stream[g]
+		}
+		return rejected != 0 && hit(f, b.first, stream, holes[:len(bad)])
 	})
 }
 
@@ -155,75 +161,31 @@ func universeSpan(it bitvec.Iterator, n int) *bitvec.Span {
 	return span
 }
 
-// testMap maps a pass block's rejected lanes to tests. Over the tests
-// themselves, lane j of the block after lanes stream vectors is test
-// lanes+j. Over the universe in place of a span of n-line tests, lane
-// j of the block at word base is word base+j, and the tests are the
-// words outside the span's holes, so the lanes are compacted past the
-// holes.
-type testMap struct {
-	span  *bitvec.Span // the tests when the pass runs over the universe
+// spanBlock describes the pass block at universe word base when the
+// pass runs over the universe in place of a span of n-line tests: its
+// holes, the words that are not tests, and first, the tests before it.
+type spanBlock struct {
+	span  *bitvec.Span
 	n     int
-	base  int      // the block holes and first describe, -1 for none
-	first int      // the tests before it
-	holes []uint64 // its words that are not tests
-	out   []uint64 // the compacted lanes
+	base  int // the block holes and first describe, -1 for none
+	first int
+	holes []uint64
+	lanes []uint64 // scratch for a block's rejected test lanes
 }
 
-// tests returns the index of the first test of the block after lanes
-// pass vectors and its detecting tests as bits from there, or nil
-// when bad rejects no test.
-func (m *testMap) tests(lanes int, bad []uint64) (first int, out []uint64) {
-	if m.span == nil {
-		if !anyBit(bad) {
-			return 0, nil
-		}
-		return lanes, bad
-	}
-	if m.base != lanes {
-		if m.holes == nil {
+// holesAt moves b to the block at universe word base and returns its
+// holes.
+func (b *spanBlock) holesAt(base int) []uint64 {
+	if b.base != base {
+		if b.holes == nil {
 			words := make([]uint64, 2*eval.KernelLanes()/64)
-			m.holes, m.out = words[:len(words)/2], words[len(words)/2:]
+			b.holes, b.lanes = words[:len(words)/2], words[len(words)/2:]
 		}
-		m.span.Holes(uint64(lanes), min(eval.KernelLanes(), bitvec.Universe(m.n)-lanes), m.holes)
-		before := m.span.Sub(0, uint64(lanes))
-		m.base, m.first = lanes, before.Len()
+		b.span.Holes(uint64(base), min(eval.KernelLanes(), bitvec.Universe(b.n)-base), b.holes)
+		before := b.span.Sub(0, uint64(base))
+		b.base, b.first = base, before.Len()
 	}
-	out = m.out[:len(bad)]
-	clear(out)
-	pos := 0
-	for g, x := range bad {
-		h := m.holes[g]
-		x &^= h
-		// Drop the hole bits from the top down, so the lower ones
-		// keep their places.
-		for r := h; r != 0; {
-			top := 63 - bits.LeadingZeros64(r)
-			x = x&(1<<top-1) | x>>(top+1)<<top
-			r &^= 1 << top
-		}
-		if x != 0 {
-			out[pos>>6] |= x << (pos & 63)
-			if pos&63 != 0 && pos>>6+1 < len(out) {
-				out[pos>>6+1] |= x >> (64 - pos&63)
-			}
-		}
-		pos += 64 - bits.OnesCount64(h)
-	}
-	if !anyBit(out) {
-		return 0, nil
-	}
-	return m.first, out
-}
-
-// anyBit reports whether some word of ws is nonzero.
-func anyBit(ws []uint64) bool {
-	for _, w := range ws {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
+	return b.holes
 }
 
 // detectability reports, per fault of fs, whether any binary input
@@ -232,7 +194,7 @@ func detectability(ctx context.Context, w *network.Network, fs []Fault, mode Det
 	det := make([]bool, len(fs))
 	err := forChunks(ctx, w, fs, mode, func(c chunk) {
 		// On cancellation forChunks returns the error.
-		_ = c.pass(ctx, bitvec.All(w.N), det, func(int, int, []uint64) bool { return true })
+		_ = c.pass(ctx, bitvec.All(w.N), det, func(int, int, []uint64, []uint64) bool { return true })
 	})
 	return det, err
 }
@@ -304,7 +266,7 @@ func MeasureCtx(ctx context.Context, w *network.Network, golden *eval.Program, f
 	detected := make([]bool, len(fs))
 	err := forChunks(ctx, w, fs, mode, func(c chunk) {
 		// On cancellation forChunks returns the error.
-		_ = c.pass(ctx, tests(), detectable, func(f, _ int, _ []uint64) bool {
+		_ = c.pass(ctx, tests(), detectable, func(f, _ int, _, _ []uint64) bool {
 			detected[f] = true
 			return true
 		})

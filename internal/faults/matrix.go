@@ -3,6 +3,7 @@ package faults
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"sortnets/internal/bitset"
@@ -70,8 +71,8 @@ func DetectionMatrixCtx(ctx context.Context, w *network.Network, golden *eval.Pr
 		}
 		// A cancelled pass leaves its rows partial; forChunks then
 		// returns the context's error and the rows are dropped.
-		_ = c.pass(ctx, chunkTests, det, func(f, first int, bits []uint64) bool {
-			orBits(rowWords[f*rw:(f+1)*rw], first, bits)
+		_ = c.pass(ctx, chunkTests, det, func(f, first int, lanes, holes []uint64) bool {
+			orTests(rowWords[f*rw:(f+1)*rw], first, lanes, holes)
 			return false
 		})
 	})
@@ -99,19 +100,31 @@ func DetectionMatrixCtx(ctx context.Context, w *network.Network, golden *eval.Pr
 	return m, nil
 }
 
-// orBits ORs bits into row from bit at on: bit k of bits into bit
-// at+k of row. Bits past the row's end must be zero.
-func orBits(row []uint64, at int, bits []uint64) {
-	s := uint(at & 63)
-	for k, x := range bits {
-		if x == 0 {
-			continue
+// orTests ORs a pass block's detecting tests into row: lanes are the
+// block's rejected lanes that are tests and holes its lanes that are
+// not (nil for none), so test lane j is test first+j minus the holes
+// below j. The lanes are compacted past the holes, a hole at a time
+// from the top down so the lower lanes keep their places.
+func orTests(row []uint64, first int, lanes, holes []uint64) {
+	at := first
+	for g, x := range lanes {
+		var h uint64
+		if holes != nil {
+			h = holes[g]
 		}
-		i := at>>6 + k
-		row[i] |= x << s
-		if s != 0 && i+1 < len(row) {
-			row[i+1] |= x >> (64 - s)
+		if x != 0 {
+			for r := h; r != 0; {
+				top := 63 - bits.LeadingZeros64(r)
+				x = x&(1<<top-1) | x>>(top+1)<<top
+				r &^= 1 << top
+			}
+			i, s := at>>6, uint(at&63)
+			row[i] |= x << s
+			if s != 0 && i+1 < len(row) {
+				row[i+1] |= x >> (64 - s)
+			}
 		}
+		at += 64 - bits.OnesCount64(h)
 	}
 }
 
