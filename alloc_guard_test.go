@@ -3,6 +3,7 @@ package sortnets
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sortnets/internal/bitvec"
@@ -157,5 +158,94 @@ func TestWideVerdictAllocs(t *testing.T) {
 		if allocs > tc.bound {
 			t.Errorf("%s costs %.0f allocs, want at most %.0f", tc.name, allocs, tc.bound)
 		}
+	}
+}
+
+// TestDoCacheHitAllocs guards the single-shot hit path, which is the
+// whole of a hot serving loop: once its verdict is cached, a Do of a
+// verify, faults or minset request, and a Lookup fill probe, must cost
+// a fixed handful of allocations, never a resolve, a compile or a
+// compute closure. Each bound is the count measured while the Session
+// still kept compiled programs (5 per Do hit, 2 per Lookup); each
+// measures 2 on go1.24 now.
+func TestDoCacheHitAllocs(t *testing.T) {
+	sess := NewSession(WithWorkers(1))
+	defer sess.Close()
+	ctx := context.Background()
+	text := network.Random(8, 20, rand.New(rand.NewSource(7))).Format()
+	for _, tc := range []struct {
+		name  string
+		req   Request
+		bound float64
+	}{
+		{"verify", Request{Network: text}, 5},
+		{"faults", Request{Op: OpFaults, Network: text}, 5},
+		{"minset", Request{Op: OpMinset, Network: text, Exact: true}, 5},
+	} {
+		if _, err := sess.Do(ctx, tc.req); err != nil {
+			t.Fatalf("%s: warm: %v", tc.name, err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if v, err := sess.Do(ctx, tc.req); err != nil || v.Source != "hit" {
+				t.Fatalf("%s: %+v, %v, want a cache hit", tc.name, v, err)
+			}
+		})
+		t.Logf("%s Do hit: %.0f allocs", tc.name, allocs)
+		if allocs > tc.bound {
+			t.Errorf("%s Do hit costs %.0f allocs, want at most %.0f", tc.name, allocs, tc.bound)
+		}
+	}
+	probe := Request{Network: text}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := sess.Lookup(probe); !ok {
+			t.Fatal("Lookup missed a cached verdict")
+		}
+	})
+	t.Logf("Lookup hit: %.0f allocs", allocs)
+	if allocs > 2 {
+		t.Errorf("Lookup hit costs %.0f allocs, want at most 2", allocs)
+	}
+}
+
+// TestDoRetainsDigestsNotNetworks guards what a cached verdict keeps
+// alive beyond its request text: the verdict, its key and the resolve
+// memo's digest, not the canonical network or a compiled program. 256
+// distinct 16-line Lemma 2.1 almost-sorters H_σ (1,405 comparators
+// each, 22.5 KB as a network and more as a program) go through Do
+// while the test holds their texts; the heap may then grow by at most
+// 4 KB per verdict (0.55 KB measured on go1.24, against 59 KB when
+// the Session kept both).
+func TestDoRetainsDigestsNotNetworks(t *testing.T) {
+	const count = 256
+	reqs := make([]Request, 0, count)
+	for x := uint64(0x5a3c); len(reqs) < count; x += 0x9e3 {
+		h, err := core.AlmostSorter(bitvec.New(16, x&0xffff))
+		if err != nil {
+			continue
+		}
+		reqs = append(reqs, Request{Network: h.Format()})
+	}
+	sess := NewSession(WithWorkers(1))
+	defer sess.Close()
+	ctx := context.Background()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, req := range reqs {
+		v, err := sess.Do(ctx, req)
+		if err != nil || v.Check.Holds {
+			t.Fatalf("H_σ verdict %+v, %v, want a failing verdict", v, err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(reqs)
+	if st := sess.Stats(); st.Cache.Entries != count {
+		t.Fatalf("%d cached verdicts, want %d distinct", st.Cache.Entries, count)
+	}
+	perEntry := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / count
+	t.Logf("%d cached H_σ verdicts retain %d bytes each", count, perEntry)
+	if perEntry > 4<<10 {
+		t.Errorf("each cached verdict retains %d bytes, want at most %d", perEntry, 4<<10)
 	}
 }

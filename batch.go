@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"sortnets/internal/eval"
-	"sortnets/internal/faults"
 	"sortnets/internal/network"
 	"sortnets/internal/verify"
 )
@@ -21,14 +20,14 @@ import (
 // property and the width, not the network, so it is identical for
 // every same-shaped entry in a batch. DoBatch exploits exactly that:
 // it canonicalizes every entry up front, deduplicates identical
-// entries within the batch, compiles each distinct program once, and
-// runs every group of same-width same-property verify entries through
-// one shared eval.RunMany pass. Everything else — exhaustive sweeps,
-// faults, minset, singletons — falls back to the per-request cache →
-// coalesce → compute pipeline of Do, so a batch of one behaves
-// exactly like Do. A batch's passes and fallback entries run side by
-// side: all of them go to the compute pool at once, so a batch keeps
-// every pool worker busy, not just one.
+// entries within the batch, and runs every group of same-width
+// same-property verify entries through one shared eval.RunMany pass.
+// Everything else — exhaustive sweeps, faults, minset, singletons —
+// falls back to the per-request cache → coalesce → compute pipeline
+// of Do, so a batch of one behaves exactly like Do. A batch's passes
+// and fallback entries run side by side: all of them go to the
+// compute pool at once, so a batch keeps every pool worker busy, not
+// just one.
 
 // BatchError aggregates per-entry failures from DoBatch: Errs is
 // index-aligned with the submitted batch, nil at entries that
@@ -61,20 +60,6 @@ type groupKey struct {
 	prop string
 }
 
-// batchEntry is one request's resolved state inside DoBatch.
-type batchEntry struct {
-	idx    int
-	op     string
-	ctrs   *opCounters
-	req    *Request
-	w      *network.Network
-	digest string
-	p      verify.Property
-	mode   faults.DetectMode // faults/minset only
-	key    string            // cache key
-	dupOf  int               // index of the earlier entry with the same key, or -1
-}
-
 // DoBatch renders verdicts for a whole batch of Requests in one call.
 // The result is index-aligned with reqs; each verdict is
 // byte-identical to what a sequential Do of the same entry would
@@ -105,12 +90,17 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request) ([]*Verdict, erro
 	// Phase 1: resolve every entry up front — op, network (parse /
 	// untangle / canonicalize / digest), property, cache key.
 	// Resolution failures become per-entry errors immediately.
-	entries := make([]batchEntry, len(reqs))
-	var work []*batchEntry
+	entries := make([]entry, len(reqs))
+	var work []*entry
 	for i := range reqs {
 		e := &entries[i]
-		e.idx, e.req, e.dupOf = i, &reqs[i], -1
-		if err := s.resolveEntry(e); err != nil {
+		e.idx, e.req, e.dupOf = i, reqs[i], -1
+		if err := s.begin(e); err != nil {
+			errs[i] = err
+			continue
+		}
+		if err := s.resolve(e); err != nil {
+			e.ctrs.errors.Add(1)
 			errs[i] = err
 			continue
 		}
@@ -119,8 +109,8 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request) ([]*Verdict, erro
 
 	// Phase 2: intra-batch dedup on cache keys, then verdict-cache
 	// hits for the representatives.
-	byKey := make(map[string]*batchEntry, len(work))
-	var pending []*batchEntry
+	byKey := make(map[string]*entry, len(work))
+	var pending []*entry
 	for _, e := range work {
 		if rep, ok := byKey[e.key]; ok {
 			e.dupOf = rep.idx
@@ -128,13 +118,10 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request) ([]*Verdict, erro
 			continue
 		}
 		byKey[e.key] = e
-		if s.results != nil {
-			if v, ok := s.results.Get(e.key); ok {
-				e.ctrs.hits.Add(1)
-				verdicts[e.idx] = withSource(v.(*Verdict), "hit")
-				stampID(verdicts[e.idx], e.req.ID)
-				continue
-			}
+		if v := s.hit(e); v != nil {
+			stampID(v, e.req.ID)
+			verdicts[e.idx] = v
+			continue
 		}
 		pending = append(pending, e)
 	}
@@ -147,12 +134,12 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request) ([]*Verdict, erro
 	// group of ≥ 2 is one unit, a shared eval.RunMany pass. Every other
 	// entry (singletons, exhaustive sweeps, faults, minset) is a unit
 	// of its own, through the per-request pipeline.
-	groups := make(map[groupKey][]*batchEntry)
+	groups := make(map[groupKey][]*entry)
 	var order []groupKey // deterministic group order
-	var single []*batchEntry
+	var single []*entry
 	for _, e := range pending {
-		if e.op == OpVerify && !e.req.Exhaustive && e.w.N <= network.LanesPerWord {
-			gk := groupKey{n: e.w.N, prop: e.p.Name()}
+		if e.op == OpVerify && !e.req.Exhaustive && e.n <= network.LanesPerWord {
+			gk := groupKey{n: e.n, prop: e.p.Name()}
 			if _, ok := groups[gk]; !ok {
 				order = append(order, gk)
 			}
@@ -161,7 +148,7 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request) ([]*Verdict, erro
 		}
 		single = append(single, e)
 	}
-	units := make([][]*batchEntry, 0, 1) // one unit stays on the stack
+	units := make([][]*entry, 0, 1) // one unit stays on the stack
 	for _, gk := range order {
 		if members := groups[gk]; len(members) >= 2 {
 			units = append(units, members)
@@ -216,7 +203,7 @@ func (s *Session) DoBatch(ctx context.Context, reqs []Request) ([]*Verdict, erro
 // returns once each has returned. A batch of one unit runs it inline.
 // It returns a context error that ended some unit, with the units
 // left unclaimed after it skipped.
-func (s *Session) computeUnits(ctx context.Context, units [][]*batchEntry, verdicts []*Verdict, errs []error) error {
+func (s *Session) computeUnits(ctx context.Context, units [][]*entry, verdicts []*Verdict, errs []error) error {
 	switch len(units) {
 	case 0:
 		return nil
@@ -253,14 +240,15 @@ func (s *Session) computeUnits(ctx context.Context, units [][]*batchEntry, verdi
 }
 
 // computeUnit computes one unit — a group pass for two or more
-// entries, else its one entry through the Do pipeline — filling
-// verdicts and per-entry errs at its entries' indices. It returns the
-// context error that ended it, if any; other errors are per entry.
-func (s *Session) computeUnit(ctx context.Context, unit []*batchEntry, verdicts []*Verdict, errs []error) error {
+// entries, else its one entry through Do's pipeline minus the fill
+// hook, which fillBatch has already consulted — filling verdicts and
+// per-entry errs at its entries' indices. It returns the context error
+// that ended it, if any; other errors are per entry.
+func (s *Session) computeUnit(ctx context.Context, unit []*entry, verdicts []*Verdict, errs []error) error {
 	var err error
 	if e := unit[0]; len(unit) > 1 {
 		err = s.computeGroup(ctx, unit, verdicts)
-	} else if v, verr := s.doResolved(ctx, e); verr != nil {
+	} else if v, verr := s.compute(ctx, e, false); verr != nil {
 		err = verr
 	} else {
 		stampID(v, e.req.ID)
@@ -287,66 +275,19 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// resolveEntry validates one batch entry and fills its resolved
-// state, counting the request exactly like Do.
-func (s *Session) resolveEntry(e *batchEntry) error {
-	op := e.req.Op
-	if op == "" {
-		op = OpVerify
-	}
-	e.op = op
-	ctrs := s.stats.forOp(op)
-	if ctrs == nil {
-		s.stats.unknown.requests.Add(1)
-		s.stats.unknown.errors.Add(1)
-		return badRequest("unknown op %q (want %s, %s or %s)", e.req.Op, OpVerify, OpFaults, OpMinset)
-	}
-	e.ctrs = ctrs
-	ctrs.requests.Add(1)
-	fail := func(err error) error {
-		ctrs.errors.Add(1)
-		return err
-	}
-	switch op {
-	case OpVerify:
-		w, digest, err := s.resolveRequest(e.req, s.maxLines)
-		if err != nil {
-			return fail(err)
-		}
-		p, err := propertyFor(e.req.Property, w.N, e.req.K)
-		if err != nil {
-			return fail(err)
-		}
-		e.w, e.digest, e.p = w, digest, p
-		e.key = verifyKey(digest, p.Name(), e.req.Exhaustive)
-	default: // OpFaults, OpMinset
-		w, digest, p, mode, err := s.faultArgs(e.req)
-		if err != nil {
-			return fail(err)
-		}
-		e.w, e.digest, e.p, e.mode = w, digest, p, mode
-		if op == OpFaults {
-			e.key = faultsKey(digest, p, mode)
-		} else {
-			e.key = minsetKey(digest, p, mode, e.req.Exact)
-		}
-	}
-	return nil
-}
-
 // fillBatch is DoBatch's cluster-fill phase: ONE hook call carries
 // every pending entry, on the caller's goroutine under the caller's
 // context (never on a pool worker, never inside coalescing). Adopted
 // entries are cached, answered with Source "miss" and counted as the
 // misses they are, with no compute; the unanswered rest is returned
 // for grouping and fallback, which never offer it to the hook again.
-func (s *Session) fillBatch(ctx context.Context, pending []*batchEntry, verdicts []*Verdict) []*batchEntry {
+func (s *Session) fillBatch(ctx context.Context, pending []*entry, verdicts []*Verdict) []*entry {
 	if s.fill == nil || len(pending) == 0 {
 		return pending
 	}
 	probes := make([]Request, len(pending))
 	for i, e := range pending {
-		probes[i] = fillRequest(e.req, e.op)
+		probes[i] = fillRequest(&e.req, e.op)
 	}
 	answers := s.fill(ctx, probes)
 	rest := pending[:0]
@@ -366,35 +307,17 @@ func (s *Session) fillBatch(ctx context.Context, pending []*batchEntry, verdicts
 	return rest
 }
 
-// doResolved routes one already-resolved entry through the
-// per-request pipeline — Do minus the parsing, and minus the fill
-// hook, which fillBatch already consulted for the whole batch.
-func (s *Session) doResolved(ctx context.Context, e *batchEntry) (*Verdict, error) {
-	switch e.op {
-	case OpVerify:
-		return s.doVerifyResolved(ctx, e.ctrs, nil, e.w, e.digest, e.p, e.req.Exhaustive)
-	case OpFaults:
-		return s.doFaultsResolved(ctx, e.ctrs, nil, e.w, e.digest, e.p, e.mode)
-	default:
-		return s.doMinsetResolved(ctx, e.ctrs, nil, e.w, e.digest, e.p, e.mode, e.req.Exact)
-	}
-}
-
 // computeGroup runs one same-width same-property group of verify
 // entries through a shared eval.RunMany pass on the compute pool: the
 // test stream is loaded once per block for the whole fleet, and each
-// distinct program compiles once. Verdicts
-// are byte-identical to sequential Do — RunMany's block schedule is
-// exactly the sequential single-worker one — and fill the verdict
-// cache under each member's own key. The pool hop bounds concurrent
-// CPU exactly like single-shot computes; the pass computes under its
-// own context, cancelled when the batch caller walks away.
-func (s *Session) computeGroup(ctx context.Context, members []*batchEntry, verdicts []*Verdict) error {
+// member compiles once. Verdicts are byte-identical to sequential Do —
+// RunMany's block schedule is exactly the sequential single-worker
+// one — and fill the verdict cache under each member's own key. The
+// pool hop bounds concurrent CPU exactly like single-shot computes;
+// the pass computes under its own context, cancelled when the batch
+// caller walks away.
+func (s *Session) computeGroup(ctx context.Context, members []*entry, verdicts []*Verdict) error {
 	p := members[0].p
-	progs := make([]*eval.Program, len(members))
-	for i, m := range members {
-		progs[i] = s.program(m.digest, m.w)
-	}
 	var group []*Verdict
 	// A unique key: group passes never coalesce with each other (two
 	// identical concurrent groups would waste, not corrupt — verdicts
@@ -409,6 +332,14 @@ func (s *Session) computeGroup(ctx context.Context, members []*batchEntry, verdi
 		s.stats.batch.grouped.Add(int64(len(members)))
 		if s.computeHook != nil {
 			s.computeHook()
+		}
+		progs := make([]*eval.Program, len(members))
+		for i, m := range members {
+			w, err := s.canonical(m)
+			if err != nil {
+				return nil, err
+			}
+			progs[i] = eval.Compile(w)
 		}
 		evs, err := eval.RunManyCtx(cctx, progs, p.BinaryTests(), verify.JudgeFor(p))
 		if err != nil {
@@ -431,11 +362,6 @@ func (s *Session) computeGroup(ctx context.Context, members []*batchEntry, verdi
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return ctxErr
-		}
-		if errors.Is(err, errSubmitterGone) {
-			// The queue was full and our submission was abandoned by a
-			// twin — impossible for unique keys, but retry for form.
-			return s.computeGroup(ctx, members, verdicts)
 		}
 		return err
 	}

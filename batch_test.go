@@ -109,59 +109,112 @@ func sameRequestFailure(t *testing.T, label string, want, got error) {
 // bytes a sequential Do of the same entry produces, and every
 // per-entry failure must be the same typed *RequestError.
 func TestDoBatchMatchesSequentialDo(t *testing.T) {
-	seq := NewSession()
-	bat := NewSession()
-	defer seq.Close()
-	defer bat.Close()
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(11))
+	for _, tc := range []struct {
+		name  string
+		opts  []Option
+		sends int
+	}{
+		{"cached", nil, 1},
+		// No verdict cache, and every batch sent twice: on the second
+		// send each text hits the resolve memo and misses the verdict
+		// cache, so single, grouped, faults and minset computes resolve
+		// it again, in Do and DoBatch alike.
+		{"uncached", []Option{WithCache(0)}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seq := NewSession(tc.opts...)
+			bat := NewSession(tc.opts...)
+			defer seq.Close()
+			defer bat.Close()
+			ctx := context.Background()
+			rng := rand.New(rand.NewSource(11))
 
-	for trial := 0; trial < 40; trial++ {
-		batch := randomMixedBatch(rng)
-		wantV := make([]*Verdict, len(batch))
-		wantE := make([]error, len(batch))
-		for i, req := range batch {
-			wantV[i], wantE[i] = seq.Do(ctx, req)
-		}
-		gotV, err := bat.DoBatch(ctx, batch)
-		var be *BatchError
-		if err != nil && !errors.As(err, &be) {
-			t.Fatalf("trial %d: DoBatch whole-batch error: %v", trial, err)
-		}
-		if len(gotV) != len(batch) {
-			t.Fatalf("trial %d: %d verdicts for %d entries", trial, len(gotV), len(batch))
-		}
-		for i := range batch {
-			label := batch[i].Op + " " + batch[i].Network
-			var gotE error
-			if be != nil {
-				gotE = be.Errs[i]
-			}
-			if (wantE[i] == nil) != (gotE == nil) {
-				t.Fatalf("trial %d entry %d (%s): sequential err %v, batch err %v", trial, i, label, wantE[i], gotE)
-			}
-			if wantE[i] != nil {
-				sameRequestFailure(t, label, wantE[i], gotE)
-				if gotV[i] != nil {
-					t.Fatalf("trial %d entry %d: verdict alongside error", trial, i)
+			for trial := 0; trial < 40; trial++ {
+				batch := randomMixedBatch(rng)
+				wantV := make([]*Verdict, len(batch))
+				wantE := make([]error, len(batch))
+				for i, req := range batch {
+					wantV[i], wantE[i] = seq.Do(ctx, req)
 				}
-				continue
+				for send := 0; send < tc.sends; send++ {
+					gotV, err := bat.DoBatch(ctx, batch)
+					var be *BatchError
+					if err != nil && !errors.As(err, &be) {
+						t.Fatalf("trial %d: DoBatch whole-batch error: %v", trial, err)
+					}
+					if len(gotV) != len(batch) {
+						t.Fatalf("trial %d: %d verdicts for %d entries", trial, len(gotV), len(batch))
+					}
+					for i := range batch {
+						label := batch[i].Op + " " + batch[i].Network
+						var gotE error
+						if be != nil {
+							gotE = be.Errs[i]
+						}
+						sameOutcome(t, trial, i, label, wantV[i], wantE[i], gotV[i], gotE)
+						if send > 0 {
+							againV, againE := seq.Do(ctx, batch[i])
+							sameOutcome(t, trial, i, label, wantV[i], wantE[i], againV, againE)
+						}
+					}
+				}
 			}
-			wb, werr := MarshalVerdict(wantV[i])
-			gb, gerr := MarshalVerdict(gotV[i])
-			if werr != nil || gerr != nil {
-				t.Fatal(werr, gerr)
+			// The equivalence must have exercised the interesting paths, not
+			// vacuously passed through singleton fallback.
+			st := bat.Stats().Batch
+			if st.Grouped == 0 || st.Deduped == 0 {
+				t.Fatalf("property test never hit the batch machinery: %+v", st)
 			}
-			if string(wb) != string(gb) {
-				t.Fatalf("trial %d entry %d (%s): verdicts differ:\nsequential: %s\nbatch:      %s", trial, i, label, wb, gb)
-			}
-		}
+		})
 	}
-	// The equivalence must have exercised the interesting paths, not
-	// vacuously passed through singleton fallback.
-	st := bat.Stats().Batch
-	if st.Grouped == 0 || st.Deduped == 0 {
-		t.Fatalf("property test never hit the batch machinery: %+v", st)
+
+	// A text memoized by a verify request (cap 20) and then sent as
+	// faults or minset (cap 12) is refused on its memo hit, before any
+	// compute, exactly as a fresh Session refuses it.
+	text := network.Random(16, 40, rand.New(rand.NewSource(12))).Format()
+	capped := []Request{{Network: text}, {Op: OpFaults, Network: text}, {Op: OpMinset, Network: text}}
+	sess := NewSession()
+	defer sess.Close()
+	ctx := context.Background()
+	vs, err := sess.DoBatch(ctx, capped)
+	var be *BatchError
+	if !errors.As(err, &be) || vs[0] == nil {
+		t.Fatalf("capped batch: %v, %v; want a verdict for its verify entry", vs, err)
+	}
+	for i, req := range capped[1:] {
+		fresh := NewSession()
+		_, want := fresh.Do(ctx, req)
+		fresh.Close()
+		_, got := sess.Do(ctx, req)
+		sameRequestFailure(t, req.Op+" after verify (Do)", want, got)
+		sameRequestFailure(t, req.Op+" after verify (DoBatch)", want, be.Errs[i+1])
+	}
+	if ops := sess.Stats().Ops; ops[OpFaults].Misses+ops[OpMinset].Misses != 0 {
+		t.Fatalf("capped requests reached the compute pipeline: faults %+v, minset %+v", ops[OpFaults], ops[OpMinset])
+	}
+}
+
+// sameOutcome asserts a verdict or failure matches the sequential Do
+// reference: the same marshaled bytes, or the same *RequestError.
+func sameOutcome(t *testing.T, trial, i int, label string, wantV *Verdict, wantE error, gotV *Verdict, gotE error) {
+	t.Helper()
+	if (wantE == nil) != (gotE == nil) {
+		t.Fatalf("trial %d entry %d (%s): sequential err %v, got err %v", trial, i, label, wantE, gotE)
+	}
+	if wantE != nil {
+		sameRequestFailure(t, label, wantE, gotE)
+		if gotV != nil {
+			t.Fatalf("trial %d entry %d: verdict alongside error", trial, i)
+		}
+		return
+	}
+	wb, werr := MarshalVerdict(wantV)
+	gb, gerr := MarshalVerdict(gotV)
+	if werr != nil || gerr != nil {
+		t.Fatal(werr, gerr)
+	}
+	if string(wb) != string(gb) {
+		t.Fatalf("trial %d entry %d (%s): verdicts differ:\nsequential: %s\ngot:        %s", trial, i, label, wb, gb)
 	}
 }
 

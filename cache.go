@@ -8,8 +8,8 @@ import (
 // lru is a mutex-guarded least-recently-used cache with a fixed entry
 // capacity. A Session keeps two: the verdict cache (immutable
 // *Verdict / conveniences' typed results, shared by the in-process
-// and HTTP paths) and the compiled-program cache (one eval.Program
-// per canonical digest, shared across operations and properties).
+// and HTTP paths) and the resolve memo (network text → canonical
+// digest and line count).
 type lru[V any] struct {
 	mu        sync.Mutex
 	capacity  int

@@ -5,18 +5,19 @@ import (
 	"fmt"
 
 	"sortnets/internal/bitvec"
+	"sortnets/internal/canon"
 	"sortnets/internal/eval"
 	"sortnets/internal/faults"
 	"sortnets/internal/verify"
 )
 
 // Typed conveniences: the library-side face of the Session for
-// callers holding real *Network values. They share Do's caches —
-// verdicts land under the same (operation, digest, property) keys
-// the HTTP path uses, and programs under the same digests — but
-// compute on the caller's goroutine (no pool hop, no coalescing) and
-// enforce no line caps: this is a trusted surface, so a mismatched
-// property is a programmer error and panics.
+// callers holding real *Network values. They share Do's verdict
+// cache — verdicts land under the same (operation, digest, property)
+// keys the HTTP path uses — but compute on the caller's goroutine (no
+// pool hop, no coalescing) and enforce no line caps: this is a
+// trusted surface, so a mismatched property is a programmer error and
+// panics. A verdict-cache miss compiles its own program.
 //
 // Determinism and caching: Check, GroundTruth, CheckPerms,
 // FaultCoverage and MinSet run deterministic single-worker engines
@@ -27,18 +28,17 @@ import (
 // sequential, k = exactly k) and are never verdict-cached, because a
 // pooled counterexample identity is schedule-dependent.
 
-// Check decides the property with its minimal binary test set on a
-// cached compiled program, deterministically (stream-order
-// counterexample). The error is non-nil only when ctx is cancelled.
+// Check decides the property with its minimal binary test set,
+// deterministically (stream-order counterexample). The error is
+// non-nil only when ctx is cancelled.
 func (s *Session) Check(ctx context.Context, w *Network, p Property) (Result, error) {
-	digest, prog := s.resolveNetwork(w)
 	name, builtin := wireProperty(p)
 	if !builtin {
-		return checkProgram(ctx, prog, p, false)
+		return checkProgram(ctx, eval.Compile(w), p, false)
 	}
-	key := verifyKey(digest, name, false)
-	v, err := s.cachedInline(ctx, key, func(cctx context.Context) (any, error) {
-		r, err := checkProgram(cctx, prog, p, false)
+	c, digest := canon.Canonicalize(w)
+	v, err := s.cachedInline(ctx, verifyKey(digest, name, false), func(cctx context.Context) (any, error) {
+		r, err := checkProgram(cctx, eval.Compile(c), p, false)
 		if err != nil {
 			return nil, err
 		}
@@ -70,7 +70,7 @@ func (s *Session) CheckMany(ctx context.Context, ws []*Network, p Property) ([]R
 	type pending struct {
 		key    string
 		digest string
-		prog   *eval.Program
+		c      *Network // canonical form
 		idxs   []int
 	}
 	var order []*pending
@@ -79,7 +79,7 @@ func (s *Session) CheckMany(ctx context.Context, ws []*Network, p Property) ([]R
 		if w.N != p.Lines() {
 			panic(fmt.Sprintf("sortnets: network has %d lines, property wants %d", w.N, p.Lines()))
 		}
-		digest, prog := s.resolveNetwork(w)
+		c, digest := canon.Canonicalize(w)
 		key := ""
 		if builtin {
 			key = verifyKey(digest, name, false)
@@ -96,7 +96,7 @@ func (s *Session) CheckMany(ctx context.Context, ws []*Network, p Property) ([]R
 				continue
 			}
 		}
-		pe := &pending{key: key, digest: digest, prog: prog, idxs: []int{i}}
+		pe := &pending{key: key, digest: digest, c: c, idxs: []int{i}}
 		if key != "" {
 			byKey[key] = pe
 		}
@@ -107,7 +107,7 @@ func (s *Session) CheckMany(ctx context.Context, ws []*Network, p Property) ([]R
 	}
 	progs := make([]*eval.Program, len(order))
 	for i, pe := range order {
-		progs[i] = pe.prog
+		progs[i] = eval.Compile(pe.c)
 	}
 	evs, err := eval.RunManyCtx(ctx, progs, p.BinaryTests(), verify.JudgeFor(p))
 	if err != nil {
@@ -127,16 +127,15 @@ func (s *Session) CheckMany(ctx context.Context, ws []*Network, p Property) ([]R
 
 // GroundTruth decides the property against the entire binary
 // universe — the exhaustive baseline the minimal test sets are
-// measured against — deterministically, on a cached program.
+// measured against — deterministically.
 func (s *Session) GroundTruth(ctx context.Context, w *Network, p Property) (Result, error) {
-	digest, prog := s.resolveNetwork(w)
 	name, builtin := wireProperty(p)
 	if !builtin {
-		return verify.GroundTruthProgramCtx(ctx, prog, p)
+		return verify.GroundTruthProgramCtx(ctx, eval.Compile(w), p)
 	}
-	key := verifyKey(digest, name, true)
-	v, err := s.cachedInline(ctx, key, func(cctx context.Context) (any, error) {
-		r, err := verify.GroundTruthProgramCtx(cctx, prog, p)
+	c, digest := canon.Canonicalize(w)
+	v, err := s.cachedInline(ctx, verifyKey(digest, name, true), func(cctx context.Context) (any, error) {
+		r, err := verify.GroundTruthProgramCtx(cctx, eval.Compile(c), p)
 		if err != nil {
 			return nil, err
 		}
@@ -163,17 +162,15 @@ func (s *Session) GroundTruthParallel(ctx context.Context, w *Network, p Propert
 }
 
 // CheckPerms decides the property with its minimal permutation test
-// set on a cached compiled program (deterministic, cached for
-// built-in properties).
+// set (deterministic, cached for built-in properties).
 func (s *Session) CheckPerms(ctx context.Context, w *Network, p Property) (PermResult, error) {
-	digest, prog := s.resolveNetwork(w)
 	name, builtin := wireProperty(p)
 	if !builtin {
-		return verify.VerdictPermsCtx(ctx, prog, p)
+		return verify.VerdictPermsCtx(ctx, eval.Compile(w), p)
 	}
-	key := fmt.Sprintf("perms|%s|%s", digest, name)
-	v, err := s.cachedInline(ctx, key, func(cctx context.Context) (any, error) {
-		return verify.VerdictPermsCtx(cctx, prog, p)
+	c, digest := canon.Canonicalize(w)
+	v, err := s.cachedInline(ctx, fmt.Sprintf("perms|%s|%s", digest, name), func(cctx context.Context) (any, error) {
+		return verify.VerdictPermsCtx(cctx, eval.Compile(c), p)
 	})
 	if err != nil {
 		return PermResult{}, err
@@ -188,12 +185,11 @@ func (s *Session) CheckPerms(ctx context.Context, w *Network, p Property) (PermR
 }
 
 // Wide certifies the property at widths beyond 64 lines with the
-// paper's polynomial test sets, on a cached compiled program. p must
-// be a MergerProp or SelectorProp (the regimes with polynomial
-// families); workers follows the one rule (0 = automatic).
+// paper's polynomial test sets. p must be a MergerProp or
+// SelectorProp (the regimes with polynomial families); workers
+// follows the one rule (0 = automatic).
 func (s *Session) Wide(ctx context.Context, w *Network, p Property, workers int) (WideResult, error) {
-	_, prog := s.resolveNetwork(w)
-	return verify.VerdictWideProgramCtx(ctx, prog, p, workers)
+	return verify.VerdictWideProgramCtx(ctx, eval.Compile(w), p, workers)
 }
 
 // FaultCoverage measures how many detectable faults the sorter's

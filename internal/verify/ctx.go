@@ -32,11 +32,9 @@ func VerdictCtx(ctx context.Context, w *network.Network, p Property, workers int
 }
 
 // VerdictProgramCtx is VerdictCtx for an already-compiled program on
-// one worker — the cache-aware entry point: a caller that verifies
-// many properties of one circuit (or the same circuit across many
-// requests, like the Session) compiles once and reuses the program.
-// Tests run in stream order, so the counterexample is stable
-// call-to-call.
+// one worker: a caller that verifies many properties of one circuit
+// compiles once and reuses the program. Tests run in stream order, so
+// the counterexample is stable call-to-call.
 func VerdictProgramCtx(ctx context.Context, prog *eval.Program, p Property) (Result, error) {
 	if prog.N() != p.Lines() {
 		panic(fmt.Sprintf("verify: program has %d lines, property wants %d", prog.N(), p.Lines()))

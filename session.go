@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sortnets/internal/canon"
 	"sortnets/internal/eval"
 	"sortnets/internal/faults"
 	"sortnets/internal/network"
@@ -16,10 +15,10 @@ import (
 )
 
 // Session is the context-aware verdict engine of the package and its
-// one verdict surface: a reusable handle owning a compiled-program
-// cache (keyed on the canonical digest of internal/canon), a verdict
-// cache, a coalescing worker pool, and default options. Library
-// callers and sortnetd's POST /do ask it through one request model:
+// one verdict surface: a reusable handle owning a verdict cache (keyed
+// on the canonical digest of internal/canon), a resolve memo, a
+// coalescing worker pool, and default options. Library callers and
+// sortnetd's POST /do ask it through one request model:
 //
 //	sess := sortnets.NewSession(sortnets.WithWorkers(0))
 //	v, err := sess.Do(ctx, sortnets.Request{Network: "n=4: [1,2][3,4][1,3][2,4][2,3]"})
@@ -34,9 +33,9 @@ import (
 // and hitting-set-solver paths alike.
 //
 // Caching: verdicts are cached by (operation, canonical digest,
-// property, flags) and programs by digest, so repeated requests for
-// structurally equivalent circuits — same circuit, parallel layers
-// interleaved differently — share one compilation and one verdict.
+// property, flags), so repeated requests for structurally equivalent
+// circuits — same circuit, parallel layers interleaved differently —
+// share one verdict. Each computed verdict compiles its own program.
 // Everything that feeds the cache is deterministic (single-worker
 // engines, stream-order counterexamples, deterministic greedy/solver
 // tie-breaks), so cached, coalesced and recomputed verdicts can
@@ -59,9 +58,8 @@ type Session struct {
 	computeHook   func()
 	fill          func(ctx context.Context, reqs []Request) []*Verdict
 
-	results  *lru[any]           // verdict cache: key → *Verdict or typed result
-	progs    *lru[*eval.Program] // digest → compiled healthy program
-	resolved *lru[resolvedNet]   // network text → canonical form + digest
+	results  *lru[any]         // verdict cache: key → *Verdict or typed result
+	resolved *lru[resolvedNet] // network text → digest and line count
 
 	poolOnce sync.Once
 	pool     *pool
@@ -172,47 +170,61 @@ func NewSession(opts ...Option) *Session {
 	if s.cacheSize > 0 {
 		s.results = newLRU[any](s.cacheSize)
 	}
-	// Programs and resolutions are tiny next to verdict payloads and
-	// cap the serve path's hot-loop allocations (compilation and
-	// parse/canonicalize/digest respectively), so they get serving-
-	// sized caches regardless of the verdict-cache setting.
-	s.progs = newLRU[*eval.Program](4096)
+	// Resolutions are tiny next to verdict payloads and spare the
+	// serve path's hot loop its parse/canonicalize/digest, so the memo
+	// is serving-sized regardless of the verdict-cache setting.
 	s.resolved = newLRU[resolvedNet](8192)
 	return s
 }
 
-// resolvedNet is one resolve-memo entry: the canonical network and
-// digest for a network-text request form. Canonical networks are
-// immutable once built (every downstream consumer — compile, fault
-// enumeration, canonical formatting — only reads), so one entry is
-// safe to share across requests and goroutines.
+// resolvedNet is one resolve-memo entry: the digest and line count of
+// a network-text request form. A hit needs nothing else (the digest
+// keys the verdict cache, the line count meets the op's cap), so the
+// memo keeps no network; a verdict-cache miss after a hit resolves the
+// text again.
 type resolvedNet struct {
-	w      *network.Network
 	digest string
+	n      int
 }
 
 // resolveRequest is Request.resolve behind the session's resolve
 // memo: the text form's parse → untangle → canonicalize → sha256
 // pipeline runs once per distinct network string, not once per
-// request. The line cap is re-checked on every hit because the caps
-// differ per op (verify vs faults/minset), with the error
-// byte-identical to resolve's. Comparator-form and malformed
-// requests pass straight through uncached.
-func (s *Session) resolveRequest(req *Request, maxLines int) (*network.Network, string, error) {
-	if req.Network == "" || req.Comparators != nil || req.Lines > 0 {
-		return req.resolve(maxLines)
-	}
-	if r, ok := s.resolved.Get(req.Network); ok {
-		if r.w.N > maxLines {
-			return nil, "", lineLimitError(r.w.N, maxLines)
+// request. It sets the entry's digest and line count, and its
+// canonical network only when it parsed one. The op's line cap is
+// re-checked on every hit because the caps differ per op (verify vs
+// faults/minset), with the error byte-identical to resolve's.
+// Comparator-form and malformed requests pass straight through
+// unmemoized.
+func (s *Session) resolveRequest(e *entry) error {
+	maxLines := s.lineCap(e.op)
+	memo := e.req.Network != "" && e.req.Comparators == nil && e.req.Lines <= 0
+	if memo {
+		if r, ok := s.resolved.Get(e.req.Network); ok {
+			if r.n > maxLines {
+				return lineLimitError(r.n, maxLines)
+			}
+			e.n, e.digest = r.n, r.digest
+			return nil
 		}
-		return r.w, r.digest, nil
 	}
-	w, digest, err := req.resolve(maxLines)
-	if err == nil {
-		s.resolved.Add(req.Network, resolvedNet{w: w, digest: digest})
+	w, digest, err := e.req.resolve(maxLines)
+	if err != nil {
+		return err
 	}
-	return w, digest, err
+	if memo {
+		s.resolved.Add(e.req.Network, resolvedNet{digest: digest, n: w.N})
+	}
+	e.w, e.n, e.digest = w, w.N, digest
+	return nil
+}
+
+// lineCap is the line count Do accepts for op.
+func (s *Session) lineCap(op string) int {
+	if op == OpVerify {
+		return s.maxLines
+	}
+	return s.maxFaultLines
 }
 
 // Workers resolves the session's pool size under the one worker rule.
@@ -384,6 +396,25 @@ func (s *Session) Stats() SessionStats {
 
 // --- The single entry point ---------------------------------------------
 
+// entry is one request on its way to a verdict: the one resolved form
+// that Do, DoBatch and Lookup share. begin names its op and counts it,
+// resolve fills in its network, property, detection mode and cache
+// key, and compute answers it from the verdict cache, the coalescing
+// pool or the engine. Only DoBatch sets idx and dupOf.
+type entry struct {
+	idx    int // index in the batch
+	dupOf  int // index of the earlier batch entry with the same key, or -1
+	op     string
+	ctrs   *opCounters
+	req    Request
+	w      *network.Network // canonical network; nil after a resolve-memo hit
+	n      int              // line count
+	digest string
+	p      verify.Property
+	mode   faults.DetectMode // faults/minset only
+	key    string            // verdict-cache key
+}
+
 // Do renders the verdict for one Request: parse/untangle/canonicalize
 // the network, route through the verdict cache and the coalescing
 // pool, compute on a deterministic single-worker engine under the
@@ -394,25 +425,25 @@ func (s *Session) Stats() SessionStats {
 // Errors: *RequestError for malformed requests (a 4xx over the
 // wire), the context's error when cancelled, and nothing else.
 func (s *Session) Do(ctx context.Context, req Request) (*Verdict, error) {
-	op := req.Op
-	if op == "" {
-		op = OpVerify
+	e := entry{req: req}
+	if err := s.begin(&e); err != nil {
+		return nil, err
 	}
-	ctrs := s.stats.forOp(op)
-	if ctrs == nil {
-		s.stats.unknown.requests.Add(1)
-		s.stats.unknown.errors.Add(1)
-		return nil, badRequest("unknown op %q (want %s, %s or %s)", req.Op, OpVerify, OpFaults, OpMinset)
+	err := ctx.Err()
+	if err == nil {
+		err = s.resolve(&e)
 	}
-	ctrs.requests.Add(1)
-	v, err := s.dispatch(ctx, op, &req, ctrs)
+	var v *Verdict
+	if err == nil {
+		v, err = s.compute(ctx, &e, true)
+	}
 	switch {
 	case err == nil:
 		stampID(v, req.ID)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		ctrs.canceled.Add(1)
+	case isCtxErr(err):
+		e.ctrs.canceled.Add(1)
 	default:
-		ctrs.errors.Add(1)
+		e.ctrs.errors.Add(1)
 	}
 	return v, err
 }
@@ -427,46 +458,58 @@ func stampID(v *Verdict, id string) {
 	}
 }
 
-func (s *Session) dispatch(ctx context.Context, op string, req *Request, ctrs *opCounters) (*Verdict, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// begin names the entry's op and counts the request under it, or
+// under "unknown", rejected, when the op is none of the three.
+func (s *Session) begin(e *entry) error {
+	if !s.named(e) {
+		s.stats.unknown.requests.Add(1)
+		s.stats.unknown.errors.Add(1)
+		return badRequest("unknown op %q (want %s, %s or %s)", e.req.Op, OpVerify, OpFaults, OpMinset)
 	}
-	switch op {
-	case OpVerify:
-		return s.doVerify(ctx, req, ctrs)
-	case OpFaults:
-		return s.doFaults(ctx, req, ctrs)
-	default:
-		return s.doMinset(ctx, req, ctrs)
-	}
+	e.ctrs.requests.Add(1)
+	return nil
 }
 
-func (s *Session) doVerify(ctx context.Context, req *Request, ctrs *opCounters) (*Verdict, error) {
-	w, digest, err := s.resolveRequest(req, s.maxLines)
-	if err != nil {
-		return nil, err
+// named sets the entry's op, verify when the request names none, and
+// that op's counters, and reports whether the op is known.
+func (s *Session) named(e *entry) bool {
+	e.op = e.req.Op
+	if e.op == "" {
+		e.op = OpVerify
 	}
-	p, err := propertyFor(req.Property, w.N, req.K)
-	if err != nil {
-		return nil, err
-	}
-	return s.doVerifyResolved(ctx, ctrs, req, w, digest, p, req.Exhaustive)
+	e.ctrs = s.stats.forOp(e.op)
+	return e.ctrs != nil
 }
 
-// doVerifyResolved is doVerify past resolution — the entry point
-// DoBatch uses for verify entries it has already canonicalized (and
-// decided not to group), so a batch never parses a network twice.
-// req is the wire request to offer the cluster fill hook; nil skips
-// fill (DoBatch has already consulted it for the whole batch).
-func (s *Session) doVerifyResolved(ctx context.Context, ctrs *opCounters, req *Request, w *network.Network, digest string, p verify.Property, exhaustive bool) (*Verdict, error) {
-	key := verifyKey(digest, p.Name(), exhaustive)
-	return s.cached(ctx, ctrs, key, s.withPeerFill(ctrs, req, OpVerify, digest, func(cctx context.Context) (*Verdict, error) {
-		r, err := checkProgram(cctx, s.program(digest, w), p, exhaustive)
-		if err != nil {
-			return nil, err
+// resolve fills in the entry's network, property, detection mode and
+// verdict-cache key from its request, under its op's line cap.
+func (s *Session) resolve(e *entry) error {
+	err := s.resolveRequest(e)
+	if err != nil {
+		return err
+	}
+	if e.p, err = propertyFor(e.req.Property, e.n, e.req.K); err != nil {
+		return err
+	}
+	if e.op == OpVerify {
+		e.key = verifyKey(e.digest, e.p.Name(), e.req.Exhaustive)
+		return nil
+	}
+	e.mode = s.faultMode
+	if e.req.Mode != "" {
+		if e.mode, err = detectModeFor(e.req.Mode); err != nil {
+			return err
 		}
-		return checkVerdict(digest, p.Name(), exhaustive, r), nil
-	}))
+	}
+	if _, ok := e.p.(verify.Sorter); !ok && e.mode == faults.ByProperty {
+		return badRequest("by-property detection judges outputs as a sorter; use property=sorter or mode=by-golden")
+	}
+	if e.op == OpFaults {
+		e.key = faultsKey(e.digest, e.p, e.mode)
+	} else {
+		e.key = minsetKey(e.digest, e.p, e.mode, e.req.Exact)
+	}
+	return nil
 }
 
 // The cache keys are plain concatenations (byte-identical to the
@@ -483,6 +526,133 @@ func faultsKey(digest string, p verify.Property, mode faults.DetectMode) string 
 
 func minsetKey(digest string, p verify.Property, mode faults.DetectMode, exact bool) string {
 	return "minset|" + digest + "|" + p.Name() + "|" + mode.String() + "|exact=" + strconv.FormatBool(exact)
+}
+
+// compute runs the cache → coalesce → compute pipeline for one
+// resolved entry. fill offers a miss to the cluster fill hook before
+// computing; only Do sets it, as DoBatch consults the hook once for its
+// whole batch. The verdict is deterministic: it is stored and replayed
+// (and, over the wire, marshals byte-identically).
+func (s *Session) compute(ctx context.Context, e *entry, fill bool) (*Verdict, error) {
+	if v := s.hit(e); v != nil {
+		return v, nil
+	}
+	e.ctrs.misses.Add(1)
+	// The pooled call holds a copy made only on a miss, so a hit leaves
+	// the caller's entry on its stack.
+	m := *e
+	run := func(cctx context.Context) (*Verdict, error) {
+		// Re-check the cache from inside the registered call: a twin
+		// that was in flight during our lookup may have filled the
+		// cache and left the inflight table in the gap before our
+		// registration. Its Add happens before its deregistration, so
+		// if we registered fresh, the result is already visible here —
+		// without this, two "concurrent identical" requests could both
+		// compute.
+		if s.results != nil {
+			if v, ok := s.results.Get(m.key); ok {
+				return v.(*Verdict), nil
+			}
+		}
+		v, err := s.evaluate(cctx, &m, fill)
+		if err == nil && s.results != nil {
+			// Fill the cache on the pool worker, before the in-flight
+			// entry is dropped, so there is no window where neither
+			// the cache nor the inflight table knows the result.
+			s.results.Add(m.key, v)
+		}
+		return v, err
+	}
+	joined := func() { m.ctrs.coalesced.Add(1) }
+	for {
+		v, coalesced, err := s.startPool().do(ctx, m.key, run, joined)
+		switch {
+		case err == nil && coalesced:
+			return withSource(v, "coalesced"), nil
+		case err == nil:
+			return withSource(v, "miss"), nil
+		case ctx.Err() != nil:
+			// The compute context dies only when every waiter is gone; a
+			// waiter that is still here was cancelled itself. Either way
+			// the caller's context error is the honest answer.
+			return nil, ctx.Err()
+		case !errors.Is(err, errSubmitterGone):
+			return nil, err
+		}
+		// We coalesced onto a call whose submitter abandoned it before
+		// a worker picked it up; our context is fine, so resubmit (the
+		// dead call has left the inflight table).
+	}
+}
+
+// hit answers the entry from the verdict cache and counts the hit; nil
+// is a miss, which the caller counts.
+func (s *Session) hit(e *entry) *Verdict {
+	if s.results == nil {
+		return nil
+	}
+	v, ok := s.results.Get(e.key)
+	if !ok {
+		return nil
+	}
+	e.ctrs.hits.Add(1)
+	return withSource(v.(*Verdict), "hit")
+}
+
+// evaluate renders a missed entry's verdict on its pool worker: it
+// offers the request to the cluster fill hook first when fill is set,
+// and computes on a deterministic single-worker engine when no peer
+// answers. The compute counter and hook fire only on the local
+// branch, so an adopted verdict is a miss that cost no compute — the
+// property the cluster's "sum of per-shard computes == distinct work"
+// accounting rests on.
+func (s *Session) evaluate(ctx context.Context, e *entry, fill bool) (*Verdict, error) {
+	if fill && s.fill != nil {
+		if v := adopt(s.fill(ctx, []Request{fillRequest(&e.req, e.op)}), 0, e.op, e.digest); v != nil {
+			return v, nil
+		}
+	}
+	e.ctrs.computes.Add(1)
+	if s.computeHook != nil {
+		s.computeHook()
+	}
+	w, err := s.canonical(e)
+	if err != nil {
+		return nil, err
+	}
+	switch e.op {
+	case OpVerify:
+		r, err := checkProgram(ctx, eval.Compile(w), e.p, e.req.Exhaustive)
+		if err != nil {
+			return nil, err
+		}
+		return checkVerdict(e.digest, e.p.Name(), e.req.Exhaustive, r), nil
+	case OpFaults:
+		rep, err := faults.MeasureCtx(ctx, w, nil, faults.Enumerate(w), e.p.BinaryTests, e.mode)
+		if err != nil {
+			return nil, err
+		}
+		return &Verdict{Op: OpFaults, Digest: e.digest, Property: e.p.Name(), Faults: &FaultsVerdict{
+			Mode:       e.mode.String(),
+			Faults:     rep.Faults,
+			Detectable: rep.Detectable,
+			Detected:   rep.Detected,
+			Coverage:   rep.Coverage(),
+		}}, nil
+	}
+	return minsetVerdict(ctx, e, w)
+}
+
+// canonical returns the entry's canonical network: the one resolve
+// parsed or, after a resolve-memo hit, the request text resolved again
+// under its op's cap. Resolution is deterministic, so that is the
+// network the memo's digest names.
+func (s *Session) canonical(e *entry) (*network.Network, error) {
+	if e.w != nil {
+		return e.w, nil
+	}
+	w, _, err := e.req.resolve(s.lineCap(e.op))
+	return w, err
 }
 
 // checkProgram runs the verify engine for one compiled program: the
@@ -503,132 +673,44 @@ func checkVerdict(digest, prop string, exhaustive bool, r Result) *Verdict {
 	return &Verdict{Op: OpVerify, Digest: digest, Property: prop, Check: cv}
 }
 
-// faultArgs validates the shared OpFaults/OpMinset request shape.
-func (s *Session) faultArgs(req *Request) (*network.Network, string, Property, faults.DetectMode, error) {
-	w, digest, err := s.resolveRequest(req, s.maxFaultLines)
-	if err != nil {
-		return nil, "", nil, 0, err
-	}
-	p, err := propertyFor(req.Property, w.N, req.K)
-	if err != nil {
-		return nil, "", nil, 0, err
-	}
-	mode := s.faultMode
-	if req.Mode != "" {
-		if mode, err = detectModeFor(req.Mode); err != nil {
-			return nil, "", nil, 0, err
-		}
-	}
-	if mode == faults.ByProperty {
-		if _, ok := p.(verify.Sorter); !ok {
-			return nil, "", nil, 0, badRequest("by-property detection judges outputs as a sorter; use property=sorter or mode=by-golden")
-		}
-	}
-	return w, digest, p, mode, nil
-}
-
-func (s *Session) doFaults(ctx context.Context, req *Request, ctrs *opCounters) (*Verdict, error) {
-	w, digest, p, mode, err := s.faultArgs(req)
-	if err != nil {
-		return nil, err
-	}
-	return s.doFaultsResolved(ctx, ctrs, req, w, digest, p, mode)
-}
-
-// doFaultsResolved is doFaults past resolution (see doVerifyResolved).
-func (s *Session) doFaultsResolved(ctx context.Context, ctrs *opCounters, req *Request, w *network.Network, digest string, p verify.Property, mode faults.DetectMode) (*Verdict, error) {
-	key := faultsKey(digest, p, mode)
-	return s.cached(ctx, ctrs, key, s.withPeerFill(ctrs, req, OpFaults, digest, func(cctx context.Context) (*Verdict, error) {
-		rep, err := faults.MeasureCtx(cctx, w, nil, faults.Enumerate(w), p.BinaryTests, mode)
-		if err != nil {
-			return nil, err
-		}
-		return &Verdict{Op: OpFaults, Digest: digest, Property: p.Name(), Faults: &FaultsVerdict{
-			Mode:       mode.String(),
-			Faults:     rep.Faults,
-			Detectable: rep.Detectable,
-			Detected:   rep.Detected,
-			Coverage:   rep.Coverage(),
-		}}, nil
-	}))
-}
-
 // minsetNodeBudget caps the exact hitting-set branch and bound per
 // request; exhausted budgets fall back to the (still valid) greedy
 // witness with exact=false.
 const minsetNodeBudget = 2_000_000
 
-func (s *Session) doMinset(ctx context.Context, req *Request, ctrs *opCounters) (*Verdict, error) {
-	w, digest, p, mode, err := s.faultArgs(req)
+// minsetVerdict computes an OpMinset entry's verdict on its canonical
+// network w.
+func minsetVerdict(ctx context.Context, e *entry, w *network.Network) (*Verdict, error) {
+	m, err := faults.DetectionMatrixCtx(ctx, w, nil, faults.Enumerate(w), e.p.BinaryTests, e.mode)
 	if err != nil {
 		return nil, err
 	}
-	return s.doMinsetResolved(ctx, ctrs, req, w, digest, p, mode, req.Exact)
-}
-
-// doMinsetResolved is doMinset past resolution (see doVerifyResolved).
-func (s *Session) doMinsetResolved(ctx context.Context, ctrs *opCounters, req *Request, w *network.Network, digest string, p verify.Property, mode faults.DetectMode, exactReq bool) (*Verdict, error) {
-	key := minsetKey(digest, p, mode, exactReq)
-	return s.cached(ctx, ctrs, key, s.withPeerFill(ctrs, req, OpMinset, digest, func(cctx context.Context) (*Verdict, error) {
-		m, err := faults.DetectionMatrixCtx(cctx, w, nil, faults.Enumerate(w), p.BinaryTests, mode)
+	var picks []int
+	exact := false
+	if e.req.Exact {
+		// Deterministic witness: the exact solver runs sequential.
+		picks, exact, err = m.ExactMinimalDetectingSetCtx(ctx, minsetNodeBudget, 1)
 		if err != nil {
 			return nil, err
 		}
-		var picks []int
-		exact := false
-		if exactReq {
-			// Deterministic witness: the exact solver runs sequential.
-			picks, exact, err = m.ExactMinimalDetectingSetCtx(cctx, minsetNodeBudget, 1)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if picks == nil {
-			picks = m.MinimalDetectingSet()
-		}
-		mv := &MinsetVerdict{
-			Mode:       mode.String(),
-			Faults:     len(m.Faults),
-			Detectable: m.Detectable.Count(),
-			Detected:   m.Detected().Count(),
-			FullTests:  len(m.Tests),
-			Size:       len(picks),
-			Exact:      exact,
-			Tests:      make([]string, 0, len(picks)),
-		}
-		for _, t := range picks {
-			mv.Tests = append(mv.Tests, m.Tests[t].String())
-		}
-		return &Verdict{Op: OpMinset, Digest: digest, Property: p.Name(), Minset: mv}, nil
-	}))
-}
-
-// withPeerFill wraps a single-shot compute closure with the cluster
-// fill hook: offer the one request to the peers first, adopt a valid
-// answer, else compute locally. The compute counter and hook live
-// HERE, on the local branch, so an adopted verdict is a miss that
-// cost no compute — the property the cluster's "sum of per-shard
-// computes == distinct work" accounting rests on. Fill is skipped
-// without a hook or without a wire request to forward. Runs inside
-// the pooled call, so the cache re-check, the cache fill, and
-// single-flight all apply unchanged.
-func (s *Session) withPeerFill(ctrs *opCounters, req *Request, op, digest string, compute func(context.Context) (*Verdict, error)) func(context.Context) (*Verdict, error) {
-	counted := func(cctx context.Context) (*Verdict, error) {
-		ctrs.computes.Add(1)
-		if s.computeHook != nil {
-			s.computeHook()
-		}
-		return compute(cctx)
 	}
-	if s.fill == nil || req == nil {
-		return counted
+	if picks == nil {
+		picks = m.MinimalDetectingSet()
 	}
-	return func(cctx context.Context) (*Verdict, error) {
-		if v := adopt(s.fill(cctx, []Request{fillRequest(req, op)}), 0, op, digest); v != nil {
-			return v, nil
-		}
-		return counted(cctx)
+	mv := &MinsetVerdict{
+		Mode:       e.mode.String(),
+		Faults:     len(m.Faults),
+		Detectable: m.Detectable.Count(),
+		Detected:   m.Detected().Count(),
+		FullTests:  len(m.Tests),
+		Size:       len(picks),
+		Exact:      exact,
+		Tests:      make([]string, 0, len(picks)),
 	}
+	for _, t := range picks {
+		mv.Tests = append(mv.Tests, m.Tests[t].String())
+	}
+	return &Verdict{Op: OpMinset, Digest: e.digest, Property: e.p.Name(), Minset: mv}, nil
 }
 
 // fillRequest is the probe form of a wire request: no correlation ID,
@@ -666,107 +748,16 @@ func adopt(answers []*Verdict, i int, op, digest string) *Verdict {
 // from it, which is what makes peer fill structurally loop-free: a
 // probe can only ever read a sibling's cache, never start work there.
 func (s *Session) Lookup(req Request) (*Verdict, bool) {
-	if s.results == nil {
+	e := entry{req: req}
+	if s.results == nil || !s.named(&e) || s.resolve(&e) != nil {
 		return nil, false
 	}
-	op := req.Op
-	if op == "" {
-		op = OpVerify
-	}
-	var key string
-	switch op {
-	case OpVerify:
-		w, digest, err := s.resolveRequest(&req, s.maxLines)
-		if err != nil {
-			return nil, false
-		}
-		p, err := propertyFor(req.Property, w.N, req.K)
-		if err != nil {
-			return nil, false
-		}
-		key = verifyKey(digest, p.Name(), req.Exhaustive)
-	case OpFaults, OpMinset:
-		_, digest, p, mode, err := s.faultArgs(&req)
-		if err != nil {
-			return nil, false
-		}
-		if op == OpFaults {
-			key = faultsKey(digest, p, mode)
-		} else {
-			key = minsetKey(digest, p, mode, req.Exact)
-		}
-	default:
-		return nil, false
-	}
-	if v, ok := s.results.Get(key); ok {
+	if v, ok := s.results.Get(e.key); ok {
 		if verdict, ok := v.(*Verdict); ok {
 			return withSource(verdict, "hit"), true
 		}
 	}
 	return nil, false
-}
-
-// cached runs the cache → coalesce → compute pipeline for one Do
-// request. compute must be deterministic: its verdict is stored and
-// replayed (and, over the wire, marshals byte-identically).
-func (s *Session) cached(ctx context.Context, ctrs *opCounters, key string, compute func(context.Context) (*Verdict, error)) (*Verdict, error) {
-	if s.results != nil {
-		if v, ok := s.results.Get(key); ok {
-			ctrs.hits.Add(1)
-			return withSource(v.(*Verdict), "hit"), nil
-		}
-	}
-	ctrs.misses.Add(1)
-	return s.pooled(ctx, ctrs, key, compute)
-}
-
-// pooled is cached's coalesce → compute tail, re-entered on the rare
-// abandoned-submission retry.
-func (s *Session) pooled(ctx context.Context, ctrs *opCounters, key string, compute func(context.Context) (*Verdict, error)) (*Verdict, error) {
-	v, coalesced, err := s.startPool().do(ctx, key, func(cctx context.Context) (*Verdict, error) {
-		// Re-check the cache from inside the registered call: a twin
-		// that was in flight during our lookup may have filled the
-		// cache and left the inflight table in the gap before our
-		// registration. Its Add happens before its deregistration, so
-		// if we registered fresh, the result is already visible here —
-		// without this, two "concurrent identical" requests could both
-		// compute.
-		if s.results != nil {
-			if v, ok := s.results.Get(key); ok {
-				return v.(*Verdict), nil
-			}
-		}
-		// The compute counter and hook fire inside compute itself (the
-		// withPeerFill wrapper): a peer-filled verdict is a miss that
-		// cost no local compute.
-		v, err := compute(cctx)
-		if err == nil && s.results != nil {
-			// Fill the cache on the pool worker, before the in-flight
-			// entry is dropped, so there is no window where neither
-			// the cache nor the inflight table knows the result.
-			s.results.Add(key, v)
-		}
-		return v, err
-	}, func() { ctrs.coalesced.Add(1) })
-	if err != nil {
-		// The compute context dies only when every waiter is gone; a
-		// waiter that is still here was cancelled itself. Either way
-		// the caller's context error is the honest answer.
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		if errors.Is(err, errSubmitterGone) {
-			// We coalesced onto a call whose submitter abandoned it
-			// before a worker picked it up; our context is fine, so
-			// resubmit (the dead call has left the inflight table).
-			return s.pooled(ctx, ctrs, key, compute)
-		}
-		return nil, err
-	}
-	if coalesced {
-		return withSource(v, "coalesced"), nil
-	}
-	return withSource(v, "miss"), nil
 }
 
 // withSource stamps how the verdict was obtained on a shallow copy
@@ -775,28 +766,6 @@ func withSource(v *Verdict, source string) *Verdict {
 	cp := *v
 	cp.Source = source
 	return &cp
-}
-
-// program returns the compiled healthy program for a canonical
-// network, sharing compilations across operations and properties via
-// the digest-keyed program cache. Programs are immutable, so a cached
-// one is safe for concurrent engines.
-func (s *Session) program(digest string, w *network.Network) *eval.Program {
-	if p, ok := s.progs.Get(digest); ok {
-		return p
-	}
-	p := eval.Compile(w)
-	s.progs.Add(digest, p)
-	return p
-}
-
-// resolveNetwork canonicalizes a trusted in-process network and
-// returns its digest and cached program: the convenience-path
-// counterpart of Request.resolve (no line caps — the caller already
-// holds the network).
-func (s *Session) resolveNetwork(w *network.Network) (string, *eval.Program) {
-	c, digest := canon.Canonicalize(w)
-	return digest, s.program(digest, c)
 }
 
 // MarshalVerdict renders the wire body of a Verdict (the exact bytes
